@@ -8,6 +8,7 @@ can serve as its verification oracle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,26 +87,6 @@ class PatternAutomaton:
                 return self.out[s][0], pos + 1
         return None
 
-    def matches(self, word: Word) -> list[tuple[int, int]]:
-        """All (pattern index, start offset) occurrences."""
-        s, found = 0, []
-        for pos, a in enumerate(word):
-            s = self.step[s][a]
-            for idx in self.out[s]:
-                found.append((idx, pos + 1 - len(self.patterns[idx])))
-        found.sort()
-        return found
-
-
-def naive_matches(patterns: list[Word], word: Word) -> list[tuple[int, int]]:
-    """Linear-scan reference for PatternAutomaton.matches."""
-    found = []
-    for idx, pat in enumerate(patterns):
-        _, offs = subword_divides(pat, word)
-        found.extend((idx, o) for o in offs)
-    found.sort()
-    return found
-
 
 class MonomialIdealFree:
     """Monomial ideal of the free algebra: antichain of words under
@@ -151,7 +132,12 @@ class MonomialIdealFree:
 
 @dataclass
 class FreeGroebnerCandidate:
-    """Monic homogeneous polynomials proposed as a Groebner basis."""
+    """Monic homogeneous polynomials proposed as a Groebner basis.
+
+    Besides the leading words and their automaton, the candidate keeps what
+    every normal form modulo it reuses: each element's terms without its
+    leading word, and a memo of integer order keys of the words seen so far.
+    """
 
     ctx: AlgebraContext
     elements: list[FreePolynomial]
@@ -168,37 +154,74 @@ class FreeGroebnerCandidate:
         self.elements = normalized
         self.leading_words = [leading_term_free(F, self.order)[0] for F in self.elements]
         self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
+        self.tails = [
+            [(w, c) for w, c in F.terms.items() if w != lead]
+            for F, lead in zip(self.elements, self.leading_words)
+        ]
+        self._base = 1 + max(self.order.base.rank(a) for a in range(1, self.ctx.n + 1))
+        self._keys: dict[Word, int] = {}
+
+    def word_rank(self, w: Word) -> int:
+        """``order.word_key(w)`` as an integer with the same order, memoised.
+
+        The digits, in base one more than the largest variable rank, are the
+        multiset key followed by the lex key.  Every digit is at least 1, so
+        a longer word has more digits and the encoding is degree-first like
+        the key itself.
+        """
+        k = self._keys.get(w)
+        if k is None:
+            _, multiset, lex = self.order.word_key(w)
+            k = 0
+            for r in multiset + lex:
+                k = k * self._base + r
+            self._keys[w] = k
+        return k
 
 
 def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     """Fully reduce F: rewrite the largest reducible word A in(g) B into
-    A (in(g) - g) B until no word contains a leading word of G."""
-    key = G.order.word_key
+    A (in(g) - g) B until no word contains a leading word of G.
+
+    The words of the running polynomial sit in a max-heap on
+    ``G.word_rank``.  A rewrite only brings in words smaller than the one it
+    removes, so the popped word is the largest left: if no leading word
+    divides it, it belongs to the remainder for good; otherwise its first
+    automaton match is rewritten with the cached tail of that element.
+    Every word is popped and matched once.
+    """
+    rank = G.word_rank
+    first_match = G.automaton.first_match
     current = dict(F.terms)
-    while True:
-        reducible = None
-        hit = None
-        for w in current:
-            match = G.automaton.first_match(w)
-            if match is not None and (reducible is None or key(w) > key(reducible)):
-                reducible, hit = w, match
-        if reducible is None:
-            return FreePolynomial(current)
+    heap = [(-rank(w), w) for w in current]
+    heapq.heapify(heap)
+    remainder: dict[Word, Fraction] = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        coeff = current.pop(w, None)
+        if coeff is None:
+            # cancelled after it was queued
+            continue
+        hit = first_match(w)
+        if hit is None:
+            remainder[w] = coeff
+            continue
         idx, end = hit
-        g = G.elements[idx]
-        lead = G.leading_words[idx]
-        coeff = current.pop(reducible)
-        prefix = reducible[: end - len(lead)]
-        suffix = reducible[end:]
-        for w, c in g.terms.items():
-            if w == lead:
-                continue
-            key_w = prefix + w + suffix
-            s = current.get(key_w, 0) - coeff * c
-            if s:
-                current[key_w] = s
+        prefix = w[: end - len(G.leading_words[idx])]
+        suffix = w[end:]
+        for t, c in G.tails[idx]:
+            v = prefix + t + suffix
+            old = current.get(v)
+            if old is None:
+                current[v] = -coeff * c
+                heapq.heappush(heap, (-rank(v), v))
             else:
-                current.pop(key_w, None)
+                s = old - coeff * c
+                if s:
+                    current[v] = s
+                else:
+                    del current[v]
+    return FreePolynomial._raw(remainder)
 
 
 @dataclass(frozen=True)
@@ -250,7 +273,7 @@ def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Wor
                     - FreePolynomial.monomial(left2) * G.elements[j] * FreePolynomial.monomial(right2)
                 )
                 found.append((i, j, word, s))
-    found.sort(key=lambda t: (len(t[2]), G.order.word_key(t[2])))
+    found.sort(key=lambda t: G.word_rank(t[2]))
     return found
 
 

@@ -21,7 +21,6 @@ from extlift.freealg import (
     hilbert_rational,
     ideal_slice_rows,
     initial_ideal_free,
-    naive_matches,
     normal_form,
     normal_word_count,
     obstructions_resolve,
@@ -31,6 +30,7 @@ from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import dense_rank, random_ext_ideal_gens
+from oracles import automaton_matches, naive_matches
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -79,7 +79,7 @@ class TestSubwords:
         auto = PatternAutomaton(pats, n)
         for _ in range(20):
             w = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 8)))
-            assert auto.matches(w) == naive_matches(pats, w)
+            assert automaton_matches(auto, w) == naive_matches(pats, w)
             first = auto.first_match(w)
             hits = naive_matches(pats, w)
             if first is None:

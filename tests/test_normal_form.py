@@ -1,0 +1,189 @@
+"""The heap-driven normal form: a differential test against the linear
+rescan it replaced, algebraic properties, and a guard on the work done."""
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from extlift import freealg
+from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
+from extlift.exterior import ExtIdeal, groebner_ext
+from extlift.freealg import (
+    FreeGroebnerCandidate,
+    PatternAutomaton,
+    enumerate_obstructions,
+    ideal_slice_rows,
+    normal_form,
+    obstructions_resolve,
+)
+from extlift.lifting import lift_groebner, naive_lift
+from extlift.linalg import rank
+from extlift.orders import ExtOrderSpec, FreeOrderSpec
+
+from helpers import random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
+from oracles import rescan_normal_form, rescan_obstructions_resolve
+
+
+def candidates(rng, ctx, gens, order):
+    """The lift of the ideal, its naive lift, and the lift with one lifted
+    element dropped; only the first is guaranteed to be a Groebner basis."""
+    gb = groebner_ext(ExtIdeal(ctx, gens, order))
+    lifted = lift_groebner(gb)
+    elements = lifted.elements()
+    k = len(lifted.anti_commutators)
+    free_order = FreeOrderSpec(order)
+    out = [elements, naive_lift(gb)]
+    if len(elements) > k:
+        drop = rng.randrange(k, len(elements))
+        out.append(elements[:drop] + elements[drop + 1:])
+    return [FreeGroebnerCandidate(ctx, E, free_order) for E in out]
+
+
+DIFFERENTIAL_CASES = [
+    (n, ExtOrderSpec(kind), seed)
+    for n, seeds in ((4, (0, 1)), (5, (0, 1)), (6, (0,)))
+    for kind in ("deglex", "degrevlex")
+    for seed in seeds
+] + [
+    (5, ExtOrderSpec("deglex", (3, 5, 1, 4, 2)), 0),
+    (5, ExtOrderSpec("degrevlex", (2, 4, 5, 1, 3)), 1),
+]
+
+
+def corpus(n, order, seed):
+    rng = random.Random(f"nf/{n}/{order.kind}/{order.ranking}/{seed}")
+    ctx = AlgebraContext(n)
+    gens = random_ext_ideal_gens(rng, ctx, max_deg=min(n - 1, 3))
+    return rng, candidates(rng, ctx, gens, order)
+
+
+class TestAgainstRescan:
+    @pytest.mark.parametrize("n,order,seed", DIFFERENTIAL_CASES)
+    def test_remainders_and_failures_identical(self, n, order, seed):
+        # equal failure lists mean every S-polynomial has the same
+        # remainder, since only the nonzero ones are listed
+        rng, Gs = corpus(n, order, seed)
+        for G in Gs:
+            assert obstructions_resolve(G) == rescan_obstructions_resolve(G)
+            for _ in range(5):
+                F = random_free_polynomial(rng, G.ctx, rng.randint(2, 4), nterms=6)
+                assert normal_form(F, G).terms == rescan_normal_form(F, G).terms
+
+    def test_corpus_has_failing_candidates(self):
+        # the comparison above must cover nonzero remainders, not only bases
+        failures = [
+            len(obstructions_resolve(G)[1])
+            for case in DIFFERENTIAL_CASES
+            for G in corpus(*case)[1]
+        ]
+        assert sum(1 for k in failures if k) >= 10
+
+
+# --- properties -------------------------------------------------------------
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def lifted_bases(draw):
+    """A Groebner basis of the free algebra: the anti-commutators plus the
+    lift of up to two exterior quadrics in n <= 4 variables."""
+    n = draw(st.integers(2, 4))
+    ctx = AlgebraContext(n)
+    order = ExtOrderSpec(draw(st.sampled_from(["deglex", "degrevlex"])))
+    monos = [ExtMonomial(c) for c in combinations(range(1, n + 1), 2)]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+    gens = [ExtPolynomial(zip(monos, cs)) for cs in draw(st.lists(coeffs, max_size=2))]
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens, order)))
+    return FreeGroebnerCandidate(ctx, lifted.elements(), FreeOrderSpec(order))
+
+
+def free_polys(n: int, degree: int | None = None):
+    """Free polynomials in n variables; homogeneous of the given degree."""
+    lengths = st.integers(1, 4) if degree is None else st.just(degree)
+    words = lengths.flatmap(lambda d: st.tuples(*[st.integers(1, n)] * d))
+    return st.lists(st.tuples(words, st.integers(-4, 4)), max_size=5).map(FreePolynomial)
+
+
+class TestProperties:
+    @SETTINGS
+    @given(st.data())
+    def test_idempotent(self, data):
+        G = data.draw(lifted_bases())
+        nf = normal_form(data.draw(free_polys(G.ctx.n)), G)
+        assert normal_form(nf, G) == nf
+
+    @SETTINGS
+    @given(st.data())
+    def test_no_leading_word_divides_a_remainder_word(self, data):
+        G = data.draw(lifted_bases())
+        nf = normal_form(data.draw(free_polys(G.ctx.n)), G)
+        for w in nf.terms:
+            assert not any(
+                w[p:p + len(lead)] == lead
+                for lead in G.leading_words
+                for p in range(len(w) - len(lead) + 1)
+            )
+
+    @SETTINGS
+    @given(st.data())
+    def test_difference_lies_in_ideal_slice(self, data):
+        G = data.draw(lifted_bases())
+        d = data.draw(st.integers(2, 3))
+        F = data.draw(free_polys(G.ctx.n, d))
+        rows = ideal_slice_rows(G.elements, G.ctx, d)
+        key = G.order.word_key
+        assert rank(rows + [(F - normal_form(F, G)).terms], key) == rank(rows, key)
+
+    @SETTINGS
+    @given(st.data())
+    def test_linear_on_a_groebner_basis(self, data):
+        G = data.draw(lifted_bases())
+        F = data.draw(free_polys(G.ctx.n))
+        H = data.draw(free_polys(G.ctx.n))
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        combo = F.scale(a) + H.scale(b)
+        assert normal_form(combo, G) == normal_form(F, G).scale(a) + normal_form(H, G).scale(b)
+
+
+# --- work guard -------------------------------------------------------------
+
+
+def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
+    rng = random.Random("work-guard")
+    ctx = AlgebraContext(6)
+    gens = [random_ext_polynomial(rng, ctx, 2) for _ in range(3)]
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens)))
+    G = FreeGroebnerCandidate(ctx, lifted.elements(), FreeOrderSpec())
+
+    keyed: Counter = Counter()
+    matched: list[Counter] = []
+    word_key = FreeOrderSpec.word_key
+    first_match = PatternAutomaton.first_match
+    nf = freealg.normal_form
+
+    def counted_word_key(self, w):
+        keyed[w] += 1
+        return word_key(self, w)
+
+    def counted_first_match(self, w):
+        matched[-1][w] += 1
+        return first_match(self, w)
+
+    def counted_normal_form(F, G):
+        matched.append(Counter())
+        return nf(F, G)
+
+    monkeypatch.setattr(FreeOrderSpec, "word_key", counted_word_key)
+    monkeypatch.setattr(PatternAutomaton, "first_match", counted_first_match)
+    monkeypatch.setattr(freealg, "normal_form", counted_normal_form)
+    ok, _ = freealg.obstructions_resolve(G)
+
+    assert ok
+    assert len(matched) == len(enumerate_obstructions(G))
+    assert keyed and max(keyed.values()) == 1
+    assert max(max(c.values(), default=0) for c in matched) == 1
