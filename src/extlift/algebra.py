@@ -303,10 +303,6 @@ def delta(f: ExtPolynomial) -> FreePolynomial:
     return FreePolynomial._raw({m.support: c for m, c in f.terms.items()})
 
 
-def delta_word(m: ExtMonomial) -> Word:
-    return m.support
-
-
 class GLMatrix:
     """Invertible n x n matrix of exact rationals, acting on variables by
     X_i -> sum_l g[l][i] X_l."""

@@ -12,13 +12,12 @@ import argparse
 import json
 import sys
 
-from .algebra import ExtMonomial, FreePolynomial
 from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, hilbert_ext, initial_ideal_ext
 from .freealg import (
     FreeGroebnerCandidate,
     MonomialIdealFree,
+    free_initial_ideal,
     hilbert_rational,
-    ideal_slice_rows,
     normal_word_count,
     obstructions_resolve,
 )
@@ -39,8 +38,7 @@ from .lifting import (
     stable_witness,
     strongly_stable_witness,
 )
-from .linalg import rank
-from .orders import ExtOrderSpec, FreeOrderSpec
+from .orders import ExtOrderSpec
 from .parsing import (
     IdealFile,
     ParseError,
@@ -59,10 +57,6 @@ EXIT_INPUT = 2
 
 
 class InputError(ValueError):
-    pass
-
-
-class MathFailure(RuntimeError):
     pass
 
 
@@ -130,7 +124,7 @@ def cmd_gb(args) -> int:
         "order": ideal.order.kind,
         "groebner_basis": [ext_poly_pairs(f, ideal.order) for f in gb.elements],
         "initial_ideal": [ext_monomial_str(m) for m in init],
-        "quotient_dimensions": hilbert_ext(I),
+        "quotient_dimensions": hilbert_ext(gb),
     }
     if args.json:
         _emit_json(result)
@@ -208,10 +202,11 @@ def cmd_verify(args) -> int:
     ok, failures = obstructions_resolve(candidate)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
+    slice_dims = free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
     dims = []
     dims_ok = True
     for d in range(maxdeg + 1):
-        slice_dim = rank(ideal_slice_rows(list(ideal.generators), ideal.ctx, d), order.word_key)
+        slice_dim = slice_dims.get(d, 0)
         cone_dim = ideal.ctx.n**d - normal_word_count(cone, d)
         dims.append({"degree": d, "ideal_slice": slice_dim, "initial_cone": cone_dim})
         if slice_dim != cone_dim:
@@ -264,7 +259,7 @@ def cmd_gin(args) -> int:
         I = _ext_ideal(ideal)
         try:
             res = gin_ext(I, req)
-            lifted = gin_lifted(I, req)
+            lifted = gin_lifted(I, res, maxdeg)
         except ValueError as exc:
             raise InputError(str(exc)) from None
         borel_ok, borel_witness = is_borel_fixed(lifted.gin, ideal.ctx)
@@ -345,7 +340,7 @@ def cmd_hilbert(args) -> int:
     ideal = _load(args)
     if ideal.algebra == "exterior":
         I = _ext_ideal(ideal)
-        vector = hilbert_ext(I)
+        vector = hilbert_ext(groebner_ext(I))
         result = {
             "command": "hilbert",
             "vars": ideal.ctx.n,
@@ -437,6 +432,12 @@ def _emit_json(result: dict) -> None:
     print(json.dumps(result, indent=2, sort_keys=True))
 
 
+def _degree_cap(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extlift",
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", choices=["deglex", "degrevlex"], help="override the base order")
         p.add_argument("--varorder", help="override the variable ranking, e.g. 2,1,3")
         if maxdeg:
-            p.add_argument("--maxdeg", type=int, help="degree cap (default n+1)")
+            p.add_argument("--maxdeg", type=_degree_cap, help="degree cap (default n+1)")
         if gin_flags:
             p.add_argument("--seed", type=int, default=0, help="master PRNG seed (default 0)")
             p.add_argument("--trials", type=int, default=2, help="independent samples (default 2)")
@@ -478,9 +479,6 @@ def main(argv=None) -> int:
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MathFailure as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ new basis elements (their rows, which are already fully reduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .algebra import (
@@ -86,23 +86,18 @@ class MonomialIdealExt:
         return f"MonomialIdealExt({[str(m) for m in self.gens]})"
 
 
-def divides_ext(a: ExtMonomial, b: ExtMonomial) -> bool:
-    return a.divides(b)
-
-
 @dataclass(frozen=True)
 class ExtGroebnerBasis:
+    """Reduced minimal Groebner basis, with ``slice_dims[d] = dim I_d`` for
+    every degree d = 0..n read off the same elimination."""
+
     ctx: AlgebraContext
     elements: tuple[ExtPolynomial, ...]
     order: ExtOrderSpec
-    minimal: bool = True
-    reduced: bool = True
+    slice_dims: tuple[int, ...]
 
     def leading_monomials(self) -> list[ExtMonomial]:
         return [leading_term_ext(f, self.order)[0] for f in self.elements]
-
-    def min_degree(self) -> int:
-        return min((f.degree for f in self.elements), default=0)
 
 
 def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
@@ -127,25 +122,27 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
 
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
-    """Reduced minimal Groebner basis by degree-wise elimination."""
+    """Reduced minimal Groebner basis by degree-wise elimination.  Each
+    slice is reduced once; slices below the lowest generator degree are 0."""
     elements: list[ExtPolynomial] = []
     leads: list[ExtMonomial] = []
-    if I.generators:
-        dmin = min(g.degree for g in I.generators)
-        for d in range(dmin, I.ctx.n + 1):
-            for row in ideal_degree_basis(I, d):
-                lead, _ = leading_term_ext(row, I.order)
-                if not any(m.divides(lead) for m in leads):
-                    elements.append(row)
-                    leads.append(lead)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order)
+    dims: list[int] = []
+    dmin = min((g.degree for g in I.generators), default=I.ctx.n + 1)
+    for d in range(I.ctx.n + 1):
+        rows = ideal_degree_basis(I, d) if d >= dmin else []
+        dims.append(len(rows))
+        for row in rows:
+            lead, _ = leading_term_ext(row, I.order)
+            if not any(m.divides(lead) for m in leads):
+                elements.append(row)
+                leads.append(lead)
+    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, tuple(dims))
 
 
 def initial_ideal_ext(G: ExtGroebnerBasis) -> MonomialIdealExt:
     return MonomialIdealExt(G.leading_monomials(), G.order)
 
 
-def hilbert_ext(I: ExtIdeal) -> list[int]:
-    """dim (E(V)/I)_d for d = 0..n, exact."""
-    n = I.ctx.n
-    return [comb(n, d) - len(ideal_degree_basis(I, d)) for d in range(n + 1)]
+def hilbert_ext(G: ExtGroebnerBasis) -> list[int]:
+    """dim (E(V)/I)_d for d = 0..n, exact, for the ideal I of the basis G."""
+    return [comb(G.ctx.n, d) - dim for d, dim in enumerate(G.slice_dims)]

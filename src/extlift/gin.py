@@ -19,11 +19,10 @@ from .algebra import (
     apply_gl,
     apply_gl_ext,
 )
-from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, ideal_degree_basis, initial_ideal_ext
-from .freealg import MonomialIdealFree, free_initial_ideal, ideal_slice_rows, normal_word_count
-from .lifting import anti_commutator_leading_words
-from .linalg import rank
-from .orders import ExtOrderSpec, FreeOrderSpec
+from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, initial_ideal_ext
+from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_count
+from .lifting import anti_commutator_leading_words, check_natural_ranking
+from .orders import FreeOrderSpec
 
 
 def random_gl(ctx: AlgebraContext, seed: int, height: int) -> GLMatrix:
@@ -101,36 +100,34 @@ def gin_free(
 
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
     """Generic initial ideal in E(V): transform, recompute the Groebner
-    basis, take leading monomials; per-degree dimensions come along."""
+    basis, take leading monomials; the per-degree dimensions are the first
+    trial's basis slice dimensions."""
     seeds = req.trial_seeds()
-    results = []
-    dims_list = []
+    bases = []
     for s in seeds:
         g = random_gl(I.ctx, s, req.height)
         transformed = ExtIdeal(
             I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order
         )
-        gb = groebner_ext(transformed)
-        results.append(initial_ideal_ext(gb))
-        dims_list.append(
-            {d: len(ideal_degree_basis(transformed, d)) for d in range(I.ctx.n + 1)}
-        )
+        bases.append(groebner_ext(transformed))
+    results = [initial_ideal_ext(gb) for gb in bases]
     agreement = all(r == results[0] for r in results[1:])
     return GinResult(
         gin=results[0],
-        slice_dims=dims_list[0],
+        slice_dims=dict(enumerate(bases[0].slice_dims)),
         trial_seeds=tuple(seeds),
         agreement=agreement,
     )
 
 
-def gin_lifted(I: ExtIdeal, req: GinRequest) -> GinResult:
-    """gin of the preimage ideal, built from gin_ext: delta of its minimal
-    generators plus the words X_j X_i (i <= j), minimalized."""
+def gin_lifted(I: ExtIdeal, ext_result: GinResult, max_degree: int) -> GinResult:
+    """gin of the preimage ideal, built from the exterior gin ``ext_result``
+    of I: delta of its minimal generators plus the words X_j X_i (i <= j),
+    minimalized, with dimensions up to ``max_degree``."""
+    check_natural_ranking(I.order, I.ctx.n)
     for f in I.generators:
         if f.degree < 2:
             raise ValueError("lifted gin requires generators of degree >= 2")
-    ext_result = gin_ext(I, req)
     order = FreeOrderSpec(I.order)
     words = list(anti_commutator_leading_words(I.ctx))
     words += [m.support for m in ext_result.gin]
@@ -138,7 +135,7 @@ def gin_lifted(I: ExtIdeal, req: GinRequest) -> GinResult:
     # per-degree dimensions of the preimage slice: n^d minus normal words
     dims = {
         d: I.ctx.n**d - normal_word_count(lifted, d)
-        for d in range(req.max_degree + 1)
+        for d in range(max_degree + 1)
     }
     return GinResult(
         gin=lifted,
@@ -187,22 +184,20 @@ def hilbert_compare(
     gin = result.gin
     if not isinstance(gin, MonomialIdealFree):
         raise TypeError("hilbert_compare expects a free-algebra gin result")
-    for d in range(max_degree + 1):
-        dim = rank(ideal_slice_rows(gens, ctx, d), order.word_key)
-        cone = ctx.n**d - normal_word_count(gin, d)
-        if dim != cone:
-            return False
-    return True
+    dims = free_initial_ideal(gens, ctx, order, max_degree).slice_dims
+    return all(
+        dims.get(d, 0) == ctx.n**d - normal_word_count(gin, d)
+        for d in range(max_degree + 1)
+    )
 
 
 def hilbert_compare_ext(I: ExtIdeal, result: GinResult) -> bool:
     """Exterior analogue: slice dimensions of I vs monomial counts of the
-    exterior gin cone."""
+    exterior gin cone, the former from the basis of the untransformed I."""
     gin = result.gin
     if not isinstance(gin, MonomialIdealExt):
         raise TypeError("hilbert_compare_ext expects an exterior gin result")
-    for d in range(I.ctx.n + 1):
-        dim = len(ideal_degree_basis(I, d))
-        if dim != gin.degree_count(I.ctx, d):
-            return False
-    return True
+    return all(
+        dim == gin.degree_count(I.ctx, d)
+        for d, dim in enumerate(groebner_ext(I).slice_dims)
+    )

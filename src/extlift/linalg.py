@@ -53,7 +53,3 @@ def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
                 break
             row = _axpy(row, row[lead], prow)
     return [pivots[c] for c in sorted(pivots, key=key, reverse=True)]
-
-
-def rank(rows: Iterable[Row], key: Callable[[Hashable], object]) -> int:
-    return len(rref(rows, key))

@@ -238,7 +238,7 @@ def test_criterion_05_lift_is_groebner_basis(corpus):
         n = item.ctx.n
         candidate = FreeGroebnerCandidate(item.ctx, item.lifted.elements(), ORDER)
         ok, _ = obstructions_resolve(candidate)
-        dims = hilbert_ext(item.I)
+        dims = hilbert_ext(item.gb)
         counts_ok = all(
             normal_word_count(item.inJ, d) == (dims[d] if d <= n else 0)
             for d in range(n + 2)

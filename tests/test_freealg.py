@@ -246,7 +246,7 @@ class TestNormalWordCount:
             gb = groebner_ext(ExtIdeal(ctx, gens))
             lifted = lift_groebner(gb)
             B = MonomialIdealFree(lifted.initial_mingens, n, ORDER)
-            dims = hilbert_ext(ExtIdeal(ctx, gens))
+            dims = hilbert_ext(gb)
             for d in range(n + 2):
                 expected = dims[d] if d <= n else 0
                 assert normal_word_count(B, d) == expected

@@ -224,6 +224,18 @@ class TestLiftGroebner:
         with pytest.raises(ValueError, match="degree-1"):
             naive_lift(gb)
 
+    def test_ranking_must_be_natural(self):
+        ctx = AlgebraContext(3)
+        q = mono(1, 2) + mono(1, 3).scale(2) + mono(2, 3).scale(5)
+        gb = groebner_ext(ExtIdeal(ctx, [q], ExtOrderSpec("deglex", (2, 3, 1))))
+        with pytest.raises(ValueError, match="varorder 3,1,2"):
+            lift_groebner(gb)
+        with pytest.raises(ValueError, match="varorder 3,1,2"):
+            naive_lift(gb)
+        # the identity ranking is the natural one
+        identity = lift_groebner(groebner_ext(ExtIdeal(ctx, [q], ExtOrderSpec("deglex", (1, 2, 3)))))
+        assert identity.lifted == lift_groebner(groebner_ext(ExtIdeal(ctx, [q]))).lifted
+
     def test_lifted_elements_project_into_ideal(self):
         rng = random.Random(8)
         for _ in range(10):

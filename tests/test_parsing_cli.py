@@ -22,6 +22,8 @@ from helpers import random_ext_polynomial
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 DEGLEX = ExtOrderSpec("deglex")
+Q3 = "vars: 3\n{header}generators:\nx1*x2 + 2*x1*x3 + 5*x2*x3\n"
+Q5 = "vars: 5\n{header}generators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n"
 
 
 def parse_one(body: str, header: str = "vars: 3\nalgebra: exterior\n"):
@@ -163,6 +165,9 @@ class TestCLI:
                 "hilbert_monomial_free_n2.json",
                 ["hilbert", "monomial_free_n2.ideal", "--json", "--maxdeg", "4"],
             ),
+            # the identity ranking is the natural one
+            ("gb_quadric_n3.json", ["gb", "quadric_n3.ideal", "--json", "--varorder", "1,2,3"]),
+            ("lift_quadric_n3.json", ["lift", "quadric_n3.ideal", "--json", "--varorder", "1,2,3"]),
         ],
     )
     def test_golden_json(self, capsys, golden, argv):
@@ -258,3 +263,51 @@ class TestCLI:
     def test_predicates_requires_monomials(self, capsys):
         code, _ = run_cli(capsys, "predicates", str(DATA / "quadric_n3.ideal"))
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "command,text,varorder,in_header",
+        [
+            ("lift", Q5, "3,5,1,4,2", False),
+            ("lift", Q5, "3,5,1,4,2", True),
+            ("gin", Q5, "3,5,1,4,2", False),
+            ("gin", Q3, "3,1,2", True),
+        ],
+    )
+    def test_non_natural_ranking_refused(self, capsys, tmp_path, command, text, varorder, in_header):
+        # the lift and the lifted gin assume x1 < ... < xn; the ranking
+        # reaches them from the flag or from a varorder header
+        path = tmp_path / "ranked.ideal"
+        path.write_text(text.format(header=f"varorder: {varorder}\n" if in_header else ""))
+        flags = [] if in_header else ["--varorder", varorder]
+        code = main([command, str(path), "--json", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert f"varorder {varorder}" in captured.err
+
+    def test_identity_ranking_gin_unchanged(self, capsys):
+        argv = ["gin", str(DATA / "quadric_n3.ideal"), "--json", "--seed", "3"]
+        code, default = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        code, ranked = run_cli(capsys, *argv, "--varorder", "1,2,3")
+        assert code == EXIT_OK and ranked == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "anticomm_n2.ideal", "--maxdeg", "-1"],
+            ["hilbert", "monomial_free_n2.ideal", "--maxdeg", "-3"],
+            ["hilbert", "quadric_n3.ideal", "--maxdeg", "-3"],
+            ["gin", "quadric_n3.ideal", "--maxdeg", "-2"],
+        ],
+    )
+    def test_negative_maxdeg_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(DATA / argv[1])] + argv[2:])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--maxdeg" in captured.err
+
+    def test_zero_maxdeg_accepted(self, capsys):
+        code, out = run_cli(capsys, "verify", str(DATA / "anticomm_n2.ideal"), "--json", "--maxdeg", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["dimension_check"] == [{"degree": 0, "ideal_slice": 0, "initial_cone": 0}]

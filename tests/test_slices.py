@@ -1,0 +1,61 @@
+"""Work-count guard: a command reduces each degree slice of an ideal at
+most once per Groebner pass, and the exterior gin runs gin_ext once."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import extlift
+from extlift import gin, linalg
+from extlift.cli import EXIT_OK, main
+
+DATA = Path(__file__).parent / "data"
+MODULES = [
+    importlib.import_module(f"extlift.{name}")
+    for name in ("algebra", "orders", "linalg", "exterior", "lifting", "freealg", "gin", "parsing", "cli")
+]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` at every module that binds it; the returned list grows
+    by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in [extlift, *MODULES]:
+        for attr, obj in list(vars(mod).items()):
+            if obj is fn:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def run(capsys, *argv) -> None:
+    assert main([argv[0], str(DATA / argv[1]), "--json", *argv[2:]]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["gb", "hilbert"])
+def test_exterior_slices_reduced_once(monkeypatch, capsys, command):
+    rref_calls = count_calls(monkeypatch, linalg.rref)
+    run(capsys, command, "quadric_n3.ideal")
+    assert 0 < len(rref_calls) <= 3 + 1
+
+
+def test_exterior_gin_two_trials(monkeypatch, capsys):
+    # two transformed bases plus the untransformed one for the Hilbert check
+    rref_calls = count_calls(monkeypatch, linalg.rref)
+    gin_ext_calls = count_calls(monkeypatch, gin.gin_ext)
+    run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
+    assert 0 < len(rref_calls) <= 3 * (3 + 1)
+    assert len(gin_ext_calls) == 1
+
+
+@pytest.mark.parametrize("maxdeg", [3, 5])
+def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
+    rref_calls = count_calls(monkeypatch, linalg.rref)
+    run(capsys, "verify", "anticomm_n2.ideal", "--maxdeg", str(maxdeg))
+    assert 0 < len(rref_calls) <= maxdeg + 1
