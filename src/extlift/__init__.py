@@ -11,7 +11,6 @@ from .algebra import (
     apply_gl,
     apply_gl_ext,
     delta,
-    mul_ext,
     pi,
 )
 from .exterior import (
@@ -28,7 +27,7 @@ from .freealg import (
     MonomialIdealFree,
     hilbert_rational,
     normal_form,
-    normal_word_count,
+    normal_word_counts,
     obstructions_resolve,
     subword_divides,
 )
@@ -43,7 +42,7 @@ from .lifting import (
     lift_groebner,
     naive_lift,
 )
-from .orders import ExtOrderSpec, FreeOrderSpec, cmp_ext, cmp_lex, cmp_t
+from .orders import ExtOrderSpec, FreeOrderSpec
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

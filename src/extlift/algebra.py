@@ -277,11 +277,6 @@ class FreePolynomial(_TermPolynomial):
         return f"FreePolynomial({self.terms!r})"
 
 
-def mul_ext(a: ExtPolynomial, b: ExtPolynomial) -> ExtPolynomial:
-    """Exterior product; x_I * x_J = (-1)^inv(I,J) x_{I union J}, 0 on overlap."""
-    return a * b
-
-
 def pi(F: FreePolynomial) -> ExtPolynomial:
     """Quotient map onto E(V): sort each word with its sign, kill repeats."""
     acc: dict[ExtMonomial, Fraction] = {}
@@ -337,15 +332,6 @@ class GLMatrix:
                     for c in range(col, n):
                         a[r][c] -= f * a[col][c]
         return d
-
-    def __matmul__(self, other: "GLMatrix") -> "GLMatrix":
-        n = self.n
-        if other.n != n:
-            raise ValueError("dimension mismatch")
-        return GLMatrix(
-            [[sum(self.entries[i][k] * other.entries[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)]
-        )
 
     @classmethod
     def identity(cls, n: int) -> "GLMatrix":

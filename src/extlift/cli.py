@@ -18,7 +18,7 @@ from .freealg import (
     MonomialIdealFree,
     free_initial_ideal,
     hilbert_rational,
-    normal_word_count,
+    normal_word_counts,
     obstructions_resolve,
 )
 from .gin import (
@@ -203,11 +203,12 @@ def cmd_verify(args) -> int:
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
     slice_dims = free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
+    counts = normal_word_counts(cone, maxdeg)
     dims = []
     dims_ok = True
     for d in range(maxdeg + 1):
         slice_dim = slice_dims.get(d, 0)
-        cone_dim = ideal.ctx.n**d - normal_word_count(cone, d)
+        cone_dim = ideal.ctx.n**d - counts[d]
         dims.append({"degree": d, "ideal_slice": slice_dim, "initial_cone": cone_dim})
         if slice_dim != cone_dim:
             dims_ok = False
@@ -345,7 +346,7 @@ def cmd_hilbert(args) -> int:
             "command": "hilbert",
             "vars": ideal.ctx.n,
             "algebra": "exterior",
-            "quotient_dimensions": vector,
+            "quotient_dimensions": vector if args.maxdeg is None else vector[: args.maxdeg + 1],
             "numerator": vector,
             "denominator": [1],
         }
@@ -363,7 +364,7 @@ def cmd_hilbert(args) -> int:
             "command": "hilbert",
             "vars": ideal.ctx.n,
             "algebra": "free",
-            "quotient_dimensions": [normal_word_count(B, d) for d in range(maxdeg + 1)],
+            "quotient_dimensions": normal_word_counts(B, maxdeg),
             "numerator": num,
             "denominator": den,
         }

@@ -12,8 +12,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .algebra import AlgebraContext, FreePolynomial, Word, words_of_degree
 from .linalg import rref
 from .orders import FreeOrderSpec, leading_term_free, monic_free
@@ -295,14 +293,6 @@ def initial_ideal_free(G: FreeGroebnerCandidate) -> MonomialIdealFree:
     return MonomialIdealFree(G.leading_words, G.ctx.n, G.order)
 
 
-def normal_word_count(B: MonomialIdealFree, d: int) -> int:
-    """Number of degree-d words avoiding every generator of B, by dynamic
-    programming over the pattern automaton."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    return _normal_counts(B, d)[d]
-
-
 def _automaton_states(B: MonomialIdealFree):
     """Live states and the transition function of the avoidance automaton."""
     if B._auto is None:
@@ -316,7 +306,11 @@ def _automaton_states(B: MonomialIdealFree):
     return live, step
 
 
-def _normal_counts(B: MonomialIdealFree, d: int) -> list[int]:
+def normal_word_counts(B: MonomialIdealFree, d: int) -> list[int]:
+    """Numbers of words of degrees 0..d avoiding every generator of B, by
+    dynamic programming over the pattern automaton."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     live, step = _automaton_states(B)
     is_live = set(live)
     counts = [1]
@@ -338,53 +332,39 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     function; coefficient lists ascending in t, denominator normalized to
     constant term 1 (so a polynomial comes back as (coeffs, [1])).
 
-    The counts are walk numbers in the avoidance automaton: the series is
-    e_root^T (I - tM)^{-1} 1 with M the transfer matrix on live states.  Its
-    denominator divides det(I - tM), the reversed characteristic polynomial
-    of M, and the numerator has smaller degree, so it is recovered exactly
-    from the first k counts.
+    The counts are walk numbers in the avoidance automaton with k live
+    states, so the series is num/den with den dividing det(I - tM), of
+    degree <= k, and deg num < k: the counts satisfy a linear recurrence of
+    order <= k, which the first 2k of them fix.  Berlekamp-Massey over Q
+    finds the shortest one; its connection polynomial is the reduced den.
     """
-    live, step = _automaton_states(B)
-    index = {s: i for i, s in enumerate(live)}
-    k = len(live)
-    M = [[0] * k for _ in range(k)]
-    for s in live:
-        for a in range(1, B.n + 1):
-            t = step[s][a]
-            if t in index:
-                M[index[t]][index[s]] += 1
-    # det(I - tM) = t^k charpoly_M(1/t); all_coeffs is descending in lam,
-    # which is ascending in t
-    den = [int(c) for c in sympy.Matrix(M).charpoly().all_coeffs()]
-    counts = _normal_counts(B, max(k - 1, 0))
-    num = [
-        sum(den[i] * counts[e - i] for i in range(e + 1))
-        for e in range(k)
-    ] or [1]
-    t = sympy.Symbol("t")
-    num_poly = sympy.Poly(list(reversed(num)), t)
-    den_poly = sympy.Poly(list(reversed(den)), t)
-    if not num_poly.is_zero:
-        g = sympy.gcd(num_poly, den_poly)
-        num_poly = sympy.div(num_poly, g, t)[0]
-        den_poly = sympy.div(den_poly, g, t)[0]
-    num = [int(c) for c in reversed(num_poly.all_coeffs())] or [0]
-    den = [int(c) for c in reversed(den_poly.all_coeffs())]
-    if den[0] == 0:
-        raise ArithmeticError("denominator has vanishing constant term")
-    if den[0] < 0:
-        num = [-v for v in num]
-        den = [-v for v in den]
-    if den[0] != 1:
-        # gcd cancellation is monic over Q; rescale to integer lists
-        from math import gcd as _gcd
-
-        g_all = 0
-        for v in num + den:
-            g_all = _gcd(g_all, abs(v))
-        if g_all > 1:
-            num = [v // g_all for v in num]
-            den = [v // g_all for v in den]
+    counts = normal_word_counts(B, 2 * len(_automaton_states(B)[0]))
+    # den: the shortest recurrence so far, of order length; prev: den before
+    # the last change of length, whose discrepancy was prev_disc, shift
+    # counts ago
+    den, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for i in range(len(counts)):
+        disc = sum(den[j] * counts[i - j] for j in range(min(len(den), i + 1)))
+        if not disc:
+            shift += 1
+            continue
+        f = disc / prev_disc
+        update = den + [Fraction(0)] * (shift + len(prev) - len(den))
+        for j, c in enumerate(prev):
+            update[shift + j] -= f * c
+        if 2 * length <= i:
+            prev, prev_disc, length, shift = den, disc, i + 1 - length, 1
+        else:
+            shift += 1
+        den = update
+    # num = den * series mod t^length; both have integer coefficients
+    num = [sum(den[j] * counts[e - j] for j in range(min(len(den), e + 1))) for e in range(length)]
+    num, den = [int(c) for c in num], [int(c) for c in den]
+    while not num[-1]:
+        num.pop()
+    while not den[-1]:
+        den.pop()
     return num, den
 
 

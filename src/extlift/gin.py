@@ -20,7 +20,7 @@ from .algebra import (
     apply_gl_ext,
 )
 from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, initial_ideal_ext
-from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_count
+from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
 from .lifting import anti_commutator_leading_words, check_natural_ranking
 from .orders import FreeOrderSpec
 
@@ -133,10 +133,8 @@ def gin_lifted(I: ExtIdeal, ext_result: GinResult, max_degree: int) -> GinResult
     words += [m.support for m in ext_result.gin]
     lifted = MonomialIdealFree(words, I.ctx.n, order)
     # per-degree dimensions of the preimage slice: n^d minus normal words
-    dims = {
-        d: I.ctx.n**d - normal_word_count(lifted, d)
-        for d in range(max_degree + 1)
-    }
+    counts = normal_word_counts(lifted, max_degree)
+    dims = {d: I.ctx.n**d - c for d, c in enumerate(counts)}
     return GinResult(
         gin=lifted,
         slice_dims=dims,
@@ -185,10 +183,8 @@ def hilbert_compare(
     if not isinstance(gin, MonomialIdealFree):
         raise TypeError("hilbert_compare expects a free-algebra gin result")
     dims = free_initial_ideal(gens, ctx, order, max_degree).slice_dims
-    return all(
-        dims.get(d, 0) == ctx.n**d - normal_word_count(gin, d)
-        for d in range(max_degree + 1)
-    )
+    counts = normal_word_counts(gin, max_degree)
+    return all(dims.get(d, 0) == ctx.n**d - c for d, c in enumerate(counts))
 
 
 def hilbert_compare_ext(I: ExtIdeal, result: GinResult) -> bool:

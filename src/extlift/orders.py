@@ -75,25 +75,6 @@ class FreeOrderSpec:
         return (len(w), self.base.multiset_key(w), self.lex_key(w))
 
 
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def cmp_lex(M: Word, N: Word, spec: FreeOrderSpec = FreeOrderSpec()) -> int:
-    """Letter-by-letter comparison of equal-degree words."""
-    if len(M) != len(N):
-        raise ValueError("lexicographic comparison requires words of equal degree")
-    return _cmp(spec.lex_key(M), spec.lex_key(N))
-
-
-def cmp_ext(m: ExtMonomial, u: ExtMonomial, spec: ExtOrderSpec) -> int:
-    return _cmp(spec.ext_key(m), spec.ext_key(u))
-
-
-def cmp_t(M: Word, N: Word, spec: FreeOrderSpec) -> int:
-    return _cmp(spec.word_key(M), spec.word_key(N))
-
-
 def leading_term_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> tuple[ExtMonomial, Fraction]:
     if not f:
         raise ValueError("zero polynomial has no leading term")

@@ -13,10 +13,44 @@ from extlift.algebra import (
     ExtMonomial,
     ExtPolynomial,
     FreePolynomial,
+    GLMatrix,
+    Word,
     ext_monomials_of_degree,
 )
 from extlift.exterior import MonomialIdealExt
-from extlift.orders import ExtOrderSpec
+from extlift.orders import ExtOrderSpec, FreeOrderSpec
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def cmp_lex(M: Word, N: Word, spec: FreeOrderSpec = FreeOrderSpec()) -> int:
+    """Letter-by-letter comparison of equal-degree words."""
+    if len(M) != len(N):
+        raise ValueError("lexicographic comparison requires words of equal degree")
+    return _cmp(spec.lex_key(M), spec.lex_key(N))
+
+
+def cmp_ext(m: ExtMonomial, u: ExtMonomial, spec: ExtOrderSpec) -> int:
+    return _cmp(spec.ext_key(m), spec.ext_key(u))
+
+
+def cmp_t(M: Word, N: Word, spec: FreeOrderSpec) -> int:
+    return _cmp(spec.word_key(M), spec.word_key(N))
+
+
+def mul_ext(a: ExtPolynomial, b: ExtPolynomial) -> ExtPolynomial:
+    """Exterior product; x_I * x_J = (-1)^inv(I,J) x_{I union J}, 0 on overlap."""
+    return a * b
+
+
+def gl_product(g: GLMatrix, h: GLMatrix) -> GLMatrix:
+    """Matrix product g h, the composition of the two coordinate changes."""
+    n = g.n
+    return GLMatrix(
+        [[sum(g.entries[i][k] * h.entries[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    )
 
 
 def dense_rank(rows, columns) -> int:

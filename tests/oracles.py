@@ -3,12 +3,17 @@ fast paths in ``extlift``.  Nothing in the library imports this module."""
 
 from __future__ import annotations
 
+import sympy
+
 from extlift.algebra import FreePolynomial, Word
 from extlift.freealg import (
     FreeGroebnerCandidate,
+    MonomialIdealFree,
     Obstruction,
     PatternAutomaton,
+    _automaton_states,
     enumerate_obstructions,
+    normal_word_counts,
     subword_divides,
 )
 
@@ -77,3 +82,60 @@ def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Ob
         if rem:
             failures.append(Obstruction(i, j, word, s, rem))
     return not failures, failures
+
+
+def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
+    """Transfer-matrix reference for ``freealg.hilbert_rational``.
+
+    Generating function of normal-word counts as a reduced rational
+    function; coefficient lists ascending in t, denominator normalized to
+    constant term 1 (so a polynomial comes back as (coeffs, [1])).
+
+    The counts are walk numbers in the avoidance automaton: the series is
+    e_root^T (I - tM)^{-1} 1 with M the transfer matrix on live states.  Its
+    denominator divides det(I - tM), the reversed characteristic polynomial
+    of M, and the numerator has smaller degree, so it is recovered exactly
+    from the first k counts.
+    """
+    live, step = _automaton_states(B)
+    index = {s: i for i, s in enumerate(live)}
+    k = len(live)
+    M = [[0] * k for _ in range(k)]
+    for s in live:
+        for a in range(1, B.n + 1):
+            t = step[s][a]
+            if t in index:
+                M[index[t]][index[s]] += 1
+    # det(I - tM) = t^k charpoly_M(1/t); all_coeffs is descending in lam,
+    # which is ascending in t
+    den = [int(c) for c in sympy.Matrix(M).charpoly().all_coeffs()]
+    counts = normal_word_counts(B, max(k - 1, 0))
+    num = [
+        sum(den[i] * counts[e - i] for i in range(e + 1))
+        for e in range(k)
+    ] or [1]
+    t = sympy.Symbol("t")
+    num_poly = sympy.Poly(list(reversed(num)), t)
+    den_poly = sympy.Poly(list(reversed(den)), t)
+    if not num_poly.is_zero:
+        g = sympy.gcd(num_poly, den_poly)
+        num_poly = sympy.div(num_poly, g, t)[0]
+        den_poly = sympy.div(den_poly, g, t)[0]
+    num = [int(c) for c in reversed(num_poly.all_coeffs())] or [0]
+    den = [int(c) for c in reversed(den_poly.all_coeffs())]
+    if den[0] == 0:
+        raise ArithmeticError("denominator has vanishing constant term")
+    if den[0] < 0:
+        num = [-v for v in num]
+        den = [-v for v in den]
+    if den[0] != 1:
+        # gcd cancellation is monic over Q; rescale to integer lists
+        from math import gcd as _gcd
+
+        g_all = 0
+        for v in num + den:
+            g_all = _gcd(g_all, abs(v))
+        if g_all > 1:
+            num = [v // g_all for v in num]
+            den = [v // g_all for v in den]
+    return num, den

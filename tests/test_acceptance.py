@@ -25,7 +25,7 @@ from extlift.freealg import (
     FreeGroebnerCandidate,
     MonomialIdealFree,
     free_initial_ideal,
-    normal_word_count,
+    normal_word_counts,
     obstructions_resolve,
     subword_divides,
 )
@@ -239,8 +239,9 @@ def test_criterion_05_lift_is_groebner_basis(corpus):
         candidate = FreeGroebnerCandidate(item.ctx, item.lifted.elements(), ORDER)
         ok, _ = obstructions_resolve(candidate)
         dims = hilbert_ext(item.gb)
+        counts = normal_word_counts(item.inJ, n + 1)
         counts_ok = all(
-            normal_word_count(item.inJ, d) == (dims[d] if d <= n else 0)
+            counts[d] == (dims[d] if d <= n else 0)
             for d in range(n + 2)
         )
         if not (ok and counts_ok):
@@ -355,7 +356,7 @@ def test_criterion_10_saturation(corpus):
             if not any(subword_divides(p, w)[0] for p in descents):
                 exhaustive_ok = False
     corpus_ok = all(
-        normal_word_count(item.inJ, item.ctx.n + 1) == 0 for item in corpus
+        normal_word_counts(item.inJ, item.ctx.n + 1)[-1] == 0 for item in corpus
     )
     verdict(
         10,

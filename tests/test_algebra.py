@@ -13,11 +13,10 @@ from extlift.algebra import (
     apply_gl_ext,
     delta,
     ext_monomials_of_degree,
-    mul_ext,
     pi,
 )
 
-from helpers import random_ext_polynomial, random_free_polynomial, sign_by_sorting
+from helpers import gl_product, mul_ext, random_ext_polynomial, random_free_polynomial, sign_by_sorting
 
 
 def mono(*idx):
@@ -148,7 +147,7 @@ class TestGLAction:
         F = random_free_polynomial(rng, ctx, 2, nterms=3)
         G = random_free_polynomial(rng, ctx, 1, nterms=2)
         assert apply_gl(g, F * G) == apply_gl(g, F) * apply_gl(g, G)
-        assert apply_gl(g, apply_gl(h, F)) == apply_gl(g @ h, F)
+        assert apply_gl(g, apply_gl(h, F)) == apply_gl(gl_product(g, h), F)
         # induced action commutes with pi
         assert pi(apply_gl(g, F)) == apply_gl_ext(g, pi(F))
 

@@ -1,0 +1,72 @@
+"""Differential test of the Berlekamp-Massey Hilbert series against the
+transfer-matrix sympy reference, and a guard that the CLI does not load
+sympy."""
+
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from extlift.algebra import AlgebraContext
+from extlift.exterior import ExtIdeal, groebner_ext
+from extlift.freealg import MonomialIdealFree, hilbert_rational
+from extlift.lifting import lift_groebner
+from extlift.orders import ExtOrderSpec, FreeOrderSpec
+
+from helpers import random_ext_ideal_gens
+from oracles import sympy_hilbert_rational
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def random_patterns(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Random words of length 1..6; one draw in four also takes every word
+    of some length, which leaves a finite quotient."""
+    pats = [
+        tuple(rng.randint(1, n) for _ in range(rng.randint(1, 6)))
+        for _ in range(rng.randint(0, 5))
+    ]
+    if rng.random() < 0.25:
+        pats += list(product(range(1, n + 1), repeat=rng.randint(1, 3)))
+    return pats
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_monomial_ideals_match_oracle(n):
+    rng = random.Random(n)
+    cases = [[]] + [random_patterns(rng, n) for _ in range(250)]
+    finite = 0
+    for pats in cases:
+        B = MonomialIdealFree(pats, n)
+        num, den = hilbert_rational(B)
+        assert (num, den) == sympy_hilbert_rational(B), pats
+        finite += den == [1]
+    assert finite >= 5
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+def test_lifted_preimage_initial_ideals_match_oracle(kind):
+    rng = random.Random(17)
+    order = ExtOrderSpec(kind)
+    for _ in range(25):
+        n = rng.choice([3, 4, 5])
+        ctx = AlgebraContext(n)
+        lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx), order)))
+        B = MonomialIdealFree(lifted.initial_mingens, n, FreeOrderSpec(order))
+        assert hilbert_rational(B) == sympy_hilbert_rational(B)
+
+
+def test_cli_import_loads_no_sympy():
+    code = "import sys, extlift.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

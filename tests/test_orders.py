@@ -4,15 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, ext_monomials_of_degree
-from extlift.orders import (
-    ExtOrderSpec,
-    FreeOrderSpec,
-    cmp_ext,
-    cmp_lex,
-    cmp_t,
-    leading_term_ext,
-    leading_term_free,
-)
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
+
+from helpers import cmp_ext, cmp_lex, cmp_t
 
 DEGLEX = ExtOrderSpec("deglex")
 DEGREVLEX = ExtOrderSpec("degrevlex")

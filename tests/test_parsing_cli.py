@@ -311,3 +311,19 @@ class TestCLI:
         code, out = run_cli(capsys, "verify", str(DATA / "anticomm_n2.ideal"), "--json", "--maxdeg", "0")
         assert code == EXIT_OK
         assert json.loads(out)["dimension_check"] == [{"degree": 0, "ideal_slice": 0, "initial_cone": 0}]
+
+    @pytest.mark.parametrize(
+        "ideal,maxdeg,dims",
+        [
+            ("monomial_free_n2.ideal", "2", [1, 2, 3]),
+            ("quadric_n3.ideal", "1", [1, 3]),
+            ("quadric_n3.ideal", "7", [1, 3, 2, 0]),
+        ],
+    )
+    def test_hilbert_maxdeg_caps_dimensions(self, capsys, ideal, maxdeg, dims):
+        _, full = run_cli(capsys, "hilbert", str(DATA / ideal), "--json")
+        code, out = run_cli(capsys, "hilbert", str(DATA / ideal), "--json", "--maxdeg", maxdeg)
+        assert code == EXIT_OK
+        capped, full = json.loads(out), json.loads(full)
+        assert capped["quotient_dimensions"] == dims
+        assert (capped["numerator"], capped["denominator"]) == (full["numerator"], full["denominator"])
