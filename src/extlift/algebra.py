@@ -338,10 +338,10 @@ class GLMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def elementary(cls, n: int, i: int, j: int, c=1) -> "GLMatrix":
-        """The coordinate change X_i -> X_i + c X_j, other variables fixed."""
+    def elementary(cls, n: int, i: int, j: int) -> "GLMatrix":
+        """The coordinate change X_i -> X_i + X_j, other variables fixed."""
         ent = [[Fraction(1) if r == s else Fraction(0) for s in range(n)] for r in range(n)]
-        ent[j - 1][i - 1] = Fraction(c)
+        ent[j - 1][i - 1] = Fraction(1)
         return cls(ent)
 
     def image_of_variable(self, i: int) -> FreePolynomial:

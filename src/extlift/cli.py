@@ -38,7 +38,7 @@ from .lifting import (
     stable_witness,
     strongly_stable_witness,
 )
-from .orders import ExtOrderSpec
+from .orders import ExtOrderSpec, leading_term_ext
 from .parsing import (
     IdealFile,
     ParseError,
@@ -48,6 +48,7 @@ from .parsing import (
     free_poly_pairs,
     free_poly_str,
     parse_ideal,
+    parse_ranking,
     word_str,
 )
 
@@ -67,25 +68,14 @@ def _load(args) -> IdealFile:
     except OSError as exc:
         raise InputError(str(exc)) from None
     ideal = parse_ideal(text)
-    order = ideal.order
     if args.order or args.varorder:
-        kind = args.order or order.kind
-        ranking = order.ranking
+        ranking = ideal.order.ranking
         if args.varorder:
             try:
-                perm = tuple(int(v) for v in args.varorder.split(","))
-            except ValueError:
-                raise InputError("--varorder must be a comma-separated permutation") from None
-            if sorted(perm) != list(range(1, ideal.ctx.n + 1)):
-                raise InputError("--varorder must be a permutation of 1..n")
-            ranking_list = [0] * ideal.ctx.n
-            for pos, var in enumerate(perm, start=1):
-                ranking_list[var - 1] = pos
-            ranking = tuple(ranking_list)
-        try:
-            order = ExtOrderSpec(kind, ranking)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+                ranking = parse_ranking(args.varorder, ideal.ctx.n)
+            except ValueError as exc:
+                raise InputError(f"--varorder {exc}") from None
+        order = ExtOrderSpec(args.order or ideal.order.kind, ranking)
         ideal = IdealFile(ideal.ctx, ideal.algebra, order, ideal.generators)
     return ideal
 
@@ -157,7 +147,7 @@ def cmd_lift(args) -> int:
         "anti_commutators": [free_poly_pairs(F, order) for F in lifted.anti_commutators],
         "lifted_elements": [
             {
-                "source_leading_monomial": ext_monomial_str(max(f.terms, key=ideal.order.ext_key)),
+                "source_leading_monomial": ext_monomial_str(leading_term_ext(f, ideal.order)[0]),
                 "multiplier": ext_monomial_str(u),
                 "element": free_poly_pairs(F, order),
             }

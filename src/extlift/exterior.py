@@ -123,19 +123,21 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
     """Reduced minimal Groebner basis by degree-wise elimination.  Each
-    slice is reduced once; slices below the lowest generator degree are 0."""
+    slice is reduced once; slices below the lowest generator degree are 0.
+    A pivot is a new minimal generator iff no pivot below divides it."""
     elements: list[ExtPolynomial] = []
-    leads: list[ExtMonomial] = []
     dims: list[int] = []
+    pivots: set[int] = set()  # bitmasks of the pivot monomials
     dmin = min((g.degree for g in I.generators), default=I.ctx.n + 1)
     for d in range(I.ctx.n + 1):
         rows = ideal_degree_basis(I, d) if d >= dmin else []
         dims.append(len(rows))
+        below, pivots = pivots, set()
         for row in rows:
             lead, _ = leading_term_ext(row, I.order)
-            if not any(m.divides(lead) for m in leads):
+            pivots.add(lead.bits)
+            if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 elements.append(row)
-                leads.append(lead)
     return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, tuple(dims))
 
 

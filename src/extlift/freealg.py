@@ -101,12 +101,18 @@ class MonomialIdealFree:
         mins.sort(key=order.word_key)
         self.gens = tuple(mins)
         self.n = n
-        self._auto = PatternAutomaton(list(mins), n) if mins else None
+        self._auto: PatternAutomaton | None = None
+
+    def automaton(self) -> PatternAutomaton | None:
+        """The generators' automaton, built on first use; None if there are
+        no generators."""
+        if self._auto is None and self.gens:
+            self._auto = PatternAutomaton(list(self.gens), self.n)
+        return self._auto
 
     def member(self, w: Word) -> bool:
-        if self._auto is None:
-            return False
-        return self._auto.first_match(w) is not None
+        auto = self.automaton()
+        return auto is not None and auto.first_match(w) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,7 +140,7 @@ class FreeGroebnerCandidate:
 
     Besides the leading words and their automaton, the candidate keeps what
     every normal form modulo it reuses: each element's terms without its
-    leading word, and a memo of integer order keys of the words seen so far.
+    leading word.
     """
 
     ctx: AlgebraContext
@@ -156,42 +162,23 @@ class FreeGroebnerCandidate:
             [(w, c) for w, c in F.terms.items() if w != lead]
             for F, lead in zip(self.elements, self.leading_words)
         ]
-        self._base = 1 + max(self.order.base.rank(a) for a in range(1, self.ctx.n + 1))
-        self._keys: dict[Word, int] = {}
-
-    def word_rank(self, w: Word) -> int:
-        """``order.word_key(w)`` as an integer with the same order, memoised.
-
-        The digits, in base one more than the largest variable rank, are the
-        multiset key followed by the lex key.  Every digit is at least 1, so
-        a longer word has more digits and the encoding is degree-first like
-        the key itself.
-        """
-        k = self._keys.get(w)
-        if k is None:
-            _, multiset, lex = self.order.word_key(w)
-            k = 0
-            for r in multiset + lex:
-                k = k * self._base + r
-            self._keys[w] = k
-        return k
 
 
 def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     """Fully reduce F: rewrite the largest reducible word A in(g) B into
     A (in(g) - g) B until no word contains a leading word of G.
 
-    The words of the running polynomial sit in a max-heap on
-    ``G.word_rank``.  A rewrite only brings in words smaller than the one it
-    removes, so the popped word is the largest left: if no leading word
-    divides it, it belongs to the remainder for good; otherwise its first
-    automaton match is rewritten with the cached tail of that element.
-    Every word is popped and matched once.
+    The words of the running polynomial sit in a max-heap on their order
+    keys.  A rewrite only brings in words smaller than the one it removes,
+    so the popped word is the largest left: if no leading word divides it,
+    it belongs to the remainder for good; otherwise its first automaton
+    match is rewritten with the cached tail of that element.  Every word is
+    popped and matched once.
     """
-    rank = G.word_rank
+    key = G.order.word_key
     first_match = G.automaton.first_match
     current = dict(F.terms)
-    heap = [(-rank(w), w) for w in current]
+    heap = [(-key(w), w) for w in current]
     heapq.heapify(heap)
     remainder: dict[Word, Fraction] = {}
     while heap:
@@ -212,7 +199,7 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
             old = current.get(v)
             if old is None:
                 current[v] = -coeff * c
-                heapq.heappush(heap, (-rank(v), v))
+                heapq.heappush(heap, (-key(v), v))
             else:
                 s = old - coeff * c
                 if s:
@@ -271,7 +258,7 @@ def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Wor
                     - FreePolynomial.monomial(left2) * G.elements[j] * FreePolynomial.monomial(right2)
                 )
                 found.append((i, j, word, s))
-    found.sort(key=lambda t: G.word_rank(t[2]))
+    found.sort(key=lambda t: G.order.word_key(t[2]))
     return found
 
 
@@ -295,9 +282,9 @@ def initial_ideal_free(G: FreeGroebnerCandidate) -> MonomialIdealFree:
 
 def _automaton_states(B: MonomialIdealFree):
     """Live states and the transition function of the avoidance automaton."""
-    if B._auto is None:
+    auto = B.automaton()
+    if auto is None:
         return [0], {0: {a: 0 for a in range(1, B.n + 1)}}
-    auto = B._auto
     live = [s for s in range(len(auto.step)) if not auto.out[s]]
     step = {
         s: {a: auto.step[s][a] for a in range(1, B.n + 1)}
@@ -405,21 +392,24 @@ def free_initial_ideal(
     max_degree: int,
 ) -> FreeInitialData:
     """Degree-wise elimination: pivots of the row-reduced slice are the
-    initial-ideal slice; pivots with no lower-degree generator as contiguous
-    subword are new minimal generators, their reduced rows new basis
-    elements."""
+    initial-ideal slice.  The initial ideal is two-sided, so a pivot is a
+    new minimal generator, and its reduced row a new basis element, iff
+    dropping its first or its last letter leaves no pivot of the slice
+    below."""
     key = order.word_key
     mingens: list[Word] = []
     basis: list[FreePolynomial] = []
     dims: dict[int, int] = {}
+    pivots: set[Word] = set()
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         rows = rref(ideal_slice_rows(gens, ctx, d), key)
         dims[d] = len(rows)
-        current = MonomialIdealFree(mingens, ctx.n, order) if mingens else None
+        below, pivots = pivots, set()
         for row in rows:
             lead = max(row, key=key)
-            if current is None or not current.member(lead):
+            pivots.add(lead)
+            if lead[1:] not in below and lead[:-1] not in below:
                 mingens.append(lead)
                 basis.append(FreePolynomial(row))
     return FreeInitialData(

@@ -144,22 +144,18 @@ def gin_lifted(I: ExtIdeal, ext_result: GinResult, max_degree: int) -> GinResult
 
 
 def is_borel_fixed(
-    B: MonomialIdealFree,
-    ctx: AlgebraContext,
-    upward: bool = True,
+    B: MonomialIdealFree, ctx: AlgebraContext
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, int], tuple[int, ...]] | None]:
     """Check invariance under the elementary coordinate changes
-    X_i -> X_i + X_j (i < j when upward, the convention matching the
-    transformation X1 -> X1 + X2; i > j otherwise).
+    X_i -> X_i + X_j with i < j, the convention matching the transformation
+    X1 -> X1 + X2.
 
     Returns (True, None) or (False, (generator, (i, j), offending word)).
     """
     for w in B.gens:
         letters = sorted(set(w))
         for i in letters:
-            for j in range(1, ctx.n + 1):
-                if j == i or (upward and j < i) or (not upward and j > i):
-                    continue
+            for j in range(i + 1, ctx.n + 1):
                 b = GLMatrix.elementary(ctx.n, i, j)
                 image = apply_gl(b, FreePolynomial.monomial(w))
                 for word in image.terms:

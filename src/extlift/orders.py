@@ -13,12 +13,23 @@ X2X3 < X1X4 < X2X2 < X2X3 under deglex with four variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ExtMonomial, ExtPolynomial, FreePolynomial, Word
+from .algebra import MAX_VARS, ExtMonomial, ExtPolynomial, FreePolynomial, Word
 
 KINDS = ("deglex", "degrevlex")
+
+# A key is an integer with one DIGIT_BITS-bit digit per rank.  Ranks lie in
+# 1..MAX_VARS, so no digit is 0 and a key with more digits is larger.
+DIGIT_BITS = MAX_VARS.bit_length()
+
+
+def _digits(ranks) -> int:
+    k = 0
+    for r in ranks:
+        k = k << DIGIT_BITS | r
+    return k
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,7 @@ class ExtOrderSpec:
 
     kind: str = "deglex"
     ranking: tuple[int, ...] | None = None
+    _keys: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -57,9 +69,11 @@ class ExtOrderSpec:
         ranks.sort(reverse=self.kind == "deglex")
         return tuple(ranks)
 
-    def ext_key(self, m: ExtMonomial):
-        sup = m.support
-        return (len(sup), self.multiset_key(sup))
+    def ext_key(self, m: ExtMonomial) -> int:
+        k = self._keys.get(m.bits)
+        if k is None:
+            k = self._keys[m.bits] = _digits(self.multiset_key(m.support))
+        return k
 
 
 @dataclass(frozen=True)
@@ -67,12 +81,13 @@ class FreeOrderSpec:
     """Degree-first lift of an exterior order to the free monoid."""
 
     base: ExtOrderSpec = ExtOrderSpec()
+    _keys: dict[Word, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def lex_key(self, w: Word) -> tuple[int, ...]:
-        return tuple(self.base.rank(i) for i in w)
-
-    def word_key(self, w: Word):
-        return (len(w), self.base.multiset_key(w), self.lex_key(w))
+    def word_key(self, w: Word) -> int:
+        k = self._keys.get(w)
+        if k is None:
+            k = self._keys[w] = _digits(self.base.multiset_key(w) + tuple(map(self.base.rank, w)))
+        return k
 
 
 def leading_term_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> tuple[ExtMonomial, Fraction]:

@@ -185,6 +185,18 @@ class _ExprParser:
         self.error(f"unexpected token {value!r}")
 
 
+def parse_ranking(text: str, n: int) -> tuple[int, ...]:
+    """Ranking of a varorder, a permutation listing the variables smallest
+    first; a ValueError's message follows the word "varorder"."""
+    try:
+        perm = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("must be a comma-separated permutation") from None
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError("must be a permutation of 1..n")
+    return tuple(perm.index(v) + 1 for v in range(1, n + 1))
+
+
 _HEADER = re.compile(r"^(\w+)\s*:\s*(.*?)\s*$")
 
 
@@ -226,16 +238,9 @@ def parse_ideal(text: str) -> IdealFile:
     if "varorder" in header:
         vo_text, vo_line = header["varorder"]
         try:
-            perm = tuple(int(v) for v in vo_text.split(","))
-        except ValueError:
-            raise ParseError("varorder must be a comma-separated permutation", vo_line) from None
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ParseError("varorder must be a permutation of 1..n", vo_line)
-        # perm lists variables smallest first; rank of variable perm[k] is k+1
-        ranking_list = [0] * n
-        for pos, var in enumerate(perm, start=1):
-            ranking_list[var - 1] = pos
-        ranking = tuple(ranking_list)
+            ranking = parse_ranking(vo_text, n)
+        except ValueError as exc:
+            raise ParseError(f"varorder {exc}", vo_line) from None
     try:
         order = ExtOrderSpec(order_text.lower(), ranking)
     except ValueError as exc:

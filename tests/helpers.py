@@ -29,7 +29,7 @@ def cmp_lex(M: Word, N: Word, spec: FreeOrderSpec = FreeOrderSpec()) -> int:
     """Letter-by-letter comparison of equal-degree words."""
     if len(M) != len(N):
         raise ValueError("lexicographic comparison requires words of equal degree")
-    return _cmp(spec.lex_key(M), spec.lex_key(N))
+    return _cmp(tuple(map(spec.base.rank, M)), tuple(map(spec.base.rank, N)))
 
 
 def cmp_ext(m: ExtMonomial, u: ExtMonomial, spec: ExtOrderSpec) -> int:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import sympy
 
-from extlift.algebra import FreePolynomial, Word
+from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word
+from extlift.exterior import ExtIdeal, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
     MonomialIdealFree,
@@ -13,9 +14,62 @@ from extlift.freealg import (
     PatternAutomaton,
     _automaton_states,
     enumerate_obstructions,
+    ideal_slice_rows,
     normal_word_counts,
     subword_divides,
 )
+from extlift.linalg import rref
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
+
+
+def _multiset_key(spec: ExtOrderSpec, letters: Word) -> tuple[int, ...]:
+    # deglex: ranks descending; degrevlex: ranks ascending
+    return tuple(sorted((spec.rank(i) for i in letters), reverse=spec.kind == "deglex"))
+
+
+def tuple_ext_key(spec: ExtOrderSpec, m: ExtMonomial) -> tuple:
+    """The exterior order as a tuple key: degree, then the multiset key of
+    the support."""
+    return (m.degree, _multiset_key(spec, m.support))
+
+
+def tuple_word_key(spec: FreeOrderSpec, w: Word) -> tuple:
+    """The word order as a tuple key: degree, the multiset key of the
+    letters, then the ranks of the letters left to right."""
+    return (len(w), _multiset_key(spec.base, w), tuple(spec.base.rank(i) for i in w))
+
+
+def scan_groebner_elements(I: ExtIdeal) -> list[ExtPolynomial]:
+    """``groebner_ext(I).elements`` by testing every pivot against all
+    earlier minimal leading monomials."""
+    elements, leads = [], []
+    for d in range(I.ctx.n + 1):
+        for row in ideal_degree_basis(I, d):
+            lead, _ = leading_term_ext(row, I.order)
+            if not any(m.divides(lead) for m in leads):
+                elements.append(row)
+                leads.append(lead)
+    return elements
+
+
+def automaton_free_initial(
+    gens: list[FreePolynomial], ctx: AlgebraContext, order: FreeOrderSpec, max_degree: int
+) -> tuple[list[Word], list[FreePolynomial]]:
+    """The minimal generators and basis elements of ``free_initial_ideal``,
+    testing every pivot against the automaton of the lower-degree minimal
+    generators."""
+    key = order.word_key
+    mingens: list[Word] = []
+    basis: list[FreePolynomial] = []
+    dmin = min((g.degree for g in gens if g), default=max_degree + 1)
+    for d in range(dmin, max_degree + 1):
+        current = MonomialIdealFree(mingens, ctx.n, order) if mingens else None
+        for row in rref(ideal_slice_rows(gens, ctx, d), key):
+            lead = max(row, key=key)
+            if current is None or not current.member(lead):
+                mingens.append(lead)
+                basis.append(FreePolynomial(row))
+    return mingens, basis
 
 
 def automaton_matches(auto: PatternAutomaton, word: Word) -> list[tuple[int, int]]:
@@ -44,7 +98,10 @@ def rescan_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolyn
     A (in(g) - g) B until no word contains a leading word of G.
 
     Every step rescans all terms for the largest reducible word."""
-    key = G.order.word_key
+
+    def key(w):
+        return tuple_word_key(G.order, w)
+
     current = dict(F.terms)
     while True:
         reducible = None
@@ -75,7 +132,7 @@ def rescan_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolyn
 def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """obstructions_resolve on rescan_normal_form, with the obstructions
     ordered by the tuple word key."""
-    found = sorted(enumerate_obstructions(G), key=lambda t: (len(t[2]), G.order.word_key(t[2])))
+    found = sorted(enumerate_obstructions(G), key=lambda t: tuple_word_key(G.order, t[2]))
     failures = []
     for i, j, word, s in found:
         rem = rescan_normal_form(s, G)

@@ -21,6 +21,7 @@ from extlift.exterior import (
 from extlift.orders import ExtOrderSpec, leading_term_ext, monic_ext
 
 from helpers import dense_rank, random_ext_ideal_gens
+from oracles import scan_groebner_elements
 
 DEGLEX = ExtOrderSpec("deglex")
 
@@ -128,6 +129,17 @@ class TestGroebnerExt:
         reference = set(groebner_ext(ExtIdeal(ctx, gens)).elements)
         for perm in permutations(gens):
             assert set(groebner_ext(ExtIdeal(ctx, list(perm))).elements) == reference
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_elements_match_scan_oracle(self, seed):
+        # the pivot-set minimality rule keeps the same rows, in the same
+        # order, as testing every pivot against all earlier leads
+        rng = random.Random(f"gb-scan/{seed}")
+        n = rng.randint(2, 6)
+        ctx = AlgebraContext(n)
+        order = ExtOrderSpec(rng.choice(["deglex", "degrevlex"]), tuple(rng.sample(range(1, n + 1), n)))
+        I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx, min_deg=1), order)
+        assert list(groebner_ext(I).elements) == scan_groebner_elements(I)
 
     def test_normal_form_oracle_s_obstructions(self):
         # every S-obstruction between GB elements reduces to zero under

@@ -29,8 +29,8 @@ from extlift.freealg import (
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, random_ext_ideal_gens
-from oracles import automaton_matches, naive_matches
+from helpers import dense_rank, random_ext_ideal_gens, random_free_polynomial
+from oracles import automaton_free_initial, automaton_matches, naive_matches
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -322,3 +322,20 @@ class TestSliceElimination:
             lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens)))
             data = free_initial_ideal(lifted.elements(), ctx, ORDER, max_degree=n + 1)
             assert data.initial == MonomialIdealFree(lifted.initial_mingens, n, ORDER)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_minimal_generators_match_automaton_oracle(self, seed):
+        # the pivot-set minimality rule keeps the same rows, in the same
+        # order, as testing every pivot against the lower-degree automaton
+        rng = random.Random(f"free-initial/{seed}")
+        n = rng.choice([2, 3])
+        ctx = AlgebraContext(n)
+        kind = rng.choice(["deglex", "degrevlex"])
+        order = FreeOrderSpec(ExtOrderSpec(kind, tuple(rng.sample(range(1, n + 1), n))))
+        gens = [random_free_polynomial(rng, ctx, rng.randint(1, 3), nterms=3) for _ in range(3)]
+        if seed % 2:
+            gens += anti_commutators(ctx)
+        data = free_initial_ideal(gens, ctx, order, max_degree=4)
+        mingens, basis = automaton_free_initial(gens, ctx, order, 4)
+        assert list(data.basis_elements) == basis
+        assert data.initial == MonomialIdealFree(mingens, n, order)

@@ -163,15 +163,17 @@ def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
     lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens)))
     G = FreeGroebnerCandidate(ctx, lifted.elements(), FreeOrderSpec())
 
+    # a word's key is computed from its multiset key; looking it up in the
+    # order's memo computes nothing
     keyed: Counter = Counter()
     matched: list[Counter] = []
-    word_key = FreeOrderSpec.word_key
+    multiset_key = ExtOrderSpec.multiset_key
     first_match = PatternAutomaton.first_match
     nf = freealg.normal_form
 
-    def counted_word_key(self, w):
+    def counted_multiset_key(self, w):
         keyed[w] += 1
-        return word_key(self, w)
+        return multiset_key(self, w)
 
     def counted_first_match(self, w):
         matched[-1][w] += 1
@@ -181,7 +183,7 @@ def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
         matched.append(Counter())
         return nf(F, G)
 
-    monkeypatch.setattr(FreeOrderSpec, "word_key", counted_word_key)
+    monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted_multiset_key)
     monkeypatch.setattr(PatternAutomaton, "first_match", counted_first_match)
     monkeypatch.setattr(freealg, "normal_form", counted_normal_form)
     ok, _ = freealg.obstructions_resolve(G)

@@ -1,12 +1,22 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
-from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, ext_monomials_of_degree
+from extlift.algebra import (
+    MAX_VARS,
+    AlgebraContext,
+    ExtMonomial,
+    ExtPolynomial,
+    FreePolynomial,
+    ext_monomials_of_degree,
+)
+from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
 
-from helpers import cmp_ext, cmp_lex, cmp_t
+from helpers import cmp_ext, cmp_lex, cmp_t, random_ext_polynomial
+from oracles import tuple_ext_key, tuple_word_key
 
 DEGLEX = ExtOrderSpec("deglex")
 DEGREVLEX = ExtOrderSpec("degrevlex")
@@ -126,6 +136,66 @@ class TestCmpT:
     def test_degree_compatible(self):
         spec = FreeOrderSpec(DEGLEX)
         assert cmp_t((3, 3, 3), (1, 1, 1, 1), spec) < 0
+
+
+def rankings(n: int) -> list[tuple[int, ...] | None]:
+    """The natural ranking and two others: reversed, and rotated by one."""
+    return [None, tuple(range(n, 0, -1)), tuple(range(2, n + 1)) + (1,)]
+
+
+def assert_same_order(items, int_key, tuple_key):
+    # sorting by the integer key must sort strictly by the tuple key
+    keys = [tuple_key(x) for x in sorted(items, key=int_key)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_word_key_orders_like_tuple_key(self, n, kind):
+        words = [w for d in range(5) for w in product(range(1, n + 1), repeat=d)]
+        for ranking in rankings(n):
+            spec = FreeOrderSpec(ExtOrderSpec(kind, ranking))
+            assert_same_order(words, spec.word_key, lambda w: tuple_word_key(spec, w))
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ext_key_orders_like_tuple_key(self, n, kind):
+        ctx = AlgebraContext(n)
+        monos = [m for d in range(n + 1) for m in ext_monomials_of_degree(ctx, d)]
+        for ranking in rankings(n):
+            spec = ExtOrderSpec(kind, ranking)
+            assert_same_order(monos, spec.ext_key, lambda m: tuple_ext_key(spec, m))
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_largest_ranks_stay_degree_first(self, kind):
+        # ranks up to MAX_VARS fill a digit without carrying into the next
+        n = MAX_VARS
+        spec = FreeOrderSpec(ExtOrderSpec(kind, tuple(range(n, 0, -1))))
+        rng = random.Random(64)
+        words = [(), (1,), (n,), (n, n), (1, 1, 1), (n, n, n)]
+        words += [tuple(rng.randint(1, n) for _ in range(rng.randint(1, 4))) for _ in range(300)]
+        assert_same_order(set(words), spec.word_key, lambda w: tuple_word_key(spec, w))
+        monos = [ExtMonomial(rng.sample(range(1, n + 1), rng.randint(0, 5))) for _ in range(300)]
+        assert_same_order(set(monos), spec.base.ext_key, lambda m: tuple_ext_key(spec.base, m))
+
+    def test_groebner_ext_computes_each_key_once(self, monkeypatch):
+        # rref, the leading terms and the minimal-generator test all look
+        # the key of a monomial up in the order's memo
+        rng = random.Random("key-memo")
+        ctx = AlgebraContext(8)
+        order = ExtOrderSpec("deglex")
+        I = ExtIdeal(ctx, [random_ext_polynomial(rng, ctx, 2) for _ in range(3)], order)
+        computed: Counter = Counter()
+        multiset_key = ExtOrderSpec.multiset_key
+
+        def counted(self, letters):
+            computed[letters] += 1
+            return multiset_key(self, letters)
+
+        monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted)
+        groebner_ext(I)
+        assert computed and max(computed.values()) == 1
 
 
 class TestLeadingTerms:
