@@ -136,6 +136,24 @@ def word_sort_sign(word: Word) -> tuple[int, Word]:
     return sign, tuple(letters)
 
 
+def _add_into(acc: dict, pairs: Iterable) -> dict:
+    """Add each (key, value) of pairs into acc, dropping a key whose sum is
+    0; returns acc.  A new key is stored as is: adding a Fraction to 0
+    would cost a Fraction operation."""
+    for k, v in pairs:
+        s = acc.get(k)
+        if s is None:
+            if v:
+                acc[k] = v
+        else:
+            s += v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
 class _TermPolynomial:
     """Shared term-map plumbing for both polynomial flavours."""
 
@@ -143,20 +161,7 @@ class _TermPolynomial:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for m, c in items:
-            c = Fraction(c)
-            if c:
-                c0 = acc.get(m)
-                if c0 is None:
-                    acc[m] = c
-                else:
-                    c = c0 + c
-                    if c:
-                        acc[m] = c
-                    else:
-                        del acc[m]
-        self.terms = acc
+        self.terms = _add_into({}, ((m, Fraction(c)) for m, c in items))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -174,24 +179,10 @@ class _TermPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return type(self)._raw(acc)
+        return type(self)._raw(_add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, 0) - c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return type(self)._raw(acc)
+        return type(self)._raw(_add_into(dict(self.terms), ((m, -c) for m, c in other.terms.items())))
 
     def __neg__(self):
         return type(self)._raw({m: -c for m, c in self.terms.items()})
@@ -229,19 +220,12 @@ class ExtPolynomial(_TermPolynomial):
         return {m.degree for m in self.terms}
 
     def __mul__(self, other: "ExtPolynomial") -> "ExtPolynomial":
-        acc: dict[ExtMonomial, Fraction] = {}
-        for m, a in self.terms.items():
-            for u, b in other.terms.items():
-                s = m.mul_sign(u)
-                if s == 0:
-                    continue
-                prod = m * u
-                c = acc.get(prod, 0) + s * a * b
-                if c:
-                    acc[prod] = c
-                else:
-                    acc.pop(prod, None)
-        return ExtPolynomial._raw(acc)
+        return ExtPolynomial._raw(_add_into({}, (
+            (m * u, s * a * b)
+            for m, a in self.terms.items()
+            for u, b in other.terms.items()
+            if (s := m.mul_sign(u))
+        )))
 
     @classmethod
     def monomial(cls, m: ExtMonomial, c=1) -> "ExtPolynomial":
@@ -258,16 +242,9 @@ class FreePolynomial(_TermPolynomial):
         return {len(w) for w in self.terms}
 
     def __mul__(self, other: "FreePolynomial") -> "FreePolynomial":
-        acc: dict[Word, Fraction] = {}
-        for w, a in self.terms.items():
-            for v, b in other.terms.items():
-                prod = w + v
-                c = acc.get(prod, 0) + a * b
-                if c:
-                    acc[prod] = c
-                else:
-                    acc.pop(prod, None)
-        return FreePolynomial._raw(acc)
+        return FreePolynomial._raw(_add_into({}, (
+            (w + v, a * b) for w, a in self.terms.items() for v, b in other.terms.items()
+        )))
 
     @classmethod
     def monomial(cls, w: Word, c=1) -> "FreePolynomial":
@@ -279,18 +256,10 @@ class FreePolynomial(_TermPolynomial):
 
 def pi(F: FreePolynomial) -> ExtPolynomial:
     """Quotient map onto E(V): sort each word with its sign, kill repeats."""
-    acc: dict[ExtMonomial, Fraction] = {}
-    for w, c in F.terms.items():
-        sign, sorted_word = word_sort_sign(w)
-        if sign == 0:
-            continue
-        m = ExtMonomial(sorted_word)
-        s = acc.get(m, 0) + sign * c
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
-    return ExtPolynomial._raw(acc)
+    sorted_terms = ((word_sort_sign(w), c) for w, c in F.terms.items())
+    return ExtPolynomial._raw(_add_into({}, (
+        (ExtMonomial(sorted_word), sign * c) for (sign, sorted_word), c in sorted_terms if sign
+    )))
 
 
 def delta(f: ExtPolynomial) -> FreePolynomial:
@@ -334,10 +303,6 @@ class GLMatrix:
         return d
 
     @classmethod
-    def identity(cls, n: int) -> "GLMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def elementary(cls, n: int, i: int, j: int) -> "GLMatrix":
         """The coordinate change X_i -> X_i + X_j, other variables fixed."""
         ent = [[Fraction(1) if r == s else Fraction(0) for s in range(n)] for r in range(n)]
@@ -365,22 +330,8 @@ def apply_gl(g: GLMatrix, F: FreePolynomial) -> FreePolynomial:
         partial: dict[Word, Fraction] = {(): c}
         for letter in w:
             img = images[letter].terms
-            nxt: dict[Word, Fraction] = {}
-            for pw, pc in partial.items():
-                for (l,), lc in img.items():
-                    key = pw + (l,)
-                    s = nxt.get(key, 0) + pc * lc
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            partial = nxt
-        for pw, pc in partial.items():
-            s = acc.get(pw, 0) + pc
-            if s:
-                acc[pw] = s
-            else:
-                acc.pop(pw, None)
+            partial = _add_into({}, ((pw + l, pc * lc) for pw, pc in partial.items() for l, lc in img.items()))
+        _add_into(acc, partial.items())
     return FreePolynomial._raw(acc)
 
 

@@ -30,19 +30,11 @@ from .gin import (
     hilbert_compare_ext,
     is_borel_fixed,
 )
-from .lifting import (
-    is_stable,
-    is_strongly_stable,
-    lift_groebner,
-    squeezed_witness,
-    stable_witness,
-    strongly_stable_witness,
-)
+from .lifting import lift_groebner, squeezed_witness, stable_witness, strongly_stable_witness
 from .orders import ExtOrderSpec, leading_term_ext
 from .parsing import (
     IdealFile,
     ParseError,
-    ext_monomial_str,
     ext_poly_pairs,
     ext_poly_str,
     free_poly_pairs,
@@ -113,7 +105,7 @@ def cmd_gb(args) -> int:
         "vars": ideal.ctx.n,
         "order": ideal.order.kind,
         "groebner_basis": [ext_poly_pairs(f, ideal.order) for f in gb.elements],
-        "initial_ideal": [ext_monomial_str(m) for m in init],
+        "initial_ideal": [str(m) for m in init],
         "quotient_dimensions": hilbert_ext(gb),
     }
     if args.json:
@@ -147,8 +139,8 @@ def cmd_lift(args) -> int:
         "anti_commutators": [free_poly_pairs(F, order) for F in lifted.anti_commutators],
         "lifted_elements": [
             {
-                "source_leading_monomial": ext_monomial_str(leading_term_ext(f, ideal.order)[0]),
-                "multiplier": ext_monomial_str(u),
+                "source_leading_monomial": str(leading_term_ext(f, ideal.order)[0]),
+                "multiplier": str(u),
                 "element": free_poly_pairs(F, order),
             }
             for f, u, F in lifted.lifted
@@ -157,7 +149,7 @@ def cmd_lift(args) -> int:
         "squeezed": squeezed,
         "naive_lift_minimal": squeezed,
         "squeezed_witness": (
-            {"generator": ext_monomial_str(witness[0]), "multiplier": ext_monomial_str(witness[1])}
+            {"generator": str(witness[0]), "multiplier": str(witness[1])}
             if witness
             else None
         ),
@@ -168,15 +160,15 @@ def cmd_lift(args) -> int:
         print(f"anti-commutators: {len(lifted.anti_commutators)}")
         print(f"lifted elements ({len(lifted.lifted)}):")
         for f, u, F in lifted.lifted:
-            print(f"  multiplier {ext_monomial_str(u)}: {free_poly_str(F, order)}")
+            print(f"  multiplier {u}: {free_poly_str(F, order)}")
         print("minimal generators of the preimage initial ideal:")
         print("  " + ", ".join(result["initial_ideal_of_preimage"]))
         verdict = "minimal" if squeezed else "NOT minimal"
         print(f"initial ideal squeezed: {squeezed} (naive lift is {verdict})")
         if witness:
             print(
-                f"  witness: generator {ext_monomial_str(witness[0])} admits "
-                f"multiplier {ext_monomial_str(witness[1])}"
+                f"  witness: generator {witness[0]} admits "
+                f"multiplier {witness[1]}"
             )
     return EXIT_OK
 
@@ -263,12 +255,12 @@ def cmd_gin(args) -> int:
             "seed": args.seed,
             "trial_seeds": list(res.trial_seeds),
             "agreement": res.agreement and lifted.agreement,
-            "gin": [ext_monomial_str(m) for m in res.gin],
+            "gin": [str(m) for m in res.gin],
             # the gin is stable in the exchange direction matching the
             # term order (x1 is smallest, so exchanges go toward larger
             # indices)
-            "gin_strongly_stable": is_strongly_stable(res.gin, toward_larger=True, n=ideal.ctx.n),
-            "gin_stable": is_stable(res.gin, toward_larger=True, n=ideal.ctx.n),
+            "gin_strongly_stable": strongly_stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
+            "gin_stable": stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
             "stability_exchange_direction": "toward_larger",
             "lifted_gin": [word_str(w) for w in lifted.gin],
             "ideal_slice_dimensions": {str(d): v for d, v in sorted(res.slice_dims.items())},
@@ -381,19 +373,19 @@ def cmd_predicates(args) -> int:
         if wit is None:
             return None
         m, i, j = wit
-        return {"generator": ext_monomial_str(m), "exchange": [i, j]}
+        return {"generator": str(m), "exchange": [i, j]}
 
     result = {
         "command": "predicates",
         "vars": ideal.ctx.n,
-        "minimal_generators": [ext_monomial_str(m) for m in L],
+        "minimal_generators": [str(m) for m in L],
         "stable": stable_ok,
         "stable_witness": exchange_json(stable_wit),
         "strongly_stable": strong_ok,
         "strongly_stable_witness": exchange_json(strong_wit),
         "squeezed": squeezed_ok,
         "squeezed_witness": (
-            {"generator": ext_monomial_str(squeezed_wit[0]), "multiplier": ext_monomial_str(squeezed_wit[1])}
+            {"generator": str(squeezed_wit[0]), "multiplier": str(squeezed_wit[1])}
             if squeezed_wit
             else None
         ),
@@ -405,16 +397,16 @@ def cmd_predicates(args) -> int:
         print(f"stable: {stable_ok}")
         if stable_wit:
             m, i, j = stable_wit
-            print(f"  witness: x{i}*({ext_monomial_str(m)}/x{j}) is outside the ideal")
+            print(f"  witness: x{i}*({m}/x{j}) is outside the ideal")
         print(f"strongly stable: {strong_ok}")
         if strong_wit:
             m, i, j = strong_wit
-            print(f"  witness: x{i}*({ext_monomial_str(m)}/x{j}) is outside the ideal")
+            print(f"  witness: x{i}*({m}/x{j}) is outside the ideal")
         print(f"squeezed: {squeezed_ok}")
         if squeezed_wit:
             print(
-                f"  witness: generator {ext_monomial_str(squeezed_wit[0])} admits "
-                f"multiplier {ext_monomial_str(squeezed_wit[1])}"
+                f"  witness: generator {squeezed_wit[0]} admits "
+                f"multiplier {squeezed_wit[1]}"
             )
     return EXIT_OK
 

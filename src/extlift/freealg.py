@@ -17,11 +17,10 @@ from .linalg import rref
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
 
-def subword_divides(a: Word, b: Word) -> tuple[bool, list[int]]:
-    """Does a occur as a contiguous factor of b?  Returns all offsets."""
-    la, lb = len(a), len(b)
-    offsets = [p for p in range(lb - la + 1) if b[p:p + la] == a]
-    return bool(offsets), offsets
+def subword_divides(a: Word, b: Word) -> bool:
+    """Does a occur as a contiguous factor of b?"""
+    la = len(a)
+    return any(b[p:p + la] == a for p in range(len(b) - la + 1))
 
 
 class PatternAutomaton:
@@ -96,7 +95,7 @@ class MonomialIdealFree:
         uniq = sorted(set(tuple(w) for w in words), key=len)
         mins: list[Word] = []
         for w in uniq:
-            if not any(subword_divides(g, w)[0] for g in mins):
+            if not any(subword_divides(g, w) for g in mins):
                 mins.append(w)
         mins.sort(key=order.word_key)
         self.gens = tuple(mins)
@@ -219,10 +218,6 @@ class Obstruction:
     s_poly: FreePolynomial
     remainder: FreePolynomial | None = None
 
-    @property
-    def resolved(self) -> bool:
-        return not self.remainder
-
 
 def _ambiguities(w1: Word, w2: Word, same: bool) -> list[tuple[Word, Word, Word, Word]]:
     """(A, B, C, D) with A w2 B = w1 D = C w2 ... encoded as:
@@ -271,13 +266,6 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
         if rem:
             failures.append(Obstruction(i, j, word, s, rem))
     return not failures, failures
-
-
-def initial_ideal_free(G: FreeGroebnerCandidate) -> MonomialIdealFree:
-    ok, _ = obstructions_resolve(G)
-    if not ok:
-        raise ValueError("candidate is not a Groebner basis: obstructions do not resolve")
-    return MonomialIdealFree(G.leading_words, G.ctx.n, G.order)
 
 
 def _automaton_states(B: MonomialIdealFree):
@@ -382,7 +370,6 @@ class FreeInitialData:
 
     initial: MonomialIdealFree
     slice_dims: dict[int, int]
-    basis_elements: tuple[FreePolynomial, ...]  # reduced rows at the minimal generators
 
 
 def free_initial_ideal(
@@ -393,12 +380,10 @@ def free_initial_ideal(
 ) -> FreeInitialData:
     """Degree-wise elimination: pivots of the row-reduced slice are the
     initial-ideal slice.  The initial ideal is two-sided, so a pivot is a
-    new minimal generator, and its reduced row a new basis element, iff
-    dropping its first or its last letter leaves no pivot of the slice
-    below."""
+    new minimal generator iff dropping its first or its last letter leaves
+    no pivot of the slice below."""
     key = order.word_key
     mingens: list[Word] = []
-    basis: list[FreePolynomial] = []
     dims: dict[int, int] = {}
     pivots: set[Word] = set()
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
@@ -411,9 +396,4 @@ def free_initial_ideal(
             pivots.add(lead)
             if lead[1:] not in below and lead[:-1] not in below:
                 mingens.append(lead)
-                basis.append(FreePolynomial(row))
-    return FreeInitialData(
-        initial=MonomialIdealFree(mingens, ctx.n, order),
-        slice_dims=dims,
-        basis_elements=tuple(basis),
-    )
+    return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)

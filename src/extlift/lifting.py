@@ -73,11 +73,6 @@ def compute_U(L: MonomialIdealExt, m: ExtMonomial) -> set[ExtMonomial]:
     return out
 
 
-def is_squeezed(L: MonomialIdealExt) -> bool:
-    ok, _ = squeezed_witness(L)
-    return ok
-
-
 def squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMonomial, ExtMonomial] | None]:
     """(True, None) if every minimal generator has multiplier set {1};
     otherwise (False, (generator, smallest nontrivial multiplier))."""
@@ -144,16 +139,6 @@ def strongly_stable_witness(
     return True, None
 
 
-def is_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int | None = None) -> bool:
-    return stable_witness(L, toward_larger, n)[0]
-
-
-def is_strongly_stable(
-    L: MonomialIdealExt, toward_larger: bool = False, n: int | None = None
-) -> bool:
-    return strongly_stable_witness(L, toward_larger, n)[0]
-
-
 @dataclass(frozen=True)
 class LiftedBasis:
     """Minimal Groebner basis of the preimage ideal J."""
@@ -212,13 +197,3 @@ def lift_groebner(G: ExtGroebnerBasis) -> LiftedBasis:
         order=order,
         initial_mingens=tuple(init),
     )
-
-
-def naive_lift(G: ExtGroebnerBasis) -> list[FreePolynomial]:
-    """delta of the basis elements plus the anti-commutators, with no
-    multipliers; a Groebner basis of J exactly when in(I) is squeezed."""
-    _check_liftable(G)
-    order = FreeOrderSpec(G.order)
-    return anti_commutators(G.ctx) + [
-        monic_free(delta(monic_ext(f, G.order)), order) for f in G.elements
-    ]

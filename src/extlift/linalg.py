@@ -12,19 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
+from .algebra import _add_into
+
 Row = dict
 
 
 def _axpy(target: Row, c: Fraction, source: Row) -> Row:
     """target - c * source, dropping zeros."""
-    out = dict(target)
-    for col, v in source.items():
-        s = out.get(col, 0) - c * v
-        if s:
-            out[col] = s
-        else:
-            out.pop(col, None)
-    return out
+    minus_c = -c
+    return _add_into(dict(target), ((col, minus_c * v) for col, v in source.items()))
 
 
 def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
@@ -44,7 +40,8 @@ def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
                     row = _axpy(row, row[col], pivots[col])
                 lc = row[lead]
                 if lc != 1:
-                    row = {c: v / lc for c, v in row.items()}
+                    inv = Fraction(1, lc)
+                    row = {c: v * inv for c, v in row.items()}
                 for pcol in list(pivots):
                     existing = pivots[pcol]
                     if lead in existing:

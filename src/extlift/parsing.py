@@ -257,12 +257,10 @@ def parse_ideal(text: str) -> IdealFile:
             raise ParseError("generator is zero", lineno)
         if not poly.is_homogeneous():
             raise ParseError("generator is not homogeneous", lineno)
+        if poly.degree == 0:
+            raise ParseError("generator is constant", lineno)
         generators.append(poly)
     return IdealFile(ctx=ctx, algebra=algebra, order=order, generators=tuple(generators))
-
-
-def ext_monomial_str(m: ExtMonomial) -> str:
-    return "".join(f"x{i}" for i in m.support) or "1"
 
 
 def word_str(w) -> str:
@@ -271,7 +269,7 @@ def word_str(w) -> str:
 
 def ext_poly_pairs(f: ExtPolynomial, order: ExtOrderSpec) -> list[tuple[str, str]]:
     """Terms as (coefficient "p/q", monomial) pairs, order-descending."""
-    return [(str(c), ext_monomial_str(m)) for m, c in sorted_terms_ext(f, order)]
+    return [(str(c), str(m)) for m, c in sorted_terms_ext(f, order)]
 
 
 def free_poly_pairs(F: FreePolynomial, order: FreeOrderSpec) -> list[tuple[str, str]]:

@@ -1,6 +1,7 @@
-"""Shared test utilities: independent brute-force oracles and random
-object generators.  Everything here avoids the library's own elimination
-and rewriting code paths so it can serve as a cross-check."""
+"""Shared test utilities: independent brute-force oracles, random object
+generators, and, at the end, conveniences built from library calls that
+only tests use.  The oracles and generators avoid the library's own
+elimination and rewriting code paths so they can serve as a cross-check."""
 
 from __future__ import annotations
 
@@ -15,10 +16,19 @@ from extlift.algebra import (
     FreePolynomial,
     GLMatrix,
     Word,
+    delta,
     ext_monomials_of_degree,
 )
-from extlift.exterior import MonomialIdealExt
-from extlift.orders import ExtOrderSpec, FreeOrderSpec
+from extlift.exterior import ExtGroebnerBasis, MonomialIdealExt
+from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, obstructions_resolve
+from extlift.lifting import (
+    _check_liftable,
+    anti_commutators,
+    squeezed_witness,
+    stable_witness,
+    strongly_stable_witness,
+)
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_ext, monic_free
 
 
 def _cmp(a, b) -> int:
@@ -200,3 +210,33 @@ def brute_force_U(L: MonomialIdealExt, m: ExtMonomial) -> set[ExtMonomial]:
             if not L.member(p_lo) and not L.member(p_hi):
                 out.add(u)
     return out
+
+
+def initial_ideal_free(G: FreeGroebnerCandidate) -> MonomialIdealFree:
+    """The initial ideal of a candidate that is a Groebner basis."""
+    ok, _ = obstructions_resolve(G)
+    if not ok:
+        raise ValueError("candidate is not a Groebner basis: obstructions do not resolve")
+    return MonomialIdealFree(G.leading_words, G.ctx.n, G.order)
+
+
+def naive_lift(G: ExtGroebnerBasis) -> list[FreePolynomial]:
+    """delta of the basis elements plus the anti-commutators, with no
+    multipliers; a Groebner basis of J exactly when in(I) is squeezed."""
+    _check_liftable(G)
+    order = FreeOrderSpec(G.order)
+    return anti_commutators(G.ctx) + [
+        monic_free(delta(monic_ext(f, G.order)), order) for f in G.elements
+    ]
+
+
+def is_squeezed(L: MonomialIdealExt) -> bool:
+    return squeezed_witness(L)[0]
+
+
+def is_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int | None = None) -> bool:
+    return stable_witness(L, toward_larger, n)[0]
+
+
+def is_strongly_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int | None = None) -> bool:
+    return strongly_stable_witness(L, toward_larger, n)[0]

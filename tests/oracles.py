@@ -16,7 +16,6 @@ from extlift.freealg import (
     enumerate_obstructions,
     ideal_slice_rows,
     normal_word_counts,
-    subword_divides,
 )
 from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
@@ -54,13 +53,11 @@ def scan_groebner_elements(I: ExtIdeal) -> list[ExtPolynomial]:
 
 def automaton_free_initial(
     gens: list[FreePolynomial], ctx: AlgebraContext, order: FreeOrderSpec, max_degree: int
-) -> tuple[list[Word], list[FreePolynomial]]:
-    """The minimal generators and basis elements of ``free_initial_ideal``,
-    testing every pivot against the automaton of the lower-degree minimal
-    generators."""
+) -> list[Word]:
+    """The minimal generators of ``free_initial_ideal``, testing every pivot
+    against the automaton of the lower-degree minimal generators."""
     key = order.word_key
     mingens: list[Word] = []
-    basis: list[FreePolynomial] = []
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         current = MonomialIdealFree(mingens, ctx.n, order) if mingens else None
@@ -68,8 +65,7 @@ def automaton_free_initial(
             lead = max(row, key=key)
             if current is None or not current.member(lead):
                 mingens.append(lead)
-                basis.append(FreePolynomial(row))
-    return mingens, basis
+    return mingens
 
 
 def automaton_matches(auto: PatternAutomaton, word: Word) -> list[tuple[int, int]]:
@@ -83,12 +79,16 @@ def automaton_matches(auto: PatternAutomaton, word: Word) -> list[tuple[int, int
     return found
 
 
+def subword_offsets(a: Word, b: Word) -> list[int]:
+    """Every offset at which a occurs as a contiguous factor of b."""
+    return [p for p in range(len(b) - len(a) + 1) if b[p:p + len(a)] == a]
+
+
 def naive_matches(patterns: list[Word], word: Word) -> list[tuple[int, int]]:
     """Linear-scan reference for automaton_matches."""
     found = []
     for idx, pat in enumerate(patterns):
-        _, offs = subword_divides(pat, word)
-        found.extend((idx, o) for o in offs)
+        found.extend((idx, o) for o in subword_offsets(pat, word))
     found.sort()
     return found
 

@@ -101,7 +101,7 @@ class TestPiDelta:
 
 class TestGLAction:
     def test_identity(self):
-        g = GLMatrix.identity(2)
+        g = GLMatrix([[1, 0], [0, 1]])
         assert apply_gl(g, word(1, 2)) == word(1, 2)
         assert apply_gl_ext(g, mono(1, 2)) == mono(1, 2)
 

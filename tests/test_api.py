@@ -1,0 +1,64 @@
+"""Guards on the size of the library's API: every public definition in
+``src/extlift`` is used by the library itself, and the package exports
+exactly the names the README's "Library usage" example imports."""
+
+import ast
+import re
+from pathlib import Path
+
+import extlift
+
+SRC = Path(extlift.__file__).parent
+README = SRC.parents[1] / "README.md"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _public_definitions(tree: ast.Module):
+    """Public top-level functions and classes, and the non-dunder methods
+    of every class, as (qualified name, name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name and attribute the module reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_is_used_by_the_library():
+    modules = _modules()
+    used = set().union(*(_read_names(tree) for tree in modules.values()))
+    unused = [
+        f"{module}:{qualified}"
+        for module, tree in modules.items()
+        for qualified, name in _public_definitions(tree)
+        if name not in used
+    ]
+    assert unused == [], "defined in src/extlift but used only outside it; move to tests/ or delete"
+
+
+def test_exports_match_readme_library_usage():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library usage\s*```python\n(.*?)```", text, re.S).group(1)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "extlift"
+        for alias in node.names
+    ]
+    assert len(imported) == 8
+    assert sorted(extlift.__all__) == sorted(imported)

@@ -20,7 +20,6 @@ from extlift.freealg import (
     free_initial_ideal,
     hilbert_rational,
     ideal_slice_rows,
-    initial_ideal_free,
     normal_form,
     normal_word_counts,
     obstructions_resolve,
@@ -29,8 +28,8 @@ from extlift.freealg import (
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, random_ext_ideal_gens, random_free_polynomial
-from oracles import automaton_free_initial, automaton_matches, naive_matches
+from helpers import dense_rank, initial_ideal_free, random_ext_ideal_gens, random_free_polynomial
+from oracles import automaton_free_initial, automaton_matches, naive_matches, subword_offsets
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -62,12 +61,16 @@ def series_expand(num, den, upto):
 
 class TestSubwords:
     def test_examples(self):
-        assert subword_divides((1, 2), (3, 1, 2, 4)) == (True, [1])
-        assert subword_divides((1, 1), (1, 1, 1)) == (True, [0, 1])
-        assert subword_divides((2, 1), (1, 2)) == (False, [])
+        assert subword_divides((1, 2), (3, 1, 2, 4)) is True
+        assert subword_offsets((1, 2), (3, 1, 2, 4)) == [1]
+        assert subword_divides((1, 1), (1, 1, 1)) is True
+        assert subword_offsets((1, 1), (1, 1, 1)) == [0, 1]
+        assert subword_divides((2, 1), (1, 2)) is False
+        assert subword_offsets((2, 1), (1, 2)) == []
 
     def test_whole_word(self):
-        assert subword_divides((1, 2), (1, 2)) == (True, [0])
+        assert subword_divides((1, 2), (1, 2)) is True
+        assert subword_offsets((1, 2), (1, 2)) == [0]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_automaton_agrees_with_naive(self, seed):
@@ -179,13 +182,13 @@ class TestObstructions:
         )
         ok, failures = obstructions_resolve(G)
         assert not ok
-        assert all(not f.resolved for f in failures)
+        assert all(f.remainder for f in failures)
 
     def test_obstruction_words_contain_both_leads(self):
         G = anticomm_candidate(3)
         for i, j, w, s in enumerate_obstructions(G):
-            assert subword_divides(G.leading_words[i], w)[0]
-            assert subword_divides(G.leading_words[j], w)[0]
+            assert subword_divides(G.leading_words[i], w)
+            assert subword_divides(G.leading_words[j], w)
             # the leading terms cancelled in the S-polynomial
             if s:
                 assert max(s.terms, key=ORDER.word_key) != w
@@ -302,7 +305,7 @@ class TestSliceElimination:
         gens = [word(1)] + anti_commutators(ctx)
         data = free_initial_ideal(gens, ctx, ORDER, max_degree=3)
         assert set(data.initial.gens) == {(1,), (2, 2)}
-        assert len(data.basis_elements) == 2
+        assert len(data.initial) == 2
 
     def test_dimensions_complement_normal_counts(self):
         ctx = AlgebraContext(3)
@@ -325,8 +328,8 @@ class TestSliceElimination:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_minimal_generators_match_automaton_oracle(self, seed):
-        # the pivot-set minimality rule keeps the same rows, in the same
-        # order, as testing every pivot against the lower-degree automaton
+        # the pivot-set minimality rule finds the same minimal generators
+        # as testing every pivot against the lower-degree automaton
         rng = random.Random(f"free-initial/{seed}")
         n = rng.choice([2, 3])
         ctx = AlgebraContext(n)
@@ -336,6 +339,4 @@ class TestSliceElimination:
         if seed % 2:
             gens += anti_commutators(ctx)
         data = free_initial_ideal(gens, ctx, order, max_degree=4)
-        mingens, basis = automaton_free_initial(gens, ctx, order, 4)
-        assert list(data.basis_elements) == basis
-        assert data.initial == MonomialIdealFree(mingens, n, order)
+        assert data.initial == MonomialIdealFree(automaton_free_initial(gens, ctx, order, 4), n, order)

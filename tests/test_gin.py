@@ -23,10 +23,10 @@ from extlift.gin import (
     is_borel_fixed,
     random_gl,
 )
-from extlift.lifting import anti_commutators, is_strongly_stable
+from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import random_ext_ideal_gens
+from helpers import is_strongly_stable, random_ext_ideal_gens
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 

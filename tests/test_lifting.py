@@ -14,16 +14,22 @@ from extlift.lifting import (
     anti_commutator_leading_words,
     anti_commutators,
     compute_U,
-    is_squeezed,
-    is_stable,
-    is_strongly_stable,
     lift_groebner,
-    naive_lift,
     squeezed_witness,
 )
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
 
-from helpers import all_monomials_in, brute_force_U, random_ext_ideal_gens, random_monomial_ideal, stable_closure
+from helpers import (
+    all_monomials_in,
+    brute_force_U,
+    is_squeezed,
+    is_stable,
+    is_strongly_stable,
+    naive_lift,
+    random_ext_ideal_gens,
+    random_monomial_ideal,
+    stable_closure,
+)
 
 DEGLEX = ExtOrderSpec("deglex")
 ONE = ExtMonomial()

@@ -13,12 +13,14 @@ from helpers import dense_rank
 
 @st.composite
 def sparse_systems(draw):
-    """Sparse rows of small integer Fractions over k columns, and a column
-    order given as a permutation of the column ranks."""
+    """Sparse rows of small integers, as Fractions or as plain ints, over k
+    columns, and a column order given as a permutation of the column
+    ranks."""
     k = draw(st.integers(1, 8))
     rank_of = draw(st.permutations(range(k)))
     entries = st.dictionaries(st.integers(0, k - 1), st.integers(-3, 3), max_size=k)
-    rows = [{c: Fraction(v) for c, v in row.items() if v} for row in draw(st.lists(entries, max_size=8))]
+    scalar = draw(st.sampled_from([Fraction, int]))
+    rows = [{c: scalar(v) for c, v in row.items() if v} for row in draw(st.lists(entries, max_size=8))]
     return rows, rank_of.__getitem__, sorted(range(k), key=rank_of.__getitem__, reverse=True)
 
 
@@ -27,6 +29,9 @@ def sparse_systems(draw):
 def test_rref_against_dense_elimination(system):
     rows, key, columns = system
     reduced = rref(rows, key)
+    # exact whatever the input type: plain ints give the Fraction result
+    assert reduced == rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
+    assert not any(isinstance(v, float) for row in reduced for v in row.values())
     pivots = [max(row, key=key) for row in reduced]
 
     def prefix_rank(i):

@@ -20,11 +20,11 @@ from extlift.freealg import (
     normal_form,
     obstructions_resolve,
 )
-from extlift.lifting import lift_groebner, naive_lift
+from extlift.lifting import lift_groebner
 from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
+from helpers import naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
 from oracles import rescan_normal_form, rescan_obstructions_resolve
 
 

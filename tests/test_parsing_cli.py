@@ -10,7 +10,6 @@ from extlift.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 from extlift.parsing import (
     ParseError,
-    ext_monomial_str,
     ext_poly_str,
     free_poly_str,
     parse_ideal,
@@ -93,6 +92,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="homogeneous"):
             parse_ideal("vars: 2\ngenerators:\nx1 + x1*x2\n")
 
+    @pytest.mark.parametrize("algebra", ["exterior", "free"])
+    def test_constant_generator_rejected_with_line(self, algebra):
+        with pytest.raises(ParseError, match="line 4: generator is constant"):
+            parse_ideal(f"vars: 2\nalgebra: {algebra}\ngenerators:\n3/2\n")
+
     def test_wrong_letter_for_algebra(self):
         with pytest.raises(ParseError, match="belong"):
             parse_ideal("vars: 2\nalgebra: free\ngenerators:\nx1*x2\n")
@@ -122,7 +126,7 @@ class TestSerialization:
         assert free_poly_str(F, FreeOrderSpec(DEGLEX)) == "X2X1 + X1X2"
 
     def test_strings(self):
-        assert ext_monomial_str(ExtMonomial()) == "1"
+        assert str(ExtMonomial()) == "1"
         assert word_str((1, 2)) == "X1X2"
 
     @pytest.mark.parametrize("seed", range(20))
@@ -259,6 +263,16 @@ class TestCLI:
         assert data["gin_strongly_stable"] is True
         assert data["borel_fixed"] is False
         assert data["hilbert_series_match"] is True
+
+    @pytest.mark.parametrize("algebra", ["exterior", "free"])
+    @pytest.mark.parametrize("command", ["gb", "lift", "verify", "gin", "hilbert", "predicates"])
+    def test_constant_generator_refused(self, capsys, tmp_path, command, algebra):
+        path = tmp_path / "constant.ideal"
+        path.write_text(f"vars: 2\nalgebra: {algebra}\ngenerators:\n1\n")
+        code = main([command, str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "generator is constant" in captured.err
 
     def test_predicates_requires_monomials(self, capsys):
         code, _ = run_cli(capsys, "predicates", str(DATA / "quadric_n3.ideal"))
