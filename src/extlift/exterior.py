@@ -108,17 +108,21 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    key = I.order.ext_key
     rows = []
     for g in I.generators:
         e = g.degree
         if e > d:
             continue
         for u in ext_monomials_of_degree(I.ctx, d - e):
-            prod = ExtPolynomial.monomial(u) * g
-            if prod:
-                rows.append(prod.terms)
-    return [ExtPolynomial(r) for r in rref(rows, key)]
+            # x_u * x_m = sign * x_{u|m}; distinct m give distinct u|m
+            row = {
+                ExtMonomial.from_bits(u.bits | m.bits): c if s > 0 else -c
+                for m, c in g.terms.items()
+                if (s := u.mul_sign(m))
+            }
+            if row:
+                rows.append(row)
+    return [ExtPolynomial._raw(r) for r in rref(rows, I.order.ext_key)]
 
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:

@@ -215,8 +215,7 @@ class Obstruction:
     i: int
     j: int
     word: Word
-    s_poly: FreePolynomial
-    remainder: FreePolynomial | None = None
+    remainder: FreePolynomial
 
 
 def _ambiguities(w1: Word, w2: Word, same: bool) -> list[tuple[Word, Word, Word, Word]]:
@@ -264,7 +263,7 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
     for i, j, word, s in enumerate_obstructions(G):
         rem = normal_form(s, G)
         if rem:
-            failures.append(Obstruction(i, j, word, s, rem))
+            failures.append(Obstruction(i, j, word, rem))
     return not failures, failures
 
 

@@ -1,52 +1,97 @@
 """Sparse exact Gaussian elimination over the rationals.
 
-Rows are dicts column -> nonzero Fraction; columns are ordered by a key
-function, largest first.  The result is a reduced row echelon form: each
-row is monic at its pivot and no row contains another row's pivot column.
-With columns sorted descending by a term order, the pivot set of the RREF
-of a degree slice of an ideal is exactly the initial-ideal slice.
+Rows are dicts column -> nonzero rational, a Fraction or an int; columns
+are ordered by a key function, largest first.  The result is a reduced
+row echelon form of Fractions: each row is monic at its pivot and no row
+contains another row's pivot column.  With columns sorted descending by a
+term order, the pivot set of the RREF of a degree slice of an ideal is
+exactly the initial-ideal slice.
+
+Elimination is fraction-free, with content removal as in Bareiss's
+method: each incoming row is scaled by the lcm of its denominators and
+divided by its content, so it becomes a primitive integer row.  A step
+cancels column c by the cross-multiplication (p/g)*row - (r/g)*pivot,
+where r = row[c], p = pivot[c] and g = gcd(r, p), and then divides out
+the content.  Every pivot row stays primitive with a positive lead.  Only
+the output rows are divided by their leads, once, into Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable
-
-from .algebra import _add_into
 
 Row = dict
 
 
-def _axpy(target: Row, c: Fraction, source: Row) -> Row:
-    """target - c * source, dropping zeros."""
-    minus_c = -c
-    return _add_into(dict(target), ((col, minus_c * v) for col, v in source.items()))
+def _primitive(row: Row) -> Row:
+    """row / content(row), for an integer row."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: Row, col, pivot: Row) -> Row:
+    """The primitive part of b*row - a*pivot, with a/b = row[col]/pivot[col]
+    in lowest terms, so that col drops out.  b > 0 when pivot[col] > 0, so a
+    pivot row reduced by another pivot row keeps its positive lead."""
+    a, b = row[col], pivot[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    out = dict(row) if b == 1 else {c: b * v for c, v in row.items()}
+    for c, v in pivot.items():
+        s = out.get(c)
+        if s is None:
+            out[c] = -a * v
+        else:
+            s -= a * v
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+    return _primitive(out)
 
 
 def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
     """Reduced row echelon form of sparse rows, columns descending by key.
 
-    Returns monic rows sorted by pivot column, largest pivot first.
+    The key must be injective on the columns.  Returns monic rows of
+    Fractions sorted by pivot column, largest pivot first.
     """
+    # eliminate on the columns' keys, so that finding a lead is a max over
+    # the keys and every lookup hashes a key, not a column
+    column: dict = {}
     pivots: dict = {}
     for row in rows:
-        row = dict(row)
+        den = lcm(*(v.denominator for v in row.values()))
+        keyed = {}
+        for c, v in row.items():
+            k = key(c)
+            column[k] = c
+            keyed[k] = v.numerator * (den // v.denominator)
+        row = _primitive(keyed)
         while row:
-            lead = max(row, key=key)
+            lead = max(row)
             prow = pivots.get(lead)
             if prow is None:
                 # clear remaining pivot columns from the tail, then insert
                 for col in [c for c in row if c in pivots]:
-                    row = _axpy(row, row[col], pivots[col])
-                lc = row[lead]
-                if lc != 1:
-                    inv = Fraction(1, lc)
-                    row = {c: v * inv for c, v in row.items()}
+                    row = _eliminate(row, col, pivots[col])
+                if row[lead] < 0:
+                    row = {c: -v for c, v in row.items()}
                 for pcol in list(pivots):
-                    existing = pivots[pcol]
-                    if lead in existing:
-                        pivots[pcol] = _axpy(existing, existing[lead], row)
+                    if lead in pivots[pcol]:
+                        pivots[pcol] = _eliminate(pivots[pcol], lead, row)
                 pivots[lead] = row
                 break
-            row = _axpy(row, row[lead], prow)
-    return [pivots[c] for c in sorted(pivots, key=key, reverse=True)]
+            row = _eliminate(row, lead, prow)
+    out = []
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        lc = row[lead]
+        out.append({column[k]: Fraction(v, lc) for k, v in row.items()})
+    return out

@@ -3,9 +3,12 @@ fast paths in ``extlift``.  Nothing in the library imports this module."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Callable, Hashable, Iterable
+
 import sympy
 
-from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word
+from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into
 from extlift.exterior import ExtIdeal, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
@@ -17,8 +20,43 @@ from extlift.freealg import (
     ideal_slice_rows,
     normal_word_counts,
 )
-from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
+
+
+def _axpy(target: dict, c: Fraction, source: dict) -> dict:
+    """target - c * source, dropping zeros."""
+    minus_c = -c
+    return _add_into(dict(target), ((col, minus_c * v) for col, v in source.items()))
+
+
+def fraction_rref(rows: Iterable[dict], key: Callable[[Hashable], object]) -> list[dict]:
+    """``linalg.rref`` with every step a ``Fraction`` operation: reduced
+    row echelon form of sparse rows, columns descending by key.
+
+    Returns monic rows sorted by pivot column, largest pivot first.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row, key=key)
+            prow = pivots.get(lead)
+            if prow is None:
+                # clear remaining pivot columns from the tail, then insert
+                for col in [c for c in row if c in pivots]:
+                    row = _axpy(row, row[col], pivots[col])
+                lc = row[lead]
+                if lc != 1:
+                    inv = Fraction(1, lc)
+                    row = {c: v * inv for c, v in row.items()}
+                for pcol in list(pivots):
+                    existing = pivots[pcol]
+                    if lead in existing:
+                        pivots[pcol] = _axpy(existing, existing[lead], row)
+                pivots[lead] = row
+                break
+            row = _axpy(row, row[lead], prow)
+    return [pivots[c] for c in sorted(pivots, key=key, reverse=True)]
 
 
 def _multiset_key(spec: ExtOrderSpec, letters: Word) -> tuple[int, ...]:
@@ -61,7 +99,7 @@ def automaton_free_initial(
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         current = MonomialIdealFree(mingens, ctx.n, order) if mingens else None
-        for row in rref(ideal_slice_rows(gens, ctx, d), key):
+        for row in fraction_rref(ideal_slice_rows(gens, ctx, d), key):
             lead = max(row, key=key)
             if current is None or not current.member(lead):
                 mingens.append(lead)
@@ -137,7 +175,7 @@ def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Ob
     for i, j, word, s in found:
         rem = rescan_normal_form(s, G)
         if rem:
-            failures.append(Obstruction(i, j, word, s, rem))
+            failures.append(Obstruction(i, j, word, rem))
     return not failures, failures
 
 

@@ -1,6 +1,7 @@
 """Guards on the size of the library's API: every public definition in
-``src/extlift`` is used by the library itself, and the package exports
-exactly the names the README's "Library usage" example imports."""
+``src/extlift`` is used by the library itself, every dataclass field is
+read by it, and the package exports exactly the names the README's
+"Library usage" example imports."""
 
 import ast
 import re
@@ -39,6 +40,25 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _dataclass_fields(tree: ast.Module):
+    """The annotated fields of every dataclass, as (class name, field name)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_definition_is_used_by_the_library():
     modules = _modules()
     used = set().union(*(_read_names(tree) for tree in modules.values()))
@@ -49,6 +69,15 @@ def test_every_public_definition_is_used_by_the_library():
         if name not in used
     ]
     assert unused == [], "defined in src/extlift but used only outside it; move to tests/ or delete"
+
+
+def test_every_dataclass_field_is_read_by_the_library():
+    modules = _modules()
+    read = set().union(*(_read_attributes(tree) for tree in modules.values()))
+    fields = [(module, cls, name) for module, tree in modules.items() for cls, name in _dataclass_fields(tree)]
+    assert len(fields) > 10
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
+    assert unread == [], "a dataclass field that no library code reads; delete it"
 
 
 def test_exports_match_readme_library_usage():

@@ -1,26 +1,51 @@
-"""Properties of the sparse reduced row echelon form against the dense
-elimination in ``tests/helpers.py``."""
+"""The fraction-free ``rref`` against the ``Fraction`` elimination it
+replaced (``tests/oracles.fraction_rref``) and against the dense
+elimination in ``tests/helpers.py``: on hypothesis systems, on seeded
+exterior and free-algebra corpora, and in the arithmetic it does."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extlift import exterior, freealg
+from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
+from extlift.exterior import ExtIdeal, groebner_ext
+from extlift.freealg import free_initial_ideal
+from extlift.gin import random_gl
+from extlift.lifting import anti_commutators
 from extlift.linalg import rref
+from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank
+from helpers import dense_rank, random_ext_polynomial, random_free_polynomial
+from oracles import fraction_rref
 
 
 @st.composite
 def sparse_systems(draw):
-    """Sparse rows of small integers, as Fractions or as plain ints, over k
-    columns, and a column order given as a permutation of the column
-    ranks."""
+    """Sparse rows over k columns and a column order given as a permutation
+    of the column ranks.  Entries are plain ints, integral Fractions or
+    Fractions with denominators up to 12, with numerators up to 10^6 in
+    size; duplicate rows and combinations of earlier rows, which reduce to
+    zero, are mixed in."""
     k = draw(st.integers(1, 8))
     rank_of = draw(st.permutations(range(k)))
-    entries = st.dictionaries(st.integers(0, k - 1), st.integers(-3, 3), max_size=k)
-    scalar = draw(st.sampled_from([Fraction, int]))
-    rows = [{c: scalar(v) for c, v in row.items() if v} for row in draw(st.lists(entries, max_size=8))]
+    kind = draw(st.sampled_from(["int", "integral", "rational"]))
+    numerator = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    denominator = st.integers(1, 12) if kind == "rational" else st.just(1)
+    entry = st.builds(lambda p, q: p if kind == "int" else Fraction(p, q), numerator, denominator)
+    entries = st.dictionaries(st.integers(0, k - 1), entry, max_size=k)
+    rows = [{c: v for c, v in row.items() if v} for row in draw(st.lists(entries, max_size=8))]
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        for i in draw(st.lists(index, max_size=2)):
+            rows.append(dict(rows[i]))
+        for i, j, a, b in draw(st.lists(st.tuples(index, index, st.integers(-3, 3), st.integers(-3, 3)), max_size=2)):
+            combo = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0) for c in rows[i].keys() | rows[j].keys()}
+            rows.append({c: v for c, v in combo.items() if v})
+        rows = draw(st.permutations(rows))
     return rows, rank_of.__getitem__, sorted(range(k), key=rank_of.__getitem__, reverse=True)
 
 
@@ -29,9 +54,9 @@ def sparse_systems(draw):
 def test_rref_against_dense_elimination(system):
     rows, key, columns = system
     reduced = rref(rows, key)
-    # exact whatever the input type: plain ints give the Fraction result
-    assert reduced == rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
-    assert not any(isinstance(v, float) for row in reduced for v in row.values())
+    # the same rows, in the same order, as the Fraction elimination
+    assert reduced == fraction_rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
     pivots = [max(row, key=key) for row in reduced]
 
     def prefix_rank(i):
@@ -46,3 +71,71 @@ def test_rref_against_dense_elimination(system):
     for row, pivot in zip(reduced, pivots):
         assert row[pivot] == 1
         assert not any(other in row for other in pivots if other != pivot)
+
+
+def exterior_corpus(n: int, kind: str):
+    """Seeded ideals of E(V): three quadrics, two cubics, and both after a
+    height-100 coordinate change, as gin_ext transforms them."""
+    rng = random.Random(f"rref-corpus/{n}/{kind}")
+    ctx = AlgebraContext(n)
+    order = ExtOrderSpec(kind)
+    for degree, count in ((2, 3), (3, 2)):
+        if degree > n:
+            continue
+        gens = [random_ext_polynomial(rng, ctx, degree) for _ in range(count)]
+        g = random_gl(ctx, rng.randrange(1000), 100)
+        yield ExtIdeal(ctx, gens, order)
+        yield ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], order)
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_groebner_ext_matches_fraction_oracle(monkeypatch, n, kind):
+    ideals = list(exterior_corpus(n, kind))
+    fast = [groebner_ext(I) for I in ideals]
+    monkeypatch.setattr(exterior, "rref", fraction_rref)
+    for I, G in zip(ideals, fast):
+        slow = groebner_ext(I)
+        assert G.elements == slow.elements
+        assert G.slice_dims == slow.slice_dims
+        assert all(type(c) is Fraction for f in G.elements for _, c in f)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_free_initial_ideal_matches_fraction_oracle(monkeypatch, seed):
+    rng = random.Random(f"rref-free/{seed}")
+    n = rng.choice([2, 3])
+    ctx = AlgebraContext(n)
+    order = FreeOrderSpec(ExtOrderSpec(rng.choice(["deglex", "degrevlex"])))
+    gens = [random_free_polynomial(rng, ctx, rng.randint(1, 3), nterms=3, height=rng.choice([5, 10**6])) for _ in range(3)]
+    if seed % 2:
+        gens += anti_commutators(ctx)
+    fast = free_initial_ideal(gens, ctx, order, max_degree=4)
+    monkeypatch.setattr(freealg, "rref", fraction_rref)
+    slow = free_initial_ideal(gens, ctx, order, max_degree=4)
+    assert fast.initial == slow.initial
+    assert fast.slice_dims == slow.slice_dims
+
+
+def test_elimination_does_no_fraction_arithmetic(monkeypatch):
+    """Only the boundary converts: numerators and denominators in, one
+    Fraction per output entry.  Every elimination step is integer work."""
+    rng = random.Random(7)
+    ctx = AlgebraContext(7)
+    g = random_gl(ctx, 7, 100)
+    gens = [apply_gl_ext(g, random_ext_polynomial(rng, ctx, 2)) for _ in range(3)]
+    order = ExtOrderSpec()
+    # the degree-4 slice of a transformed ideal, rows x_u * f as dicts
+    rows = [(ExtPolynomial.monomial(u) * f).terms for f in gens for u in ext_monomials_of_degree(ctx, 2)]
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        def counted(self, other, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    reduced = rref(rows, order.ext_key)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(reduced) == 35
+    assert reduced == fraction_rref(rows, order.ext_key)
