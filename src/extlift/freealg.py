@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import AlgebraContext, FreePolynomial, Word, words_of_degree
+from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
 from .linalg import rref
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
@@ -138,8 +139,9 @@ class FreeGroebnerCandidate:
     """Monic homogeneous polynomials proposed as a Groebner basis.
 
     Besides the leading words and their automaton, the candidate keeps what
-    every normal form modulo it reuses: each element's terms without its
-    leading word.
+    every normal form modulo it reuses: each element as a primitive integer
+    polynomial, split into its positive lead ``leads[i]`` and the terms
+    without its leading word, ``tails[i]``.
     """
 
     ctx: AlgebraContext
@@ -157,10 +159,14 @@ class FreeGroebnerCandidate:
         self.elements = normalized
         self.leading_words = [leading_term_free(F, self.order)[0] for F in self.elements]
         self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
-        self.tails = [
-            [(w, c) for w, c in F.terms.items() if w != lead]
-            for F, lead in zip(self.elements, self.leading_words)
-        ]
+        self.leads, self.tails = [], []
+        for F, lead in zip(self.elements, self.leading_words):
+            # a monic element's lead is 1, so its integer lead den / content > 0
+            den = lcm(*(c.denominator for c in F.terms.values()))
+            ints = {w: c.numerator * (den // c.denominator) for w, c in F.terms.items()}
+            content = gcd(*ints.values())
+            self.leads.append(ints.pop(lead) // content)
+            self.tails.append([(w, c // content) for w, c in ints.items()])
 
 
 def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
@@ -171,15 +177,22 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     keys.  A rewrite only brings in words smaller than the one it removes,
     so the popped word is the largest left: if no leading word divides it,
     it belongs to the remainder for good; otherwise its first automaton
-    match is rewritten with the cached tail of that element.  Every word is
-    popped and matched once.
+    match is rewritten with the integer tail of that element.  Every word
+    is popped and matched once.
+
+    It is integer pseudo-division: the terms are F times ``scale``.  To
+    rewrite a word of coefficient c by an element of lead L, all terms and
+    the scale are multiplied by L/g, g = gcd(c, L), and (c/g) A tail B is
+    subtracted.  Scaling by positive integers cancels the same words as over
+    the rationals, so the remainder over the scale is the exact remainder.
     """
     key = G.order.word_key
     first_match = G.automaton.first_match
-    current = dict(F.terms)
+    scale = lcm(*(c.denominator for c in F.terms.values()))
+    current = {w: c.numerator * (scale // c.denominator) for w, c in F.terms.items()}
     heap = [(-key(w), w) for w in current]
     heapq.heapify(heap)
-    remainder: dict[Word, Fraction] = {}
+    remainder: dict[Word, int] = {}
     while heap:
         w = heapq.heappop(heap)[1]
         coeff = current.pop(w, None)
@@ -191,6 +204,15 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
             remainder[w] = coeff
             continue
         idx, end = hit
+        lead = G.leads[idx]
+        if lead != 1:
+            g = gcd(coeff, lead)
+            m, coeff = lead // g, coeff // g
+            if m != 1:
+                scale *= m
+                for terms in (current, remainder):
+                    for v in terms:
+                        terms[v] *= m
         prefix = w[: end - len(G.leading_words[idx])]
         suffix = w[end:]
         for t, c in G.tails[idx]:
@@ -205,7 +227,7 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
                     current[v] = s
                 else:
                     del current[v]
-    return FreePolynomial._raw(remainder)
+    return FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
 
 
 @dataclass(frozen=True)
@@ -239,30 +261,34 @@ def _ambiguities(w1: Word, w2: Word, same: bool) -> list[tuple[Word, Word, Word,
     return out
 
 
-def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, FreePolynomial]]:
-    """All overlap and inclusion ambiguities with their S-polynomials,
-    sorted by ambiguity degree."""
+def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
+    """All overlap and inclusion ambiguities (i, j, W, left1, right1, left2,
+    right2), W = left1 w_i right1 = left2 w_j right2, sorted by W."""
     found = []
     for i, w1 in enumerate(G.leading_words):
         for j, w2 in enumerate(G.leading_words):
             for left1, right1, left2, right2 in _ambiguities(w1, w2, i == j):
-                word = left1 + w1 + right1
-                s = (
-                    FreePolynomial.monomial(left1) * G.elements[i] * FreePolynomial.monomial(right1)
-                    - FreePolynomial.monomial(left2) * G.elements[j] * FreePolynomial.monomial(right2)
-                )
-                found.append((i, j, word, s))
+                found.append((i, j, left1 + w1 + right1, left1, right1, left2, right2))
     found.sort(key=lambda t: G.order.word_key(t[2]))
     return found
 
 
 def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """Reduce every S-polynomial; (True, []) iff all vanish, otherwise the
-    failing ambiguities are returned as certificates."""
+    failing ambiguities are returned as certificates.  The S-polynomial of
+    an ambiguity A w_i B = C w_j D is built on integers as (L_j/g) A tail_i B
+    - (L_i/g) C tail_j D, g = gcd(L_i, L_j): L_i L_j / g times the monic
+    one, and so is its remainder."""
     failures = []
-    for i, j, word, s in enumerate_obstructions(G):
-        rem = normal_form(s, G)
+    for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G):
+        g = gcd(G.leads[i], G.leads[j])
+        a, b = G.leads[j] // g, G.leads[i] // g
+        s = {left1 + t + right1: a * c for t, c in G.tails[i]}
+        _add_into(s, ((left2 + t + right2, -b * c) for t, c in G.tails[j]))
+        rem = normal_form(FreePolynomial._raw(s), G)
         if rem:
+            if a * b * g != 1:
+                rem = rem.scale(Fraction(1, a * b * g))
             failures.append(Obstruction(i, j, word, rem))
     return not failures, failures
 
@@ -356,10 +382,10 @@ def ideal_slice_rows(
             continue
         for la in range(d - e + 1):
             lb = d - e - la
+            rights = words_of_degree(ctx, lb)
             for A in words_of_degree(ctx, la):
-                left = FreePolynomial.monomial(A) * g
-                for Bw in words_of_degree(ctx, lb):
-                    rows.append((left * FreePolynomial.monomial(Bw)).terms)
+                for Bw in rights:
+                    rows.append({A + w + Bw: c for w, c in g.terms.items()})
     return rows
 
 

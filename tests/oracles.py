@@ -3,6 +3,7 @@ fast paths in ``extlift``.  Nothing in the library imports this module."""
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
@@ -167,10 +168,88 @@ def rescan_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolyn
                 current.pop(key_w, None)
 
 
+def fraction_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
+    """``freealg.normal_form`` with every step a ``Fraction`` operation, on
+    the tails of the monic elements.
+
+    Fully reduce F: rewrite the largest reducible word A in(g) B into
+    A (in(g) - g) B until no word contains a leading word of G.
+
+    The words of the running polynomial sit in a max-heap on their order
+    keys.  A rewrite only brings in words smaller than the one it removes,
+    so the popped word is the largest left: if no leading word divides it,
+    it belongs to the remainder for good; otherwise its first automaton
+    match is rewritten with the cached tail of that element.  Every word is
+    popped and matched once.
+    """
+    tails = [
+        [(w, c) for w, c in E.terms.items() if w != lead]
+        for E, lead in zip(G.elements, G.leading_words)
+    ]
+    key = G.order.word_key
+    first_match = G.automaton.first_match
+    current = dict(F.terms)
+    heap = [(-key(w), w) for w in current]
+    heapq.heapify(heap)
+    remainder: dict[Word, Fraction] = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        coeff = current.pop(w, None)
+        if coeff is None:
+            # cancelled after it was queued
+            continue
+        hit = first_match(w)
+        if hit is None:
+            remainder[w] = coeff
+            continue
+        idx, end = hit
+        prefix = w[: end - len(G.leading_words[idx])]
+        suffix = w[end:]
+        for t, c in tails[idx]:
+            v = prefix + t + suffix
+            old = current.get(v)
+            if old is None:
+                current[v] = -coeff * c
+                heapq.heappush(heap, (-key(v), v))
+            else:
+                s = old - coeff * c
+                if s:
+                    current[v] = s
+                else:
+                    del current[v]
+    return FreePolynomial._raw(remainder)
+
+
+def fraction_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, FreePolynomial]]:
+    """The ambiguities of ``enumerate_obstructions`` with their
+    S-polynomials, as ``FreePolynomial`` products of the monic elements."""
+    return [
+        (
+            i,
+            j,
+            word,
+            FreePolynomial.monomial(left1) * G.elements[i] * FreePolynomial.monomial(right1)
+            - FreePolynomial.monomial(left2) * G.elements[j] * FreePolynomial.monomial(right2),
+        )
+        for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G)
+    ]
+
+
+def fraction_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
+    """``freealg.obstructions_resolve`` on ``fraction_obstructions`` and
+    ``fraction_normal_form``."""
+    failures = []
+    for i, j, word, s in fraction_obstructions(G):
+        rem = fraction_normal_form(s, G)
+        if rem:
+            failures.append(Obstruction(i, j, word, rem))
+    return not failures, failures
+
+
 def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """obstructions_resolve on rescan_normal_form, with the obstructions
     ordered by the tuple word key."""
-    found = sorted(enumerate_obstructions(G), key=lambda t: tuple_word_key(G.order, t[2]))
+    found = sorted(fraction_obstructions(G), key=lambda t: tuple_word_key(G.order, t[2]))
     failures = []
     for i, j, word, s in found:
         rem = rescan_normal_form(s, G)

@@ -29,7 +29,7 @@ from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import dense_rank, initial_ideal_free, random_ext_ideal_gens, random_free_polynomial
-from oracles import automaton_free_initial, automaton_matches, naive_matches, subword_offsets
+from oracles import automaton_free_initial, automaton_matches, fraction_obstructions, naive_matches, subword_offsets
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -186,7 +186,9 @@ class TestObstructions:
 
     def test_obstruction_words_contain_both_leads(self):
         G = anticomm_candidate(3)
-        for i, j, w, s in enumerate_obstructions(G):
+        for i, j, w, left1, right1, left2, right2 in enumerate_obstructions(G):
+            assert left1 + G.leading_words[i] + right1 == w == left2 + G.leading_words[j] + right2
+        for i, j, w, s in fraction_obstructions(G):
             assert subword_divides(G.leading_words[i], w)
             assert subword_divides(G.leading_words[j], w)
             # the leading terms cancelled in the S-polynomial

@@ -1,8 +1,10 @@
-"""The heap-driven normal form: a differential test against the linear
-rescan it replaced, algebraic properties, and a guard on the work done."""
+"""The heap-driven integer normal form: differential tests against the
+linear rescan and the ``Fraction`` reducer it replaced, algebraic
+properties, and guards on the work done."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -25,7 +27,7 @@ from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
-from oracles import rescan_normal_form, rescan_obstructions_resolve
+from oracles import fraction_normal_form, fraction_obstructions_resolve, rescan_normal_form, rescan_obstructions_resolve
 
 
 def candidates(rng, ctx, gens, order):
@@ -86,6 +88,89 @@ class TestAgainstRescan:
         assert sum(1 for k in failures if k) >= 10
 
 
+# --- against the Fraction reducer --------------------------------------------
+
+
+def assert_exact(fast: FreePolynomial, slow: FreePolynomial):
+    """The same terms in the same order, every coefficient a Fraction."""
+    assert list(fast.terms.items()) == list(slow.terms.items())
+    assert all(type(v) is Fraction for v in fast.terms.values())
+
+
+def gap_binomials(rng, ctx):
+    """Two binomials x_a x_b + c x_c x_d with a < c < d < b."""
+    out = []
+    for _ in range(2):
+        a, c, d, b = sorted(rng.sample(range(1, ctx.n + 1), 4))
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(2)]
+        out.append(ExtPolynomial([(ExtMonomial((a, b)), coeffs[0]), (ExtMonomial((c, d)), coeffs[1])]))
+    return out
+
+
+def perturbed(rng, elements, k):
+    """Lifted elements with one of the k + 1st onwards dropped, and with one
+    coefficient of each of three elements rescaled by a random fraction."""
+    drop = rng.randrange(k, len(elements))
+    rescaled = list(elements)
+    for idx in rng.sample(range(len(elements)), min(3, len(elements))):
+        terms = dict(elements[idx].terms)
+        w = rng.choice(sorted(terms))
+        terms[w] *= Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(2, 9))
+        rescaled[idx] = FreePolynomial(terms)
+    return [elements[:drop] + elements[drop + 1:], rescaled]
+
+
+FRACTION_CASES = [
+    (n, kind, family)
+    for n in range(2, 8)
+    for kind in ("deglex", "degrevlex")
+    for family in ("quadrics", "gaps")
+    if family == "quadrics" or n >= 4
+]
+
+
+def fraction_corpus(n, kind, family):
+    """The lifted basis of seeded quadrics or gap binomials, and two
+    perturbed candidates that leave nonzero remainders."""
+    rng = random.Random(f"fraction-nf/{n}/{kind}/{family}")
+    ctx = AlgebraContext(n)
+    if family == "quadrics":
+        gens = [random_ext_polynomial(rng, ctx, 2) for _ in range(3)]
+    else:
+        gens = gap_binomials(rng, ctx)
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens, ExtOrderSpec(kind))))
+    elements = lifted.elements()
+    out = [elements] + perturbed(rng, elements, len(lifted.anti_commutators))
+    return rng, [FreeGroebnerCandidate(ctx, E, FreeOrderSpec(ExtOrderSpec(kind))) for E in out]
+
+
+class TestAgainstFraction:
+    @pytest.mark.parametrize("n,kind,family", FRACTION_CASES)
+    def test_obstructions_and_normal_forms_identical(self, n, kind, family):
+        rng, Gs = fraction_corpus(n, kind, family)
+        assert obstructions_resolve(Gs[0]) == (True, [])
+        for G in Gs:
+            fast, slow = obstructions_resolve(G), fraction_obstructions_resolve(G)
+            assert fast == slow
+            for f, g in zip(fast[1], slow[1]):
+                assert_exact(f.remainder, g.remainder)
+            for _ in range(3):
+                F = random_free_polynomial(rng, G.ctx, rng.randint(2, 4), nterms=6)
+                F = F.scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+                assert_exact(normal_form(F, G), fraction_normal_form(F, G))
+
+    def test_corpus_leaves_remainders_and_needs_pseudo_division(self):
+        # the comparison above must cover nonzero remainders and leads
+        # other than 1
+        failing = leads = 0
+        for case in FRACTION_CASES:
+            for G in fraction_corpus(*case)[1]:
+                failing += len(obstructions_resolve(G)[1])
+                leads += sum(1 for L in G.leads if L != 1)
+        assert failing >= 400
+        assert leads >= 200
+
+
 # --- properties -------------------------------------------------------------
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -113,6 +198,13 @@ def free_polys(n: int, degree: int | None = None):
 
 
 class TestProperties:
+    @SETTINGS
+    @given(st.data())
+    def test_equals_fraction_reducer(self, data):
+        G = data.draw(lifted_bases())
+        F = data.draw(free_polys(G.ctx.n))
+        assert_exact(normal_form(F, G), fraction_normal_form(F, G))
+
     @SETTINGS
     @given(st.data())
     def test_idempotent(self, data):
@@ -153,15 +245,37 @@ class TestProperties:
         assert normal_form(combo, G) == normal_form(F, G).scale(a) + normal_form(H, G).scale(b)
 
 
-# --- work guard -------------------------------------------------------------
+# --- work guards ------------------------------------------------------------
 
 
-def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
+def seeded_n6_basis() -> FreeGroebnerCandidate:
     rng = random.Random("work-guard")
     ctx = AlgebraContext(6)
     gens = [random_ext_polynomial(rng, ctx, 2) for _ in range(3)]
     lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens)))
-    G = FreeGroebnerCandidate(ctx, lifted.elements(), FreeOrderSpec())
+    return FreeGroebnerCandidate(ctx, lifted.elements(), FreeOrderSpec())
+
+
+def test_obstructions_resolve_does_no_fraction_arithmetic(monkeypatch):
+    """Every S-polynomial is built and reduced on integers; a basis that
+    resolves leaves no remainder to turn back into Fractions."""
+    G = seeded_n6_basis()
+    assert any(L != 1 for L in G.leads)
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        def counted(self, *args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    result = obstructions_resolve(G)
+    monkeypatch.undo()
+    assert calls == []
+    assert result == (True, [])
+
+
+def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
+    G = seeded_n6_basis()
 
     # a word's key is computed from its multiset key; looking it up in the
     # order's memo computes nothing
