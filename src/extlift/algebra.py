@@ -120,8 +120,11 @@ ONE_EXT = ExtMonomial()
 def word_sort_sign(word: Word) -> tuple[int, Word]:
     """Sort a word's letters, counting transpositions: (sign, sorted word).
 
-    Sign is 0 when a letter repeats (the square-free image vanishes).
+    Sign is 0 when a letter repeats (the square-free image vanishes); that
+    is checked before sorting, so a long word with repeats costs no sort.
     """
+    if len(set(word)) < len(word):
+        return 0, tuple(sorted(word))
     letters = list(word)
     sign = 1
     for i in range(1, len(letters)):
@@ -130,9 +133,6 @@ def word_sort_sign(word: Word) -> tuple[int, Word]:
             letters[j - 1], letters[j] = letters[j], letters[j - 1]
             sign = -sign
             j -= 1
-    for a, b in zip(letters, letters[1:]):
-        if a == b:
-            return 0, tuple(letters)
     return sign, tuple(letters)
 
 
@@ -301,13 +301,6 @@ class GLMatrix:
                     for c in range(col, n):
                         a[r][c] -= f * a[col][c]
         return d
-
-    @classmethod
-    def elementary(cls, n: int, i: int, j: int) -> "GLMatrix":
-        """The coordinate change X_i -> X_i + X_j, other variables fixed."""
-        ent = [[Fraction(1) if r == s else Fraction(0) for s in range(n)] for r in range(n)]
-        ent[j - 1][i - 1] = Fraction(1)
-        return cls(ent)
 
     def image_of_variable(self, i: int) -> FreePolynomial:
         return FreePolynomial(

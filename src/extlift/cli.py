@@ -55,7 +55,7 @@ class InputError(ValueError):
 
 def _load(args) -> IdealFile:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(str(exc)) from None

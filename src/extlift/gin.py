@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     AlgebraContext,
@@ -150,15 +151,17 @@ def is_borel_fixed(
     X_i -> X_i + X_j with i < j, the convention matching the transformation
     X1 -> X1 + X2.
 
+    Under X_i -> X_i + X_j a word w maps to the sum, each with coefficient
+    1, of the words of w with some of its letters i replaced by j; they are
+    listed in the order of the expanded product.
+
     Returns (True, None) or (False, (generator, (i, j), offending word)).
     """
     for w in B.gens:
         letters = sorted(set(w))
         for i in letters:
             for j in range(i + 1, ctx.n + 1):
-                b = GLMatrix.elementary(ctx.n, i, j)
-                image = apply_gl(b, FreePolynomial.monomial(w))
-                for word in image.terms:
+                for word in product(*((i, j) if a == i else (a,) for a in w)):
                     if not B.member(word):
                         return False, (w, (i, j), word)
     return True, None

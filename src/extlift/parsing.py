@@ -11,9 +11,12 @@ File format (see README for the grammar):
     x1*x2 + 3/2*x2*x3
     x1*x3
 
-Exterior generators use x1..xn and unordered products are normalized with
-signs (x3*x2 parses to -x2x3); free-algebra generators use X1..Xn.
-Coefficients are exact rationals.
+Each header key may appear once.  Exterior generators use x1..xn,
+free-algebra generators X1..Xn; coefficients are exact rationals.  Every
+term parses to one coefficient and one word, and a generator is the sum of
+its terms in the free algebra, or that sum's image under algebra.pi in the
+exterior one: each word sorted with its sign (x3*x2 parses to -x2x3), or
+zero if a letter repeats.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
+from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, pi
 from .orders import ExtOrderSpec, FreeOrderSpec, sorted_terms_ext, sorted_terms_free
 
 
@@ -68,7 +71,9 @@ def _tokenize(text: str, line: int):
 
 
 class _ExprParser:
-    """Recursive-descent parser for one generator expression."""
+    """Recursive-descent parser for one generator expression.  Each term
+    parses to one coefficient and one word; the generator is built once,
+    from the (word, coefficient) pairs, at the end."""
 
     def __init__(self, tokens, line: int, ctx: AlgebraContext, algebra: str):
         self.tokens = tokens
@@ -87,45 +92,37 @@ class _ExprParser:
         raise ParseError(message, self.line, col)
 
     def parse(self):
-        poly = self.parse_expr()
+        terms = self.parse_expr()
         if self.peek() is not None:
             self.error("trailing input after expression")
-        return poly
-
-    def _zero(self):
-        return ExtPolynomial() if self.algebra == "exterior" else FreePolynomial()
+        F = FreePolynomial(terms)
+        return pi(F) if self.algebra == "exterior" else F
 
     def parse_expr(self):
-        acc = self._zero()
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            sign = -1 if tok[1] == "-" else 1
-            self.i += 1
-        acc = acc + self.parse_term().scale(sign)
+        terms = []
         while True:
             tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                break
-            sign = -1 if tok[1] == "-" else 1
-            self.i += 1
-            acc = acc + self.parse_term().scale(sign)
-        return acc
+            sign = 1
+            if tok and tok[0] == "op" and tok[1] in "+-":
+                sign = -1 if tok[1] == "-" else 1
+                self.i += 1
+            elif terms:
+                return terms
+            c, word = self.parse_term()
+            terms.append((word, sign * c))
 
     def parse_term(self):
-        factors = [self.parse_factor()]
+        coef, word = 1, []
         while True:
+            c, letters = self.parse_factor()
+            coef *= c
+            word += letters
             tok = self.peek()
             if tok is not None and tok[0] == "op" and tok[1] == "*":
                 self.i += 1
             elif tok is None or tok[0] != "var":
                 # adjacent variables multiply implicitly: x1x3 == x1*x3
-                break
-            factors.append(self.parse_factor())
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc * f
-        return acc
+                return coef, tuple(word)
 
     def parse_factor(self):
         tok = self.peek()
@@ -146,10 +143,7 @@ class _ExprParser:
                 if den == 0:
                     raise ParseError("malformed rational: zero denominator", self.line, dtok[2])
                 self.i += 1
-            c = Fraction(num, den)
-            if self.algebra == "exterior":
-                return ExtPolynomial.monomial(ExtMonomial(), c)
-            return FreePolynomial.monomial((), c)
+            return Fraction(num, den), []
         if kind == "var":
             letter, index = value
             if letter != self.var_letter:
@@ -173,15 +167,7 @@ class _ExprParser:
                     self.error("expected an integer exponent")
                 power = ptok[1]
                 self.i += 1
-            if self.algebra == "exterior":
-                base = ExtPolynomial.monomial(ExtMonomial([index]))
-                acc = ExtPolynomial.monomial(ExtMonomial())
-            else:
-                base = FreePolynomial.monomial((index,))
-                acc = FreePolynomial.monomial(())
-            for _ in range(power):
-                acc = acc * base
-            return acc
+            return 1, [index] * power
         self.error(f"unexpected token {value!r}")
 
 
@@ -218,6 +204,8 @@ def parse_ideal(text: str) -> IdealFile:
             if key == "generators":
                 in_generators = True
                 continue
+            if key in header:
+                raise ParseError(f"duplicate header key {key!r}", lineno)
             header[key] = (m.group(2), lineno)
         else:
             gen_lines.append((lineno, stripped))

@@ -63,6 +63,13 @@ def gl_product(g: GLMatrix, h: GLMatrix) -> GLMatrix:
     )
 
 
+def elementary(n: int, i: int, j: int) -> GLMatrix:
+    """The coordinate change X_i -> X_i + X_j, other variables fixed."""
+    ent = [[Fraction(1) if r == s else Fraction(0) for s in range(n)] for r in range(n)]
+    ent[j - 1][i - 1] = Fraction(1)
+    return GLMatrix(ent)
+
+
 def dense_rank(rows, columns) -> int:
     """Row rank by dense fraction-free-ish Gaussian elimination; independent
     of extlift.linalg."""

@@ -9,7 +9,7 @@ from typing import Callable, Hashable, Iterable
 
 import sympy
 
-from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into
+from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into, apply_gl
 from extlift.exterior import ExtIdeal, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
@@ -22,6 +22,9 @@ from extlift.freealg import (
     normal_word_counts,
 )
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
+from extlift.parsing import ParseError
+
+from helpers import elementary
 
 
 def _axpy(target: dict, c: Fraction, source: dict) -> dict:
@@ -313,3 +316,144 @@ def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
             num = [v // g_all for v in num]
             den = [v // g_all for v in den]
     return num, den
+
+
+class ArithmeticExprParser:
+    """The generator parser that builds each term by polynomial arithmetic:
+    one polynomial per factor, multiplied together, and the terms summed.
+    Reference for ``parsing._ExprParser``, which has the same interface."""
+
+    def __init__(self, tokens, line: int, ctx: AlgebraContext, algebra: str):
+        self.tokens = tokens
+        self.i = 0
+        self.line = line
+        self.ctx = ctx
+        self.algebra = algebra
+        self.var_letter = "x" if algebra == "exterior" else "X"
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def error(self, message: str):
+        tok = self.peek()
+        col = tok[2] if tok else None
+        raise ParseError(message, self.line, col)
+
+    def parse(self):
+        poly = self.parse_expr()
+        if self.peek() is not None:
+            self.error("trailing input after expression")
+        return poly
+
+    def _zero(self):
+        return ExtPolynomial() if self.algebra == "exterior" else FreePolynomial()
+
+    def parse_expr(self):
+        acc = self._zero()
+        sign = 1
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] in "+-":
+            sign = -1 if tok[1] == "-" else 1
+            self.i += 1
+        acc = acc + self.parse_term().scale(sign)
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                break
+            sign = -1 if tok[1] == "-" else 1
+            self.i += 1
+            acc = acc + self.parse_term().scale(sign)
+        return acc
+
+    def parse_term(self):
+        factors = [self.parse_factor()]
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[0] == "op" and tok[1] == "*":
+                self.i += 1
+            elif tok is None or tok[0] != "var":
+                # adjacent variables multiply implicitly: x1x3 == x1*x3
+                break
+            factors.append(self.parse_factor())
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = acc * f
+        return acc
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok is None:
+            self.error("expected a coefficient or a variable")
+        kind, value, col = tok
+        if kind == "int":
+            self.i += 1
+            num = value
+            den = 1
+            nxt = self.peek()
+            if nxt and nxt[0] == "op" and nxt[1] == "/":
+                self.i += 1
+                dtok = self.peek()
+                if dtok is None or dtok[0] != "int":
+                    self.error("malformed rational: expected a denominator")
+                den = dtok[1]
+                if den == 0:
+                    raise ParseError("malformed rational: zero denominator", self.line, dtok[2])
+                self.i += 1
+            c = Fraction(num, den)
+            if self.algebra == "exterior":
+                return ExtPolynomial.monomial(ExtMonomial(), c)
+            return FreePolynomial.monomial((), c)
+        if kind == "var":
+            letter, index = value
+            if letter != self.var_letter:
+                raise ParseError(
+                    f"variable {letter}{index} does not belong to the "
+                    f"{self.algebra} algebra (use {self.var_letter}1..{self.var_letter}{self.ctx.n})",
+                    self.line,
+                    col,
+                )
+            try:
+                self.ctx.check_index(index)
+            except ValueError as exc:
+                raise ParseError(str(exc), self.line, col) from None
+            self.i += 1
+            power = 1
+            nxt = self.peek()
+            if nxt and nxt[0] == "op" and nxt[1] == "^":
+                self.i += 1
+                ptok = self.peek()
+                if ptok is None or ptok[0] != "int":
+                    self.error("expected an integer exponent")
+                power = ptok[1]
+                self.i += 1
+            if self.algebra == "exterior":
+                base = ExtPolynomial.monomial(ExtMonomial([index]))
+                acc = ExtPolynomial.monomial(ExtMonomial())
+            else:
+                base = FreePolynomial.monomial((index,))
+                acc = FreePolynomial.monomial(())
+            for _ in range(power):
+                acc = acc * base
+            return acc
+        self.error(f"unexpected token {value!r}")
+
+
+def matrix_is_borel_fixed(
+    B: MonomialIdealFree, ctx: AlgebraContext
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, int], tuple[int, ...]] | None]:
+    """Reference for ``gin.is_borel_fixed``: applies each elementary matrix
+    X_i -> X_i + X_j (i < j) to each generator with ``apply_gl`` and checks
+    every word of the image.
+
+    Returns (True, None) or (False, (generator, (i, j), offending word)).
+    """
+    for w in B.gens:
+        letters = sorted(set(w))
+        for i in letters:
+            for j in range(i + 1, ctx.n + 1):
+                b = elementary(ctx.n, i, j)
+                image = apply_gl(b, FreePolynomial.monomial(w))
+                for word in image.terms:
+                    if not B.member(word):
+                        return False, (w, (i, j), word)
+    return True, None

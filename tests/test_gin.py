@@ -27,6 +27,7 @@ from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import is_strongly_stable, random_ext_ideal_gens
+from oracles import matrix_is_borel_fixed
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -222,6 +223,40 @@ class TestBorelFixed:
         ctx = AlgebraContext(2)
         B = MonomialIdealFree([(1,), (2,)], 2, ORDER)
         assert is_borel_fixed(B, ctx) == (True, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_matrix_oracle(self, seed):
+        # witnesses included: both list an image's words in the same order
+        rng = random.Random(seed)
+        fixed = 0
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            words = [
+                tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.5:
+                words = borel_closure(words, n)
+            B = MonomialIdealFree(words, n, ORDER)
+            ctx = AlgebraContext(n)
+            result = is_borel_fixed(B, ctx)
+            assert result == matrix_is_borel_fixed(B, ctx)
+            fixed += result[0]
+        assert 20 <= fixed <= 80
+
+
+def borel_closure(words, n: int) -> list:
+    """The words and every word reached from one by raising letters."""
+    seen, stack = set(words), list(words)
+    while stack:
+        w = stack.pop()
+        for pos, a in enumerate(w):
+            for b in range(a + 1, n + 1):
+                v = w[:pos] + (b,) + w[pos + 1:]
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return sorted(seen)
 
 
 class TestHilbertCompare:

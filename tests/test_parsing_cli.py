@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from extlift import algebra, parsing
 from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
 from extlift.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
@@ -17,6 +18,7 @@ from extlift.parsing import (
 )
 
 from helpers import random_ext_polynomial
+from oracles import ArithmeticExprParser
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +114,26 @@ class TestParsing:
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_ideal("vars: 2\ngenerators:\n1/0*x1\n")
+
+    @pytest.mark.parametrize(
+        "text,key,line",
+        [
+            ("vars: 3\nvars: 4\ngenerators:\nx1*x2\n", "vars", 2),
+            ("vars: 2\nalgebra: free\n# a comment\nAlgebra: exterior\ngenerators:\nx1*x2\n", "algebra", 4),
+            ("vars: 2\norder: deglex\nvarorder: 2,1\norder: degrevlex\ngenerators:\nx1*x2\n", "order", 4),
+        ],
+    )
+    def test_duplicate_header_key(self, text, key, line):
+        with pytest.raises(ParseError, match=f"^line {line}: duplicate header key '{key}'$"):
+            parse_ideal(text)
+
+    def test_long_exterior_term_with_repeats_is_zero(self):
+        with pytest.raises(ParseError, match="line 3: generator is zero"):
+            parse_ideal("vars: 2\ngenerators:\nx2^8000*x1^8000\n")
+
+    def test_long_free_power(self):
+        F = parse_one("X1^40000", header="vars: 1\nalgebra: free\n")
+        assert F == FreePolynomial.monomial((1,) * 40000)
 
 
 class TestSerialization:
@@ -210,6 +232,23 @@ class TestCLI:
         bad.write_text("vars: 2\ngenerators:\nx1 + x1*x2\n")
         code, _ = run_cli(capsys, "gb", str(bad))
         assert code == EXIT_INPUT
+
+    def test_duplicate_header_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "twice.ideal"
+        path.write_text("vars: 3\nvars: 4\ngenerators:\nx1*x2\n")
+        code = main(["gb", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "line 2: duplicate header key 'vars'" in captured.err
+
+    @pytest.mark.parametrize("command", ["gb", "lift"])
+    def test_utf8_byte_order_mark_accepted(self, capsys, tmp_path, command):
+        original = DATA / "quadric_n3.ideal"
+        bom = tmp_path / "bom.ideal"
+        bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        code, expected = run_cli(capsys, command, str(original))
+        assert code == EXIT_OK
+        assert run_cli(capsys, command, str(bom)) == (EXIT_OK, expected)
 
     def test_verify_failure_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "braid.ideal"
@@ -341,3 +380,139 @@ class TestCLI:
         capped, full = json.loads(out), json.loads(full)
         assert capped["quotient_dimensions"] == dims
         assert (capped["numerator"], capped["denominator"]) == (full["numerator"], full["denominator"])
+
+
+# ---- the parser against the arithmetic parser ----------------------------
+
+
+def random_generator_line(rng: random.Random, n: int, letter: str) -> str:
+    """One generator line: terms of one random degree (sometimes not), with
+    mid-term rationals, implicit products, powers (^0 too), repeated
+    letters and terms that cancel, with random spacing."""
+    degree = rng.randint(1, 4)
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if terms and rng.random() < 0.25:
+            # repeat an earlier term, so that it may cancel or double
+            terms.append((rng.choice("+-"), rng.choice(terms)[1]))
+            continue
+        length = degree if rng.random() < 0.8 else rng.randint(0, 4)
+        if letter == "x" and length <= n and rng.random() < 0.6:
+            word = rng.sample(range(1, n + 1), length)  # no repeated letter
+        else:
+            word = [rng.randint(1, n) for _ in range(length)]
+        factors = []
+        k = 0
+        while k < len(word):
+            run = 1
+            while k + run < len(word) and word[k + run] == word[k] and rng.random() < 0.7:
+                run += 1
+            factors.append(f"{letter}{word[k]}" + (f"^{run}" if run > 1 or rng.random() < 0.1 else ""))
+            k += run
+            if rng.random() < 0.1:
+                factors.append(f"{letter}{rng.randint(1, n)}^0")
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            coef = str(rng.randint(0, 12)) + (f"/{rng.randint(1, 9)}" if rng.random() < 0.5 else "")
+            factors.insert(rng.randint(0, len(factors)), coef)
+        if not factors:
+            factors = [str(rng.randint(1, 5))]
+        body = factors[0]
+        for f in factors[1:]:
+            implicit = f[0] == letter and rng.random() < 0.4
+            body += rng.choice(("", " ")) if implicit else rng.choice(("*", " * "))
+            body += f
+        terms.append((rng.choice("+-"), body))
+    line = "" if terms[0][0] == "+" and rng.random() < 0.7 else terms[0][0]
+    line += terms[0][1]
+    for sign, body in terms[1:]:
+        line += rng.choice((f" {sign} ", sign))
+        line += body
+    return line
+
+
+def mutate(rng: random.Random, line: str) -> str:
+    """A malformed neighbour of a line: a character deleted, inserted or
+    replaced, or the line cut short."""
+    pos = rng.randint(0, len(line))
+    what = rng.randrange(4)
+    noise = rng.choice("+-*/^()@xX019 ")
+    if what == 0:
+        return line[:pos] + line[pos + 1:]
+    if what == 1:
+        return line[:pos] + noise + line[pos:]
+    if what == 2:
+        return line[:pos] + noise + line[pos + 1:]
+    return line[:pos]
+
+
+def corpus_files(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        algebra = rng.choice(("exterior", "free"))
+        letter = "x" if algebra == "exterior" else "X"
+        if rng.random() < 0.1:
+            letter = letter.swapcase()  # the other algebra's variables
+        lines = [random_generator_line(rng, n, letter) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            k = rng.randrange(len(lines))
+            lines[k] = mutate(rng, lines[k])
+        yield f"vars: {n}\nalgebra: {algebra}\ngenerators:\n" + "\n".join(lines) + "\n"
+
+
+def parse_outcome(text: str):
+    """("ok", the generators), or ("error", the input error's type and
+    message)."""
+    try:
+        return "ok", parse_ideal(text).generators
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+class ArithmeticWhileParsing(AssertionError):
+    pass
+
+
+def refuse_polynomial_arithmetic(mp: pytest.MonkeyPatch) -> None:
+    """Make polynomial +, scale and both * raise, through mp."""
+
+    def refuse(*args, **kwargs):
+        raise ArithmeticWhileParsing("polynomial arithmetic while parsing")
+
+    mp.setattr(algebra._TermPolynomial, "__add__", refuse)
+    mp.setattr(algebra._TermPolynomial, "scale", refuse)
+    mp.setattr(algebra.ExtPolynomial, "__mul__", refuse)
+    mp.setattr(algebra.FreePolynomial, "__mul__", refuse)
+
+
+class TestAgainstArithmeticParser:
+    """parse_ideal against the same function with the generator parser
+    swapped for ``oracles.ArithmeticExprParser``: equal generators, or the
+    same error type and message.  The parser runs with polynomial
+    arithmetic refused."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corpus(self, monkeypatch, seed):
+        outcomes = []
+        for text in corpus_files(seed, 1000):
+            with monkeypatch.context() as m:
+                m.setattr(parsing, "_ExprParser", ArithmeticExprParser)
+                expected = parse_outcome(text)
+            with monkeypatch.context() as m:
+                refuse_polynomial_arithmetic(m)
+                got = parse_outcome(text)
+            assert got == expected, text
+            outcomes.append(expected)
+        # the corpus reaches every outcome the comparison is about
+        errors = [o[2] for o in outcomes if o[0] == "error"]
+        assert len(outcomes) - len(errors) > 100
+        assert sum("generator is zero" in e for e in errors) > 50
+        assert sum("not homogeneous" in e for e in errors) > 50
+        assert sum("column" in e for e in errors) > 50
+
+    def test_data_files_parse_without_polynomial_arithmetic(self, monkeypatch):
+        refuse_polynomial_arithmetic(monkeypatch)
+        paths = sorted(DATA.glob("*.ideal"))
+        assert len(paths) == 6
+        for path in paths:
+            assert parse_ideal(path.read_text(encoding="utf-8")).generators
