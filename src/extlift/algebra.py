@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
+from .linalg import pivots
+
 Word = tuple[int, ...]
 
 MAX_VARS = 64
@@ -269,7 +271,7 @@ def delta(f: ExtPolynomial) -> FreePolynomial:
 
 class GLMatrix:
     """Invertible n x n matrix of exact rationals, acting on variables by
-    X_i -> sum_l g[l][i] X_l."""
+    X_i -> sum_l g[l][i] X_l; one with fewer than n pivots is singular."""
 
     __slots__ = ("n", "entries")
 
@@ -280,27 +282,8 @@ class GLMatrix:
             raise ValueError("matrix must be square and non-empty")
         self.n = n
         self.entries = tuple(rows)
-        if self.det() == 0:
+        if len(pivots(({j: e for j, e in enumerate(row) if e} for row in rows), int)) < n:
             raise ValueError("matrix is singular")
-
-    def det(self) -> Fraction:
-        a = [list(row) for row in self.entries]
-        n, d = self.n, Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                d = -d
-            d *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return d
 
     def image_of_variable(self, i: int) -> FreePolynomial:
         return FreePolynomial(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
-from .linalg import rref
+from .linalg import pivots
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
 
@@ -403,22 +403,18 @@ def free_initial_ideal(
     order: FreeOrderSpec,
     max_degree: int,
 ) -> FreeInitialData:
-    """Degree-wise elimination: pivots of the row-reduced slice are the
-    initial-ideal slice.  The initial ideal is two-sided, so a pivot is a
+    """Degree-wise elimination: the pivot columns of each slice are the
+    initial-ideal slice, so only pivots are asked for, with no
+    back-substitution.  The initial ideal is two-sided, so a pivot is a
     new minimal generator iff dropping its first or its last letter leaves
     no pivot of the slice below."""
     key = order.word_key
     mingens: list[Word] = []
     dims: dict[int, int] = {}
-    pivots: set[Word] = set()
+    leads: list[Word] = []
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
-        rows = rref(ideal_slice_rows(gens, ctx, d), key)
-        dims[d] = len(rows)
-        below, pivots = pivots, set()
-        for row in rows:
-            lead = max(row, key=key)
-            pivots.add(lead)
-            if lead[1:] not in below and lead[:-1] not in below:
-                mingens.append(lead)
+        below, leads = set(leads), pivots(ideal_slice_rows(gens, ctx, d), key)
+        dims[d] = len(leads)
+        mingens += [w for w in leads if w[1:] not in below and w[:-1] not in below]
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)

@@ -1,19 +1,21 @@
-"""Sparse exact Gaussian elimination over the rationals.
+"""Sparse exact Gaussian elimination over the rationals, the only one in
+extlift: one loop with two entry points.
 
 Rows are dicts column -> nonzero rational, a Fraction or an int; columns
-are ordered by a key function, largest first.  The result is a reduced
-row echelon form of Fractions: each row is monic at its pivot and no row
-contains another row's pivot column.  With columns sorted descending by a
-term order, the pivot set of the RREF of a degree slice of an ideal is
-exactly the initial-ideal slice.
+are ordered by a key function, largest first.  ``rref`` returns the
+reduced row echelon form of Fractions: each row is monic at its pivot and
+no row contains another row's pivot column.  ``pivots`` returns only the
+pivot columns, which an echelon form already fixes, so it skips the
+back-substitution.  With columns sorted descending by a term order, the
+pivots of a degree slice of an ideal are exactly the initial-ideal slice.
 
 Elimination is fraction-free, with content removal as in Bareiss's
 method: each incoming row is scaled by the lcm of its denominators and
 divided by its content, so it becomes a primitive integer row.  A step
 cancels column c by the cross-multiplication (p/g)*row - (r/g)*pivot,
 where r = row[c], p = pivot[c] and g = gcd(r, p), and then divides out
-the content.  Every pivot row stays primitive with a positive lead.  Only
-the output rows are divided by their leads, once, into Fractions.
+the content.  Only ``rref``'s output rows are divided by their leads,
+once, into Fractions.
 """
 
 from __future__ import annotations
@@ -56,12 +58,10 @@ def _eliminate(row: Row, col, pivot: Row) -> Row:
     return _primitive(out)
 
 
-def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
-    """Reduced row echelon form of sparse rows, columns descending by key.
-
-    The key must be injective on the columns.  Returns monic rows of
-    Fractions sorted by pivot column, largest pivot first.
-    """
+def _echelon(rows: Iterable[Row], key: Callable[[Hashable], object], reduced: bool) -> tuple[dict, dict]:
+    """The maps key -> column and pivot key -> primitive integer pivot row.
+    The pivot rows are an echelon form, or when ``reduced`` the reduced one
+    with positive leads."""
     # eliminate on the columns' keys, so that finding a lead is a max over
     # the keys and every lookup hashes a key, not a column
     column: dict = {}
@@ -78,20 +78,39 @@ def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
             lead = max(row)
             prow = pivots.get(lead)
             if prow is None:
-                # clear remaining pivot columns from the tail, then insert
-                for col in [c for c in row if c in pivots]:
-                    row = _eliminate(row, col, pivots[col])
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                for pcol in list(pivots):
-                    if lead in pivots[pcol]:
-                        pivots[pcol] = _eliminate(pivots[pcol], lead, row)
+                if reduced:
+                    # clear remaining pivot columns from the tail, then
+                    # clear the new pivot column from the other pivot rows
+                    for col in [c for c in row if c in pivots]:
+                        row = _eliminate(row, col, pivots[col])
+                    if row[lead] < 0:
+                        row = {c: -v for c, v in row.items()}
+                    for pcol in list(pivots):
+                        if lead in pivots[pcol]:
+                            pivots[pcol] = _eliminate(pivots[pcol], lead, row)
                 pivots[lead] = row
                 break
             row = _eliminate(row, lead, prow)
+    return column, pivots
+
+
+def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
+    """Reduced row echelon form of sparse rows, columns descending by key.
+
+    The key must be injective on the columns.  Returns monic rows of
+    Fractions sorted by pivot column, largest pivot first.
+    """
+    column, pivot_rows = _echelon(rows, key, reduced=True)
     out = []
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
+    for lead in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[lead]
         lc = row[lead]
         out.append({column[k]: Fraction(v, lc) for k, v in row.items()})
     return out
+
+
+def pivots(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list:
+    """The pivot columns of ``rref(rows, key)``, largest first, found
+    without back-substitution.  Their number is the rank of the rows."""
+    column, pivot_rows = _echelon(rows, key, reduced=False)
+    return [column[k] for k in sorted(pivot_rows, reverse=True)]

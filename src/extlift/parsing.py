@@ -167,7 +167,8 @@ class _ExprParser:
                     self.error("expected an integer exponent")
                 power = ptok[1]
                 self.i += 1
-            return 1, [index] * power
+            # a repeated letter already makes an exterior term zero
+            return 1, [index] * (min(power, 2) if self.algebra == "exterior" else power)
         self.error(f"unexpected token {value!r}")
 
 

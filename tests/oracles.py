@@ -13,6 +13,7 @@ from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePoly
 from extlift.exterior import ExtIdeal, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
+    FreeInitialData,
     MonomialIdealFree,
     Obstruction,
     PatternAutomaton,
@@ -108,6 +109,32 @@ def automaton_free_initial(
             if current is None or not current.member(lead):
                 mingens.append(lead)
     return mingens
+
+
+def rref_free_initial_ideal(
+    gens: list[FreePolynomial],
+    ctx: AlgebraContext,
+    order: FreeOrderSpec,
+    max_degree: int,
+) -> FreeInitialData:
+    """``free_initial_ideal`` reading the leads of fully reduced slices, as
+    it did before it asked ``linalg.pivots`` for them, with every step of
+    the elimination a ``Fraction`` operation."""
+    key = order.word_key
+    mingens: list[Word] = []
+    dims: dict[int, int] = {}
+    pivots: set[Word] = set()
+    dmin = min((g.degree for g in gens if g), default=max_degree + 1)
+    for d in range(dmin, max_degree + 1):
+        rows = fraction_rref(ideal_slice_rows(gens, ctx, d), key)
+        dims[d] = len(rows)
+        below, pivots = pivots, set()
+        for row in rows:
+            lead = max(row, key=key)
+            pivots.add(lead)
+            if lead[1:] not in below and lead[:-1] not in below:
+                mingens.append(lead)
+    return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)
 
 
 def automaton_matches(auto: PatternAutomaton, word: Word) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from extlift.algebra import (
     word_sort_sign,
 )
 
-from helpers import elementary, gl_product, mul_ext, random_ext_polynomial, random_free_polynomial, sign_by_sorting
+from helpers import dense_rank, elementary, gl_product, mul_ext, random_ext_polynomial, random_free_polynomial, sign_by_sorting
 
 
 def mono(*idx):
@@ -144,6 +144,30 @@ class TestGLAction:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             GLMatrix([[1, 2], [2, 4]])
+        # rank 2: the third row is the sum of the first two
+        with pytest.raises(ValueError):
+            GLMatrix([
+                [Fraction(1, 2), Fraction(2, 3), 1],
+                [Fraction(-1, 4), 0, Fraction(5, 7)],
+                [Fraction(1, 4), Fraction(2, 3), Fraction(12, 7)],
+            ])
+
+    def test_accepted_iff_full_rank(self):
+        """Small entries make many of these matrices singular."""
+        rng = random.Random(1729)
+        accepted = 0
+        for _ in range(500):
+            n = rng.randint(1, 4)
+            entries = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            full = dense_rank([dict(enumerate(row)) for row in entries], range(n)) == n
+            try:
+                GLMatrix(entries)
+            except ValueError:
+                assert not full, entries
+            else:
+                assert full, entries
+                accepted += 1
+        assert 50 < 500 - accepted and 50 < accepted
 
     @pytest.mark.parametrize("seed", range(10))
     def test_multiplicative_and_composition(self, seed):

@@ -26,7 +26,7 @@ from extlift.gin import (
 from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import is_strongly_stable, random_ext_ideal_gens
+from helpers import dense_rank, is_strongly_stable, random_ext_ideal_gens
 from oracles import matrix_is_borel_fixed
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
@@ -52,7 +52,7 @@ class TestRandomGL:
         for seed in range(20):
             g = random_gl(ctx, seed=seed, height=5)
             assert all(abs(v) <= 5 for row in g.entries for v in row)
-            assert g.det != 0
+            assert dense_rank([dict(enumerate(row)) for row in g.entries], range(3)) == 3
 
     def test_height_validated(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""The fraction-free ``rref`` against the ``Fraction`` elimination it
-replaced (``tests/oracles.fraction_rref``) and against the dense
-elimination in ``tests/helpers.py``: on hypothesis systems, on seeded
-exterior and free-algebra corpora, and in the arithmetic it does."""
+"""The fraction-free ``rref`` and ``pivots`` against the ``Fraction``
+elimination they replaced (``tests/oracles.fraction_rref``) and against
+the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
+seeded exterior and free-algebra corpora, and in the arithmetic they do."""
 
 import random
 from fractions import Fraction
@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlift import exterior, freealg
+from extlift import exterior
 from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
 from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.freealg import free_initial_ideal
 from extlift.gin import random_gl
 from extlift.lifting import anti_commutators
-from extlift.linalg import rref
+from extlift.linalg import pivots, rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import dense_rank, random_ext_polynomial, random_free_polynomial
-from oracles import fraction_rref
+from oracles import fraction_rref, rref_free_initial_ideal
 
 
 @st.composite
@@ -54,10 +54,12 @@ def sparse_systems(draw):
 def test_rref_against_dense_elimination(system):
     rows, key, columns = system
     reduced = rref(rows, key)
+    # the echelon-only entry point finds the pivots of the reduced rows
+    assert pivots(rows, key) == [max(r, key=key) for r in reduced]
     # the same rows, in the same order, as the Fraction elimination
     assert reduced == fraction_rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
     assert all(type(v) is Fraction for row in reduced for v in row.values())
-    pivots = [max(row, key=key) for row in reduced]
+    leads = [max(row, key=key) for row in reduced]
 
     def prefix_rank(i):
         kept = columns[:i]
@@ -66,11 +68,11 @@ def test_rref_against_dense_elimination(system):
     # a column is a pivot iff it raises the rank of the columns up to it
     expected = [c for i, c in enumerate(columns) if prefix_rank(i + 1) > prefix_rank(i)]
     assert len(reduced) == dense_rank(rows, columns)
-    assert pivots == expected
+    assert leads == expected
     assert dense_rank(rows + reduced, columns) == len(reduced)
-    for row, pivot in zip(reduced, pivots):
+    for row, pivot in zip(reduced, leads):
         assert row[pivot] == 1
-        assert not any(other in row for other in pivots if other != pivot)
+        assert not any(other in row for other in leads if other != pivot)
 
 
 def exterior_corpus(n: int, kind: str):
@@ -101,18 +103,29 @@ def test_groebner_ext_matches_fraction_oracle(monkeypatch, n, kind):
         assert all(type(c) is Fraction for f in G.elements for _, c in f)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_free_initial_ideal_matches_fraction_oracle(monkeypatch, seed):
-    rng = random.Random(f"rref-free/{seed}")
-    n = rng.choice([2, 3])
-    ctx = AlgebraContext(n)
-    order = FreeOrderSpec(ExtOrderSpec(rng.choice(["deglex", "degrevlex"])))
-    gens = [random_free_polynomial(rng, ctx, rng.randint(1, 3), nterms=3, height=rng.choice([5, 10**6])) for _ in range(3)]
-    if seed % 2:
-        gens += anti_commutators(ctx)
-    fast = free_initial_ideal(gens, ctx, order, max_degree=4)
-    monkeypatch.setattr(freealg, "rref", fraction_rref)
-    slow = free_initial_ideal(gens, ctx, order, max_degree=4)
+def free_corpus():
+    """Seeded free ideals in n = 2, 3 to degree 4, half of them with the
+    anti-commutators added, then the anti-commutators alone for n <= 5 to
+    degree 5."""
+    for seed in range(8):
+        rng = random.Random(f"rref-free/{seed}")
+        n = rng.choice([2, 3])
+        ctx = AlgebraContext(n)
+        order = FreeOrderSpec(ExtOrderSpec(rng.choice(["deglex", "degrevlex"])))
+        gens = [random_free_polynomial(rng, ctx, rng.randint(1, 3), nterms=3, height=rng.choice([5, 10**6])) for _ in range(3)]
+        if seed % 2:
+            gens += anti_commutators(ctx)
+        yield pytest.param(gens, ctx, order, 4, id=str(seed))
+    for n in range(2, 6):
+        for kind in ("deglex", "degrevlex"):
+            ctx = AlgebraContext(n)
+            yield pytest.param(anti_commutators(ctx), ctx, FreeOrderSpec(ExtOrderSpec(kind)), 5, id=f"anticomm-n{n}-{kind}")
+
+
+@pytest.mark.parametrize("gens, ctx, order, maxdeg", free_corpus())
+def test_free_initial_ideal_matches_fraction_oracle(gens, ctx, order, maxdeg):
+    fast = free_initial_ideal(gens, ctx, order, maxdeg)
+    slow = rref_free_initial_ideal(gens, ctx, order, maxdeg)
     assert fast.initial == slow.initial
     assert fast.slice_dims == slow.slice_dims
 

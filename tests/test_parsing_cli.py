@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,17 @@ class TestParsing:
     def test_long_exterior_term_with_repeats_is_zero(self):
         with pytest.raises(ParseError, match="line 3: generator is zero"):
             parse_ideal("vars: 2\ngenerators:\nx2^8000*x1^8000\n")
+
+    def test_huge_exterior_power_is_zero_in_small_memory(self):
+        # x1^k appends at most two letters, not k
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="line 3: generator is zero"):
+                parse_ideal("vars: 2\ngenerators:\nx1^10000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_long_free_power(self):
         F = parse_one("X1^40000", header="vars: 1\nalgebra: free\n")
@@ -513,6 +525,6 @@ class TestAgainstArithmeticParser:
     def test_data_files_parse_without_polynomial_arithmetic(self, monkeypatch):
         refuse_polynomial_arithmetic(monkeypatch)
         paths = sorted(DATA.glob("*.ideal"))
-        assert len(paths) == 6
+        assert len(paths) == 7
         for path in paths:
             assert parse_ideal(path.read_text(encoding="utf-8")).generators

@@ -1,7 +1,9 @@
 """Work-count guard: a command reduces each degree slice of an ideal at
-most once per Groebner pass, and the exterior gin runs gin_ext once."""
+most once per Groebner pass, verify asks only for the pivots of its free
+slices, and the exterior gin runs gin_ext once."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,19 @@ def test_exterior_gin_two_trials(monkeypatch, capsys):
 
 @pytest.mark.parametrize("maxdeg", [3, 5])
 def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
+    # verify reads only the pivots of its free slices: no back-substitution
     rref_calls = count_calls(monkeypatch, linalg.rref)
+    pivots_calls = count_calls(monkeypatch, linalg.pivots)
     run(capsys, "verify", "anticomm_n2.ideal", "--maxdeg", str(maxdeg))
-    assert 0 < len(rref_calls) <= maxdeg + 1
+    assert 0 < len(pivots_calls) <= maxdeg + 1
+    assert rref_calls == []
+
+
+def test_verify_anticommutators_n5_default_maxdeg(capsys):
+    """The degree-6 slice has 46,875 spanning rows and rank 15,625, where
+    a back-substitution over every earlier pivot row is quadratic in the
+    rank; the echelon form alone keeps this test short."""
+    assert main(["verify", str(DATA / "anticomm_n5.ideal"), "--json"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)
+    assert result["dimensions_agree"]
+    assert [row["ideal_slice"] for row in result["dimension_check"]] == [0, 0, 15, 115, 620, 3124, 15625]
