@@ -237,57 +237,46 @@ def cmd_gin(args) -> int:
         req = GinRequest(max_degree=maxdeg, seed=args.seed, trials=args.trials, height=args.height)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    order = ideal.free_order
+    result = {
+        "command": "gin",
+        "vars": ideal.ctx.n,
+        "algebra": ideal.algebra,
+        "order": ideal.order.kind,
+        "seed": args.seed,
+    }
     if ideal.algebra == "exterior":
         I = _ext_ideal(ideal)
         try:
             res = gin_ext(I, req)
-            lifted = gin_lifted(I, res, maxdeg)
+            cone = gin_lifted(I, res.gin)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        borel_ok, borel_witness = is_borel_fixed(lifted.gin, ideal.ctx)
         hilbert_ok = hilbert_compare_ext(I, res)
-        result = {
-            "command": "gin",
-            "vars": ideal.ctx.n,
-            "algebra": "exterior",
-            "order": ideal.order.kind,
-            "seed": args.seed,
-            "trial_seeds": list(res.trial_seeds),
-            "agreement": res.agreement and lifted.agreement,
-            "gin": [str(m) for m in res.gin],
-            # the gin is stable in the exchange direction matching the
-            # term order (x1 is smallest, so exchanges go toward larger
-            # indices)
-            "gin_strongly_stable": strongly_stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
-            "gin_stable": stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
-            "stability_exchange_direction": "toward_larger",
-            "lifted_gin": [word_str(w) for w in lifted.gin],
-            "ideal_slice_dimensions": {str(d): v for d, v in sorted(res.slice_dims.items())},
-            "borel_fixed": borel_ok,
-            "borel_witness": _borel_witness_json(borel_witness),
-            "hilbert_series_match": hilbert_ok,
-        }
-        agreement = result["agreement"]
+        # the gin is stable in the exchange direction matching the term
+        # order (x1 is smallest, so exchanges go toward larger indices)
+        result.update(
+            gin=[str(m) for m in res.gin],
+            gin_strongly_stable=strongly_stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
+            gin_stable=stable_witness(res.gin, toward_larger=True, n=ideal.ctx.n)[0],
+            stability_exchange_direction="toward_larger",
+            lifted_gin=[word_str(w) for w in cone],
+        )
     else:
+        order = ideal.free_order
         res = gin_free(list(ideal.generators), ideal.ctx, req, order)
-        borel_ok, borel_witness = is_borel_fixed(res.gin, ideal.ctx)
+        cone = res.gin
         hilbert_ok = hilbert_compare(list(ideal.generators), ideal.ctx, res, maxdeg, order)
-        result = {
-            "command": "gin",
-            "vars": ideal.ctx.n,
-            "algebra": "free",
-            "order": ideal.order.kind,
-            "seed": args.seed,
-            "trial_seeds": list(res.trial_seeds),
-            "agreement": res.agreement,
-            "gin": [word_str(w) for w in res.gin],
-            "ideal_slice_dimensions": {str(d): v for d, v in sorted(res.slice_dims.items())},
-            "borel_fixed": borel_ok,
-            "borel_witness": _borel_witness_json(borel_witness),
-            "hilbert_series_match": hilbert_ok,
-        }
-        agreement = res.agreement
+        result["gin"] = [word_str(w) for w in cone]
+    borel_ok, borel_witness = is_borel_fixed(cone, ideal.ctx)
+    agreement = res.agreement
+    result.update(
+        trial_seeds=list(res.trial_seeds),
+        agreement=agreement,
+        ideal_slice_dimensions={str(d): v for d, v in sorted(res.slice_dims.items())},
+        borel_fixed=borel_ok,
+        borel_witness=_borel_witness_json(borel_witness),
+        hilbert_series_match=hilbert_ok,
+    )
     if args.json:
         _emit_json(result)
     else:

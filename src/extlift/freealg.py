@@ -29,60 +29,52 @@ class PatternAutomaton:
 
     Used both to locate leading-word occurrences during reduction and, with
     matched states treated as absorbing, to count normal words (this is the
-    walk-counting automaton on normal-word suffixes).
+    walk-counting automaton on normal-word suffixes).  ``goto`` is the trie
+    of the patterns, ``step[s][a]`` the transition on letter a (index 0 is
+    unused), and ``match[s]`` the lowest index among the longest patterns
+    that end at state s, or -1 if none does.  No patterns give the one
+    state 0, which matches nothing.
     """
 
     def __init__(self, patterns: list[Word], n: int):
-        self.n = n
-        self.patterns = list(patterns)
         self.goto: list[dict[int, int]] = [{}]
-        self.out: list[list[int]] = [[]]
-        self.fail: list[int] = [0]
-        for idx, pat in enumerate(self.patterns):
+        self.match: list[int] = [-1]
+        for idx, pat in enumerate(patterns):
             if not pat:
                 raise ValueError("empty pattern")
             s = 0
             for a in pat:
-                nxt = self.goto[s].get(a)
-                if nxt is None:
-                    nxt = len(self.goto)
-                    self.goto[s][a] = nxt
+                if a not in self.goto[s]:
+                    self.goto[s][a] = len(self.goto)
                     self.goto.append({})
-                    self.out.append([])
-                    self.fail.append(0)
-                s = nxt
-            self.out[s].append(idx)
-        # BFS failure links
-        queue = list(self.goto[0].values())
-        for s in queue:
-            self.fail[s] = 0
-        while queue:
-            s = queue.pop(0)
+                    self.match.append(-1)
+                s = self.goto[s][a]
+            if self.match[s] < 0:
+                self.match[s] = idx
+        # one breadth-first pass over (state, its failure state): a state's
+        # row is its failure state's row with its own trie edges written
+        # over it, and a child's failure state is what that row said for
+        # the child's letter; rows are filled in queue order
+        self.step: list[list[int]] = [[]] * len(self.goto)
+        queue = [(0, 0)]
+        for s, f in queue:
+            row = list(self.step[f]) if s else [0] * (n + 1)
             for a, t in self.goto[s].items():
-                queue.append(t)
-                f = self.fail[s]
-                while f and a not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[t] = self.goto[f].get(a, 0) if self.goto[f].get(a, 0) != t else 0
-                self.out[t] = self.out[t] + self.out[self.fail[t]]
-        # dense transition table (alphabet is small)
-        self.step: list[dict[int, int]] = []
-        for s in range(len(self.goto)):
-            row = {}
-            for a in range(1, n + 1):
-                t = s
-                while t and a not in self.goto[t]:
-                    t = self.fail[t]
-                row[a] = self.goto[t].get(a, 0)
-            self.step.append(row)
+                queue.append((t, row[a]))
+                row[a] = t
+            self.step[s] = row
+            if self.match[s] < 0:
+                self.match[s] = self.match[f]
 
     def first_match(self, word: Word) -> tuple[int, int] | None:
-        """First (pattern index, end offset) occurrence, scanning left to right."""
-        s = 0
+        """First (pattern index, end offset) occurrence, scanning left to
+        right: the earliest end, then the longest pattern ending there, then
+        the lowest index."""
+        step, match, s = self.step, self.match, 0
         for pos, a in enumerate(word):
-            s = self.step[s][a]
-            if self.out[s]:
-                return self.out[s][0], pos + 1
+            s = step[s][a]
+            if match[s] >= 0:
+                return match[s], pos + 1
         return None
 
 
@@ -103,16 +95,14 @@ class MonomialIdealFree:
         self.n = n
         self._auto: PatternAutomaton | None = None
 
-    def automaton(self) -> PatternAutomaton | None:
-        """The generators' automaton, built on first use; None if there are
-        no generators."""
-        if self._auto is None and self.gens:
+    def automaton(self) -> PatternAutomaton:
+        """The generators' automaton, built on first use."""
+        if self._auto is None:
             self._auto = PatternAutomaton(list(self.gens), self.n)
         return self._auto
 
     def member(self, w: Word) -> bool:
-        auto = self.automaton()
-        return auto is not None and auto.first_match(w) is not None
+        return self.automaton().first_match(w) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -293,34 +283,19 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
     return not failures, failures
 
 
-def _automaton_states(B: MonomialIdealFree):
-    """Live states and the transition function of the avoidance automaton."""
-    auto = B.automaton()
-    if auto is None:
-        return [0], {0: {a: 0 for a in range(1, B.n + 1)}}
-    live = [s for s in range(len(auto.step)) if not auto.out[s]]
-    step = {
-        s: {a: auto.step[s][a] for a in range(1, B.n + 1)}
-        for s in live
-    }
-    return live, step
-
-
 def normal_word_counts(B: MonomialIdealFree, d: int) -> list[int]:
     """Numbers of words of degrees 0..d avoiding every generator of B, by
     dynamic programming over the pattern automaton."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    live, step = _automaton_states(B)
-    is_live = set(live)
+    auto = B.automaton()
     counts = [1]
     state_counts = {0: 1}
     for _ in range(d):
         nxt: dict[int, int] = {}
         for s, c in state_counts.items():
-            for a in range(1, B.n + 1):
-                t = step[s][a]
-                if t in is_live:
+            for t in auto.step[s][1:]:
+                if auto.match[t] < 0:
                     nxt[t] = nxt.get(t, 0) + c
         state_counts = nxt
         counts.append(sum(state_counts.values()))
@@ -338,7 +313,7 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     order <= k, which the first 2k of them fix.  Berlekamp-Massey over Q
     finds the shortest one; its connection polynomial is the reduced den.
     """
-    counts = normal_word_counts(B, 2 * len(_automaton_states(B)[0]))
+    counts = normal_word_counts(B, 2 * B.automaton().match.count(-1))
     # den: the shortest recurrence so far, of order length; prev: den before
     # the last change of length, whose discrepancy was prev_disc, shift
     # counts ago

@@ -121,27 +121,15 @@ def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
     )
 
 
-def gin_lifted(I: ExtIdeal, ext_result: GinResult, max_degree: int) -> GinResult:
-    """gin of the preimage ideal, built from the exterior gin ``ext_result``
-    of I: delta of its minimal generators plus the words X_j X_i (i <= j),
-    minimalized, with dimensions up to ``max_degree``."""
+def gin_lifted(I: ExtIdeal, gin: MonomialIdealExt) -> MonomialIdealFree:
+    """gin of the preimage ideal, built from the exterior gin of I: delta of
+    its minimal generators plus the words X_j X_i (i <= j), minimalized."""
     check_natural_ranking(I.order, I.ctx.n)
     for f in I.generators:
         if f.degree < 2:
             raise ValueError("lifted gin requires generators of degree >= 2")
-    order = FreeOrderSpec(I.order)
-    words = list(anti_commutator_leading_words(I.ctx))
-    words += [m.support for m in ext_result.gin]
-    lifted = MonomialIdealFree(words, I.ctx.n, order)
-    # per-degree dimensions of the preimage slice: n^d minus normal words
-    counts = normal_word_counts(lifted, max_degree)
-    dims = {d: I.ctx.n**d - c for d, c in enumerate(counts)}
-    return GinResult(
-        gin=lifted,
-        slice_dims=dims,
-        trial_seeds=ext_result.trial_seeds,
-        agreement=ext_result.agreement,
-    )
+    words = anti_commutator_leading_words(I.ctx) + [m.support for m in gin]
+    return MonomialIdealFree(words, I.ctx.n, FreeOrderSpec(I.order))
 
 
 def is_borel_fixed(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import (
-    ONE_EXT,
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
@@ -48,9 +47,19 @@ def anti_commutator_leading_words(ctx: AlgebraContext) -> list[Word]:
     return [(j, i) for i in range(1, ctx.n + 1) for j in range(i, ctx.n + 1)]
 
 
+def _multipliers(L: MonomialIdealExt, m: ExtMonomial, degrees) -> list[ExtMonomial]:
+    """The multipliers of m of the given degrees: square-free u over the
+    variables strictly between the extreme indices of m and outside it,
+    with u*(m/x_min) and u*(m/x_max) both outside L."""
+    sup = m.support
+    m_lo, m_hi = m / ExtMonomial(sup[:1]), m / ExtMonomial(sup[-1:])
+    gap = [v for v in range(sup[0] + 1, sup[-1]) if v not in sup]
+    candidates = (ExtMonomial(c) for r in degrees for c in combinations(gap, r))
+    return [u for u in candidates if not L.member(u * m_lo) and not L.member(u * m_hi)]
+
+
 def compute_U(L: MonomialIdealExt, m: ExtMonomial) -> set[ExtMonomial]:
-    """Square-free multipliers u over the variables strictly between the
-    extreme indices of m with u*(m/x_min) and u*(m/x_max) both outside L.
+    """The multipliers of m of every degree.
 
     Candidates sharing a variable with m are excluded (u*m would vanish and
     cannot be lifted).  Contains 1 whenever m is a minimal generator.
@@ -59,30 +68,24 @@ def compute_U(L: MonomialIdealExt, m: ExtMonomial) -> set[ExtMonomial]:
         raise ValueError("multiplier set is defined for monomials of degree >= 2")
     if not L.member(m):
         raise ValueError(f"{m} does not lie in the monomial ideal")
-    sup = m.support
-    lo, hi = sup[0], sup[-1]
-    between = [v for v in range(lo + 1, hi) if v not in sup]
-    m_lo = m / ExtMonomial([lo])
-    m_hi = m / ExtMonomial([hi])
-    out: set[ExtMonomial] = set()
-    for r in range(len(between) + 1):
-        for c in combinations(between, r):
-            u = ExtMonomial(c)
-            if not L.member(u * m_lo) and not L.member(u * m_hi):
-                out.add(u)
-    return out
+    # the gap holds fewer than hi - lo variables
+    return set(_multipliers(L, m, range(m.support[-1] - m.support[0])))
 
 
 def squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMonomial, ExtMonomial] | None]:
     """(True, None) if every minimal generator has multiplier set {1};
-    otherwise (False, (generator, smallest nontrivial multiplier))."""
+    otherwise (False, (generator, smallest nontrivial multiplier)).
+
+    A multiplier set is closed under division, because L is an ideal.  So
+    it is nontrivial iff it holds a variable, and its smallest nontrivial
+    element is its smallest variable: only the variables are tested."""
     key = ExtOrderSpec().ext_key
     for m in L.gens:
         if m.degree < 2:
             raise ValueError("squeezed predicate requires generators of degree >= 2")
-        nontrivial = [u for u in compute_U(L, m) if u != ONE_EXT]
-        if nontrivial:
-            return False, (m, min(nontrivial, key=key))
+        variables = _multipliers(L, m, [1])
+        if variables:
+            return False, (m, min(variables, key=key))
     return True, None
 
 

@@ -9,19 +9,18 @@ from typing import Callable, Hashable, Iterable
 
 import sympy
 
-from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into, apply_gl
-from extlift.exterior import ExtIdeal, ideal_degree_basis
+from extlift.algebra import ONE_EXT, AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into, apply_gl
+from extlift.exterior import ExtIdeal, MonomialIdealExt, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
     FreeInitialData,
     MonomialIdealFree,
     Obstruction,
-    PatternAutomaton,
-    _automaton_states,
     enumerate_obstructions,
     ideal_slice_rows,
     normal_word_counts,
 )
+from extlift.lifting import compute_U
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
@@ -137,29 +136,20 @@ def rref_free_initial_ideal(
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)
 
 
-def automaton_matches(auto: PatternAutomaton, word: Word) -> list[tuple[int, int]]:
-    """All (pattern index, start offset) occurrences found by the automaton."""
-    s, found = 0, []
-    for pos, a in enumerate(word):
-        s = auto.step[s][a]
-        for idx in auto.out[s]:
-            found.append((idx, pos + 1 - len(auto.patterns[idx])))
-    found.sort()
-    return found
-
-
 def subword_offsets(a: Word, b: Word) -> list[int]:
     """Every offset at which a occurs as a contiguous factor of b."""
     return [p for p in range(len(b) - len(a) + 1) if b[p:p + len(a)] == a]
 
 
-def naive_matches(patterns: list[Word], word: Word) -> list[tuple[int, int]]:
-    """Linear-scan reference for automaton_matches."""
-    found = []
-    for idx, pat in enumerate(patterns):
-        found.extend((idx, o) for o in subword_offsets(pat, word))
-    found.sort()
-    return found
+def naive_first_match(patterns: list[Word], word: Word) -> tuple[int, int] | None:
+    """Linear-scan reference for ``PatternAutomaton.first_match``: the
+    earliest end offset, then the longest pattern ending there, then the
+    lowest index."""
+    for end in range(1, len(word) + 1):
+        hits = [(-len(p), idx) for idx, p in enumerate(patterns) if len(p) <= end and word[end - len(p):end] == p]
+        if hits:
+            return min(hits)[1], end
+    return None
 
 
 def rescan_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
@@ -301,13 +291,14 @@ def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     of M, and the numerator has smaller degree, so it is recovered exactly
     from the first k counts.
     """
-    live, step = _automaton_states(B)
+    auto = B.automaton()
+    live = [s for s, m in enumerate(auto.match) if m < 0]
     index = {s: i for i, s in enumerate(live)}
     k = len(live)
     M = [[0] * k for _ in range(k)]
     for s in live:
         for a in range(1, B.n + 1):
-            t = step[s][a]
+            t = auto.step[s][a]
             if t in index:
                 M[index[t]][index[s]] += 1
     # det(I - tM) = t^k charpoly_M(1/t); all_coeffs is descending in lam,
@@ -483,4 +474,18 @@ def matrix_is_borel_fixed(
                 for word in image.terms:
                     if not B.member(word):
                         return False, (w, (i, j), word)
+    return True, None
+
+
+def enumerating_squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMonomial, ExtMonomial] | None]:
+    """Reference for ``lifting.squeezed_witness`` by its definition: the
+    smallest nontrivial element of each generator's whole multiplier set,
+    enumerated with ``compute_U`` at 2^(gap) membership tests."""
+    key = ExtOrderSpec().ext_key
+    for m in L.gens:
+        if m.degree < 2:
+            raise ValueError("squeezed predicate requires generators of degree >= 2")
+        nontrivial = [u for u in compute_U(L, m) if u != ONE_EXT]
+        if nontrivial:
+            return False, (m, min(nontrivial, key=key))
     return True, None

@@ -1,7 +1,8 @@
 """Guards on the size of the library's API: every public definition in
 ``src/extlift`` is used by the library itself, every dataclass field is
-read by it, and the package exports exactly the names the README's
-"Library usage" example imports."""
+read by it, every name a module imports is read by that module, and the
+package exports exactly the names the README's "Library usage" example
+imports."""
 
 import ast
 import re
@@ -78,6 +79,26 @@ def test_every_dataclass_field_is_read_by_the_library():
     assert len(fields) > 10
     unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
     assert unread == [], "a dataclass field that no library code reads; delete it"
+
+
+def _imported_names(tree: ast.Module):
+    """Every name an import binds in the module, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+
+
+def test_every_import_is_read_by_its_module():
+    modules = _modules()
+    unread = [
+        f"{module}:{name}"
+        for module, tree in modules.items()
+        for name in _imported_names(tree)
+        if name not in _read_names(tree)
+    ]
+    assert unread == [], "imported but never read in that module; delete the import"
 
 
 def test_exports_match_readme_library_usage():

@@ -29,7 +29,7 @@ from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import dense_rank, initial_ideal_free, random_ext_ideal_gens, random_free_polynomial
-from oracles import automaton_free_initial, automaton_matches, fraction_obstructions, naive_matches, subword_offsets
+from oracles import automaton_free_initial, fraction_obstructions, naive_first_match, subword_offsets
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -74,22 +74,26 @@ class TestSubwords:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_automaton_agrees_with_naive(self, seed):
+        # the reducer choice normal_form rewrites with, and so the
+        # remainders verify prints: pattern sets with a duplicate and a
+        # nested pattern, so that both tie rules are exercised
         rng = random.Random(seed)
         n = rng.choice([2, 3])
-        pats = []
-        for _ in range(rng.randint(1, 4)):
-            pats.append(tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3))))
+        pats = [tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 4))]
+        outer = rng.choice(pats)
+        start = rng.randrange(len(outer))
+        pats += [rng.choice(pats), outer[start:rng.randint(start + 1, len(outer))]]
+        rng.shuffle(pats)
         auto = PatternAutomaton(pats, n)
-        for _ in range(20):
+        for _ in range(40):
             w = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 8)))
-            assert automaton_matches(auto, w) == naive_matches(pats, w)
-            first = auto.first_match(w)
-            hits = naive_matches(pats, w)
-            if first is None:
-                assert not hits
-            else:
-                idx, end = first
-                assert (idx, end - len(pats[idx])) in hits
+            if rng.random() < 0.5:
+                w += rng.choice(pats) + w
+            assert auto.first_match(w) == naive_first_match(pats, w)
+
+    def test_no_patterns_match_nothing(self):
+        auto = PatternAutomaton([], 2)
+        assert len(auto.goto) == 1 and auto.first_match((1, 2, 1)) is None
 
 
 class TestMonomialIdealFree:

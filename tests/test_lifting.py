@@ -30,6 +30,7 @@ from helpers import (
     random_monomial_ideal,
     stable_closure,
 )
+from oracles import enumerating_squeezed_witness
 
 DEGLEX = ExtOrderSpec("deglex")
 ONE = ExtMonomial()
@@ -111,7 +112,28 @@ class TestPredicates:
         ok, wit = squeezed_witness(MonomialIdealExt([ExtMonomial([1, 4])]))
         assert not ok
         m, u = wit
-        assert m == ExtMonomial([1, 4]) and u != ONE
+        assert m == ExtMonomial([1, 4]) and u == ExtMonomial([2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squeezed_witness_matches_enumeration(self, seed):
+        rng = random.Random(500 + seed)
+        squeezed = 0
+        for _ in range(100):
+            ctx = AlgebraContext(rng.randint(2, 8))
+            L = random_monomial_ideal(rng, ctx, max_gens=rng.randint(1, 6))
+            result = squeezed_witness(L)
+            assert result == enumerating_squeezed_witness(L)
+            squeezed += result[0]
+        assert 10 <= squeezed <= 90
+
+    def test_squeezed_witness_tests_only_variables(self, monkeypatch):
+        # the gap of x1*x64 has 62 variables: 2^62 multipliers, 62 tested
+        calls = []
+        member = MonomialIdealExt.member
+        monkeypatch.setattr(MonomialIdealExt, "member", lambda L, m: calls.append(m) or member(L, m))
+        L = MonomialIdealExt([ExtMonomial([1, 64])])
+        assert squeezed_witness(L) == (False, (ExtMonomial([1, 64]), ExtMonomial([2])))
+        assert len(calls) <= 2 * 62
 
     def test_stable_examples(self):
         assert is_stable(MonomialIdealExt([ExtMonomial([1, 2])]))

@@ -28,6 +28,31 @@ Q3 = "vars: 3\n{header}generators:\nx1*x2 + 2*x1*x3 + 5*x2*x3\n"
 Q5 = "vars: 5\n{header}generators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n"
 
 
+# The README's exit-code-2 cases as (command, source, flags); the source is
+# a file under tests/data, the text of a file, or None for a missing file.
+EXIT_TWO_CASES = {
+    "unreadable-file": ("gb", None, []),
+    "unparsable-file": ("gb", "vars: 2\ngenerators:\nx1 +* x2\n", []),
+    "repeated-header-key": ("gb", "vars: 3\nvars: 4\ngenerators:\nx1*x2\n", []),
+    "free-ideal-to-gb": ("gb", "commutator_n2.ideal", []),
+    "exterior-ideal-to-verify": ("verify", "quadric_n3.ideal", []),
+    "nonhomogeneous-generator": ("gb", "vars: 2\ngenerators:\nx1 + x1*x2\n", []),
+    "zero-generator": ("gb", "vars: 2\ngenerators:\nx1*x1\n", []),
+    "constant-generator": ("gb", "vars: 2\ngenerators:\n1\n", []),
+    "non-monomial-predicates": ("predicates", "quadric_n3.ideal", []),
+    "non-monomial-free-hilbert": ("hilbert", "commutator_n2.ideal", []),
+    "degree-1-lift": ("lift", "linear_n2.ideal", []),
+    "degree-1-predicates": ("predicates", "linear_n2.ideal", []),
+    "degree-1-exterior-gin": ("gin", "linear_n2.ideal", []),
+    "gin-maxdeg-below-2": ("gin", "quadric_n3.ideal", ["--maxdeg", "1"]),
+    "trials-below-2": ("gin", "quadric_n3.ideal", ["--trials", "1"]),
+    "height-below-1": ("gin", "quadric_n3.ideal", ["--height", "0"]),
+    "bad-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "1,1,2"]),
+    "non-natural-ranking-lift": ("lift", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
+    "non-natural-ranking-exterior-gin": ("gin", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
+}
+
+
 def parse_one(body: str, header: str = "vars: 3\nalgebra: exterior\n"):
     ideal = parse_ideal(header + "generators:\n" + body + "\n")
     assert len(ideal.generators) == 1
@@ -371,6 +396,30 @@ class TestCLI:
         assert exc.value.code == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and "--maxdeg" in captured.err
+
+    @pytest.mark.parametrize("command,source,flags", EXIT_TWO_CASES.values(), ids=list(EXIT_TWO_CASES))
+    def test_readme_input_errors_exit_two(self, capsys, tmp_path, command, source, flags):
+        # the README's exit-code-2 list; a negative --maxdeg is refused by
+        # argparse instead, as test_negative_maxdeg_refused checks
+        if source is None:
+            path = tmp_path / "missing.ideal"
+        elif source.endswith(".ideal"):
+            path = DATA / source
+        else:
+            path = tmp_path / "case.ideal"
+            path.write_text(source)
+        code = main([command, str(path), "--json", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert any(line.startswith("error:") for line in captured.err.splitlines())
+
+    def test_exterior_gin_ignores_maxdeg(self, capsys):
+        argv = ["gin", str(DATA / "quadric_n3.ideal"), "--json", "--maxdeg"]
+        runs = {run_cli(capsys, *argv, maxdeg) for maxdeg in ("2", "3", "9")}
+        assert len(runs) == 1
+        code, out = runs.pop()
+        assert code == EXIT_OK
+        assert list(json.loads(out)["ideal_slice_dimensions"]) == ["0", "1", "2", "3"]
 
     def test_zero_maxdeg_accepted(self, capsys):
         code, out = run_cli(capsys, "verify", str(DATA / "anticomm_n2.ideal"), "--json", "--maxdeg", "0")
