@@ -116,9 +116,6 @@ class ExtMonomial:
         return "".join(f"x{i}" for i in self.support) or "1"
 
 
-ONE_EXT = ExtMonomial()
-
-
 def word_sort_sign(word: Word) -> tuple[int, Word]:
     """Sort a word's letters, counting transpositions: (sign, sorted word).
 
@@ -271,12 +268,13 @@ def delta(f: ExtPolynomial) -> FreePolynomial:
 
 class GLMatrix:
     """Invertible n x n matrix of exact rationals, acting on variables by
-    X_i -> sum_l g[l][i] X_l; one with fewer than n pivots is singular."""
+    X_i -> sum_l g[l][i] X_l; one with fewer than n pivots is singular.
+    An integral entry is kept as an ``int``."""
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Iterable[Iterable] = ()):
-        rows = [tuple(Fraction(e) for e in row) for row in entries]
+        rows = [tuple(f.numerator if (f := Fraction(e)).denominator == 1 else f for e in row) for row in entries]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -285,11 +283,6 @@ class GLMatrix:
         if len(pivots(({j: e for j, e in enumerate(row) if e} for row in rows), int)) < n:
             raise ValueError("matrix is singular")
 
-    def image_of_variable(self, i: int) -> FreePolynomial:
-        return FreePolynomial(
-            [((l + 1,), self.entries[l][i - 1]) for l in range(self.n)]
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GLMatrix) and self.entries == other.entries
 
@@ -297,34 +290,48 @@ class GLMatrix:
         return f"GLMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
+def _columns(g: GLMatrix) -> list[list[tuple[int, int | Fraction]]]:
+    """Item i - 1 is the image of X_i: the pairs (l, g[l][i]) with g[l][i] != 0."""
+    return [[(l, row[i]) for l, row in enumerate(g.entries, 1) if row[i]] for i in range(g.n)]
+
+
 def apply_gl(g: GLMatrix, F: FreePolynomial) -> FreePolynomial:
-    """Substitute X_i -> sum_l g[l][i] X_l and expand the word products."""
-    images = {i: g.image_of_variable(i) for i in range(1, g.n + 1)}
+    """Substitute X_i -> sum_l g[l][i] X_l and expand the word products.
+
+    Each word is expanded letter by letter, appending a letter l of the
+    column of the next variable; distinct paths give distinct words.  The
+    partial products multiply entries only (integers for an integral g),
+    and the term's coefficient is applied once per output word."""
+    cols = _columns(g)
     acc: dict[Word, Fraction] = {}
     for w, c in F.terms.items():
-        # expand the product of linear forms letter by letter
-        partial: dict[Word, Fraction] = {(): c}
+        partial: dict[Word, int | Fraction] = {(): 1}
         for letter in w:
-            img = images[letter].terms
-            partial = _add_into({}, ((pw + l, pc * lc) for pw, pc in partial.items() for l, lc in img.items()))
-        _add_into(acc, partial.items())
+            partial = {pw + (l,): pc * e for pw, pc in partial.items() for l, e in cols[letter - 1]}
+        _add_into(acc, ((pw, c * pc) for pw, pc in partial.items()))
     return FreePolynomial._raw(acc)
 
 
 def apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
-    """Induced GL(V) action on E(V); equals pi(apply_gl(g, delta(f)))."""
-    images = {
-        i: pi(g.image_of_variable(i)) for i in range(1, g.n + 1)
-    }
-    acc = ExtPolynomial._raw({})
+    """Induced GL(V) action on E(V); equals pi(apply_gl(g, delta(f))).
+
+    Each monomial is expanded letter by letter on bitmasks, as apply_gl
+    expands a word: x_P * x_l is 0 if l is in P, and otherwise x_{P+l}
+    with the sign (-1)^(letters of P above l)."""
+    cols = _columns(g)
+    acc: dict[int, Fraction] = {}
     for m, c in f.terms.items():
-        part = ExtPolynomial.monomial(ONE_EXT, c)
+        partial: dict[int, int | Fraction] = {0: 1}
         for letter in m.support:
-            part = part * images[letter]
-            if not part:
-                break
-        acc = acc + part
-    return acc
+            # with l outside pb, pb >> l holds exactly the letters above l
+            partial = _add_into({}, (
+                (pb | 1 << l, -pc * e if (pb >> l).bit_count() & 1 else pc * e)
+                for pb, pc in partial.items()
+                for l, e in cols[letter - 1]
+                if not pb >> l & 1
+            ))
+        _add_into(acc, ((pb, c * pc) for pb, pc in partial.items()))
+    return ExtPolynomial._raw({ExtMonomial.from_bits(b): v for b, v in acc.items()})
 
 
 def ext_monomials_of_degree(ctx: AlgebraContext, d: int) -> list[ExtMonomial]:

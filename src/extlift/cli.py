@@ -23,6 +23,7 @@ from .freealg import (
 )
 from .gin import (
     GinRequest,
+    _check_lifted_gin,
     gin_ext,
     gin_free,
     gin_lifted,
@@ -77,27 +78,17 @@ def _require(ideal: IdealFile, algebra: str, command: str) -> None:
         raise InputError(f"'{command}' requires an ideal over the {algebra} algebra")
 
 
-def _ext_ideal(ideal: IdealFile) -> ExtIdeal:
-    try:
-        return ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _monomial_ideal_ext(ideal: IdealFile) -> MonomialIdealExt:
-    monos = []
-    for g in ideal.generators:
-        if len(g) != 1:
-            raise InputError("this command requires monomial generators")
-        ((m, _),) = g
-        monos.append(m)
-    return MonomialIdealExt(monos, ideal.order)
+def _monomials(ideal: IdealFile, refusal: str) -> list:
+    """The monomial or word of each generator; refuses any other generator."""
+    if any(len(g) != 1 for g in ideal.generators):
+        raise InputError(refusal)
+    return [next(iter(g.terms)) for g in ideal.generators]
 
 
 def cmd_gb(args) -> int:
     ideal = _load(args)
     _require(ideal, "exterior", "gb")
-    I = _ext_ideal(ideal)
+    I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
     gb = groebner_ext(I)
     init = initial_ideal_ext(gb)
     result = {
@@ -123,7 +114,7 @@ def cmd_gb(args) -> int:
 def cmd_lift(args) -> int:
     ideal = _load(args)
     _require(ideal, "exterior", "lift")
-    I = _ext_ideal(ideal)
+    I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
     gb = groebner_ext(I)
     try:
         lifted = lift_groebner(gb)
@@ -177,10 +168,7 @@ def cmd_verify(args) -> int:
     ideal = _load(args)
     _require(ideal, "free", "verify")
     order = ideal.free_order
-    try:
-        candidate = FreeGroebnerCandidate(ideal.ctx, list(ideal.generators), order)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    candidate = FreeGroebnerCandidate(ideal.ctx, list(ideal.generators), order)
     ok, failures = obstructions_resolve(candidate)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
@@ -245,13 +233,14 @@ def cmd_gin(args) -> int:
         "seed": args.seed,
     }
     if ideal.algebra == "exterior":
-        I = _ext_ideal(ideal)
+        I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
         try:
-            res = gin_ext(I, req)
-            cone = gin_lifted(I, res.gin)
+            _check_lifted_gin(I)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        hilbert_ok = hilbert_compare_ext(I, res)
+        res = gin_ext(I, req)
+        cone = gin_lifted(I, res.gin)
+        hilbert_ok = hilbert_compare_ext(I, res.gin)
         # the gin is stable in the exchange direction matching the term
         # order (x1 is smallest, so exchanges go toward larger indices)
         result.update(
@@ -265,7 +254,7 @@ def cmd_gin(args) -> int:
         order = ideal.free_order
         res = gin_free(list(ideal.generators), ideal.ctx, req, order)
         cone = res.gin
-        hilbert_ok = hilbert_compare(list(ideal.generators), ideal.ctx, res, maxdeg, order)
+        hilbert_ok = hilbert_compare(list(ideal.generators), ideal.ctx, cone, maxdeg, order)
         result["gin"] = [word_str(w) for w in cone]
     borel_ok, borel_witness = is_borel_fixed(cone, ideal.ctx)
     agreement = res.agreement
@@ -311,7 +300,7 @@ def _borel_witness_json(witness):
 def cmd_hilbert(args) -> int:
     ideal = _load(args)
     if ideal.algebra == "exterior":
-        I = _ext_ideal(ideal)
+        I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
         vector = hilbert_ext(groebner_ext(I))
         result = {
             "command": "hilbert",
@@ -323,12 +312,7 @@ def cmd_hilbert(args) -> int:
         }
     else:
         maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
-        words = []
-        for g in ideal.generators:
-            if len(g) != 1:
-                raise InputError("hilbert over the free algebra requires monomial generators")
-            ((w, _),) = g
-            words.append(w)
+        words = _monomials(ideal, "hilbert over the free algebra requires monomial generators")
         B = MonomialIdealFree(words, ideal.ctx.n, ideal.free_order)
         num, den = hilbert_rational(B)
         result = {
@@ -350,7 +334,7 @@ def cmd_hilbert(args) -> int:
 def cmd_predicates(args) -> int:
     ideal = _load(args)
     _require(ideal, "exterior", "predicates")
-    L = _monomial_ideal_ext(ideal)
+    L = MonomialIdealExt(_monomials(ideal, "this command requires monomial generators"), ideal.order)
     stable_ok, stable_wit = stable_witness(L)
     strong_ok, strong_wit = strongly_stable_witness(L)
     try:
@@ -410,8 +394,15 @@ def _degree_cap(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with an InputError instead of exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extlift",
         description=(
             "Groebner bases of exterior-algebra ideals, their lifts to the "
@@ -445,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,12 @@ consistency checks.
 
 Genericity is handled probabilistically: each trial draws a fresh random
 integer matrix from a seeded PRNG, and the trials must agree.  The seeds
-are recorded in the result so every run can be replayed.
+are recorded in the result so every run can be replayed.  Both gins share
+one trial loop; each supplies only its step, which applies the coordinate
+change (``apply_gl`` or ``apply_gl_ext``, a column-wise expansion with
+integer partial products) and computes the initial cone.  The lifted gin's
+refusals are cheap checks on the ideal, so the CLI runs them before the
+first trial.
 """
 
 from __future__ import annotations
@@ -72,6 +77,17 @@ class GinResult:
     agreement: bool
 
 
+def _gin_trials(ctx: AlgebraContext, req: GinRequest, trial) -> GinResult:
+    """The trial loop of both gins: ``trial`` maps a coordinate change to
+    (initial cone, slice dimensions) and runs once per trial seed.  Only
+    the cones are kept; the result is the first trial's, with whether
+    every cone equals it."""
+    seeds = req.trial_seeds()
+    first, slice_dims = trial(random_gl(ctx, seeds[0], req.height))
+    cones = [trial(random_gl(ctx, s, req.height))[0] for s in seeds[1:]]
+    return GinResult(first, slice_dims, tuple(seeds), all(cone == first for cone in cones))
+
+
 def gin_free(
     gens: list[FreePolynomial],
     ctx: AlgebraContext,
@@ -83,51 +99,38 @@ def gin_free(
     for g in gens:
         if g and not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    seeds = req.trial_seeds()
-    results = []
-    for s in seeds:
-        g = random_gl(ctx, s, req.height)
-        transformed = [apply_gl(g, f) for f in gens]
-        results.append(free_initial_ideal(transformed, ctx, order, req.max_degree))
-    first = results[0]
-    agreement = all(r.initial == first.initial for r in results[1:])
-    return GinResult(
-        gin=first.initial,
-        slice_dims=dict(first.slice_dims),
-        trial_seeds=tuple(seeds),
-        agreement=agreement,
-    )
+
+    def trial(g: GLMatrix):
+        data = free_initial_ideal([apply_gl(g, f) for f in gens], ctx, order, req.max_degree)
+        return data.initial, dict(data.slice_dims)
+
+    return _gin_trials(ctx, req, trial)
 
 
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
     """Generic initial ideal in E(V): transform, recompute the Groebner
     basis, take leading monomials; the per-degree dimensions are the first
     trial's basis slice dimensions."""
-    seeds = req.trial_seeds()
-    bases = []
-    for s in seeds:
-        g = random_gl(I.ctx, s, req.height)
-        transformed = ExtIdeal(
-            I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order
-        )
-        bases.append(groebner_ext(transformed))
-    results = [initial_ideal_ext(gb) for gb in bases]
-    agreement = all(r == results[0] for r in results[1:])
-    return GinResult(
-        gin=results[0],
-        slice_dims=dict(enumerate(bases[0].slice_dims)),
-        trial_seeds=tuple(seeds),
-        agreement=agreement,
-    )
+
+    def trial(g: GLMatrix):
+        gb = groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order))
+        return initial_ideal_ext(gb), dict(enumerate(gb.slice_dims))
+
+    return _gin_trials(I.ctx, req, trial)
+
+
+def _check_lifted_gin(I: ExtIdeal) -> None:
+    """Refuses an ideal without a lifted gin, before or after its trials."""
+    check_natural_ranking(I.order, I.ctx.n)
+    for f in I.generators:
+        if f.degree < 2:
+            raise ValueError("lifted gin requires generators of degree >= 2")
 
 
 def gin_lifted(I: ExtIdeal, gin: MonomialIdealExt) -> MonomialIdealFree:
     """gin of the preimage ideal, built from the exterior gin of I: delta of
     its minimal generators plus the words X_j X_i (i <= j), minimalized."""
-    check_natural_ranking(I.order, I.ctx.n)
-    for f in I.generators:
-        if f.degree < 2:
-            raise ValueError("lifted gin requires generators of degree >= 2")
+    _check_lifted_gin(I)
     words = anti_commutator_leading_words(I.ctx) + [m.support for m in gin]
     return MonomialIdealFree(words, I.ctx.n, FreeOrderSpec(I.order))
 
@@ -158,7 +161,7 @@ def is_borel_fixed(
 def hilbert_compare(
     gens: list[FreePolynomial],
     ctx: AlgebraContext,
-    result: GinResult,
+    gin: MonomialIdealFree,
     max_degree: int,
     order: FreeOrderSpec = FreeOrderSpec(),
 ) -> bool:
@@ -166,20 +169,14 @@ def hilbert_compare(
 
     This re-derives the slice dimensions from the untransformed generators,
     so it is an independent check of the Hilbert-series preservation."""
-    gin = result.gin
-    if not isinstance(gin, MonomialIdealFree):
-        raise TypeError("hilbert_compare expects a free-algebra gin result")
     dims = free_initial_ideal(gens, ctx, order, max_degree).slice_dims
     counts = normal_word_counts(gin, max_degree)
     return all(dims.get(d, 0) == ctx.n**d - c for d, c in enumerate(counts))
 
 
-def hilbert_compare_ext(I: ExtIdeal, result: GinResult) -> bool:
+def hilbert_compare_ext(I: ExtIdeal, gin: MonomialIdealExt) -> bool:
     """Exterior analogue: slice dimensions of I vs monomial counts of the
     exterior gin cone, the former from the basis of the untransformed I."""
-    gin = result.gin
-    if not isinstance(gin, MonomialIdealExt):
-        raise TypeError("hilbert_compare_ext expects an exterior gin result")
     return all(
         dim == gin.degree_count(I.ctx, d)
         for d, dim in enumerate(groebner_ext(I).slice_dims)

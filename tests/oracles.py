@@ -9,7 +9,17 @@ from typing import Callable, Hashable, Iterable
 
 import sympy
 
-from extlift.algebra import ONE_EXT, AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, Word, _add_into, apply_gl
+from extlift.algebra import (
+    AlgebraContext,
+    ExtMonomial,
+    ExtPolynomial,
+    FreePolynomial,
+    GLMatrix,
+    Word,
+    _add_into,
+    apply_gl,
+    pi,
+)
 from extlift.exterior import ExtIdeal, MonomialIdealExt, ideal_degree_basis
 from extlift.freealg import (
     FreeGroebnerCandidate,
@@ -25,6 +35,8 @@ from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
 from helpers import elementary
+
+ONE_EXT = ExtMonomial()
 
 
 def _axpy(target: dict, c: Fraction, source: dict) -> dict:
@@ -489,3 +501,41 @@ def enumerating_squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMo
         if nontrivial:
             return False, (m, min(nontrivial, key=key))
     return True, None
+
+
+def _image_of_variable(g: GLMatrix, i: int) -> FreePolynomial:
+    return FreePolynomial(
+        [((l + 1,), g.entries[l][i - 1]) for l in range(g.n)]
+    )
+
+
+def fraction_apply_gl(g: GLMatrix, F: FreePolynomial) -> FreePolynomial:
+    """Reference for ``algebra.apply_gl``: each term's coefficient starts
+    the expansion, and every partial product is a ``Fraction``."""
+    images = {i: _image_of_variable(g, i) for i in range(1, g.n + 1)}
+    acc: dict[Word, Fraction] = {}
+    for w, c in F.terms.items():
+        # expand the product of linear forms letter by letter
+        partial: dict[Word, Fraction] = {(): c}
+        for letter in w:
+            img = images[letter].terms
+            partial = _add_into({}, ((pw + l, pc * lc) for pw, pc in partial.items() for l, lc in img.items()))
+        _add_into(acc, partial.items())
+    return FreePolynomial._raw(acc)
+
+
+def fraction_apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
+    """Reference for ``algebra.apply_gl_ext``: multiplies out the images of
+    the letters as ``ExtPolynomial`` products in ``Fraction``s."""
+    images = {
+        i: pi(_image_of_variable(g, i)) for i in range(1, g.n + 1)
+    }
+    acc = ExtPolynomial._raw({})
+    for m, c in f.terms.items():
+        part = ExtPolynomial.monomial(ExtMonomial(), c)
+        for letter in m.support:
+            part = part * images[letter]
+            if not part:
+                break
+        acc = acc + part
+    return acc

@@ -330,12 +330,12 @@ def test_criterion_08_gin_stable_and_lift_minimal(gin_survey):
 def test_criterion_09_hilbert_preserved(quadric_gin, commutator_gin, gin_survey):
     ctx_q, _, _, preimage_gens, req_q, res_q = quadric_gin
     ctx_c, comm, req_c, res_c = commutator_gin
-    ok_q = hilbert_compare(preimage_gens, ctx_q, res_q, req_q.max_degree, ORDER)
-    ok_c = hilbert_compare([comm], ctx_c, res_c, req_c.max_degree, ORDER)
+    ok_q = hilbert_compare(preimage_gens, ctx_q, res_q.gin, req_q.max_degree, ORDER)
+    ok_c = hilbert_compare([comm], ctx_c, res_c.gin, req_c.max_degree, ORDER)
     bad = sum(
         1
         for I, _, res in gin_survey
-        if res.agreement and not hilbert_compare_ext(I, res)
+        if res.agreement and not hilbert_compare_ext(I, res.gin)
     )
     verdict(
         9,

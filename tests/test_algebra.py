@@ -16,8 +16,10 @@ from extlift.algebra import (
     pi,
     word_sort_sign,
 )
+from extlift.gin import random_gl
 
 from helpers import dense_rank, elementary, gl_product, mul_ext, random_ext_polynomial, random_free_polynomial, sign_by_sorting
+from oracles import fraction_apply_gl, fraction_apply_gl_ext
 
 
 def mono(*idx):
@@ -188,6 +190,42 @@ class TestGLAction:
         assert apply_gl(g, apply_gl(h, F)) == apply_gl(gl_product(g, h), F)
         # induced action commutes with pi
         assert pi(apply_gl(g, F)) == apply_gl_ext(g, pi(F))
+
+
+def rational_gl(rng: random.Random, n: int) -> GLMatrix:
+    """A seeded invertible matrix with at least one non-integral entry."""
+    while True:
+        entries = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if all(e.denominator == 1 for row in entries for e in row):
+            continue
+        try:
+            return GLMatrix(entries)
+        except ValueError:
+            continue
+
+
+class TestGLActionOracle:
+    """The column-wise expansions against the Fraction products they
+    replaced (``tests/oracles.py``), in n = 1..8 and degrees 1..4."""
+
+    @pytest.mark.parametrize("kind", ["random_gl", "rational"])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_fraction_expansion(self, seed, kind):
+        rng = random.Random(900 + seed)
+        n = 1 + seed % 8
+        ctx = AlgebraContext(n)
+        g = random_gl(ctx, rng.getrandbits(63), 100) if kind == "random_gl" else rational_gl(rng, n)
+        for degree in range(1, 5):
+            c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            F = random_free_polynomial(rng, ctx, degree, nterms=3).scale(c)
+            assert apply_gl(g, F) == fraction_apply_gl(g, F)
+            if degree <= n:
+                f = random_ext_polynomial(rng, ctx, degree).scale(c)
+                assert apply_gl_ext(g, f) == fraction_apply_gl_ext(g, f)
+
+    def test_integral_entries_kept_as_int(self):
+        g = GLMatrix([[Fraction(4, 2), Fraction(1, 3)], [1, 0]])
+        assert [[type(e) for e in row] for row in g.entries] == [[int, Fraction], [int, int]]
 
 
 class TestContext:

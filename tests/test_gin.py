@@ -113,7 +113,7 @@ class TestGinFree:
         res = gin_free(gens, ctx, req, ORDER)
         assert res.agreement
         # the transformed slice has the same dimensions as the original
-        assert hilbert_compare(gens, ctx, res, max_degree=4, order=ORDER)
+        assert hilbert_compare(gens, ctx, res.gin, max_degree=4, order=ORDER)
 
     def test_rejects_nonhomogeneous(self):
         ctx = AlgebraContext(2)
@@ -134,7 +134,7 @@ class TestGinExt:
         # default direction
         assert is_strongly_stable(res.gin, toward_larger=True, n=3)
         assert not is_strongly_stable(res.gin)
-        assert hilbert_compare_ext(I, res)
+        assert hilbert_compare_ext(I, res.gin)
 
     def test_gl_invariant_power_ideal(self):
         # the d-th power of the maximal ideal is GL-invariant: gin = in
@@ -156,7 +156,7 @@ class TestGinExt:
         res = gin_ext(I, GinRequest(max_degree=n, seed=seed))
         if res.agreement:
             assert is_strongly_stable(res.gin, toward_larger=True, n=n)
-            assert hilbert_compare_ext(I, res)
+            assert hilbert_compare_ext(I, res.gin)
 
     def test_invariant_under_change_of_coordinates(self):
         # gin(g I) = gin(I) for any invertible g
@@ -255,20 +255,6 @@ class TestHilbertCompare:
         comm = word(1, 2) - word(2, 1)
         req = GinRequest(max_degree=3, seed=7)
         res = gin_free([comm], ctx, req, ORDER)
-        assert hilbert_compare([comm], ctx, res, max_degree=3, order=ORDER)
-        from extlift.gin import GinResult
-
-        wrong = GinResult(
-            gin=MonomialIdealFree([(1, 1)], 2, ORDER),
-            slice_dims=res.slice_dims,
-            trial_seeds=res.trial_seeds,
-            agreement=True,
-        )
+        assert hilbert_compare([comm], ctx, res.gin, max_degree=3, order=ORDER)
+        wrong = MonomialIdealFree([(1, 1)], 2, ORDER)
         assert not hilbert_compare([comm], ctx, wrong, max_degree=3, order=ORDER)
-
-    def test_type_guard(self):
-        ctx = AlgebraContext(2)
-        I = ExtIdeal(ctx, [mono(1, 2)])
-        res = gin_ext(I, GinRequest(max_degree=2, seed=2))
-        with pytest.raises(TypeError):
-            hilbert_compare([], ctx, res, max_degree=2)

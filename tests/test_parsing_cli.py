@@ -50,6 +50,12 @@ EXIT_TWO_CASES = {
     "bad-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "1,1,2"]),
     "non-natural-ranking-lift": ("lift", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
     "non-natural-ranking-exterior-gin": ("gin", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
+    "negative-maxdeg": ("gin", "quadric_n3.ideal", ["--maxdeg", "-2"]),
+    "non-integer-seed": ("gin", "quadric_n3.ideal", ["--seed", "1.5"]),
+    "non-integer-trials": ("gin", "quadric_n3.ideal", ["--trials", "two"]),
+    "non-integer-height": ("gin", "quadric_n3.ideal", ["--height", "1e3"]),
+    "unknown-flag": ("gb", "quadric_n3.ideal", ["--bogus"]),
+    "unknown-command": ("groebner", "quadric_n3.ideal", []),
 }
 
 
@@ -231,6 +237,8 @@ class TestCLI:
             # the identity ranking is the natural one
             ("gb_quadric_n3.json", ["gb", "quadric_n3.ideal", "--json", "--varorder", "1,2,3"]),
             ("lift_quadric_n3.json", ["lift", "quadric_n3.ideal", "--json", "--varorder", "1,2,3"]),
+            # an exterior gin with its lifted cone
+            ("gin_quadric_n3.json", ["gin", "quadric_n3.ideal", "--json", "--seed", "3"]),
         ],
     )
     def test_golden_json(self, capsys, golden, argv):
@@ -391,16 +399,21 @@ class TestCLI:
         ],
     )
     def test_negative_maxdeg_refused(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main([argv[0], str(DATA / argv[1])] + argv[2:])
-        assert exc.value.code == EXIT_INPUT
+        assert main([argv[0], str(DATA / argv[1])] + argv[2:]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.out == "" and "--maxdeg" in captured.err
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "--maxdeg" in captured.err and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gin", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: extlift" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,source,flags", EXIT_TWO_CASES.values(), ids=list(EXIT_TWO_CASES))
     def test_readme_input_errors_exit_two(self, capsys, tmp_path, command, source, flags):
-        # the README's exit-code-2 list; a negative --maxdeg is refused by
-        # argparse instead, as test_negative_maxdeg_refused checks
+        # the README's exit-code-2 list, command-line refusals included
         if source is None:
             path = tmp_path / "missing.ideal"
         elif source.endswith(".ideal"):

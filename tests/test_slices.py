@@ -1,6 +1,7 @@
 """Work-count guard: a command reduces each degree slice of an ideal at
 most once per Groebner pass, verify asks only for the pivots of its free
-slices, and the exterior gin runs gin_ext once."""
+slices, and the exterior gin runs gin_ext once, transforms each generator
+once per trial and refuses an ideal without a lifted gin before any trial."""
 
 import importlib
 import json
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import extlift
-from extlift import gin, linalg
-from extlift.cli import EXIT_OK, main
+from extlift import algebra, gin, linalg
+from extlift.cli import EXIT_INPUT, EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
 MODULES = [
@@ -54,6 +55,26 @@ def test_exterior_gin_two_trials(monkeypatch, capsys):
     run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
     assert 0 < len(rref_calls) <= 3 * (3 + 1)
     assert len(gin_ext_calls) == 1
+
+
+@pytest.mark.parametrize("trials", [2, 3])
+def test_exterior_gin_transforms_each_generator_once_per_trial(monkeypatch, capsys, tmp_path, trials):
+    path = tmp_path / "q5.ideal"
+    path.write_text("vars: 5\ngenerators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n")
+    apply_calls = count_calls(monkeypatch, algebra.apply_gl_ext)
+    run(capsys, "gin", str(path), "--trials", str(trials))
+    assert len(apply_calls) == trials * 2
+
+
+@pytest.mark.parametrize(
+    "source,flags",
+    [("linear_n2.ideal", []), ("quadric_n3.ideal", ["--varorder", "2,1,3"])],
+)
+def test_exterior_gin_refused_before_any_trial(monkeypatch, capsys, source, flags):
+    rref_calls = count_calls(monkeypatch, linalg.rref)
+    assert main(["gin", str(DATA / source), "--json", *flags]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert rref_calls == []
 
 
 @pytest.mark.parametrize("maxdeg", [3, 5])
