@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, hilbert_ext, initial_ideal_ext
+from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, hilbert_ext, initial_data_ext, initial_ideal_ext
 from .freealg import (
     FreeGroebnerCandidate,
     MonomialIdealFree,
@@ -301,7 +301,7 @@ def cmd_hilbert(args) -> int:
     ideal = _load(args)
     if ideal.algebra == "exterior":
         I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
-        vector = hilbert_ext(groebner_ext(I))
+        vector = hilbert_ext(initial_data_ext(I))
         result = {
             "command": "hilbert",
             "vars": ideal.ctx.n,

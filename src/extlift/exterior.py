@@ -2,10 +2,19 @@
 
 Because E(V) is finite dimensional and homogeneous elements commute up to
 sign, a reduced minimal Groebner basis can be read off degree by degree:
-row-reduce each degree slice of the ideal with columns sorted descending
+eliminate each degree slice of the ideal with columns sorted descending
 by the exterior order; the pivot monomials are exactly the initial-ideal
-slice, and pivots not divisible by a lower-degree initial monomial yield
-new basis elements (their rows, which are already fully reduced).
+slice, and pivots not divisible by a lower-degree initial monomial lead
+new basis elements (their rows of the reduced echelon form).
+
+One slice loop serves every reader.  It stops at the first full slice:
+if I_d = E_d then I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator
+lies above d, and every later slice is filled with C(n, d) and not
+reduced.  Only ``groebner_ext``, whose rows ``gb`` and ``lift`` read,
+back-substitutes.  ``initial_data_ext``, for readers of leads and
+dimensions alone (the exterior ``hilbert``, the gin trials and the gin's
+Hilbert check), asks only for the pivots, and stops reading a slice's
+rows once its rank reaches C(n, d).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from .algebra import (
     ExtPolynomial,
     ext_monomials_of_degree,
 )
-from .linalg import rref
+from .linalg import pivots, rref
 from .orders import ExtOrderSpec, leading_term_ext
 
 
@@ -89,7 +98,8 @@ class MonomialIdealExt:
 @dataclass(frozen=True)
 class ExtGroebnerBasis:
     """Reduced minimal Groebner basis, with ``slice_dims[d] = dim I_d`` for
-    every degree d = 0..n read off the same elimination."""
+    every degree d = 0..n read off the same elimination; the slices past
+    the first full one are C(n, d) and were not reduced."""
 
     ctx: AlgebraContext
     elements: tuple[ExtPolynomial, ...]
@@ -100,15 +110,22 @@ class ExtGroebnerBasis:
         return [leading_term_ext(f, self.order)[0] for f in self.elements]
 
 
-def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
-    """Row-reduced basis of the degree-d slice I_d.
+@dataclass(frozen=True)
+class ExtInitialData:
+    """The initial ideal of an exterior ideal, with ``slice_dims`` as in
+    ``ExtGroebnerBasis``, read off echelon forms without back-substitution."""
+
+    ctx: AlgebraContext
+    initial: MonomialIdealExt
+    slice_dims: tuple[int, ...]
+
+
+def _slice_rows(I: ExtIdeal, d: int):
+    """Rows spanning I_d, as dicts: x_u * g for every generator g.
 
     Left multiples of the generators suffice: homogeneous elements of E(V)
     commute up to sign, so left, right and two-sided ideals coincide.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    rows = []
     for g in I.generators:
         e = g.degree
         if e > d:
@@ -121,34 +138,62 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
                 if (s := u.mul_sign(m))
             }
             if row:
-                rows.append(row)
-    return [ExtPolynomial._raw(r) for r in rref(rows, I.order.ext_key)]
+                yield row
+
+
+def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
+    """The slice loop: the minimal basis elements by degree, largest lead
+    first, or when not ``reduced`` only their leading monomials; and dim
+    I_d for d = 0..n.  Slices below the lowest generator degree are 0, and
+    each slice from there to the first full one is eliminated once.  A
+    pivot is a new minimal generator iff no pivot one degree below
+    divides it."""
+    n, key = I.ctx.n, I.order.ext_key
+    found: list = []
+    dims: list[int] = []
+    below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
+    dmin = min((g.degree for g in I.generators), default=n + 1)
+    for d in range(n + 1):
+        if d < dmin:
+            dims.append(0)
+            continue
+        full = comb(n, d)
+        if reduced:
+            items = [ExtPolynomial._raw(r) for r in rref(_slice_rows(I, d), key)]
+            leads = [leading_term_ext(f, I.order)[0] for f in items]
+        else:
+            items = leads = pivots(_slice_rows(I, d), key, full)
+        for lead, item in zip(leads, items):
+            if not any((lead.bits ^ 1 << i) in below for i in lead.support):
+                found.append(item)
+        below = {lead.bits for lead in leads}
+        dims.append(len(leads))
+        if len(leads) == full:
+            # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
+            dims += [comb(n, e) for e in range(d + 1, n + 1)]
+            break
+    return found, tuple(dims)
 
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
-    """Reduced minimal Groebner basis by degree-wise elimination.  Each
-    slice is reduced once; slices below the lowest generator degree are 0.
-    A pivot is a new minimal generator iff no pivot below divides it."""
-    elements: list[ExtPolynomial] = []
-    dims: list[int] = []
-    pivots: set[int] = set()  # bitmasks of the pivot monomials
-    dmin = min((g.degree for g in I.generators), default=I.ctx.n + 1)
-    for d in range(I.ctx.n + 1):
-        rows = ideal_degree_basis(I, d) if d >= dmin else []
-        dims.append(len(rows))
-        below, pivots = pivots, set()
-        for row in rows:
-            lead, _ = leading_term_ext(row, I.order)
-            pivots.add(lead.bits)
-            if not any((lead.bits ^ 1 << i) in below for i in lead.support):
-                elements.append(row)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, tuple(dims))
+    """Reduced minimal Groebner basis, from the reduced echelon form of
+    each slice up to the first full one."""
+    elements, dims = _slices(I, reduced=True)
+    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, dims)
+
+
+def initial_data_ext(I: ExtIdeal) -> ExtInitialData:
+    """The initial ideal and slice dimensions of ``groebner_ext(I)``, from
+    the pivots of each slice alone."""
+    leads, dims = _slices(I, reduced=False)
+    return ExtInitialData(I.ctx, MonomialIdealExt(leads, I.order), dims)
 
 
 def initial_ideal_ext(G: ExtGroebnerBasis) -> MonomialIdealExt:
     return MonomialIdealExt(G.leading_monomials(), G.order)
 
 
-def hilbert_ext(G: ExtGroebnerBasis) -> list[int]:
-    """dim (E(V)/I)_d for d = 0..n, exact, for the ideal I of the basis G."""
+def hilbert_ext(G: ExtGroebnerBasis | ExtInitialData) -> list[int]:
+    """dim (E(V)/I)_d for d = 0..n, exact, for the ideal I of the basis or
+    initial data G."""
     return [comb(G.ctx.n, d) - dim for d, dim in enumerate(G.slice_dims)]

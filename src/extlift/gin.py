@@ -25,7 +25,7 @@ from .algebra import (
     apply_gl,
     apply_gl_ext,
 )
-from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, initial_ideal_ext
+from .exterior import ExtIdeal, MonomialIdealExt, initial_data_ext
 from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
 from .lifting import anti_commutator_leading_words, check_natural_ranking
 from .orders import FreeOrderSpec
@@ -108,13 +108,13 @@ def gin_free(
 
 
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
-    """Generic initial ideal in E(V): transform, recompute the Groebner
-    basis, take leading monomials; the per-degree dimensions are the first
-    trial's basis slice dimensions."""
+    """Generic initial ideal in E(V): transform, then read the initial
+    ideal off the pivots of the slices, with no back-substitution; the
+    per-degree dimensions are the first trial's slice dimensions."""
 
     def trial(g: GLMatrix):
-        gb = groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order))
-        return initial_ideal_ext(gb), dict(enumerate(gb.slice_dims))
+        data = initial_data_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order))
+        return data.initial, dict(enumerate(data.slice_dims))
 
     return _gin_trials(I.ctx, req, trial)
 
@@ -176,8 +176,8 @@ def hilbert_compare(
 
 def hilbert_compare_ext(I: ExtIdeal, gin: MonomialIdealExt) -> bool:
     """Exterior analogue: slice dimensions of I vs monomial counts of the
-    exterior gin cone, the former from the basis of the untransformed I."""
+    exterior gin cone, the former from the slices of the untransformed I."""
     return all(
         dim == gin.degree_count(I.ctx, d)
-        for d, dim in enumerate(groebner_ext(I).slice_dims)
+        for d, dim in enumerate(initial_data_ext(I).slice_dims)
     )

@@ -6,8 +6,10 @@ are ordered by a key function, largest first.  ``rref`` returns the
 reduced row echelon form of Fractions: each row is monic at its pivot and
 no row contains another row's pivot column.  ``pivots`` returns only the
 pivot columns, which an echelon form already fixes, so it skips the
-back-substitution.  With columns sorted descending by a term order, the
-pivots of a degree slice of an ideal are exactly the initial-ideal slice.
+back-substitution; told how many columns the rows can reach, it also
+stops reading rows at full rank, where every later row reduces to 0.
+With columns sorted descending by a term order, the pivots of a degree
+slice of an ideal are exactly the initial-ideal slice.
 
 Elimination is fraction-free, with content removal as in Bareiss's
 method: each incoming row is scaled by the lcm of its denominators and
@@ -58,10 +60,12 @@ def _eliminate(row: Row, col, pivot: Row) -> Row:
     return _primitive(out)
 
 
-def _echelon(rows: Iterable[Row], key: Callable[[Hashable], object], reduced: bool) -> tuple[dict, dict]:
+def _echelon(
+    rows: Iterable[Row], key: Callable[[Hashable], object], reduced: bool, ncols: int | None = None
+) -> tuple[dict, dict]:
     """The maps key -> column and pivot key -> primitive integer pivot row.
     The pivot rows are an echelon form, or when ``reduced`` the reduced one
-    with positive leads."""
+    with positive leads.  Reading stops once there are ``ncols`` pivots."""
     # eliminate on the columns' keys, so that finding a lead is a max over
     # the keys and every lookup hashes a key, not a column
     column: dict = {}
@@ -91,6 +95,8 @@ def _echelon(rows: Iterable[Row], key: Callable[[Hashable], object], reduced: bo
                 pivots[lead] = row
                 break
             row = _eliminate(row, lead, prow)
+        if len(pivots) == ncols:
+            break
     return column, pivots
 
 
@@ -109,8 +115,12 @@ def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
     return out
 
 
-def pivots(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list:
+def pivots(rows: Iterable[Row], key: Callable[[Hashable], object], ncols: int | None = None) -> list:
     """The pivot columns of ``rref(rows, key)``, largest first, found
-    without back-substitution.  Their number is the rank of the rows."""
-    column, pivot_rows = _echelon(rows, key, reduced=False)
+    without back-substitution.  Their number is the rank of the rows.
+
+    ``ncols``, when given, is the number of columns the rows can reach.
+    Once there are that many pivots every later row reduces to 0, so no
+    further row is read."""
+    column, pivot_rows = _echelon(rows, key, reduced=False, ncols=ncols)
     return [column[k] for k in sorted(pivot_rows, reverse=True)]

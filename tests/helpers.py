@@ -16,11 +16,13 @@ from extlift.algebra import (
     FreePolynomial,
     GLMatrix,
     Word,
+    apply_gl_ext,
     delta,
     ext_monomials_of_degree,
 )
-from extlift.exterior import ExtGroebnerBasis, MonomialIdealExt
+from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt
 from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, obstructions_resolve
+from extlift.gin import random_gl
 from extlift.lifting import (
     _check_liftable,
     anti_commutators,
@@ -247,3 +249,18 @@ def is_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int | None = 
 
 def is_strongly_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int | None = None) -> bool:
     return strongly_stable_witness(L, toward_larger, n)[0]
+
+
+def exterior_corpus(n: int, kind: str):
+    """Seeded ideals of E(V): three quadrics, two cubics, and both after a
+    height-100 coordinate change, as gin_ext transforms them."""
+    rng = random.Random(f"rref-corpus/{n}/{kind}")
+    ctx = AlgebraContext(n)
+    order = ExtOrderSpec(kind)
+    for degree, count in ((2, 3), (3, 2)):
+        if degree > n:
+            continue
+        gens = [random_ext_polynomial(rng, ctx, degree) for _ in range(count)]
+        g = random_gl(ctx, rng.randrange(1000), 100)
+        yield ExtIdeal(ctx, gens, order)
+        yield ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], order)

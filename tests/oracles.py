@@ -18,9 +18,10 @@ from extlift.algebra import (
     Word,
     _add_into,
     apply_gl,
+    ext_monomials_of_degree,
     pi,
 )
-from extlift.exterior import ExtIdeal, MonomialIdealExt, ideal_degree_basis
+from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt
 from extlift.freealg import (
     FreeGroebnerCandidate,
     FreeInitialData,
@@ -31,6 +32,7 @@ from extlift.freealg import (
     normal_word_counts,
 )
 from extlift.lifting import compute_U
+from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
@@ -90,6 +92,55 @@ def tuple_word_key(spec: FreeOrderSpec, w: Word) -> tuple:
     """The word order as a tuple key: degree, the multiset key of the
     letters, then the ranks of the letters left to right."""
     return (len(w), _multiset_key(spec.base, w), tuple(spec.base.rank(i) for i in w))
+
+
+# The exterior slice engine before it stopped at the first full slice and
+# before its leads-only readers skipped back-substitution: every slice up
+# to n is reduced in full.
+
+def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
+    """Row-reduced basis of the degree-d slice I_d.
+
+    Left multiples of the generators suffice: homogeneous elements of E(V)
+    commute up to sign, so left, right and two-sided ideals coincide.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    rows = []
+    for g in I.generators:
+        e = g.degree
+        if e > d:
+            continue
+        for u in ext_monomials_of_degree(I.ctx, d - e):
+            # x_u * x_m = sign * x_{u|m}; distinct m give distinct u|m
+            row = {
+                ExtMonomial.from_bits(u.bits | m.bits): c if s > 0 else -c
+                for m, c in g.terms.items()
+                if (s := u.mul_sign(m))
+            }
+            if row:
+                rows.append(row)
+    return [ExtPolynomial._raw(r) for r in rref(rows, I.order.ext_key)]
+
+
+def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
+    """Reduced minimal Groebner basis by degree-wise elimination.  Each
+    slice is reduced once; slices below the lowest generator degree are 0.
+    A pivot is a new minimal generator iff no pivot below divides it."""
+    elements: list[ExtPolynomial] = []
+    dims: list[int] = []
+    pivots: set[int] = set()  # bitmasks of the pivot monomials
+    dmin = min((g.degree for g in I.generators), default=I.ctx.n + 1)
+    for d in range(I.ctx.n + 1):
+        rows = ideal_degree_basis(I, d) if d >= dmin else []
+        dims.append(len(rows))
+        below, pivots = pivots, set()
+        for row in rows:
+            lead, _ = leading_term_ext(row, I.order)
+            pivots.add(lead.bits)
+            if not any((lead.bits ^ 1 << i) in below for i in lead.support):
+                elements.append(row)
+    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, tuple(dims))
 
 
 def scan_groebner_elements(I: ExtIdeal) -> list[ExtPolynomial]:

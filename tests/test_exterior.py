@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import comb
 
@@ -8,6 +9,7 @@ from extlift.algebra import (
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
+    apply_gl_ext,
     ext_monomials_of_degree,
 )
 from extlift.exterior import (
@@ -15,13 +17,14 @@ from extlift.exterior import (
     MonomialIdealExt,
     groebner_ext,
     hilbert_ext,
-    ideal_degree_basis,
+    initial_data_ext,
     initial_ideal_ext,
 )
+from extlift.gin import random_gl
 from extlift.orders import ExtOrderSpec, leading_term_ext, monic_ext
 
-from helpers import dense_rank, random_ext_ideal_gens
-from oracles import scan_groebner_elements
+from helpers import dense_rank, exterior_corpus, random_ext_ideal_gens
+from oracles import ideal_degree_basis, scan_groebner_elements, slice_groebner_ext
 
 DEGLEX = ExtOrderSpec("deglex")
 
@@ -179,6 +182,40 @@ class TestGroebnerExt:
                     _, b = leading_term_ext(cg, DEGLEX)
                     s = cf.scale(1 / a) - cg.scale(1 / b)
                     assert not reduce_full(s)
+
+
+def slice_oracle_corpus(n: int, kind: str):
+    """The seeded corpus, plain and under a height-100 coordinate change;
+    n independent linear forms, which fill the slice at d=1; a monomial,
+    which fills only at d=n; and the zero ideal, which never fills."""
+    yield from exterior_corpus(n, kind)
+    ctx = AlgebraContext(n)
+    order = ExtOrderSpec(kind)
+    g = random_gl(ctx, n, 100)
+    yield ExtIdeal(ctx, [apply_gl_ext(g, mono(i)) for i in range(1, n + 1)], order)
+    yield ExtIdeal(ctx, [mono(1, 2)], order)
+    yield ExtIdeal(ctx, [], order)
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_slices_match_full_slice_oracle(n, kind):
+    """The slice loop, which stops at the first full slice, against the
+    loop that reduces every slice to n: the same elements in the same
+    order, all Fraction, and the same dimensions; the pivots-only path
+    gives the oracle's initial ideal, in the same order, and dimensions."""
+    early = 0
+    for I in slice_oracle_corpus(n, kind):
+        oracle = slice_groebner_ext(I)
+        early += any(dim == comb(n, d) for d, dim in enumerate(oracle.slice_dims[:n]))
+        gb = groebner_ext(I)
+        assert gb.elements == oracle.elements
+        assert all(type(c) is Fraction for f in gb.elements for _, c in f)
+        assert gb.slice_dims == oracle.slice_dims
+        data = initial_data_ext(I)
+        assert data.initial.gens == initial_ideal_ext(oracle).gens
+        assert data.slice_dims == oracle.slice_dims
+    assert early > 0
 
 
 class TestMonomialIdeal:

@@ -30,7 +30,7 @@ from helpers import (
     random_monomial_ideal,
     stable_closure,
 )
-from oracles import enumerating_squeezed_witness
+from oracles import enumerating_squeezed_witness, ideal_degree_basis
 
 DEGLEX = ExtOrderSpec("deglex")
 ONE = ExtMonomial()
@@ -279,8 +279,6 @@ class TestLiftGroebner:
                 # against the GB must vanish (dimension argument: reduce by
                 # re-running elimination on I + (image))
                 enlarged = ExtIdeal(ctx, list(I.generators) + [image], I.order)
-                from extlift.exterior import ideal_degree_basis
-
                 d = image.degree
                 assert len(ideal_degree_basis(enlarged, d)) == len(ideal_degree_basis(I, d))
                 lead_w, _ = leading_term_free(F, lifted.order)

@@ -1,10 +1,13 @@
 """The fraction-free ``rref`` and ``pivots`` against the ``Fraction``
 elimination they replaced (``tests/oracles.fraction_rref``) and against
 the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
-seeded exterior and free-algebra corpora, and in the arithmetic they do."""
+seeded exterior and free-algebra corpora, and in the arithmetic they do.
+``pivots`` told the column count must give the same answer and read no
+row after the rank reaches it."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +15,14 @@ from hypothesis import strategies as st
 
 from extlift import exterior
 from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
-from extlift.exterior import ExtIdeal, groebner_ext
-from extlift.freealg import free_initial_ideal
+from extlift.exterior import groebner_ext
+from extlift.freealg import free_initial_ideal, ideal_slice_rows
 from extlift.gin import random_gl
 from extlift.lifting import anti_commutators
 from extlift.linalg import pivots, rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, random_ext_polynomial, random_free_polynomial
+from helpers import dense_rank, exterior_corpus, random_ext_polynomial, random_free_polynomial
 from oracles import fraction_rref, rref_free_initial_ideal
 
 
@@ -56,6 +59,7 @@ def test_rref_against_dense_elimination(system):
     reduced = rref(rows, key)
     # the echelon-only entry point finds the pivots of the reduced rows
     assert pivots(rows, key) == [max(r, key=key) for r in reduced]
+    assert_rank_stop(rows, key, len({c for row in rows for c in row}))
     # the same rows, in the same order, as the Fraction elimination
     assert reduced == fraction_rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
     assert all(type(v) is Fraction for row in reduced for v in row.values())
@@ -75,19 +79,43 @@ def test_rref_against_dense_elimination(system):
         assert not any(other in row for other in leads if other != pivot)
 
 
-def exterior_corpus(n: int, kind: str):
-    """Seeded ideals of E(V): three quadrics, two cubics, and both after a
-    height-100 coordinate change, as gin_ext transforms them."""
-    rng = random.Random(f"rref-corpus/{n}/{kind}")
-    ctx = AlgebraContext(n)
-    order = ExtOrderSpec(kind)
-    for degree, count in ((2, 3), (3, 2)):
-        if degree > n:
-            continue
-        gens = [random_ext_polynomial(rng, ctx, degree) for _ in range(count)]
-        g = random_gl(ctx, rng.randrange(1000), 100)
-        yield ExtIdeal(ctx, gens, order)
-        yield ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], order)
+def rows_until_full(rows: list, key, ncols: int):
+    """The rows as a generator that fails if a row is read after the
+    shortest prefix of rank ``ncols``."""
+    if len(pivots(rows, key)) < ncols:
+        yield from rows
+        return
+    lo, hi = 0, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(pivots(rows[:mid], key)) == ncols:
+            hi = mid
+        else:
+            lo = mid + 1
+    yield from rows[:lo]
+    raise AssertionError(f"row {lo} read after the rank reached {ncols}")
+
+
+def assert_rank_stop(rows: list, key, ncols: int) -> None:
+    """``pivots`` told that the rows reach ``ncols`` columns returns what
+    it returns untold, and stops reading at full rank (when rows without
+    columns are all there is, it reads one of them)."""
+    expected = pivots(rows, key)
+    assert pivots(rows, key, ncols) == expected
+    if ncols:
+        assert pivots(rows_until_full(rows, key, ncols), key, ncols) == expected
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pivots_rank_stop_on_exterior_slices(n, kind):
+    full = 0
+    for I in exterior_corpus(n, kind):
+        for d in range(n + 1):
+            rows = list(exterior._slice_rows(I, d))
+            assert_rank_stop(rows, I.order.ext_key, comb(n, d))
+            full += len(pivots(rows, I.order.ext_key)) == comb(n, d) > 0
+    assert full > 0
 
 
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
@@ -128,6 +156,12 @@ def test_free_initial_ideal_matches_fraction_oracle(gens, ctx, order, maxdeg):
     slow = rref_free_initial_ideal(gens, ctx, order, maxdeg)
     assert fast.initial == slow.initial
     assert fast.slice_dims == slow.slice_dims
+
+
+@pytest.mark.parametrize("gens, ctx, order, maxdeg", free_corpus())
+def test_pivots_rank_stop_on_free_slices(gens, ctx, order, maxdeg):
+    for d in range(maxdeg + 1):
+        assert_rank_stop(ideal_slice_rows(gens, ctx, d), order.word_key, ctx.n**d)
 
 
 def test_elimination_does_no_fraction_arithmetic(monkeypatch):
