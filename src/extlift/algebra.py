@@ -12,10 +12,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping
 
 from .linalg import pivots
 
@@ -24,15 +23,21 @@ Word = tuple[int, ...]
 MAX_VARS = 64
 
 
-@dataclass(frozen=True)
 class AlgebraContext:
     """Number of variables n; all indices must lie in 1..n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {self.n}")
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_VARS:
+            raise ValueError(f"number of variables must be in 1..{MAX_VARS}, got {n}")
+        self.n = n
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AlgebraContext) and self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
 
     def check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

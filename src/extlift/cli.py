@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, hilbert_ext, initial_data_ext, initial_ideal_ext
@@ -48,6 +49,7 @@ from .parsing import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a closed stdout
 
 
 class InputError(ValueError):
@@ -437,11 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, as the signal module's docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

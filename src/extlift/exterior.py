@@ -19,7 +19,6 @@ rows once its rank reaches C(n, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .algebra import (
@@ -32,13 +31,10 @@ from .linalg import pivots, rref
 from .orders import ExtOrderSpec, leading_term_ext
 
 
-@dataclass(frozen=True)
 class ExtIdeal:
     """Homogeneous ideal of E(V), given by homogeneous generators."""
 
-    ctx: AlgebraContext
-    generators: tuple[ExtPolynomial, ...]
-    order: ExtOrderSpec = ExtOrderSpec()
+    __slots__ = ("ctx", "generators", "order")
 
     def __init__(self, ctx, generators, order=ExtOrderSpec()):
         gens = []
@@ -53,9 +49,7 @@ class ExtIdeal:
                 for i in m.support:
                     ctx.check_index(i)
             gens.append(g)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "order", order)
+        self.ctx, self.generators, self.order = ctx, tuple(gens), order
 
 
 class MonomialIdealExt:
@@ -95,29 +89,28 @@ class MonomialIdealExt:
         return f"MonomialIdealExt({[str(m) for m in self.gens]})"
 
 
-@dataclass(frozen=True)
 class ExtGroebnerBasis:
     """Reduced minimal Groebner basis, with ``slice_dims[d] = dim I_d`` for
     every degree d = 0..n read off the same elimination; the slices past
     the first full one are C(n, d) and were not reduced."""
 
-    ctx: AlgebraContext
-    elements: tuple[ExtPolynomial, ...]
-    order: ExtOrderSpec
-    slice_dims: tuple[int, ...]
+    __slots__ = ("ctx", "elements", "order", "slice_dims")
+
+    def __init__(self, ctx, elements: tuple[ExtPolynomial, ...], order: ExtOrderSpec, slice_dims: tuple[int, ...]):
+        self.ctx, self.elements, self.order, self.slice_dims = ctx, elements, order, slice_dims
 
     def leading_monomials(self) -> list[ExtMonomial]:
         return [leading_term_ext(f, self.order)[0] for f in self.elements]
 
 
-@dataclass(frozen=True)
 class ExtInitialData:
     """The initial ideal of an exterior ideal, with ``slice_dims`` as in
     ``ExtGroebnerBasis``, read off echelon forms without back-substitution."""
 
-    ctx: AlgebraContext
-    initial: MonomialIdealExt
-    slice_dims: tuple[int, ...]
+    __slots__ = ("ctx", "initial", "slice_dims")
+
+    def __init__(self, ctx: AlgebraContext, initial: MonomialIdealExt, slice_dims: tuple[int, ...]):
+        self.ctx, self.initial, self.slice_dims = ctx, initial, slice_dims
 
 
 def _slice_rows(I: ExtIdeal, d: int):

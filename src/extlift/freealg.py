@@ -9,7 +9,6 @@ can serve as its verification oracle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -124,7 +123,6 @@ class MonomialIdealFree:
         return f"MonomialIdealFree({[''.join(f'X{i}' for i in w) for w in self.gens]})"
 
 
-@dataclass
 class FreeGroebnerCandidate:
     """Monic homogeneous polynomials proposed as a Groebner basis.
 
@@ -134,19 +132,17 @@ class FreeGroebnerCandidate:
     without its leading word, ``tails[i]``.
     """
 
-    ctx: AlgebraContext
-    elements: list[FreePolynomial]
-    order: FreeOrderSpec = FreeOrderSpec()
+    __slots__ = ("ctx", "elements", "order", "leading_words", "automaton", "leads", "tails")
 
-    def __post_init__(self):
+    def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec = FreeOrderSpec()):
         normalized = []
-        for F in self.elements:
+        for F in elements:
             if not F:
                 raise ValueError("zero element in candidate basis")
             if not F.is_homogeneous():
                 raise ValueError("candidate elements must be homogeneous")
-            normalized.append(monic_free(F, self.order))
-        self.elements = normalized
+            normalized.append(monic_free(F, order))
+        self.ctx, self.elements, self.order = ctx, normalized, order
         self.leading_words = [leading_term_free(F, self.order)[0] for F in self.elements]
         self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
         self.leads, self.tails = [], []
@@ -220,14 +216,17 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     return FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
 
 
-@dataclass(frozen=True)
 class Obstruction:
     """An overlap or inclusion ambiguity between two leading words."""
 
-    i: int
-    j: int
-    word: Word
-    remainder: FreePolynomial
+    __slots__ = ("i", "j", "word", "remainder")
+
+    def __init__(self, i: int, j: int, word: Word, remainder: FreePolynomial):
+        self.i, self.j, self.word, self.remainder = i, j, word, remainder
+
+    def __eq__(self, other) -> bool:
+        mine = (self.i, self.j, self.word, self.remainder)
+        return isinstance(other, Obstruction) and mine == (other.i, other.j, other.word, other.remainder)
 
 
 def _ambiguities(w1: Word, w2: Word, same: bool) -> list[tuple[Word, Word, Word, Word]]:
@@ -364,12 +363,13 @@ def ideal_slice_rows(
     return rows
 
 
-@dataclass(frozen=True)
 class FreeInitialData:
     """Initial ideal of a free-algebra ideal computed degree by degree."""
 
-    initial: MonomialIdealFree
-    slice_dims: dict[int, int]
+    __slots__ = ("initial", "slice_dims")
+
+    def __init__(self, initial: MonomialIdealFree, slice_dims: dict[int, int]):
+        self.initial, self.slice_dims = initial, slice_dims
 
 
 def free_initial_ideal(

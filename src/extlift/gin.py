@@ -15,7 +15,6 @@ first trial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
@@ -46,35 +45,33 @@ def random_gl(ctx: AlgebraContext, seed: int, height: int) -> GLMatrix:
             continue
 
 
-@dataclass(frozen=True)
 class GinRequest:
     """Inputs of a gin computation.  ``trials`` independent samples must
     produce identical initial ideals for the result to count as generic."""
 
-    max_degree: int
-    seed: int
-    trials: int = 2
-    height: int = 100
+    __slots__ = ("max_degree", "seed", "trials", "height")
 
-    def __post_init__(self):
-        if self.max_degree < 2:
+    def __init__(self, max_degree: int, seed: int, trials: int = 2, height: int = 100):
+        if max_degree < 2:
             raise ValueError("degree cap must be >= 2")
-        if self.trials < 2:
+        if trials < 2:
             raise ValueError("at least 2 trials are required")
-        if self.height < 1:
+        if height < 1:
             raise ValueError("coefficient height must be >= 1")
+        self.max_degree, self.seed, self.trials, self.height = max_degree, seed, trials, height
 
     def trial_seeds(self) -> list[int]:
         rng = random.Random(self.seed)
         return [rng.getrandbits(63) for _ in range(self.trials)]
 
 
-@dataclass(frozen=True)
 class GinResult:
-    gin: MonomialIdealFree | MonomialIdealExt
-    slice_dims: dict[int, int]
-    trial_seeds: tuple[int, ...]
-    agreement: bool
+    """The first trial's cone and slice dimensions, and whether every trial's cone equals it."""
+
+    __slots__ = ("gin", "slice_dims", "trial_seeds", "agreement")
+
+    def __init__(self, gin, slice_dims: dict[int, int], trial_seeds: tuple[int, ...], agreement: bool):
+        self.gin, self.slice_dims, self.trial_seeds, self.agreement = gin, slice_dims, trial_seeds, agreement
 
 
 def _gin_trials(ctx: AlgebraContext, req: GinRequest, trial) -> GinResult:

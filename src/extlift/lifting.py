@@ -12,7 +12,6 @@ squeezed, in which case the naive lift delta(G) already works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import (
@@ -142,15 +141,15 @@ def strongly_stable_witness(
     return True, None
 
 
-@dataclass(frozen=True)
 class LiftedBasis:
-    """Minimal Groebner basis of the preimage ideal J."""
+    """Minimal Groebner basis of the preimage ideal J: the anti-commutators,
+    the lifts as (g, multiplier u, lifted element), and in(J)'s minimal generators."""
 
-    ctx: AlgebraContext
-    anti_commutators: tuple[FreePolynomial, ...]
-    lifted: tuple[tuple[ExtPolynomial, ExtMonomial, FreePolynomial], ...]
-    order: FreeOrderSpec
-    initial_mingens: tuple[Word, ...]
+    __slots__ = ("ctx", "anti_commutators", "lifted", "order", "initial_mingens")
+
+    def __init__(self, ctx: AlgebraContext, anti_commutators, lifted, order: FreeOrderSpec, initial_mingens):
+        self.ctx, self.anti_commutators, self.lifted = ctx, anti_commutators, lifted
+        self.order, self.initial_mingens = order, initial_mingens
 
     def elements(self) -> list[FreePolynomial]:
         return list(self.anti_commutators) + [F for _, _, F in self.lifted]

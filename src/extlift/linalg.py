@@ -22,9 +22,9 @@ once, into Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable
 
 Row = dict
 

@@ -13,7 +13,6 @@ X2X3 < X1X4 < X2X2 < X2X3 under deglex with four variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import MAX_VARS, ExtMonomial, ExtPolynomial, FreePolynomial, Word
@@ -32,24 +31,22 @@ def _digits(ranks) -> int:
     return k
 
 
-@dataclass(frozen=True)
 class ExtOrderSpec:
     """Base order on monomials: kind plus an optional variable ranking.
 
     ``ranking`` permutes 1..n; ranking[i] is the rank of variable i+1, and
     variables of higher rank are larger.  Default is the natural ranking
-    x1 < x2 < ... < xn.
+    x1 < x2 < ... < xn.  ``_keys`` memoises ``ext_key`` per instance.
     """
 
-    kind: str = "deglex"
-    ranking: tuple[int, ...] | None = None
-    _keys: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "ranking", "_keys")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}; expected one of {KINDS}")
-        if self.ranking is not None and sorted(self.ranking) != list(range(1, len(self.ranking) + 1)):
+    def __init__(self, kind: str = "deglex", ranking: tuple[int, ...] | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown order kind {kind!r}; expected one of {KINDS}")
+        if ranking is not None and sorted(ranking) != list(range(1, len(ranking) + 1)):
             raise ValueError("variable ranking must be a permutation of 1..n")
+        self.kind, self.ranking, self._keys = kind, ranking, {}
 
     def rank(self, i: int) -> int:
         if self.ranking is None:
@@ -76,12 +73,13 @@ class ExtOrderSpec:
         return k
 
 
-@dataclass(frozen=True)
 class FreeOrderSpec:
-    """Degree-first lift of an exterior order to the free monoid."""
+    """Degree-first lift of an exterior order to the free monoid; ``_keys`` memoises ``word_key``."""
 
-    base: ExtOrderSpec = ExtOrderSpec()
-    _keys: dict[Word, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("base", "_keys")
+
+    def __init__(self, base: ExtOrderSpec = ExtOrderSpec()):
+        self.base, self._keys = base, {}
 
     def word_key(self, w: Word) -> int:
         k = self._keys.get(w)

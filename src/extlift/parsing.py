@@ -22,7 +22,6 @@ zero if a letter repeats.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, pi
@@ -37,12 +36,12 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
 class IdealFile:
-    ctx: AlgebraContext
-    algebra: str  # "exterior" | "free"
-    order: ExtOrderSpec
-    generators: tuple  # ExtPolynomial or FreePolynomial
+    __slots__ = ("ctx", "algebra", "order", "generators")
+
+    def __init__(self, ctx: AlgebraContext, algebra: str, order: ExtOrderSpec, generators: tuple):
+        # algebra is "exterior" or "free"; generators are Ext- or FreePolynomials
+        self.ctx, self.algebra, self.order, self.generators = ctx, algebra, order, generators
 
     @property
     def free_order(self) -> FreeOrderSpec:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from extlift.algebra import (
+    MAX_VARS,
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
@@ -233,10 +234,18 @@ class TestContext:
         with pytest.raises(ValueError):
             AlgebraContext(0)
         with pytest.raises(ValueError):
-            AlgebraContext(65)
-        AlgebraContext(64).check_index(64)
+            AlgebraContext(MAX_VARS + 1)
+        AlgebraContext(MAX_VARS).check_index(MAX_VARS)
         with pytest.raises(ValueError):
             AlgebraContext(3).check_index(4)
+
+    def test_value_equality(self):
+        # a context is a value: equal n means equal contexts and equal hashes
+        assert AlgebraContext(3) == AlgebraContext(3)
+        assert hash(AlgebraContext(3)) == hash(AlgebraContext(3))
+        assert AlgebraContext(3) != AlgebraContext(4)
+        assert AlgebraContext(3) != 3
+        assert len({AlgebraContext(3), AlgebraContext(3), AlgebraContext(4)}) == 2
 
 
 class TestPolynomials:

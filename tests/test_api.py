@@ -1,8 +1,8 @@
 """Guards on the size of the library's API: every public definition in
-``src/extlift`` is used by the library itself, every dataclass field is
-read by it, every name a module imports is read by that module, and the
-package exports exactly the names the README's "Library usage" example
-imports."""
+``src/extlift`` is used by the library itself, every field a class lists
+in ``__slots__`` is read by it, every name a module imports is read by
+that module, and the package exports exactly the names the README's
+"Library usage" example imports."""
 
 import ast
 import re
@@ -41,15 +41,18 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _dataclass_fields(tree: ast.Module):
-    """The annotated fields of every dataclass, as (class name, field name)."""
+def _slot_fields(tree: ast.Module):
+    """The ``__slots__`` of every class, ``_``-prefixed memos aside, as
+    (class name, field name)."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(
-            "dataclass" in ast.unparse(d) for d in node.decorator_list
-        ):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield node.name, item.target.id
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    for name in ast.literal_eval(item.value):
+                        if not name.startswith("_"):
+                            yield node.name, name
 
 
 def _read_attributes(tree: ast.Module) -> set[str]:
@@ -75,10 +78,10 @@ def test_every_public_definition_is_used_by_the_library():
 def test_every_dataclass_field_is_read_by_the_library():
     modules = _modules()
     read = set().union(*(_read_attributes(tree) for tree in modules.values()))
-    fields = [(module, cls, name) for module, tree in modules.items() for cls, name in _dataclass_fields(tree)]
+    fields = [(module, cls, name) for module, tree in modules.items() for cls, name in _slot_fields(tree)]
     assert len(fields) > 10
     unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
-    assert unread == [], "a dataclass field that no library code reads; delete it"
+    assert unread == [], "a slotted field that no library code reads; delete it"
 
 
 def _imported_names(tree: ast.Module):

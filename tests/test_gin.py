@@ -61,12 +61,18 @@ class TestRandomGL:
 
 class TestGinRequest:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree cap"):
             GinRequest(max_degree=1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 trials"):
             GinRequest(max_degree=2, seed=0, trials=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="height"):
             GinRequest(max_degree=2, seed=0, height=0)
+
+    def test_fields_and_defaults(self):
+        r = GinRequest(3, 5)
+        assert (r.max_degree, r.seed, r.trials, r.height) == (3, 5, 2, 100)
+        r = GinRequest(max_degree=4, seed=6, trials=3, height=7)
+        assert (r.max_degree, r.seed, r.trials, r.height) == (4, 6, 3, 7)
 
     def test_trial_seeds_deterministic(self):
         r = GinRequest(max_degree=3, seed=99, trials=4)

@@ -228,3 +228,14 @@ class TestSpecValidation:
     def test_bad_ranking(self):
         with pytest.raises(ValueError):
             ExtOrderSpec("deglex", ranking=(1, 1, 2))
+
+    def test_key_memos_are_per_instance(self):
+        # a spec memoises its keys; two specs, also two default ones, never share a memo
+        a, b = ExtOrderSpec(), ExtOrderSpec()
+        assert a._keys is not b._keys
+        a.ext_key(ExtMonomial([1, 2]))
+        assert len(a._keys) == 1 and b._keys == {}
+        ta, tb = FreeOrderSpec(a), FreeOrderSpec(a)
+        assert ta._keys is not tb._keys
+        ta.word_key((2, 1))
+        assert len(ta._keys) == 1 and tb._keys == {}

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +11,7 @@ import pytest
 
 from extlift import algebra, parsing
 from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
-from extlift.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, main
+from extlift.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, EXIT_PIPE, main
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 from extlift.parsing import (
     ParseError,
@@ -23,6 +26,7 @@ from oracles import ArithmeticExprParser
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(algebra.__file__).parents[1]
 DEGLEX = ExtOrderSpec("deglex")
 Q3 = "vars: 3\n{header}generators:\nx1*x2 + 2*x1*x3 + 5*x2*x3\n"
 Q5 = "vars: 5\n{header}generators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n"
@@ -454,6 +458,49 @@ class TestCLI:
         capped, full = json.loads(out), json.loads(full)
         assert capped["quotient_dimensions"] == dims
         assert (capped["numerator"], capped["denominator"]) == (full["numerator"], full["denominator"])
+
+
+# ---- the CLI as a process ----------------------------------------------------
+
+
+class TestProcess:
+    def test_import_loads_no_code_generators(self):
+        # -S keeps site .pth files from loading any of these before extlift does
+        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); import extlift.cli; "
+            f"print(*sorted({banned!r} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == ""
+
+    @pytest.mark.parametrize(
+        "argv,unbuffered",
+        [
+            # buffered, the output fails at the final flush
+            (["gb", "quadric_n3.ideal"], False),
+            (["gb", "quadric_n3.ideal", "--json"], False),
+            (["--help"], False),
+            # unbuffered, the first print fails inside the command
+            (["gb", "quadric_n3.ideal"], True),
+            (["gb", "quadric_n3.ideal", "--json"], True),
+        ],
+        ids=["gb", "gb-json", "help", "gb-unbuffered", "gb-json-unbuffered"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        argv = [str(DATA / a) if a.endswith(".ideal") else a for a in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            cmd = [sys.executable, "-m", "extlift.cli", *argv]
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_PIPE, "")
 
 
 # ---- the parser against the arithmetic parser ----------------------------
