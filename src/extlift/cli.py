@@ -397,10 +397,15 @@ def _degree_cap(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a command line with an InputError instead of exiting."""
+    """Refuses a command line with an InputError instead of exiting.  Its
+    ``--help`` lets a failed write reach ``main``; argparse's would swallow
+    it (and argparse prints the usage only from ``error``)."""
 
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:

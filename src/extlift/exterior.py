@@ -10,15 +10,18 @@ new basis elements (their rows of the reduced echelon form).
 One slice loop serves every reader.  It stops at the first full slice:
 if I_d = E_d then I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator
 lies above d, and every later slice is filled with C(n, d) and not
-reduced.  Only ``groebner_ext``, whose rows ``gb`` and ``lift`` read,
-back-substitutes.  ``initial_data_ext``, for readers of leads and
-dimensions alone (the exterior ``hilbert``, the gin trials and the gin's
-Hilbert check), asks only for the pivots, and stops reading a slice's
-rows once its rank reaches C(n, d).
+reduced.  Nor is that full slice when its rank modulo a prime is C(n, d)
+(``linalg.full_rank``): then its rank over Q is too, and its reduced
+echelon form is the identity.  Only ``groebner_ext``, whose rows ``gb`` and
+``lift`` read, back-substitutes.  ``initial_data_ext``, for readers of
+leads and dimensions alone (the exterior ``hilbert``, the gin trials and
+the gin's Hilbert check), asks only for the pivots, and stops reading a
+slice's rows once its rank reaches C(n, d).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 from .algebra import (
@@ -27,7 +30,7 @@ from .algebra import (
     ExtPolynomial,
     ext_monomials_of_degree,
 )
-from .linalg import pivots, rref
+from .linalg import full_rank, pivots, rref
 from .orders import ExtOrderSpec, leading_term_ext
 
 
@@ -91,8 +94,8 @@ class MonomialIdealExt:
 
 class ExtGroebnerBasis:
     """Reduced minimal Groebner basis, with ``slice_dims[d] = dim I_d`` for
-    every degree d = 0..n read off the same elimination; the slices past
-    the first full one are C(n, d) and were not reduced."""
+    d = 0..n read off the same slices; the first full slice, if a prime
+    proved it full, and the slices past it are C(n, d) and not reduced."""
 
     __slots__ = ("ctx", "elements", "order", "slice_dims")
 
@@ -104,8 +107,8 @@ class ExtGroebnerBasis:
 
 
 class ExtInitialData:
-    """The initial ideal of an exterior ideal, with ``slice_dims`` as in
-    ``ExtGroebnerBasis``, read off echelon forms without back-substitution."""
+    """The initial ideal of an exterior ideal and its ``slice_dims``, read
+    off the slices as in ``ExtGroebnerBasis`` but without back-substitution."""
 
     __slots__ = ("ctx", "initial", "slice_dims")
 
@@ -138,9 +141,9 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
     """The slice loop: the minimal basis elements by degree, largest lead
     first, or when not ``reduced`` only their leading monomials; and dim
     I_d for d = 0..n.  Slices below the lowest generator degree are 0, and
-    each slice from there to the first full one is eliminated once.  A
-    pivot is a new minimal generator iff no pivot one degree below
-    divides it."""
+    each slice from there to the first full one is built once and either
+    proved full modulo a prime or eliminated once.  A pivot is a new
+    minimal generator iff no pivot one degree below divides it."""
     n, key = I.ctx.n, I.order.ext_key
     found: list = []
     dims: list[int] = []
@@ -151,11 +154,16 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
             dims.append(0)
             continue
         full = comb(n, d)
-        if reduced:
-            items = [ExtPolynomial._raw(r) for r in rref(_slice_rows(I, d), key)]
+        rows = list(_slice_rows(I, d))
+        if len(rows) >= full and full_rank(rows, full):
+            # the reduced echelon form of a full slice is the identity
+            leads = sorted(ext_monomials_of_degree(I.ctx, d), key=key, reverse=True)
+            items = [ExtPolynomial._raw({m: Fraction(1)}) for m in leads] if reduced else leads
+        elif reduced:
+            items = [ExtPolynomial._raw(r) for r in rref(rows, key)]
             leads = [leading_term_ext(f, I.order)[0] for f in items]
         else:
-            items = leads = pivots(_slice_rows(I, d), key, full)
+            items = leads = pivots(rows, key, full)
         for lead, item in zip(leads, items):
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 found.append(item)
@@ -170,7 +178,7 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
     """Reduced minimal Groebner basis, from the reduced echelon form of
-    each slice up to the first full one."""
+    each slice up to the first full one (the identity, if proved full)."""
     elements, dims = _slices(I, reduced=True)
     return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, dims)
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import lcm
 
 from .algebra import (
     AlgebraContext,
+    ExtPolynomial,
     FreePolynomial,
     GLMatrix,
     apply_gl,
@@ -105,12 +107,17 @@ def gin_free(
 
 
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
-    """Generic initial ideal in E(V): transform, then read the initial
-    ideal off the pivots of the slices, with no back-substitution; the
-    per-degree dimensions are the first trial's slice dimensions."""
+    """Generic initial ideal in E(V): transform an integer multiple of each
+    generator, which spans the same ideal, then read the initial ideal off
+    the slices with no back-substitution; the per-degree dimensions are the
+    first trial's slice dimensions."""
+    gens = []
+    for f in I.generators:
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        gens.append(ExtPolynomial._raw({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}))
 
     def trial(g: GLMatrix):
-        data = initial_data_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order))
+        data = initial_data_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order))
         return data.initial, dict(enumerate(data.slice_dims))
 
     return _gin_trials(I.ctx, req, trial)

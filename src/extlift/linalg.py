@@ -1,5 +1,5 @@
 """Sparse exact Gaussian elimination over the rationals, the only one in
-extlift: one loop with two entry points.
+extlift: one loop with two entry points, beside a full-rank certificate.
 
 Rows are dicts column -> nonzero rational, a Fraction or an int; columns
 are ordered by a key function, largest first.  ``rref`` returns the
@@ -18,6 +18,11 @@ cancels column c by the cross-multiplication (p/g)*row - (r/g)*pivot,
 where r = row[c], p = pivot[c] and g = gcd(r, p), and then divides out
 the content.  Only ``rref``'s output rows are divided by their leads,
 once, into Fractions.
+
+``full_rank`` only certifies full rank, modulo the one prime ``PRIME``:
+a minor that is nonzero modulo a prime is nonzero over Q (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, ch. 5).  It never produces a
+coefficient, and where it proves nothing the caller eliminates over Q.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Row = dict
+PRIME = 2**31 - 1
 
 
 def _primitive(row: Row) -> Row:
@@ -124,3 +130,46 @@ def pivots(rows: Iterable[Row], key: Callable[[Hashable], object], ncols: int | 
     further row is read."""
     column, pivot_rows = _echelon(rows, key, reduced=False, ncols=ncols)
     return [column[k] for k in sorted(pivot_rows, reverse=True)]
+
+
+def full_rank(rows: list[Row], ncols: int) -> bool:
+    """True only if the rows have rank ``ncols``, the number of columns
+    they can reach, over Q; False when their rank modulo ``PRIME`` is lower.
+
+    Each row is scaled by the lcm of its denominators, reduced modulo
+    ``PRIME`` (no entry is inverted; one divisible by it is 0) and packed
+    into one int, ``w`` bits per column.  Reducing by a monic pivot row at
+    the top slot, ``x += (PRIME - f) * pivot``, adds under PRIME^2 < 2^62 to
+    each slot, and a row meets each pivot once, so no slot carries.  A slot
+    is reduced modulo ``PRIME`` only when read as the lead."""
+    # one slot per column reached, in the order the rows first reach them
+    slot = {c: i for i, c in enumerate(dict.fromkeys(c for row in rows for c in row))}
+    if len(slot) < ncols:
+        return False
+    w = 62 + ncols.bit_length() + 1
+    mask = (1 << w) - 1
+    spare = len(rows) - ncols  # more zero rows than this leave the rank short
+    pivot_rows = {}
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        x = 0
+        for c, v in row.items():
+            x |= (v.numerator * (den // v.denominator) % PRIME) << w * slot[c]
+        while x:
+            s = (x.bit_length() - 1) // w
+            f = (x >> w * s) % PRIME
+            if f:
+                prow = pivot_rows.get(s)
+                if prow is None:
+                    inv = pow(f, -1, PRIME)
+                    pivot_rows[s] = sum((x >> w * t & mask) * inv % PRIME << w * t for t in range(s + 1))
+                    if len(pivot_rows) == ncols:
+                        return True
+                    break
+                x += (PRIME - f) * prow
+            x &= (1 << w * s) - 1
+        else:  # the row reduced to 0
+            spare -= 1
+            if spare < 0:
+                return False
+    return False

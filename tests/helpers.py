@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from extlift.algebra import (
     AlgebraContext,
@@ -20,7 +21,7 @@ from extlift.algebra import (
     delta,
     ext_monomials_of_degree,
 )
-from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt
+from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt, _slice_rows
 from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, obstructions_resolve
 from extlift.gin import random_gl
 from extlift.lifting import (
@@ -251,6 +252,16 @@ def is_strongly_stable(L: MonomialIdealExt, toward_larger: bool = False, n: int 
     return strongly_stable_witness(L, toward_larger, n)[0]
 
 
+def gap_binomials(rng, ctx):
+    """Two binomials x_a x_b + c x_c x_d with a < c < d < b."""
+    out = []
+    for _ in range(2):
+        a, c, d, b = sorted(rng.sample(range(1, ctx.n + 1), 4))
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(2)]
+        out.append(ExtPolynomial([(ExtMonomial((a, b)), coeffs[0]), (ExtMonomial((c, d)), coeffs[1])]))
+    return out
+
+
 def exterior_corpus(n: int, kind: str):
     """Seeded ideals of E(V): three quadrics, two cubics, and both after a
     height-100 coordinate change, as gin_ext transforms them."""
@@ -264,3 +275,19 @@ def exterior_corpus(n: int, kind: str):
         g = random_gl(ctx, rng.randrange(1000), 100)
         yield ExtIdeal(ctx, gens, order)
         yield ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], order)
+
+
+def slice_oracle_corpus(n: int, kind: str):
+    """Every degree slice of the exterior corpus and, for n >= 4, of two
+    seeded gap binomials before and after a height-100 coordinate change,
+    as (rows, order key, number of columns)."""
+    ideals = list(exterior_corpus(n, kind))
+    if n >= 4:
+        rng = random.Random(f"slice-oracle/{n}/{kind}")
+        ctx = AlgebraContext(n)
+        gens = gap_binomials(rng, ctx)
+        g = random_gl(ctx, rng.randrange(1000), 100)
+        ideals += [ExtIdeal(ctx, gens, ExtOrderSpec(kind)), ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], ExtOrderSpec(kind))]
+    for I in ideals:
+        for d in range(n + 1):
+            yield list(_slice_rows(I, d)), I.order.ext_key, comb(n, d)

@@ -3,11 +3,12 @@ elimination they replaced (``tests/oracles.fraction_rref``) and against
 the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
 seeded exterior and free-algebra corpora, and in the arithmetic they do.
 ``pivots`` told the column count must give the same answer and read no
-row after the rank reaches it."""
+row after the rank reaches it.  The certificate ``full_rank`` is checked
+against ``pivots``: never True on rows of lower rank, True on every full
+slice of the corpus, and harmless where a coefficient meets its prime."""
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +16,15 @@ from hypothesis import strategies as st
 
 from extlift import exterior
 from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
+from extlift.cli import EXIT_OK, main
 from extlift.exterior import groebner_ext
 from extlift.freealg import free_initial_ideal, ideal_slice_rows
 from extlift.gin import random_gl
 from extlift.lifting import anti_commutators
-from extlift.linalg import pivots, rref
+from extlift.linalg import PRIME, full_rank, pivots, rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, exterior_corpus, random_ext_polynomial, random_free_polynomial
+from helpers import dense_rank, exterior_corpus, random_ext_polynomial, random_free_polynomial, slice_oracle_corpus
 from oracles import fraction_rref, rref_free_initial_ideal
 
 
@@ -59,7 +61,10 @@ def test_rref_against_dense_elimination(system):
     reduced = rref(rows, key)
     # the echelon-only entry point finds the pivots of the reduced rows
     assert pivots(rows, key) == [max(r, key=key) for r in reduced]
-    assert_rank_stop(rows, key, len({c for row in rows for c in row}))
+    ncols = len({c for row in rows for c in row})
+    assert_rank_stop(rows, key, ncols)
+    # the certificate proves nothing that is false
+    assert not full_rank(rows, ncols) or len(reduced) == ncols
     # the same rows, in the same order, as the Fraction elimination
     assert reduced == fraction_rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
     assert all(type(v) is Fraction for row in reduced for v in row.values())
@@ -110,12 +115,80 @@ def assert_rank_stop(rows: list, key, ncols: int) -> None:
 @pytest.mark.parametrize("n", range(2, 8))
 def test_pivots_rank_stop_on_exterior_slices(n, kind):
     full = 0
-    for I in exterior_corpus(n, kind):
-        for d in range(n + 1):
-            rows = list(exterior._slice_rows(I, d))
-            assert_rank_stop(rows, I.order.ext_key, comb(n, d))
-            full += len(pivots(rows, I.order.ext_key)) == comb(n, d) > 0
+    for rows, key, ncols in slice_oracle_corpus(n, kind):
+        assert_rank_stop(rows, key, ncols)
+        full += len(pivots(rows, key)) == ncols
     assert full > 0
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_full_rank_against_pivots_on_exterior_slices(n, kind):
+    """The certificate is never True on a slice that is not full, and on
+    this corpus the prime is never unlucky: it proves every full slice."""
+    full = 0
+    for rows, key, ncols in slice_oracle_corpus(n, kind):
+        oracle = len(pivots(rows, key, ncols)) == ncols
+        assert full_rank(rows, ncols) == oracle
+        full += oracle
+    assert full > 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_full_rank_refuses_rank_deficient_rows(seed):
+    """At least as many rows as columns, every column reached, but all of
+    them combinations of fewer rows, some with coefficients that are
+    multiples of the prime or fractions over it."""
+    rng = random.Random(f"full-rank/{seed}")
+    ncols = rng.randint(1, 12)
+    entry = lambda: Fraction(rng.choice([rng.randint(-9, 9), rng.randint(-10**6, 10**6), PRIME]), rng.choice([1, 1, 7, PRIME]))
+    basis = [{c: entry() for c in range(ncols)} for _ in range(rng.randint(0, ncols - 1))]
+    rows = []
+    for _ in range(ncols + rng.randint(0, 4)):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        combo = {c: sum(a * b[c] for a, b in zip(coeffs, basis)) for c in range(ncols)}
+        rows.append({c: v for c, v in combo.items() if v})
+    assert len(pivots(rows, int)) < ncols
+    assert not full_rank(rows, ncols)
+
+
+def test_full_rank_counts_rows_divisible_by_the_prime_as_zero():
+    # a row that vanishes modulo the prime is a zero row, and a
+    # denominator equal to the prime scales away
+    assert full_rank([{0: PRIME, 1: 2 * PRIME}, {0: 1}, {1: 1}], 2)
+    assert full_rank([{0: Fraction(1, PRIME), 1: 1}, {1: 1}], 2)
+    assert full_rank([{0: Fraction(1, PRIME), 1: Fraction(1, 2)}, {0: 1, 1: 1}], 2)
+    # rank 2 over Q, but no proof modulo the prime
+    assert not full_rank([{0: PRIME}, {0: 1}, {1: PRIME}], 2)
+    assert not full_rank([{0: Fraction(3 * PRIME, 7), 1: Fraction(PRIME, 2)}, {0: 1, 1: 1}], 2)
+    assert not full_rank([{0: PRIME, 1: 1}, {0: 2 * PRIME, 1: 5}], 2)
+    # as many zero rows as there are rows beyond the rank are no obstacle
+    assert full_rank([{0: PRIME}, {1: PRIME}, {0: 1}, {1: 1}, {2: 1}, {2: PRIME}], 3)
+    # too few columns reached, or more rows that vanish modulo the prime
+    assert not full_rank([{0: 1}, {0: 2}], 2)
+    assert not full_rank([{0: PRIME, 2: PRIME}, {1: PRIME}, {0: 1, 1: 2}, {2: 1}], 3)
+
+
+PRIME_FILES = {
+    "prime_n3": f"vars: 3\ngenerators:\n{PRIME}*x1*x2\n",
+    "inverse_prime_n3": f"vars: 3\ngenerators:\nx1*x2 + x1*x3 + 1/{PRIME}*x2*x3\n",
+    "mixed_n5": f"vars: 5\ngenerators:\n{PRIME}*x1*x2 + x3*x4 - 2*x2*x5\n1/{PRIME}*x1*x3 + {PRIME}*x2*x4 + x4*x5\n",
+}
+
+
+@pytest.mark.parametrize("command", ["gb", "hilbert", "lift", "gin"])
+@pytest.mark.parametrize("name", sorted(PRIME_FILES))
+def test_prime_coefficients_match_the_rational_path(monkeypatch, capsys, tmp_path, name, command):
+    """With a coefficient divisible by the prime, or one over it, every
+    exterior command prints what it prints when no slice is certified and
+    every slice is eliminated over Q."""
+    path = tmp_path / f"{name}.ideal"
+    path.write_text(PRIME_FILES[name])
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    certified = capsys.readouterr()
+    monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    assert capsys.readouterr() == certified
 
 
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
@@ -124,6 +197,7 @@ def test_groebner_ext_matches_fraction_oracle(monkeypatch, n, kind):
     ideals = list(exterior_corpus(n, kind))
     fast = [groebner_ext(I) for I in ideals]
     monkeypatch.setattr(exterior, "rref", fraction_rref)
+    monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)
     for I, G in zip(ideals, fast):
         slow = groebner_ext(I)
         assert G.elements == slow.elements

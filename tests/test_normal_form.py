@@ -26,7 +26,7 @@ from extlift.lifting import lift_groebner
 from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
+from helpers import gap_binomials, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
 from oracles import fraction_normal_form, fraction_obstructions_resolve, rescan_normal_form, rescan_obstructions_resolve
 
 
@@ -95,16 +95,6 @@ def assert_exact(fast: FreePolynomial, slow: FreePolynomial):
     """The same terms in the same order, every coefficient a Fraction."""
     assert list(fast.terms.items()) == list(slow.terms.items())
     assert all(type(v) is Fraction for v in fast.terms.values())
-
-
-def gap_binomials(rng, ctx):
-    """Two binomials x_a x_b + c x_c x_d with a < c < d < b."""
-    out = []
-    for _ in range(2):
-        a, c, d, b = sorted(rng.sample(range(1, ctx.n + 1), 4))
-        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(2)]
-        out.append(ExtPolynomial([(ExtMonomial((a, b)), coeffs[0]), (ExtMonomial((c, d)), coeffs[1])]))
-    return out
 
 
 def perturbed(rng, elements, k):

@@ -481,11 +481,13 @@ class TestProcess:
             (["gb", "quadric_n3.ideal"], False),
             (["gb", "quadric_n3.ideal", "--json"], False),
             (["--help"], False),
-            # unbuffered, the first print fails inside the command
+            # unbuffered, the first print fails inside the command or the parser
             (["gb", "quadric_n3.ideal"], True),
             (["gb", "quadric_n3.ideal", "--json"], True),
+            (["--help"], True),
+            (["gb", "--help"], True),
         ],
-        ids=["gb", "gb-json", "help", "gb-unbuffered", "gb-json-unbuffered"],
+        ids=["gb", "gb-json", "help", "gb-unbuffered", "gb-json-unbuffered", "help-unbuffered", "gb-help-unbuffered"],
     )
     def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
         argv = [str(DATA / a) if a.endswith(".ideal") else a for a in argv]

@@ -1,7 +1,9 @@
-"""Work-count guard: a command reduces each degree slice of an ideal at
+"""Work-count guard: a command handles each degree slice of an ideal at
 most once per Groebner pass, and an exterior pass stops at the first full
-slice; only gb and lift back-substitute (``linalg.rref``), while hilbert,
-the exterior gin and verify ask only for pivots (``linalg.pivots``).  The
+slice.  An exterior slice is either certified full modulo a prime
+(``linalg.full_rank``), and then never eliminated, or eliminated once;
+only gb and lift back-substitute (``linalg.rref``), while hilbert, the
+exterior gin and verify ask only for pivots (``linalg.pivots``).  The
 exterior gin runs gin_ext once, transforms each generator once per trial
 and refuses an ideal without a lifted gin before any trial."""
 
@@ -24,19 +26,21 @@ MODULES = [
 ]
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Wrap ``fn`` at every module that binds it; the returned list grows
-    by one entry per call."""
+def count_calls(monkeypatch, *fns) -> list:
+    """Wrap each of ``fns`` at every module that binds it; the returned
+    list grows by (name, result) per call, a list result given as its
+    length (an elimination's rank)."""
     calls = []
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            result = _fn(*args, **kwargs)
+            calls.append((_fn.__name__, len(result) if type(result) is list else result))
+            return result
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for mod in [extlift, *MODULES]:
-        for attr, obj in list(vars(mod).items()):
-            if obj is fn:
-                monkeypatch.setattr(mod, attr, counted)
+        for mod in [extlift, *MODULES]:
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
@@ -55,45 +59,59 @@ def quadrics_file(tmp_path, n: int) -> Path:
     return path
 
 
-# the exterior commands that back-substitute, and those that read pivots only
-REDUCED = {"gb": True, "lift": True, "hilbert": False}
+def slice_calls(monkeypatch) -> list:
+    """The log of the certificate and both elimination entry points."""
+    return count_calls(monkeypatch, linalg.full_rank, linalg.rref, linalg.pivots)
 
 
-@pytest.mark.parametrize("command", sorted(REDUCED))
+# the elimination of the exterior commands that back-substitute, and of
+# those that read pivots only
+ELIMINATION = {"gb": "rref", "lift": "rref", "hilbert": "pivots"}
+
+
+@pytest.mark.parametrize("command", sorted(ELIMINATION))
 def test_exterior_slices_reduced_once(monkeypatch, capsys, command):
-    # the quadric in n=3 first fills the slice at d=3: slices 2 and 3
-    rref_calls = count_calls(monkeypatch, linalg.rref)
-    pivots_calls = count_calls(monkeypatch, linalg.pivots)
+    # the quadric in n=3 first fills the slice at d=3: slice 2 (one row,
+    # too few to be full) is eliminated and slice 3 is certified full
+    calls = slice_calls(monkeypatch)
     run(capsys, command, "quadric_n3.ideal")
-    assert len(rref_calls) + len(pivots_calls) == 2
-    assert len(rref_calls if REDUCED[command] else pivots_calls) == 2
+    assert calls == [(ELIMINATION[command], 1), ("full_rank", True)]
 
 
-@pytest.mark.parametrize("command", sorted(REDUCED))
+@pytest.mark.parametrize("command", sorted(ELIMINATION))
 def test_exterior_slices_stop_at_first_full_slice(monkeypatch, capsys, tmp_path, command):
-    """Three quadrics in n=8 fill the slice at d=4, so only d=2, 3 and 4
-    are reduced; the quotient is still reported in every degree."""
+    """Three quadrics in n=8 fill the slice at d=4: d=2 and 3 have fewer
+    rows than columns and are eliminated, d=4 is certified full and not
+    eliminated, and nothing above it is touched; the quotient is still
+    reported in every degree."""
     path = quadrics_file(tmp_path, 8)
-    rref_calls = count_calls(monkeypatch, linalg.rref)
-    pivots_calls = count_calls(monkeypatch, linalg.pivots)
+    calls = slice_calls(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)
-    assert len(rref_calls) + len(pivots_calls) == 3
-    assert len(rref_calls if REDUCED[command] else pivots_calls) == 3
+    assert calls == [(ELIMINATION[command], 3), (ELIMINATION[command], 24), ("full_rank", True)]
     if command != "lift":
         assert result["quotient_dimensions"] == [1, 8, 25, 32, 0, 0, 0, 0, 0]
 
 
+def test_exterior_slices_certificate_failure_falls_back_once(monkeypatch, capsys, tmp_path):
+    """A slice that is full over Q but not modulo the prime is eliminated
+    once after the failed certificate, and the pass stops there."""
+    path = tmp_path / "p.ideal"
+    path.write_text(f"vars: 3\ngenerators:\n{linalg.PRIME}*x1*x2\n")
+    calls = slice_calls(monkeypatch)
+    run(capsys, "gb", str(path))
+    assert calls == [("rref", 1), ("full_rank", False), ("rref", 1)]
+
+
 def test_exterior_gin_two_trials(monkeypatch, capsys):
     # two transformed ideals plus the untransformed one for the Hilbert
-    # check, each with slices 2 and 3, and no back-substitution; GLMatrix
-    # asks pivots once per drawn matrix
-    rref_calls = count_calls(monkeypatch, linalg.rref)
-    pivots_calls = count_calls(monkeypatch, linalg.pivots)
+    # check, each with slice 2 read by pivots and slice 3 certified full,
+    # and no back-substitution; GLMatrix asks pivots once per drawn matrix
+    calls = slice_calls(monkeypatch)
     gin_ext_calls = count_calls(monkeypatch, gin.gin_ext)
     run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
-    assert rref_calls == []
-    assert len(pivots_calls) == 3 * 2 + 2
+    trial = [("pivots", 3), ("pivots", 1), ("full_rank", True)]
+    assert calls == trial * 2 + trial[1:]
     assert len(gin_ext_calls) == 1
 
 
@@ -111,21 +129,20 @@ def test_exterior_gin_transforms_each_generator_once_per_trial(monkeypatch, caps
     [("linear_n2.ideal", []), ("quadric_n3.ideal", ["--varorder", "2,1,3"])],
 )
 def test_exterior_gin_refused_before_any_trial(monkeypatch, capsys, source, flags):
-    rref_calls = count_calls(monkeypatch, linalg.rref)
-    pivots_calls = count_calls(monkeypatch, linalg.pivots)
+    calls = slice_calls(monkeypatch)
     assert main(["gin", str(DATA / source), "--json", *flags]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
-    assert rref_calls == pivots_calls == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("maxdeg", [3, 5])
 def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
     # verify reads only the pivots of its free slices: no back-substitution
-    rref_calls = count_calls(monkeypatch, linalg.rref)
-    pivots_calls = count_calls(monkeypatch, linalg.pivots)
+    # and no certificate
+    calls = slice_calls(monkeypatch)
     run(capsys, "verify", "anticomm_n2.ideal", "--maxdeg", str(maxdeg))
-    assert 0 < len(pivots_calls) <= maxdeg + 1
-    assert rref_calls == []
+    assert 0 < len(calls) <= maxdeg + 1
+    assert {name for name, _ in calls} == {"pivots"}
 
 
 def test_verify_anticommutators_n5_default_maxdeg(capsys):
