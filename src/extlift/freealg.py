@@ -129,10 +129,24 @@ class FreeGroebnerCandidate:
     Besides the leading words and their automaton, the candidate keeps what
     every normal form modulo it reuses: each element as a primitive integer
     polynomial, split into its positive lead ``leads[i]`` and the terms
-    without its leading word, ``tails[i]``.
+    without its leading word, ``tails[i]``; and ``_rules``, a memo of each
+    word's rewrite that every ``normal_form`` modulo the candidate reads and
+    extends.
+
+    Write N for the normal form.  ``_rules[w]`` is None when no leading
+    word divides w, w's first automaton match ``(idx, end)`` until its rule
+    is needed, and then its rule ``(lead, tail)``, with
+    lead N(w) = -sum c N(u) over the tail terms ``((-word_key(u), u), c)``.
+    The rule is the rewrite by w's first match with each tail word followed
+    to the end of its chain, factors multiplied, terms with the same end
+    summed and zero terms dropped.  A chain step is a rewrite by an element
+    of lead 1 with at most one tail term: it maps v to -c v2, or to 0 when
+    the tail is empty (a square, a monomial element).  A chain ends at the
+    first word that takes no step; each word on it gets the rule of one
+    step to the end.
     """
 
-    __slots__ = ("ctx", "elements", "order", "leading_words", "automaton", "leads", "tails")
+    __slots__ = ("ctx", "elements", "order", "leading_words", "automaton", "leads", "tails", "_rules")
 
     def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec = FreeOrderSpec()):
         normalized = []
@@ -153,30 +167,95 @@ class FreeGroebnerCandidate:
             content = gcd(*ints.values())
             self.leads.append(ints.pop(lead) // content)
             self.tails.append([(w, c // content) for w, c in ints.items()])
+        self._rules: dict = {}
+
+    def _chain_end(self, w: Word):
+        """(entry, f) with N(w) = f N(u) and entry = (-word_key(u), u), u
+        the end of w's chain, or (None, 0) if the chain reaches 0.  Each
+        word first matched on the way keeps the rule of one step to the end.
+
+        A loop, not a recursion: sorting X_n ... X_1 takes n(n-1)/2 steps."""
+        rules = self._rules
+        path: list[tuple[Word, int]] = []  # the words first matched here, each with the factor before it
+        f = 1
+        while True:
+            rule = rules.get(w, False)
+            if rule is False:
+                hit = self.automaton.first_match(w)
+                if hit is None:
+                    rules[w] = None
+                    break
+                idx, end = hit
+                tail = self.tails[idx]
+                if self.leads[idx] != 1 or len(tail) > 1:
+                    rules[w] = hit
+                    break
+                path.append((w, f))
+                if not tail:
+                    f = 0
+                    break
+                t, c = tail[0]
+                f *= -c
+                w = w[: end - len(self.leading_words[idx])] + t + w[end:]
+            elif rule is None or type(rule[1]) is int:
+                break
+            else:
+                lead, tail = rule
+                if not tail:
+                    f = 0
+                    break
+                if lead != 1 or len(tail) > 1:
+                    break
+                (entry, c), = tail
+                f *= -c
+                w = entry[1]
+        if not f:
+            for v, _ in path:
+                rules[v] = (1, [])
+            return None, 0
+        entry = (-self.order.word_key(w), w)
+        for v, before in path:
+            rules[v] = (1, [(entry, -(f // before))])
+        return entry, f
+
+    def _build_rule(self, w: Word, idx: int, end: int):
+        """Replace w's first match (idx, end) in ``_rules`` by w's rule,
+        and return the rule."""
+        prefix, suffix = w[: end - len(self.leading_words[idx])], w[end:]
+        ends = [(self._chain_end(prefix + t + suffix), c) for t, c in self.tails[idx]]
+        terms = _add_into({}, ((entry, c * f) for (entry, f), c in ends))
+        rule = self._rules[w] = (self.leads[idx], list(terms.items()))
+        return rule
 
 
 def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     """Fully reduce F: rewrite the largest reducible word A in(g) B into
     A (in(g) - g) B until no word contains a leading word of G.
 
-    The words of the running polynomial sit in a max-heap on their order
-    keys.  A rewrite only brings in words smaller than the one it removes,
-    so the popped word is the largest left: if no leading word divides it,
-    it belongs to the remainder for good; otherwise its first automaton
-    match is rewritten with the integer tail of that element.  Every word
-    is popped and matched once.
+    Each word of F is first replaced by the end of its chain (see
+    ``FreeGroebnerCandidate``).  The words of the running polynomial sit in
+    a max-heap on their order keys.  A rule only brings in words smaller
+    than the one it removes, so the popped word is the largest left: if no
+    leading word divides it, it belongs to the remainder for good;
+    otherwise it is replaced by its rule from ``G._rules``, built the first
+    time the word is popped modulo G.  No word is popped twice in one
+    normal form, nor matched twice modulo one candidate.  Each rule holds
+    for the linear map N that rewriting by first matches defines, so the
+    remainder is the one a word-by-word rewrite leaves; the heap only fixes
+    the order of evaluation.
 
     It is integer pseudo-division: the terms are F times ``scale``.  To
-    rewrite a word of coefficient c by an element of lead L, all terms and
-    the scale are multiplied by L/g, g = gcd(c, L), and (c/g) A tail B is
+    rewrite a word of coefficient c by a rule of lead L, all terms and
+    the scale are multiplied by L/g, g = gcd(c, L), and (c/g) tail is
     subtracted.  Scaling by positive integers cancels the same words as over
     the rationals, so the remainder over the scale is the exact remainder.
     """
-    key = G.order.word_key
-    first_match = G.automaton.first_match
+    rules = G._rules
     scale = lcm(*(c.denominator for c in F.terms.values()))
-    current = {w: c.numerator * (scale // c.denominator) for w, c in F.terms.items()}
-    heap = [(-key(w), w) for w in current]
+    ends = [(G._chain_end(w), c) for w, c in F.terms.items()]
+    terms = _add_into({}, ((entry, f * c.numerator * (scale // c.denominator)) for (entry, f), c in ends))
+    current = {entry[1]: c for entry, c in terms.items()}
+    heap = list(terms)
     heapq.heapify(heap)
     remainder: dict[Word, int] = {}
     while heap:
@@ -185,12 +264,14 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
         if coeff is None:
             # cancelled after it was queued
             continue
-        hit = first_match(w)
-        if hit is None:
+        rule = rules[w]
+        if rule is None:
             remainder[w] = coeff
             continue
-        idx, end = hit
-        lead = G.leads[idx]
+        lead, tail = rule
+        if type(tail) is int:
+            # w's first match, (idx, end): the rule is built on first use
+            lead, tail = G._build_rule(w, lead, tail)
         if lead != 1:
             g = gcd(coeff, lead)
             m, coeff = lead // g, coeff // g
@@ -199,14 +280,12 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
                 for terms in (current, remainder):
                     for v in terms:
                         terms[v] *= m
-        prefix = w[: end - len(G.leading_words[idx])]
-        suffix = w[end:]
-        for t, c in G.tails[idx]:
-            v = prefix + t + suffix
+        for entry, c in tail:
+            v = entry[1]
             old = current.get(v)
             if old is None:
                 current[v] = -coeff * c
-                heapq.heappush(heap, (-key(v), v))
+                heapq.heappush(heap, entry)
             else:
                 s = old - coeff * c
                 if s:

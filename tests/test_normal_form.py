@@ -22,7 +22,7 @@ from extlift.freealg import (
     normal_form,
     obstructions_resolve,
 )
-from extlift.lifting import lift_groebner
+from extlift.lifting import anti_commutators, lift_groebner
 from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
@@ -161,6 +161,54 @@ class TestAgainstFraction:
         assert leads >= 200
 
 
+# --- chains -----------------------------------------------------------------
+
+
+def chain_candidate() -> FreeGroebnerCandidate:
+    """n = 3, deglex: two chain steps, X2X1 -> -X1X2 and X3X1 -> -X1X3, the
+    monomial element X1X3, and an element of lead 2 on X3X3X2 whose tail
+    words X2X1X3 and X1X2X3 end at X1X2X3 and cancel, while X3X1X2 runs
+    into X1X3 and goes to 0."""
+    E = FreePolynomial([
+        ((3, 3, 2), 2), ((2, 1, 3), 1), ((1, 2, 3), 1), ((3, 1, 2), 3), ((2, 2, 2), 1),
+    ])
+    elements = [FreePolynomial([((2, 1), 1), ((1, 2), 1)]), FreePolynomial([((3, 1), 1), ((1, 3), 1)]),
+                FreePolynomial.monomial((1, 3)), E]
+    return FreeGroebnerCandidate(AlgebraContext(3), elements, FreeOrderSpec())
+
+
+def test_chains_that_cancel_or_vanish_against_both_oracles():
+    G = chain_candidate()
+    rng = random.Random("chains")
+    Fs = [FreePolynomial.monomial((3, 3, 2)), FreePolynomial([((1, 3, 3, 2), 3), ((3, 3, 2, 1), Fraction(5, 3))])]
+    Fs += [random_free_polynomial(rng, G.ctx, rng.randint(3, 5), nterms=8).scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+           for _ in range(40)]
+    for F in Fs:
+        fast = normal_form(F, G)
+        assert_exact(fast, fraction_normal_form(F, G))
+        assert fast.terms == rescan_normal_form(F, G).terms
+    assert normal_form(Fs[0], G).terms == {(2, 2, 2): Fraction(-1, 2)}
+    # X3X3X2's rule: the cancelled and the vanished tail words are gone
+    assert G._rules[(3, 3, 2)] == (2, [((-G.order.word_key((2, 2, 2)), (2, 2, 2)), 1)])
+    fast, slow = obstructions_resolve(G), fraction_obstructions_resolve(G)
+    assert fast == slow == rescan_obstructions_resolve(G)
+    assert fast[1]
+    for f, g in zip(fast[1], slow[1]):
+        assert_exact(f.remainder, g.remainder)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_reversed_word_sorts_through_one_long_chain(n):
+    """X_n ... X_1 is sorted by n(n-1)/2 swaps, more than Python's default
+    recursion limit at n = 64; the sign is that of the reversal."""
+    ctx = AlgebraContext(n)
+    G = FreeGroebnerCandidate(ctx, anti_commutators(ctx), FreeOrderSpec())
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    ascending = tuple(range(1, n + 1))
+    assert normal_form(FreePolynomial.monomial(ascending[::-1]), G).terms == {ascending: sign}
+    assert normal_form(FreePolynomial.monomial((1, 1) + ascending[::-1]), G).terms == {}
+
+
 # --- properties -------------------------------------------------------------
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -264,13 +312,16 @@ def test_obstructions_resolve_does_no_fraction_arithmetic(monkeypatch):
     assert result == (True, [])
 
 
-def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
+def test_each_word_keyed_once_and_matched_once_per_candidate(monkeypatch):
+    """Rules live on the candidate: across all the normal forms of one
+    ``obstructions_resolve``, no word is matched twice."""
     G = seeded_n6_basis()
 
     # a word's key is computed from its multiset key; looking it up in the
     # order's memo computes nothing
     keyed: Counter = Counter()
-    matched: list[Counter] = []
+    matched: Counter = Counter()
+    normal_forms = []
     multiset_key = ExtOrderSpec.multiset_key
     first_match = PatternAutomaton.first_match
     nf = freealg.normal_form
@@ -280,11 +331,11 @@ def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
         return multiset_key(self, w)
 
     def counted_first_match(self, w):
-        matched[-1][w] += 1
+        matched[w] += 1
         return first_match(self, w)
 
     def counted_normal_form(F, G):
-        matched.append(Counter())
+        normal_forms.append(F)
         return nf(F, G)
 
     monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted_multiset_key)
@@ -293,6 +344,6 @@ def test_each_word_keyed_once_and_matched_once_per_normal_form(monkeypatch):
     ok, _ = freealg.obstructions_resolve(G)
 
     assert ok
-    assert len(matched) == len(enumerate_obstructions(G))
+    assert len(normal_forms) == len(enumerate_obstructions(G))
     assert keyed and max(keyed.values()) == 1
-    assert max(max(c.values(), default=0) for c in matched) == 1
+    assert matched and max(matched.values()) == 1
