@@ -8,31 +8,11 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical failure
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
-from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext, hilbert_ext, initial_data_ext, initial_ideal_ext
-from .freealg import (
-    FreeGroebnerCandidate,
-    MonomialIdealFree,
-    free_initial_ideal,
-    hilbert_rational,
-    normal_word_counts,
-    obstructions_resolve,
-)
-from .gin import (
-    GinRequest,
-    _check_lifted_gin,
-    gin_ext,
-    gin_free,
-    gin_lifted,
-    hilbert_compare,
-    hilbert_compare_ext,
-    is_borel_fixed,
-)
-from .lifting import lift_groebner, squeezed_witness, stable_witness, strongly_stable_witness
 from .orders import ExtOrderSpec, leading_term_ext
 from .parsing import (
     IdealFile,
@@ -88,6 +68,8 @@ def _monomials(ideal: IdealFile, refusal: str) -> list:
 
 
 def cmd_gb(args) -> int:
+    from .exterior import ExtIdeal, groebner_ext, hilbert_ext, initial_ideal_ext
+
     ideal = _load(args)
     _require(ideal, "exterior", "gb")
     I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
@@ -114,6 +96,9 @@ def cmd_gb(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .exterior import ExtIdeal, groebner_ext, initial_ideal_ext
+    from .lifting import lift_groebner, squeezed_witness
+
     ideal = _load(args)
     _require(ideal, "exterior", "lift")
     I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
@@ -167,6 +152,14 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .freealg import (
+        FreeGroebnerCandidate,
+        MonomialIdealFree,
+        free_initial_ideal,
+        normal_word_counts,
+        obstructions_resolve,
+    )
+
     ideal = _load(args)
     _require(ideal, "free", "verify")
     order = ideal.free_order
@@ -221,6 +214,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gin(args) -> int:
+    from .exterior import ExtIdeal
+    from .gin import (
+        GinRequest,
+        _check_lifted_gin,
+        gin_ext,
+        gin_free,
+        gin_lifted,
+        hilbert_compare,
+        hilbert_compare_ext,
+        is_borel_fixed,
+    )
+    from .lifting import stable_witness, strongly_stable_witness
+
     ideal = _load(args)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     try:
@@ -302,6 +308,8 @@ def _borel_witness_json(witness):
 def cmd_hilbert(args) -> int:
     ideal = _load(args)
     if ideal.algebra == "exterior":
+        from .exterior import ExtIdeal, hilbert_ext, initial_data_ext
+
         I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
         vector = hilbert_ext(initial_data_ext(I))
         result = {
@@ -313,6 +321,8 @@ def cmd_hilbert(args) -> int:
             "denominator": [1],
         }
     else:
+        from .freealg import MonomialIdealFree, hilbert_rational, normal_word_counts
+
         maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
         words = _monomials(ideal, "hilbert over the free algebra requires monomial generators")
         B = MonomialIdealFree(words, ideal.ctx.n, ideal.free_order)
@@ -334,6 +344,9 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_predicates(args) -> int:
+    from .exterior import MonomialIdealExt
+    from .lifting import squeezed_witness, stable_witness, strongly_stable_witness
+
     ideal = _load(args)
     _require(ideal, "exterior", "predicates")
     L = MonomialIdealExt(_monomials(ideal, "this command requires monomial generators"), ideal.order)
@@ -390,63 +403,122 @@ def _emit_json(result: dict) -> None:
     print(json.dumps(result, indent=2, sort_keys=True))
 
 
-def _degree_cap(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+def _order(text: str) -> str:
+    if text not in ("deglex", "degrevlex"):
+        raise ValueError(f"expected deglex or degrevlex, got {text!r}")
+    return text
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _nonnegative(text: str) -> int:
+    # isdecimal, not isdigit: int() refuses digits such as '²'
+    if not text.isdecimal():
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a command line with an InputError instead of exiting.  Its
-    ``--help`` lets a failed write reach ``main``; argparse's would swallow
-    it (and argparse prints the usage only from ``error``)."""
+# The flags every command takes, then each command's help line and own
+# flags.  A flag maps to (converter, default, help); a converter of None
+# makes a switch, any other reads one value and raises ValueError on a bad one.
+COMMON_FLAGS = {
+    "--json": (None, False, "emit machine-readable JSON"),
+    "--order": (_order, None, "override the base order: deglex or degrevlex"),
+    "--varorder": (str, None, "override the variable ranking, e.g. 2,1,3"),
+}
+_MAXDEG = {"--maxdeg": (_nonnegative, None, "degree cap (default n+1)")}
+_GIN = {
+    "--seed": (_integer, 0, "master PRNG seed (default 0)"),
+    "--trials": (_integer, 2, "independent samples (default 2)"),
+    "--height": (_integer, 100, "entry bound for random matrices (default 100)"),
+}
+COMMANDS = {
+    "gb": ("reduced minimal exterior Groebner basis and initial ideal", {}),
+    "lift": ("lift the basis to the preimage ideal in the free algebra", {}),
+    "verify": ("check a candidate free-algebra Groebner basis", _MAXDEG),
+    "gin": ("generic initial ideal with Borel and Hilbert reports", {**_MAXDEG, **_GIN}),
+    "hilbert": ("per-degree dimensions and rational Hilbert series", _MAXDEG),
+    "predicates": ("stable / strongly stable / squeezed, with witnesses", {}),
+}
 
-    def error(self, message):
-        raise InputError(message)
 
-    def print_help(self, file=None):
-        (file or sys.stdout).write(self.format_help())
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="extlift",
-        description=(
-            "Groebner bases of exterior-algebra ideals, their lifts to the "
-            "free associative algebra, and generic initial ideals"
-        ),
+def _print_usage(command: str | None):
+    """Writes the help of one command, or of extlift (None), and exits 0."""
+    about = (
+        "Groebner bases of exterior-algebra ideals, their lifts to the free "
+        "associative algebra, and generic initial ideals"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    text, own = COMMANDS.get(command, (about, {}))
+    lines = [f"usage: extlift {command or 'COMMAND'} FILE [--flag value | --flag=value ...]", "", text, ""]
+    if command is None:
+        lines += ["commands:", *(f"  {name:<12}{help}" for name, (help, _) in COMMANDS.items()), ""]
+    lines += ["FILE is an ideal file (see README for the grammar)", "", "flags:" if command else "flags of every command:"]
+    lines += [f"  {flag:<12}{help}" for flag, (_, _, help) in {**COMMON_FLAGS, **own}.items()]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(EXIT_OK)
 
-    def add(name, func, help_text, gin_flags=False, maxdeg=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="ideal file (see README for the grammar)")
-        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.add_argument("--order", choices=["deglex", "degrevlex"], help="override the base order")
-        p.add_argument("--varorder", help="override the variable ranking, e.g. 2,1,3")
-        if maxdeg:
-            p.add_argument("--maxdeg", type=_degree_cap, help="degree cap (default n+1)")
-        if gin_flags:
-            p.add_argument("--seed", type=int, default=0, help="master PRNG seed (default 0)")
-            p.add_argument("--trials", type=int, default=2, help="independent samples (default 2)")
-            p.add_argument("--height", type=int, default=100, help="entry bound for random matrices")
-        p.set_defaults(func=func)
-        return p
 
-    add("gb", cmd_gb, "reduced minimal exterior Groebner basis and initial ideal")
-    add("lift", cmd_lift, "lift the basis to the preimage ideal in the free algebra")
-    add("verify", cmd_verify, "check a candidate free-algebra Groebner basis", maxdeg=True)
-    add("gin", cmd_gin, "generic initial ideal with Borel and Hilbert reports", gin_flags=True, maxdeg=True)
-    add("hilbert", cmd_hilbert, "per-degree dimensions and rational Hilbert series", maxdeg=True)
-    add("predicates", cmd_predicates, "stable / strongly stable / squeezed, with witnesses")
-    return parser
+def _read_args(argv: list) -> SimpleNamespace:
+    """The command, its FILE and each of its flags (the last value given, or
+    the default) from ``argv``.  Flag names are matched whole."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _print_usage(None)
+    if command not in COMMANDS:
+        got = "" if command is None else f", got {command!r}"
+        raise InputError(f"expected a command ({', '.join(COMMANDS)}){got}")
+    flags = {**COMMON_FLAGS, **COMMANDS[command][1]}
+    args = SimpleNamespace(command=command, file=None, **{flag[2:]: spec[1] for flag, spec in flags.items()})
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            _print_usage(command)
+        if not arg.startswith("-"):
+            if args.file is not None:
+                raise InputError(f"'{command}' takes one FILE, got {args.file!r} and {arg!r}")
+            args.file = arg
+            continue
+        flag, eq, text = arg.partition("=")
+        if flag not in flags:
+            raise InputError(f"'{command}' has no flag {flag}")
+        convert = flags[flag][0]
+        if convert is None:
+            if eq:
+                raise InputError(f"argument {flag}: takes no value")
+            setattr(args, flag[2:], True)
+            continue
+        if not eq:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise InputError(f"argument {flag}: expected a value")
+        try:
+            setattr(args, flag[2:], convert(text))
+        except ValueError as exc:
+            raise InputError(f"argument {flag}: {exc}") from None
+    if args.file is None:
+        raise InputError(f"'{command}' requires a FILE")
+    return args
 
 
 def main(argv=None) -> int:
+    # looked up per call, so that a wrapper set on cli.cmd_* (a tracer's) runs
+    commands = {
+        "gb": cmd_gb,
+        "lift": cmd_lift,
+        "verify": cmd_verify,
+        "gin": cmd_gin,
+        "hilbert": cmd_hilbert,
+        "predicates": cmd_predicates,
+    }
     try:
         try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
+            args = _read_args(sys.argv[1:] if argv is None else argv)
+            return commands[args.command](args)
         finally:
             sys.stdout.flush()
     except (InputError, ParseError) as exc:

@@ -1,6 +1,5 @@
 """Guards on the size of the library's API: every public definition in
-``src/extlift`` is used by the library itself (the overrides argparse
-calls on the library's parser aside), every field a class lists
+``src/extlift`` is used by the library itself, every field a class lists
 in ``__slots__`` is read by it, every name a module imports is read by
 that module, and the package exports exactly the names the README's
 "Library usage" example imports."""
@@ -64,10 +63,6 @@ def _read_attributes(tree: ast.Module) -> set[str]:
     }
 
 
-# overrides that argparse calls on the library's parser, by no name the library reads
-ARGPARSE_HOOKS = {"cli.py:_Parser.error", "cli.py:_Parser.print_help"}
-
-
 def test_every_public_definition_is_used_by_the_library():
     modules = _modules()
     used = set().union(*(_read_names(tree) for tree in modules.values()))
@@ -75,7 +70,7 @@ def test_every_public_definition_is_used_by_the_library():
         f"{module}:{qualified}"
         for module, tree in modules.items()
         for qualified, name in _public_definitions(tree)
-        if name not in used and f"{module}:{qualified}" not in ARGPARSE_HOOKS
+        if name not in used
     ]
     assert unused == [], "defined in src/extlift but used only outside it; move to tests/ or delete"
 

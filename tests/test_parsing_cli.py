@@ -60,6 +60,12 @@ EXIT_TWO_CASES = {
     "non-integer-height": ("gin", "quadric_n3.ideal", ["--height", "1e3"]),
     "unknown-flag": ("gb", "quadric_n3.ideal", ["--bogus"]),
     "unknown-command": ("groebner", "quadric_n3.ideal", []),
+    "flag-without-value": ("gb", "quadric_n3.ideal", ["--order"]),
+    "bad-order": ("gb", "quadric_n3.ideal", ["--order", "bogus"]),
+    "other-commands-flag": ("gb", "quadric_n3.ideal", ["--seed", "3"]),
+    "second-file": ("gb", "quadric_n3.ideal", ["other.ideal"]),
+    "switch-with-value": ("gb", "quadric_n3.ideal", ["--json=1"]),
+    "abbreviated-flag": ("verify", "anticomm_n2.ideal", ["--max", "3"]),
 }
 
 
@@ -400,13 +406,15 @@ class TestCLI:
             ["hilbert", "monomial_free_n2.ideal", "--maxdeg", "-3"],
             ["hilbert", "quadric_n3.ideal", "--maxdeg", "-3"],
             ["gin", "quadric_n3.ideal", "--maxdeg", "-2"],
+            # a digit that int() refuses
+            ["verify", "anticomm_n2.ideal", "--maxdeg", "²"],
         ],
     )
     def test_negative_maxdeg_refused(self, capsys, argv):
         assert main([argv[0], str(DATA / argv[1])] + argv[2:]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert "--maxdeg" in captured.err and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert captured.err == f"error: argument --maxdeg: expected a nonnegative integer, got {argv[-1]!r}\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["gin", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -414,6 +422,35 @@ class TestCLI:
             main(argv)
         assert exc.value.code == 0
         assert "usage: extlift" in capsys.readouterr().out
+
+    def test_help_lists_the_commands_own_flags(self, capsys):
+        helps = {}
+        for command in ("gin", "gb"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps[command] = capsys.readouterr().out
+        for flag in ("--seed", "--trials", "--height"):
+            assert flag in helps["gin"] and flag not in helps["gb"]
+
+    @pytest.mark.parametrize(
+        "argv,same",
+        [
+            (["verify", "anticomm_n2.ideal", "--maxdeg=2"], ["--maxdeg", "2"]),
+            (["gin", "commutator_n2.ideal", "--seed=3"], ["--seed", "3"]),
+            # a repeated flag keeps its last value
+            (["gin", "commutator_n2.ideal", "--seed", "5", "--seed", "3"], ["--seed", "3"]),
+        ],
+    )
+    def test_flag_forms_print_the_same(self, capsys, argv, same):
+        path = str(DATA / argv[1])
+        first = run_cli(capsys, argv[0], path, "--json", *argv[2:])
+        assert first == run_cli(capsys, argv[0], path, "--json", *same)
+        assert first[0] == EXIT_OK
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["extlift", "gb", str(DATA / "quadric_n3.ideal"), "--json"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "gb_quadric_n3.json").read_text()
 
     @pytest.mark.parametrize("command,source,flags", EXIT_TWO_CASES.values(), ids=list(EXIT_TWO_CASES))
     def test_readme_input_errors_exit_two(self, capsys, tmp_path, command, source, flags):
@@ -464,15 +501,31 @@ class TestCLI:
 
 
 class TestProcess:
-    def test_import_loads_no_code_generators(self):
+    def test_import_loads_no_code_generators_or_argparse(self):
         # -S keeps site .pth files from loading any of these before extlift does
-        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "argparse", "gettext"}
         code = (
             f"import sys; sys.path.insert(0, {str(SRC)!r}); import extlift.cli; "
             f"print(*sorted({banned!r} & set(sys.modules)))"
         )
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stdout
         assert out.strip() == ""
+
+    @pytest.mark.parametrize(
+        "argv,absent",
+        [
+            (["gb", "quadric_n3.ideal"], {"extlift.freealg", "extlift.lifting", "extlift.gin", "heapq"}),
+            (["verify", "anticomm_n2.ideal"], {"extlift.exterior", "extlift.lifting", "extlift.gin"}),
+        ],
+    )
+    def test_command_loads_only_its_modules(self, argv, absent):
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); from extlift.cli import main; "
+            f"code = main({[argv[0], str(DATA / argv[1])]!r}); "
+            f"print(code, *sorted({absent!r} & set(sys.modules)), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stderr.strip() == str(EXIT_OK)
 
     @pytest.mark.parametrize(
         "argv,unbuffered",
