@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations, product
 
-from .linalg import pivots
+from .linalg import pivots, primitive
 
 Word = tuple[int, ...]
 
@@ -285,7 +285,7 @@ class GLMatrix:
             raise ValueError("matrix must be square and non-empty")
         self.n = n
         self.entries = tuple(rows)
-        if len(pivots(({j: e for j, e in enumerate(row) if e} for row in rows), int)) < n:
+        if len(pivots([primitive({j: e for j, e in enumerate(row) if e}) for row in rows])) < n:
             raise ValueError("matrix is singular")
 
     def __eq__(self, other) -> bool:

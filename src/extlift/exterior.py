@@ -17,11 +17,19 @@ echelon form is the identity.  Only ``groebner_ext``, whose rows ``gb`` and
 leads and dimensions alone (the exterior ``hilbert``, the gin trials and
 the gin's Hilbert check), asks only for the pivots, and stops reading a
 slice's rows once its rank reaches C(n, d).
+
+The loop builds each slice once, as the integer rows ``linalg`` takes:
+every generator is scaled once to its primitive integer multiple, a
+monomial's order key is computed once per bitmask and kept with the way
+back to the monomial (``linalg.Columns``), and the sign of x_u * x_m is
+one popcount of u against a mask fixed per term m (``_odd_below``).
+Fractions appear only in the basis elements ``groebner_ext`` returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -30,7 +38,7 @@ from .algebra import (
     ExtPolynomial,
     ext_monomials_of_degree,
 )
-from .linalg import full_rank, pivots, rref
+from .linalg import Columns, full_rank, pivots, primitive, rref
 from .orders import ExtOrderSpec, leading_term_ext
 
 
@@ -116,25 +124,51 @@ class ExtInitialData:
         self.ctx, self.initial, self.slice_dims = ctx, initial, slice_dims
 
 
-def _slice_rows(I: ExtIdeal, d: int):
-    """Rows spanning I_d, as dicts: x_u * g for every generator g.
+def _odd_below(bits: int, n: int) -> int:
+    """The bitmask of the variables i in 1..n with an odd number of the
+    letters of x_bits below them.  For u disjoint from bits, moving each
+    letter of x_u past the letters of x_bits below it gives
+    x_u * x_bits = (-1)^popcount(u & odd) x_{u|bits}."""
+    odd = parity = 0
+    for i in range(1, n + 1):
+        if parity:
+            odd |= 1 << i
+        parity ^= bits >> i & 1
+    return odd
+
+
+def _slice_rows(I: ExtIdeal, columns: Columns):
+    """The function d -> rows spanning I_d: x_u * g for every generator g
+    and monomial x_u of degree d - deg g, as integer rows keyed by
+    ``columns`` on bitmasks.  Each generator is scaled once to its
+    primitive integer multiple, which spans the same slices.
 
     Left multiples of the generators suffice: homogeneous elements of E(V)
     commute up to sign, so left, right and two-sided ideals coincide.
     """
-    for g in I.generators:
-        e = g.degree
-        if e > d:
-            continue
-        for u in ext_monomials_of_degree(I.ctx, d - e):
-            # x_u * x_m = sign * x_{u|m}; distinct m give distinct u|m
-            row = {
-                ExtMonomial.from_bits(u.bits | m.bits): c if s > 0 else -c
-                for m, c in g.terms.items()
-                if (s := u.mul_sign(m))
-            }
-            if row:
-                yield row
+    n = I.ctx.n
+    gens = [
+        (g.degree, [(b, _odd_below(b, n), c) for b, c in primitive({m.bits: c for m, c in g.terms.items()}).items()])
+        for g in I.generators
+    ]
+    units: dict[int, list[int]] = {}  # the bitmasks of each degree
+
+    def rows(d: int) -> list[dict]:
+        out = []
+        for e, terms in gens:
+            if e > d:
+                continue
+            us = units.get(d - e)
+            if us is None:
+                us = units[d - e] = [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d - e)]
+            for u in us:
+                # distinct m give distinct u|m
+                row = {columns[u | b]: -c if (u & odd).bit_count() & 1 else c for b, odd, c in terms if not u & b}
+                if row:
+                    out.append(row)
+        return out
+
+    return rows
 
 
 def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
@@ -145,6 +179,8 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
     proved full modulo a prime or eliminated once.  A pivot is a new
     minimal generator iff no pivot one degree below divides it."""
     n, key = I.ctx.n, I.order.ext_key
+    columns = Columns(key, ExtMonomial.from_bits)
+    slice_rows = _slice_rows(I, columns)
     found: list = []
     dims: list[int] = []
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
@@ -154,16 +190,16 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
             dims.append(0)
             continue
         full = comb(n, d)
-        rows = list(_slice_rows(I, d))
+        rows = slice_rows(d)
         if len(rows) >= full and full_rank(rows, full):
             # the reduced echelon form of a full slice is the identity
             leads = sorted(ext_monomials_of_degree(I.ctx, d), key=key, reverse=True)
             items = [ExtPolynomial._raw({m: Fraction(1)}) for m in leads] if reduced else leads
         elif reduced:
-            items = [ExtPolynomial._raw(r) for r in rref(rows, key)]
+            items = [ExtPolynomial._raw(r) for r in rref(rows, columns.column)]
             leads = [leading_term_ext(f, I.order)[0] for f in items]
         else:
-            items = leads = pivots(rows, key, full)
+            items = leads = [columns.column[k] for k in pivots(rows, full)]
         for lead, item in zip(leads, items):
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 found.append(item)

@@ -13,14 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
-from .linalg import pivots
+from .linalg import Columns, Row, pivots, primitive
 from .orders import FreeOrderSpec, leading_term_free, monic_free
-
-
-def subword_divides(a: Word, b: Word) -> bool:
-    """Does a occur as a contiguous factor of b?"""
-    la = len(a)
-    return any(b[p:p + la] == a for p in range(len(b) - la + 1))
 
 
 class PatternAutomaton:
@@ -84,13 +78,15 @@ class MonomialIdealFree:
     __slots__ = ("gens", "n", "_auto")
 
     def __init__(self, words, n: int, order: FreeOrderSpec = FreeOrderSpec()):
-        uniq = sorted(set(tuple(w) for w in words), key=len)
-        mins: list[Word] = []
-        for w in uniq:
-            if not any(subword_divides(g, w) for g in mins):
-                mins.append(w)
-        mins.sort(key=order.word_key)
-        self.gens = tuple(mins)
+        # shortest first, a word is minimal iff none of its shorter
+        # factors is a generator kept so far
+        kept: set[Word] = set()
+        lengths: set[int] = set()
+        for w in sorted(set(tuple(w) for w in words), key=len):
+            if not any(w[i:i + k] in kept for k in lengths for i in range(len(w) - k + 1)):
+                kept.add(w)
+                lengths.add(len(w))
+        self.gens = tuple(sorted(kept, key=order.word_key))
         self.n = n
         self._auto: PatternAutomaton | None = None
 
@@ -161,12 +157,10 @@ class FreeGroebnerCandidate:
         self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
         self.leads, self.tails = [], []
         for F, lead in zip(self.elements, self.leading_words):
-            # a monic element's lead is 1, so its integer lead den / content > 0
-            den = lcm(*(c.denominator for c in F.terms.values()))
-            ints = {w: c.numerator * (den // c.denominator) for w, c in F.terms.items()}
-            content = gcd(*ints.values())
-            self.leads.append(ints.pop(lead) // content)
-            self.tails.append([(w, c // content) for w, c in ints.items()])
+            # a monic element's lead is 1, so its primitive integer lead is > 0
+            ints = primitive(F.terms)
+            self.leads.append(ints.pop(lead))
+            self.tails.append(list(ints.items()))
         self._rules: dict = {}
 
     def _chain_end(self, w: Word):
@@ -422,23 +416,21 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
 
 
 def ideal_slice_rows(
-    gens: list[FreePolynomial], ctx: AlgebraContext, d: int
-) -> list[dict[Word, Fraction]]:
+    gens: list[tuple[int, list[tuple[Word, int]]]], ctx: AlgebraContext, d: int, columns: Columns
+) -> list[Row]:
     """Spanning rows of the degree-d slice of the two-sided ideal: all word
-    multiples A g B with |A| + deg g + |B| = d."""
+    multiples A g B with |A| + deg g + |B| = d, as integer rows keyed by
+    ``columns``.  Each generator comes as its degree and the terms of its
+    primitive integer multiple, which spans the same slices."""
     rows = []
-    for g in gens:
-        if not g:
-            continue
-        e = g.degree
+    for e, terms in gens:
         if e > d:
             continue
         for la in range(d - e + 1):
-            lb = d - e - la
-            rights = words_of_degree(ctx, lb)
+            rights = words_of_degree(ctx, d - e - la)
             for A in words_of_degree(ctx, la):
-                for Bw in rights:
-                    rows.append({A + w + Bw: c for w, c in g.terms.items()})
+                for B in rights:
+                    rows.append({columns[A + w + B]: c for w, c in terms})
     return rows
 
 
@@ -461,14 +453,17 @@ def free_initial_ideal(
     initial-ideal slice, so only pivots are asked for, with no
     back-substitution.  The initial ideal is two-sided, so a pivot is a
     new minimal generator iff dropping its first or its last letter leaves
-    no pivot of the slice below."""
-    key = order.word_key
+    no pivot of the slice below.  Each generator is scaled once to its
+    primitive integer multiple, and each word keyed once."""
+    columns = Columns(order.word_key)
+    prims = [(g.degree, list(primitive(g.terms).items())) for g in gens if g]
     mingens: list[Word] = []
     dims: dict[int, int] = {}
     leads: list[Word] = []
-    dmin = min((g.degree for g in gens if g), default=max_degree + 1)
+    dmin = min((e for e, _ in prims), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
-        below, leads = set(leads), pivots(ideal_slice_rows(gens, ctx, d), key)
+        below = set(leads)
+        leads = [columns.column[k] for k in pivots(ideal_slice_rows(prims, ctx, d, columns))]
         dims[d] = len(leads)
         mingens += [w for w in leads if w[1:] not in below and w[:-1] not in below]
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)

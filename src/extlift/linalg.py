@@ -1,23 +1,28 @@
 """Sparse exact Gaussian elimination over the rationals, the only one in
 extlift: one loop with two entry points, beside a full-rank certificate.
 
-Rows are dicts column -> nonzero rational, a Fraction or an int; columns
-are ordered by a key function, largest first.  ``rref`` returns the
-reduced row echelon form of Fractions: each row is monic at its pivot and
-no row contains another row's pivot column.  ``pivots`` returns only the
-pivot columns, which an echelon form already fixes, so it skips the
-back-substitution; told how many columns the rows can reach, it also
-stops reading rows at full rank, where every later row reduces to 0.
-With columns sorted descending by a term order, the pivots of a degree
-slice of an ideal are exactly the initial-ideal slice.
+Rows are dicts key -> nonzero int, where a column's key is its order key
+(``Columns`` computes each once and maps it back): the largest key is
+the row's lead, so no key function runs during elimination.  The row
+builders hand over each row as a primitive integer multiple of the row
+it stands for (``primitive``), which spans the same space.  ``rref``
+returns the reduced row echelon form of Fractions, keyed by column: each
+row is monic at its pivot and no row contains another row's pivot
+column.  ``pivots`` returns only the pivot keys, which an echelon form
+already fixes, so it skips the back-substitution; told how many columns
+the rows can reach, it also stops reading rows at full rank, where every
+later row reduces to 0.  With columns keyed by a term order, the pivots
+of a degree slice of an ideal are exactly the initial-ideal slice.
 
 Elimination is fraction-free, with content removal as in Bareiss's
-method: each incoming row is scaled by the lcm of its denominators and
-divided by its content, so it becomes a primitive integer row.  A step
-cancels column c by the cross-multiplication (p/g)*row - (r/g)*pivot,
-where r = row[c], p = pivot[c] and g = gcd(r, p), and then divides out
-the content.  Only ``rref``'s output rows are divided by their leads,
-once, into Fractions.
+method.  Each incoming row is copied once and then reduced in place: a
+step cancels key c by the cross-multiplication (p/g)*row - (r/g)*pivot,
+where r = row[c], p = pivot[c] and g = gcd(r, p).  ``rref`` divides out
+the row's content after every step, which keeps its back-substitution
+short of coefficient growth; ``pivots`` only after a step that
+multiplied the row (p/g != 1), the only kind of step that scales every
+entry, which saves most gcds on slices of small coefficients.  Only
+``rref``'s output rows are divided by their leads, once, into Fractions.
 
 ``full_rank`` only certifies full rank, modulo the one prime ``PRIME``:
 a minor that is nonzero modulo a prime is nonzero over Q (von zur Gathen
@@ -35,55 +40,70 @@ Row = dict
 PRIME = 2**31 - 1
 
 
-def _primitive(row: Row) -> Row:
-    """row / content(row), for an integer row."""
-    g = gcd(*row.values())
-    if g == 1:
-        return row
-    return {c: v // g for c, v in row.items()}
+def primitive(terms: dict) -> Row:
+    """The primitive integer multiple of a row of rationals (ints or
+    Fractions): scaled by the lcm of its denominators, then divided by
+    the gcd of the results.  The factor is positive, so signs stay."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    ints = {c: v.numerator * (den // v.denominator) for c, v in terms.items()}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
-def _eliminate(row: Row, col, pivot: Row) -> Row:
-    """The primitive part of b*row - a*pivot, with a/b = row[col]/pivot[col]
-    in lowest terms, so that col drops out.  b > 0 when pivot[col] > 0, so a
-    pivot row reduced by another pivot row keeps its positive lead."""
-    a, b = row[col], pivot[col]
+class Columns(dict):
+    """Column -> order key, each computed once, on first lookup; ``column``
+    maps each key back to its column (``label`` of the lookup)."""
+
+    __slots__ = ("key", "label", "column")
+
+    def __init__(self, key: Callable[[Hashable], int], label: Callable[[Hashable], Hashable] = lambda c: c):
+        super().__init__()
+        self.key, self.label, self.column = key, label, {}
+
+    def __missing__(self, c):
+        col = self.label(c)
+        k = self[c] = self.key(col)
+        self.column[k] = col
+        return k
+
+
+def _eliminate(row: Row, k, pivot: Row, content: bool) -> None:
+    """Replace row, in place, by b*row - a*pivot, with a/b = row[k]/pivot[k]
+    in lowest terms, so that k drops out; then divide out its content when
+    ``content`` or b != 1.  b > 0 when pivot[k] > 0, so a pivot row reduced
+    by another pivot row keeps its positive lead."""
+    a, b = row[k], pivot[k]
     g = gcd(a, b)
     if g != 1:
         a //= g
         b //= g
-    out = dict(row) if b == 1 else {c: b * v for c, v in row.items()}
+    if b != 1:
+        for c in row:
+            row[c] *= b
     for c, v in pivot.items():
-        s = out.get(c)
+        s = row.get(c)
         if s is None:
-            out[c] = -a * v
+            row[c] = -a * v
         else:
             s -= a * v
             if s:
-                out[c] = s
+                row[c] = s
             else:
-                del out[c]
-    return _primitive(out)
+                del row[c]
+    if (content or b != 1) and row:
+        g = gcd(*row.values())
+        if g != 1:
+            for c in row:
+                row[c] //= g
 
 
-def _echelon(
-    rows: Iterable[Row], key: Callable[[Hashable], object], reduced: bool, ncols: int | None = None
-) -> tuple[dict, dict]:
-    """The maps key -> column and pivot key -> primitive integer pivot row.
-    The pivot rows are an echelon form, or when ``reduced`` the reduced one
-    with positive leads.  Reading stops once there are ``ncols`` pivots."""
-    # eliminate on the columns' keys, so that finding a lead is a max over
-    # the keys and every lookup hashes a key, not a column
-    column: dict = {}
+def _echelon(rows: Iterable[Row], reduced: bool, ncols: int | None = None) -> dict:
+    """The map pivot key -> integer pivot row.  The pivot rows are an
+    echelon form, or when ``reduced`` the reduced one with positive leads.
+    Reading stops once there are ``ncols`` pivots."""
     pivots: dict = {}
     for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        keyed = {}
-        for c, v in row.items():
-            k = key(c)
-            column[k] = c
-            keyed[k] = v.numerator * (den // v.denominator)
-        row = _primitive(keyed)
+        row = dict(row)
         while row:
             lead = max(row)
             prow = pivots.get(lead)
@@ -91,28 +111,27 @@ def _echelon(
                 if reduced:
                     # clear remaining pivot columns from the tail, then
                     # clear the new pivot column from the other pivot rows
-                    for col in [c for c in row if c in pivots]:
-                        row = _eliminate(row, col, pivots[col])
+                    for k in [k for k in row if k in pivots]:
+                        _eliminate(row, k, pivots[k], True)
                     if row[lead] < 0:
-                        row = {c: -v for c, v in row.items()}
-                    for pcol in list(pivots):
-                        if lead in pivots[pcol]:
-                            pivots[pcol] = _eliminate(pivots[pcol], lead, row)
+                        for k in row:
+                            row[k] = -row[k]
+                    for other in pivots.values():
+                        if lead in other:
+                            _eliminate(other, lead, row, True)
                 pivots[lead] = row
                 break
-            row = _eliminate(row, lead, prow)
+            _eliminate(row, lead, prow, reduced)
         if len(pivots) == ncols:
             break
-    return column, pivots
+    return pivots
 
 
-def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
-    """Reduced row echelon form of sparse rows, columns descending by key.
-
-    The key must be injective on the columns.  Returns monic rows of
-    Fractions sorted by pivot column, largest pivot first.
-    """
-    column, pivot_rows = _echelon(rows, key, reduced=True)
+def rref(rows: Iterable[Row], column: dict) -> list[Row]:
+    """Reduced row echelon form of integer rows keyed by order key, as
+    monic rows of Fractions keyed by ``column[key]``, sorted by pivot,
+    largest first."""
+    pivot_rows = _echelon(rows, reduced=True)
     out = []
     for lead in sorted(pivot_rows, reverse=True):
         row = pivot_rows[lead]
@@ -121,48 +140,55 @@ def rref(rows: Iterable[Row], key: Callable[[Hashable], object]) -> list[Row]:
     return out
 
 
-def pivots(rows: Iterable[Row], key: Callable[[Hashable], object], ncols: int | None = None) -> list:
-    """The pivot columns of ``rref(rows, key)``, largest first, found
-    without back-substitution.  Their number is the rank of the rows.
+def pivots(rows: Iterable[Row], ncols: int | None = None) -> list:
+    """The pivot keys of the integer rows' reduced echelon form, largest
+    first, found without back-substitution.  Their number is the rank.
 
     ``ncols``, when given, is the number of columns the rows can reach.
     Once there are that many pivots every later row reduces to 0, so no
     further row is read."""
-    column, pivot_rows = _echelon(rows, key, reduced=False, ncols=ncols)
-    return [column[k] for k in sorted(pivot_rows, reverse=True)]
+    return sorted(_echelon(rows, reduced=False, ncols=ncols), reverse=True)
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:
-    """True only if the rows have rank ``ncols``, the number of columns
-    they can reach, over Q; False when their rank modulo ``PRIME`` is lower.
+    """True only if the integer rows have rank ``ncols``, the number of
+    columns they can reach, over Q; False when their rank modulo ``PRIME``
+    is lower.
 
-    Each row is scaled by the lcm of its denominators, reduced modulo
-    ``PRIME`` (no entry is inverted; one divisible by it is 0) and packed
-    into one int, ``w`` bits per column.  Reducing by a monic pivot row at
-    the top slot, ``x += (PRIME - f) * pivot``, adds under PRIME^2 < 2^62 to
-    each slot, and a row meets each pivot once, so no slot carries.  A slot
-    is reduced modulo ``PRIME`` only when read as the lead."""
+    Each row is reduced modulo ``PRIME`` (an entry divisible by it is 0)
+    and packed into one int, ``w`` bits per column.  A new pivot row is
+    made monic on the whole packed int: folding each slot's bits from 2^31
+    up onto its low 31 bits, as 2^31 = 1 modulo ``PRIME``, twice brings
+    every slot below 2^32; one multiplication by the lead's inverse and
+    two more folds leave the slots below 2^32 again.  Reducing by a pivot
+    row at the top slot, ``x += (PRIME - f) * pivot``, then adds under
+    2^63 to each slot, and a row meets each pivot once, so a slot of
+    64 + ncols.bit_length() + 1 bits never carries.  A slot is reduced
+    modulo ``PRIME`` only when read as the lead."""
     # one slot per column reached, in the order the rows first reach them
     slot = {c: i for i, c in enumerate(dict.fromkeys(c for row in rows for c in row))}
     if len(slot) < ncols:
         return False
-    w = 62 + ncols.bit_length() + 1
-    mask = (1 << w) - 1
+    w = 64 + ncols.bit_length() + 1
+    unit = sum(1 << w * t for t in range(len(slot)))
+    lo, hi = unit * PRIME, unit * ((1 << w - 31) - 1)
     spare = len(rows) - ncols  # more zero rows than this leave the rank short
     pivot_rows = {}
     for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
         x = 0
         for c, v in row.items():
-            x |= (v.numerator * (den // v.denominator) % PRIME) << w * slot[c]
+            x |= (v % PRIME) << w * slot[c]
         while x:
             s = (x.bit_length() - 1) // w
             f = (x >> w * s) % PRIME
             if f:
                 prow = pivot_rows.get(s)
                 if prow is None:
-                    inv = pow(f, -1, PRIME)
-                    pivot_rows[s] = sum((x >> w * t & mask) * inv % PRIME << w * t for t in range(s + 1))
+                    x = (x & lo) + (x >> 31 & hi)
+                    x = (x & lo) + (x >> 31 & hi)
+                    x *= pow(f, -1, PRIME)
+                    x = (x & lo) + (x >> 31 & hi)
+                    pivot_rows[s] = (x & lo) + (x >> 31 & hi)
                     if len(pivot_rows) == ncols:
                         return True
                     break

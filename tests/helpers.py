@@ -31,6 +31,7 @@ from extlift.lifting import (
     stable_witness,
     strongly_stable_witness,
 )
+from extlift.linalg import Columns, primitive
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_ext, monic_free
 
 
@@ -280,7 +281,7 @@ def exterior_corpus(n: int, kind: str):
 def slice_oracle_corpus(n: int, kind: str):
     """Every degree slice of the exterior corpus and, for n >= 4, of two
     seeded gap binomials before and after a height-100 coordinate change,
-    as (rows, order key, number of columns)."""
+    as (integer rows, map from key back to monomial, number of columns)."""
     ideals = list(exterior_corpus(n, kind))
     if n >= 4:
         rng = random.Random(f"slice-oracle/{n}/{kind}")
@@ -289,5 +290,15 @@ def slice_oracle_corpus(n: int, kind: str):
         g = random_gl(ctx, rng.randrange(1000), 100)
         ideals += [ExtIdeal(ctx, gens, ExtOrderSpec(kind)), ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], ExtOrderSpec(kind))]
     for I in ideals:
+        columns = Columns(I.order.ext_key, ExtMonomial.from_bits)
+        rows = _slice_rows(I, columns)
         for d in range(n + 1):
-            yield list(_slice_rows(I, d)), I.order.ext_key, comb(n, d)
+            yield rows(d), columns.column, comb(n, d)
+
+
+def keyed_rows(rows, key):
+    """Rows of rationals keyed by column, as ``linalg`` takes them: each
+    scaled to its primitive integer multiple and keyed by ``key`` of its
+    column; with the map from key back to column."""
+    columns = Columns(key)
+    return [{columns[c]: v for c, v in primitive(row).items()} for row in rows], columns.column

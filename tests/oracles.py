@@ -20,6 +20,7 @@ from extlift.algebra import (
     apply_gl,
     ext_monomials_of_degree,
     pi,
+    words_of_degree,
 )
 from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt
 from extlift.freealg import (
@@ -28,7 +29,6 @@ from extlift.freealg import (
     MonomialIdealFree,
     Obstruction,
     enumerate_obstructions,
-    ideal_slice_rows,
     normal_word_counts,
 )
 from extlift.lifting import compute_U
@@ -36,7 +36,7 @@ from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
-from helpers import elementary
+from helpers import elementary, keyed_rows
 
 ONE_EXT = ExtMonomial()
 
@@ -75,6 +75,49 @@ def fraction_rref(rows: Iterable[dict], key: Callable[[Hashable], object]) -> li
                 break
             row = _axpy(row, row[lead], prow)
     return [pivots[c] for c in sorted(pivots, key=key, reverse=True)]
+
+
+def keyed_fraction_rref(rows: Iterable[dict], column: dict) -> list[dict]:
+    """``fraction_rref`` in the place of ``linalg.rref``: the integer rows
+    keyed by order key go in as rows of Fractions keyed by ``column[key]``."""
+    key = {c: k for k, c in column.items()}.__getitem__
+    return fraction_rref([{column[k]: Fraction(v) for k, v in row.items()} for row in rows], key)
+
+
+def fraction_slice_rows(gens: list[FreePolynomial], ctx: AlgebraContext, d: int) -> list[dict[Word, Fraction]]:
+    """The free slice rows as ``freealg.ideal_slice_rows`` built them
+    before they became integer rows: all word multiples A g B with
+    |A| + deg g + |B| = d, as dicts word -> Fraction."""
+    rows = []
+    for g in gens:
+        if not g:
+            continue
+        e = g.degree
+        if e > d:
+            continue
+        for la in range(d - e + 1):
+            rights = words_of_degree(ctx, d - e - la)
+            for A in words_of_degree(ctx, la):
+                for B in rights:
+                    rows.append({A + w + B: c for w, c in g.terms.items()})
+    return rows
+
+
+def subword_divides(a: Word, b: Word) -> bool:
+    """Does a occur as a contiguous factor of b?"""
+    la = len(a)
+    return any(b[p:p + la] == a for p in range(len(b) - la + 1))
+
+
+def scan_minimal_words(words, order: FreeOrderSpec) -> tuple[Word, ...]:
+    """``MonomialIdealFree(words, n, order).gens`` as it minimalised them
+    before it looked factors up in a set: each word, shortest first,
+    scanned against every generator kept so far."""
+    mins: list[Word] = []
+    for w in sorted(set(tuple(w) for w in words), key=len):
+        if not any(subword_divides(g, w) for g in mins):
+            mins.append(w)
+    return tuple(sorted(mins, key=order.word_key))
 
 
 def _multiset_key(spec: ExtOrderSpec, letters: Word) -> tuple[int, ...]:
@@ -120,7 +163,7 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
             }
             if row:
                 rows.append(row)
-    return [ExtPolynomial._raw(r) for r in rref(rows, I.order.ext_key)]
+    return [ExtPolynomial._raw(r) for r in rref(*keyed_rows(rows, I.order.ext_key))]
 
 
 def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
@@ -166,7 +209,7 @@ def automaton_free_initial(
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         current = MonomialIdealFree(mingens, ctx.n, order) if mingens else None
-        for row in fraction_rref(ideal_slice_rows(gens, ctx, d), key):
+        for row in fraction_rref(fraction_slice_rows(gens, ctx, d), key):
             lead = max(row, key=key)
             if current is None or not current.member(lead):
                 mingens.append(lead)
@@ -188,7 +231,7 @@ def rref_free_initial_ideal(
     pivots: set[Word] = set()
     dmin = min((g.degree for g in gens if g), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
-        rows = fraction_rref(ideal_slice_rows(gens, ctx, d), key)
+        rows = fraction_rref(fraction_slice_rows(gens, ctx, d), key)
         dims[d] = len(rows)
         below, pivots = pivots, set()
         for row in rows:

@@ -27,7 +27,6 @@ from extlift.freealg import (
     free_initial_ideal,
     normal_word_counts,
     obstructions_resolve,
-    subword_divides,
 )
 from extlift.gin import (
     GinRequest,
@@ -46,6 +45,7 @@ from extlift.lifting import (
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import is_squeezed, is_stable, is_strongly_stable, naive_lift, random_ext_polynomial, stable_closure
+from oracles import subword_divides
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from extlift.algebra import (
 from extlift.exterior import (
     ExtIdeal,
     MonomialIdealExt,
+    _odd_below,
     groebner_ext,
     hilbert_ext,
     initial_data_ext,
@@ -216,6 +217,21 @@ def test_slices_match_full_slice_oracle(n, kind):
         assert data.initial.gens == initial_ideal_ext(oracle).gens
         assert data.slice_dims == oracle.slice_dims
     assert early > 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_popcount_sign_matches_mul_sign(n):
+    """The slice rows' sign rule: for disjoint x_u and x_m,
+    x_u * x_m = (-1)^popcount(u & odd) x_{u|m} with odd = _odd_below(m)."""
+    monomials = [ExtMonomial(c) for d in range(n + 1) for c in combinations(range(1, n + 1), d)]
+    pairs = 0
+    for u in monomials:
+        for m in monomials:
+            if u.disjoint(m):
+                odd = _odd_below(m.bits, n)
+                assert (-1) ** (u.bits & odd).bit_count() == u.mul_sign(m)
+                pairs += 1
+    assert pairs == 3**n
 
 
 class TestMonomialIdeal:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,13 +24,21 @@ from extlift.freealg import (
     normal_form,
     normal_word_counts,
     obstructions_resolve,
-    subword_divides,
 )
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, initial_ideal_free, random_ext_ideal_gens, random_free_polynomial
-from oracles import automaton_free_initial, fraction_obstructions, naive_first_match, subword_offsets
+from extlift.linalg import Columns, primitive, rref
+from helpers import dense_rank, initial_ideal_free, keyed_rows, random_ext_ideal_gens, random_free_polynomial
+from oracles import (
+    automaton_free_initial,
+    fraction_obstructions,
+    fraction_slice_rows,
+    naive_first_match,
+    scan_minimal_words,
+    subword_divides,
+    subword_offsets,
+)
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
 
@@ -100,6 +109,25 @@ class TestMonomialIdealFree:
     def test_minimalization(self):
         B = MonomialIdealFree([(1, 2), (3, 1, 2), (2, 2)], 3)
         assert set(B.gens) == {(1, 2), (2, 2)}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_minimalization_matches_scan(self, seed):
+        """Looking up each word's factors among the generators kept so far
+        gives the scan's generators in the scan's order: random words with
+        repeats, factors of each other and sometimes the empty word, and
+        the leading words of lifted bases, as verify and gin build them."""
+        rng = random.Random(f"minimal-words/{seed}")
+        n = rng.randint(1, 4)
+        order = FreeOrderSpec(ExtOrderSpec(rng.choice(["deglex", "degrevlex"]), tuple(rng.sample(range(1, n + 1), n))))
+        words = [tuple(rng.randint(1, n) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(0, 30))]
+        words += [w[i:j] for w in rng.sample(words, min(5, len(words))) for i, j in [sorted(rng.sample(range(len(w) + 1), 2))]]
+        if seed % 5 == 0:
+            words.append(())
+        assert MonomialIdealFree(words, n, order).gens == scan_minimal_words(words, order)
+        if n >= 3:
+            lifted = lift_groebner(groebner_ext(ExtIdeal(AlgebraContext(n + 3), random_ext_ideal_gens(rng, AlgebraContext(n + 3), 2, 2))))
+            words = list(lifted.initial_mingens) + [w + w for w in lifted.initial_mingens]
+            assert MonomialIdealFree(words, n + 3, ORDER).gens == scan_minimal_words(words, ORDER)
 
     def test_membership(self):
         B = MonomialIdealFree([(2, 1)], 2)
@@ -295,15 +323,18 @@ class TestHilbertRational:
 
 class TestSliceElimination:
     def test_slice_rows_rank_matches_dense_oracle(self):
-        rng = random.Random(21)
+        # the integer rows are the Fraction rows scaled and keyed, in the
+        # same order, and their rank is the dense rank of the Fraction rows
         ctx = AlgebraContext(3)
-        gens = anti_commutators(ctx) + [delta(mono(1, 2) + mono(2, 3))]
+        gens = anti_commutators(ctx) + [delta(mono(1, 2) + mono(2, 3).scale(Fraction(-4, 6)))]
+        prims = [(g.degree, list(primitive(g.terms).items())) for g in gens]
+        keys = Columns(ORDER.word_key)
         for d in range(2, 5):
-            rows = ideal_slice_rows(gens, ctx, d)
+            rows = ideal_slice_rows(prims, ctx, d, keys)
+            slow = fraction_slice_rows(gens, ctx, d)
+            assert rows == keyed_rows(slow, ORDER.word_key)[0]
             columns = sorted(words_of_degree(ctx, d), key=ORDER.word_key, reverse=True)
-            assert dense_rank(rows, columns) == len(
-                __import__("extlift.linalg", fromlist=["rref"]).rref(rows, ORDER.word_key)
-            )
+            assert dense_rank(slow, columns) == len(rref(rows, keys.column))
 
     def test_linear_generator_minimal_basis(self):
         # with a linear generator two defining relations become redundant

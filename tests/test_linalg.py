@@ -2,13 +2,19 @@
 elimination they replaced (``tests/oracles.fraction_rref``) and against
 the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
 seeded exterior and free-algebra corpora, and in the arithmetic they do.
-``pivots`` told the column count must give the same answer and read no
-row after the rank reaches it.  The certificate ``full_rank`` is checked
-against ``pivots``: never True on rows of lower rank, True on every full
-slice of the corpus, and harmless where a coefficient meets its prime."""
+Rows of rationals reach them through ``helpers.keyed_rows``, scaled to
+primitive integer rows keyed by the order key, as the slice builders
+make them.  ``pivots`` told the column count must give the same answer
+and read no row after the rank reaches it.  The certificate
+``full_rank`` is checked against ``pivots`` and against a dense rank
+modulo its prime: never True on rows of lower rank, True on every full
+slice of the corpus, and harmless where a coefficient meets its prime.
+No entry point changes the rows it is given."""
 
+import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +23,23 @@ from hypothesis import strategies as st
 from extlift import exterior
 from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
 from extlift.cli import EXIT_OK, main
-from extlift.exterior import groebner_ext
+from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.freealg import free_initial_ideal, ideal_slice_rows
 from extlift.gin import random_gl
-from extlift.lifting import anti_commutators
-from extlift.linalg import PRIME, full_rank, pivots, rref
+from extlift.lifting import anti_commutators, lift_groebner
+from extlift.linalg import PRIME, Columns, full_rank, pivots, primitive, rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
+from extlift.parsing import parse_ideal
 
-from helpers import dense_rank, exterior_corpus, random_ext_polynomial, random_free_polynomial, slice_oracle_corpus
-from oracles import fraction_rref, rref_free_initial_ideal
+from helpers import (
+    dense_rank,
+    exterior_corpus,
+    keyed_rows,
+    random_ext_polynomial,
+    random_free_polynomial,
+    slice_oracle_corpus,
+)
+from oracles import fraction_rref, keyed_fraction_rref, rref_free_initial_ideal
 
 
 @st.composite
@@ -58,13 +72,16 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_rref_against_dense_elimination(system):
     rows, key, columns = system
-    reduced = rref(rows, key)
+    keyed, column = keyed_rows(rows, key)
+    given_rows = copy.deepcopy(keyed)
+    reduced = rref(keyed, column)
     # the echelon-only entry point finds the pivots of the reduced rows
-    assert pivots(rows, key) == [max(r, key=key) for r in reduced]
+    assert [column[k] for k in pivots(keyed)] == [max(r, key=key) for r in reduced]
     ncols = len({c for row in rows for c in row})
-    assert_rank_stop(rows, key, ncols)
+    assert_rank_stop(keyed, ncols)
     # the certificate proves nothing that is false
-    assert not full_rank(rows, ncols) or len(reduced) == ncols
+    assert not full_rank(keyed, ncols) or len(reduced) == ncols
+    assert keyed == given_rows
     # the same rows, in the same order, as the Fraction elimination
     assert reduced == fraction_rref([{c: Fraction(v) for c, v in row.items()} for row in rows], key)
     assert all(type(v) is Fraction for row in reduced for v in row.values())
@@ -84,16 +101,16 @@ def test_rref_against_dense_elimination(system):
         assert not any(other in row for other in leads if other != pivot)
 
 
-def rows_until_full(rows: list, key, ncols: int):
+def rows_until_full(rows: list, ncols: int):
     """The rows as a generator that fails if a row is read after the
     shortest prefix of rank ``ncols``."""
-    if len(pivots(rows, key)) < ncols:
+    if len(pivots(rows)) < ncols:
         yield from rows
         return
     lo, hi = 0, len(rows)
     while lo < hi:
         mid = (lo + hi) // 2
-        if len(pivots(rows[:mid], key)) == ncols:
+        if len(pivots(rows[:mid])) == ncols:
             hi = mid
         else:
             lo = mid + 1
@@ -101,23 +118,23 @@ def rows_until_full(rows: list, key, ncols: int):
     raise AssertionError(f"row {lo} read after the rank reached {ncols}")
 
 
-def assert_rank_stop(rows: list, key, ncols: int) -> None:
+def assert_rank_stop(rows: list, ncols: int) -> None:
     """``pivots`` told that the rows reach ``ncols`` columns returns what
     it returns untold, and stops reading at full rank (when rows without
     columns are all there is, it reads one of them)."""
-    expected = pivots(rows, key)
-    assert pivots(rows, key, ncols) == expected
+    expected = pivots(rows)
+    assert pivots(rows, ncols) == expected
     if ncols:
-        assert pivots(rows_until_full(rows, key, ncols), key, ncols) == expected
+        assert pivots(rows_until_full(rows, ncols), ncols) == expected
 
 
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_pivots_rank_stop_on_exterior_slices(n, kind):
     full = 0
-    for rows, key, ncols in slice_oracle_corpus(n, kind):
-        assert_rank_stop(rows, key, ncols)
-        full += len(pivots(rows, key)) == ncols
+    for rows, _, ncols in slice_oracle_corpus(n, kind):
+        assert_rank_stop(rows, ncols)
+        full += len(pivots(rows)) == ncols
     assert full > 0
 
 
@@ -127,8 +144,8 @@ def test_full_rank_against_pivots_on_exterior_slices(n, kind):
     """The certificate is never True on a slice that is not full, and on
     this corpus the prime is never unlucky: it proves every full slice."""
     full = 0
-    for rows, key, ncols in slice_oracle_corpus(n, kind):
-        oracle = len(pivots(rows, key, ncols)) == ncols
+    for rows, _, ncols in slice_oracle_corpus(n, kind):
+        oracle = len(pivots(rows, ncols)) == ncols
         assert full_rank(rows, ncols) == oracle
         full += oracle
     assert full > 0
@@ -148,19 +165,22 @@ def test_full_rank_refuses_rank_deficient_rows(seed):
         coeffs = [rng.randint(-3, 3) for _ in basis]
         combo = {c: sum(a * b[c] for a, b in zip(coeffs, basis)) for c in range(ncols)}
         rows.append({c: v for c, v in combo.items() if v})
-    assert len(pivots(rows, int)) < ncols
+    rows = keyed_rows(rows, int)[0]
+    assert len(pivots(rows)) < ncols
     assert not full_rank(rows, ncols)
 
 
 def test_full_rank_counts_rows_divisible_by_the_prime_as_zero():
     # a row that vanishes modulo the prime is a zero row, and a
-    # denominator equal to the prime scales away
+    # denominator equal to the prime scales away: 1/PRIME*x + y and
+    # 1/PRIME*x + 1/2*y are the rows x + PRIME*y and 2*x + PRIME*y
     assert full_rank([{0: PRIME, 1: 2 * PRIME}, {0: 1}, {1: 1}], 2)
-    assert full_rank([{0: Fraction(1, PRIME), 1: 1}, {1: 1}], 2)
-    assert full_rank([{0: Fraction(1, PRIME), 1: Fraction(1, 2)}, {0: 1, 1: 1}], 2)
-    # rank 2 over Q, but no proof modulo the prime
+    assert full_rank([{0: 1, 1: PRIME}, {1: 1}], 2)
+    assert full_rank([{0: 2, 1: PRIME}, {0: 1, 1: 1}], 2)
+    # rank 2 over Q, but no proof modulo the prime; the certificate does
+    # not divide out a row's content (3*PRIME/7*x + PRIME/2*y scaled by 14)
     assert not full_rank([{0: PRIME}, {0: 1}, {1: PRIME}], 2)
-    assert not full_rank([{0: Fraction(3 * PRIME, 7), 1: Fraction(PRIME, 2)}, {0: 1, 1: 1}], 2)
+    assert not full_rank([{0: 6 * PRIME, 1: 7 * PRIME}, {0: 1, 1: 1}], 2)
     assert not full_rank([{0: PRIME, 1: 1}, {0: 2 * PRIME, 1: 5}], 2)
     # as many zero rows as there are rows beyond the rank are no obstacle
     assert full_rank([{0: PRIME}, {1: PRIME}, {0: 1}, {1: 1}, {2: 1}, {2: PRIME}], 3)
@@ -196,7 +216,7 @@ def test_prime_coefficients_match_the_rational_path(monkeypatch, capsys, tmp_pat
 def test_groebner_ext_matches_fraction_oracle(monkeypatch, n, kind):
     ideals = list(exterior_corpus(n, kind))
     fast = [groebner_ext(I) for I in ideals]
-    monkeypatch.setattr(exterior, "rref", fraction_rref)
+    monkeypatch.setattr(exterior, "rref", keyed_fraction_rref)
     monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)
     for I, G in zip(ideals, fast):
         slow = groebner_ext(I)
@@ -234,13 +254,30 @@ def test_free_initial_ideal_matches_fraction_oracle(gens, ctx, order, maxdeg):
 
 @pytest.mark.parametrize("gens, ctx, order, maxdeg", free_corpus())
 def test_pivots_rank_stop_on_free_slices(gens, ctx, order, maxdeg):
+    prims = [(g.degree, list(primitive(g.terms).items())) for g in gens if g]
     for d in range(maxdeg + 1):
-        assert_rank_stop(ideal_slice_rows(gens, ctx, d), order.word_key, ctx.n**d)
+        assert_rank_stop(ideal_slice_rows(prims, ctx, d, Columns(order.word_key)), ctx.n**d)
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_fraction_ops(monkeypatch) -> list:
+    """Log the name of every arithmetic operation on a Fraction from now
+    until ``monkeypatch.undo()``."""
+    calls = []
+    for name in FRACTION_OPS:
+        def counted(self, *other, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(self, *other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
 
 
 def test_elimination_does_no_fraction_arithmetic(monkeypatch):
-    """Only the boundary converts: numerators and denominators in, one
-    Fraction per output entry.  Every elimination step is integer work."""
+    """Only the boundary converts: integer rows in, one Fraction per output
+    entry.  Every elimination step is integer work."""
     rng = random.Random(7)
     ctx = AlgebraContext(7)
     g = random_gl(ctx, 7, 100)
@@ -248,15 +285,107 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     order = ExtOrderSpec()
     # the degree-4 slice of a transformed ideal, rows x_u * f as dicts
     rows = [(ExtPolynomial.monomial(u) * f).terms for f in gens for u in ext_monomials_of_degree(ctx, 2)]
-    calls = []
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
-        def counted(self, other, _op=getattr(Fraction, name), _name=name):
-            calls.append(_name)
-            return _op(self, other)
-
-        monkeypatch.setattr(Fraction, name, counted)
-    reduced = rref(rows, order.ext_key)
+    keyed, column = keyed_rows(rows, order.ext_key)
+    calls = count_fraction_ops(monkeypatch)
+    reduced = rref(keyed, column)
     monkeypatch.undo()
     assert calls == []
     assert len(reduced) == 35
     assert reduced == fraction_rref(rows, order.ext_key)
+
+
+def quadrics_text(n: int) -> str:
+    """Three seeded dense quadrics in n variables, as an ideal file."""
+    rng = random.Random(f"slices/{n}")
+    pairs = list(combinations(range(1, n + 1), 2))
+    gens = [" + ".join(f"{rng.randint(1, 9)}*x{i}*x{j}" for i, j in pairs) for _ in range(3)]
+    return f"vars: {n}\ngenerators:\n" + "".join(g + "\n" for g in gens)
+
+
+@pytest.mark.parametrize("loop", ["groebner_ext", "initial_data_ext", "free_initial_ideal"])
+def test_slice_loops_do_no_fraction_arithmetic(monkeypatch, loop):
+    """The whole slice loops, from the parsed generators to the output
+    entries, do no Fraction arithmetic: the exterior loops on three
+    quadrics in n=8 (slices 2 and 3 reduced, slice 4 certified), and the
+    free loop on the lifted basis of three quadrics in n=5 to degree 4."""
+    n = 5 if loop == "free_initial_ideal" else 8
+    ideal = parse_ideal(quadrics_text(n))
+    I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
+    if loop == "free_initial_ideal":
+        lifted = lift_groebner(groebner_ext(I))
+        run = lambda: free_initial_ideal(lifted.elements(), I.ctx, lifted.order, 4)
+    else:
+        run = lambda: getattr(exterior, loop)(I)
+    calls = count_fraction_ops(monkeypatch)
+    result = run()
+    monkeypatch.undo()
+    assert calls == []
+    if loop == "free_initial_ideal":
+        slow = rref_free_initial_ideal(lifted.elements(), I.ctx, lifted.order, 4)
+        assert result.slice_dims == slow.slice_dims
+        assert result.initial == slow.initial
+    else:
+        assert result.slice_dims == (0, 0, 3, 24, 70, 56, 28, 8, 1)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_full_rank_folding_on_adversarial_entries(seed):
+    """Entries at the edges of the packed slots (0, 1, PRIME - 1, PRIME,
+    2^31, 2^62 and their negatives) in up to 100 columns: the certificate
+    says True exactly when the rank modulo the prime is full, and then,
+    up to 20 columns, ``pivots`` finds full rank over Q."""
+    rng = random.Random(f"fold/{seed}")
+    ncols = rng.choice([1, 2, 3, 7, 20, 64, 100])
+    values = [0, 1, PRIME - 1, PRIME, 2**31, 2**62, PRIME + 1, 2 * PRIME - 1]
+    values += [-v for v in values]
+    density = rng.choice([0.2, 0.6, 1.0])
+    rows = []
+    for _ in range(max(1, ncols + rng.randint(-1, 3))):
+        row = {c: rng.choice(values) for c in range(ncols) if rng.random() < density}
+        rows.append({c: v for c, v in row.items() if v})
+    rows[0][rng.randrange(ncols)] = rng.choice(values[1:len(values) // 2])
+    if seed % 3 == 0 and len(rows) > 1:
+        # a dependent row, zero modulo the prime only in some slots
+        rows[-1] = {c: rows[0].get(c, 0) - rows[1].get(c, 0) for c in range(ncols)}
+        rows[-1] = {c: v for c, v in rows[-1].items() if v}
+    reached = len({c for row in rows for c in row})
+    certified = full_rank(rows, reached)
+    assert certified == (rank_mod_prime(rows) == reached)
+    if reached <= 20:
+        # over Q the dense rows' entries grow too long beyond this
+        assert not certified or len(pivots(rows)) == reached
+
+
+def rank_mod_prime(rows: list) -> int:
+    """Dense Gaussian elimination modulo ``PRIME``."""
+    columns = sorted({c for row in rows for c in row})
+    dense = [[row.get(c, 0) % PRIME for c in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(dense)) if dense[r][col]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        inv = pow(dense[rank][col], -1, PRIME)
+        for r in range(len(dense)):
+            if r != rank and dense[r][col]:
+                f = dense[r][col] * inv % PRIME
+                dense[r] = [(a - f * b) % PRIME for a, b in zip(dense[r], dense[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_elimination_leaves_its_input_rows_unchanged(n):
+    """``rref``, ``pivots`` (told the column count or not) and
+    ``full_rank`` reduce copies: the slice rows they are given, and the
+    dicts holding them, are as they were."""
+    for rows, column, ncols in slice_oracle_corpus(n, "deglex"):
+        given_rows = copy.deepcopy(rows)
+        ids = [id(row) for row in rows]
+        rref(rows, column)
+        pivots(rows)
+        pivots(rows, ncols)
+        full_rank(rows, ncols)
+        assert rows == given_rows
+        assert [id(row) for row in rows] == ids

@@ -18,7 +18,6 @@ from extlift.freealg import (
     FreeGroebnerCandidate,
     PatternAutomaton,
     enumerate_obstructions,
-    ideal_slice_rows,
     normal_form,
     obstructions_resolve,
 )
@@ -26,8 +25,14 @@ from extlift.lifting import anti_commutators, lift_groebner
 from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import gap_binomials, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
-from oracles import fraction_normal_form, fraction_obstructions_resolve, rescan_normal_form, rescan_obstructions_resolve
+from helpers import gap_binomials, keyed_rows, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
+from oracles import (
+    fraction_normal_form,
+    fraction_obstructions_resolve,
+    fraction_slice_rows,
+    rescan_normal_form,
+    rescan_obstructions_resolve,
+)
 
 
 def candidates(rng, ctx, gens, order):
@@ -268,9 +273,9 @@ class TestProperties:
         G = data.draw(lifted_bases())
         d = data.draw(st.integers(2, 3))
         F = data.draw(free_polys(G.ctx.n, d))
-        rows = ideal_slice_rows(G.elements, G.ctx, d)
+        rows = fraction_slice_rows(G.elements, G.ctx, d)
         key = G.order.word_key
-        assert len(rref(rows + [(F - normal_form(F, G)).terms], key)) == len(rref(rows, key))
+        assert len(rref(*keyed_rows(rows + [(F - normal_form(F, G)).terms], key))) == len(rref(*keyed_rows(rows, key)))
 
     @SETTINGS
     @given(st.data())

@@ -95,12 +95,25 @@ def test_exterior_slices_stop_at_first_full_slice(monkeypatch, capsys, tmp_path,
 
 def test_exterior_slices_certificate_failure_falls_back_once(monkeypatch, capsys, tmp_path):
     """A slice that is full over Q but not modulo the prime is eliminated
-    once after the failed certificate, and the pass stops there."""
+    once after the failed certificate, and the pass stops there.  The rows
+    are primitive, so the prime must divide a minor, not a row: the three
+    quadrics' determinant is PRIME."""
+    path = tmp_path / "p.ideal"
+    path.write_text(f"vars: 3\ngenerators:\nx1*x2 + x1*x3\nx1*x2 + {linalg.PRIME + 1}*x1*x3\nx2*x3\n")
+    calls = slice_calls(monkeypatch)
+    run(capsys, "gb", str(path))
+    assert calls == [("full_rank", False), ("rref", 3)]
+
+
+def test_exterior_slices_certify_a_generator_divisible_by_the_prime(monkeypatch, capsys, tmp_path):
+    """A generator is scaled to its primitive multiple before any slice is
+    built, so PRIME*x1*x2 is x1*x2 to the certificate, which proves the
+    slice at d=3 full."""
     path = tmp_path / "p.ideal"
     path.write_text(f"vars: 3\ngenerators:\n{linalg.PRIME}*x1*x2\n")
     calls = slice_calls(monkeypatch)
     run(capsys, "gb", str(path))
-    assert calls == [("rref", 1), ("full_rank", False), ("rref", 1)]
+    assert calls == [("rref", 1), ("full_rank", True)]
 
 
 def test_exterior_gin_two_trials(monkeypatch, capsys):
