@@ -55,12 +55,12 @@ class ExtMonomial:
             if i < 1:
                 raise ValueError(f"variable index {i} must be positive")
             bits |= 1 << i
-        object.__setattr__(self, "bits", bits)
+        self.bits = bits
 
     @classmethod
     def from_bits(cls, bits: int) -> "ExtMonomial":
         m = cls.__new__(cls)
-        object.__setattr__(m, "bits", bits)
+        m.bits = bits
         return m
 
     @property
@@ -91,16 +91,11 @@ class ExtMonomial:
         """Sign of x_I * x_J = sign * x_{I|J}; 0 if the supports meet.
 
         The sign is (-1)^inv where inv counts pairs (i, j), i in I, j in J,
-        with i > j.
+        with i > j: the parity of the letters of I in ``_odd_below(J)``.
         """
         if self.bits & other.bits:
             return 0
-        inv, bits = 0, self.bits
-        while bits:
-            low = (bits & -bits).bit_length() - 1
-            inv += (other.bits & ((1 << low) - 1)).bit_count()
-            bits &= bits - 1
-        return -1 if inv & 1 else 1
+        return -1 if (self.bits & _odd_below(other.bits)).bit_count() & 1 else 1
 
     def __mul__(self, other: "ExtMonomial") -> "ExtMonomial":
         # unsigned product; use mul_sign for the coefficient
@@ -121,23 +116,38 @@ class ExtMonomial:
         return "".join(f"x{i}" for i in self.support) or "1"
 
 
-def word_sort_sign(word: Word) -> tuple[int, Word]:
-    """Sort a word's letters, counting transpositions: (sign, sorted word).
+def _odd_below(bits: int) -> int:
+    """The bitmask of the variables i with an odd number of the letters of
+    x_bits below them.  For u disjoint from bits, moving each letter of
+    x_u past the letters of x_bits below it gives
+    x_u * x_bits = (-1)^popcount(u & odd) x_{u|bits}.
 
-    Sign is 0 when a letter repeats (the square-free image vanishes); that
-    is checked before sorting, so a long word with repeats costs no sort.
+    Each letter flips every bit above it, so no variable count is needed.
+    Above the top letter the mask is all ones when bits has an odd number
+    of letters, so it may be negative; it is only ever ``&``-ed with a
+    nonnegative bitmask, which makes the result nonnegative."""
+    odd = 0
+    while bits:
+        low = bits & -bits
+        odd ^= -(low << 1)
+        bits ^= low
+    return odd
+
+
+def word_sort_sign(word: Word) -> tuple[int, Word]:
+    """Sort a word's letters, counting inversions: (sign, sorted word).
+
+    Sign is 0 when a letter repeats (the square-free image vanishes), which
+    is checked first.  Otherwise each letter counts the earlier letters
+    above it, as ``apply_gl_ext`` does.
     """
     if len(set(word)) < len(word):
         return 0, tuple(sorted(word))
-    letters = list(word)
-    sign = 1
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            letters[j - 1], letters[j] = letters[j], letters[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(letters)
+    inv = seen = 0
+    for a in word:
+        inv += (seen >> a).bit_count()
+        seen |= 1 << a
+    return -1 if inv & 1 else 1, tuple(sorted(word))
 
 
 def _add_into(acc: dict, pairs: Iterable) -> dict:

@@ -68,19 +68,18 @@ def _monomials(ideal: IdealFile, refusal: str) -> list:
 
 
 def cmd_gb(args) -> int:
-    from .exterior import ExtIdeal, groebner_ext, hilbert_ext, initial_ideal_ext
+    from .exterior import ExtIdeal, groebner_ext, hilbert_ext
 
     ideal = _load(args)
     _require(ideal, "exterior", "gb")
     I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
     gb = groebner_ext(I)
-    init = initial_ideal_ext(gb)
     result = {
         "command": "gb",
         "vars": ideal.ctx.n,
         "order": ideal.order.kind,
         "groebner_basis": [ext_poly_pairs(f, ideal.order) for f in gb.elements],
-        "initial_ideal": [str(m) for m in init],
+        "initial_ideal": [str(m) for m in gb.initial],
         "quotient_dimensions": hilbert_ext(gb),
     }
     if args.json:
@@ -96,7 +95,7 @@ def cmd_gb(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    from .exterior import ExtIdeal, groebner_ext, initial_ideal_ext
+    from .exterior import ExtIdeal, groebner_ext
     from .lifting import lift_groebner, squeezed_witness
 
     ideal = _load(args)
@@ -108,8 +107,7 @@ def cmd_lift(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     order = ideal.free_order
-    init = initial_ideal_ext(gb)
-    squeezed, witness = squeezed_witness(init)
+    squeezed, witness = squeezed_witness(gb.initial)
     result = {
         "command": "lift",
         "vars": ideal.ctx.n,
@@ -506,19 +504,11 @@ def _read_args(argv: list) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    # looked up per call, so that a wrapper set on cli.cmd_* (a tracer's) runs
-    commands = {
-        "gb": cmd_gb,
-        "lift": cmd_lift,
-        "verify": cmd_verify,
-        "gin": cmd_gin,
-        "hilbert": cmd_hilbert,
-        "predicates": cmd_predicates,
-    }
     try:
         try:
             args = _read_args(sys.argv[1:] if argv is None else argv)
-            return commands[args.command](args)
+            # looked up per call, so that a wrapper set on cli.cmd_* (a tracer's) runs
+            return globals()[f"cmd_{args.command}"](args)
         finally:
             sys.stdout.flush()
     except (InputError, ParseError) as exc:

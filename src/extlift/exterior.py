@@ -15,14 +15,14 @@ reduced.  Nor is that full slice when its rank modulo a prime is C(n, d)
 echelon form is the identity.  Only ``groebner_ext``, whose rows ``gb`` and
 ``lift`` read, back-substitutes.  ``initial_data_ext``, for readers of
 leads and dimensions alone (the exterior ``hilbert``, the gin trials and
-the gin's Hilbert check), asks only for the pivots, and stops reading a
-slice's rows once its rank reaches C(n, d).
+the gin's Hilbert check), asks only for the pivots.  Both return the
+initial ideal of the minimal elements' leads, read off the slices.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
 every generator is scaled once to its primitive integer multiple, a
 monomial's order key is computed once per bitmask and kept with the way
 back to the monomial (``linalg.Columns``), and the sign of x_u * x_m is
-one popcount of u against a mask fixed per term m (``_odd_below``).
+one popcount of u against a mask fixed per term m (``algebra._odd_below``).
 Fractions appear only in the basis elements ``groebner_ext`` returns.
 """
 
@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
+    _odd_below,
     ext_monomials_of_degree,
 )
 from .linalg import Columns, full_rank, pivots, primitive, rref
@@ -101,17 +102,16 @@ class MonomialIdealExt:
 
 
 class ExtGroebnerBasis:
-    """Reduced minimal Groebner basis, with ``slice_dims[d] = dim I_d`` for
+    """Reduced minimal Groebner basis of monic elements, with ``initial``,
+    the initial ideal of their leads, and ``slice_dims[d] = dim I_d`` for
     d = 0..n read off the same slices; the first full slice, if a prime
     proved it full, and the slices past it are C(n, d) and not reduced."""
 
-    __slots__ = ("ctx", "elements", "order", "slice_dims")
+    __slots__ = ("ctx", "elements", "order", "initial", "slice_dims")
 
-    def __init__(self, ctx, elements: tuple[ExtPolynomial, ...], order: ExtOrderSpec, slice_dims: tuple[int, ...]):
-        self.ctx, self.elements, self.order, self.slice_dims = ctx, elements, order, slice_dims
-
-    def leading_monomials(self) -> list[ExtMonomial]:
-        return [leading_term_ext(f, self.order)[0] for f in self.elements]
+    def __init__(self, ctx, elements: tuple, order: ExtOrderSpec, initial: MonomialIdealExt, slice_dims: tuple):
+        self.ctx, self.elements, self.order = ctx, elements, order
+        self.initial, self.slice_dims = initial, slice_dims
 
 
 class ExtInitialData:
@@ -122,19 +122,6 @@ class ExtInitialData:
 
     def __init__(self, ctx: AlgebraContext, initial: MonomialIdealExt, slice_dims: tuple[int, ...]):
         self.ctx, self.initial, self.slice_dims = ctx, initial, slice_dims
-
-
-def _odd_below(bits: int, n: int) -> int:
-    """The bitmask of the variables i in 1..n with an odd number of the
-    letters of x_bits below them.  For u disjoint from bits, moving each
-    letter of x_u past the letters of x_bits below it gives
-    x_u * x_bits = (-1)^popcount(u & odd) x_{u|bits}."""
-    odd = parity = 0
-    for i in range(1, n + 1):
-        if parity:
-            odd |= 1 << i
-        parity ^= bits >> i & 1
-    return odd
 
 
 def _slice_rows(I: ExtIdeal, columns: Columns):
@@ -148,7 +135,7 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
     """
     n = I.ctx.n
     gens = [
-        (g.degree, [(b, _odd_below(b, n), c) for b, c in primitive({m.bits: c for m, c in g.terms.items()}).items()])
+        (g.degree, [(b, _odd_below(b), c) for b, c in primitive({m.bits: c for m, c in g.terms.items()}).items()])
         for g in I.generators
     ]
     units: dict[int, list[int]] = {}  # the bitmasks of each degree
@@ -171,16 +158,18 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
     return rows
 
 
-def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
-    """The slice loop: the minimal basis elements by degree, largest lead
-    first, or when not ``reduced`` only their leading monomials; and dim
-    I_d for d = 0..n.  Slices below the lowest generator degree are 0, and
-    each slice from there to the first full one is built once and either
-    proved full modulo a prime or eliminated once.  A pivot is a new
+def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, list, tuple[int, ...]]:
+    """The slice loop: the leading monomials of the minimal basis elements
+    by degree, largest first; the elements themselves when ``reduced``,
+    else their leads again; and dim I_d for d = 0..n.  Slices below the
+    lowest generator degree are 0, and each slice from there to the first
+    full one is built once and either proved full modulo a prime or
+    eliminated once.  A pivot is a new
     minimal generator iff no pivot one degree below divides it."""
     n, key = I.ctx.n, I.order.ext_key
     columns = Columns(key, ExtMonomial.from_bits)
     slice_rows = _slice_rows(I, columns)
+    mins: list[ExtMonomial] = []
     found: list = []
     dims: list[int] = []
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
@@ -199,9 +188,10 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
             items = [ExtPolynomial._raw(r) for r in rref(rows, columns.column)]
             leads = [leading_term_ext(f, I.order)[0] for f in items]
         else:
-            items = leads = [columns.column[k] for k in pivots(rows, full)]
+            items = leads = [columns.column[k] for k in pivots(rows)]
         for lead, item in zip(leads, items):
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
+                mins.append(lead)
                 found.append(item)
         below = {lead.bits for lead in leads}
         dims.append(len(leads))
@@ -209,25 +199,21 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, tuple[int, ...]]:
             # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
             dims += [comb(n, e) for e in range(d + 1, n + 1)]
             break
-    return found, tuple(dims)
+    return mins, found, tuple(dims)
 
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
     """Reduced minimal Groebner basis, from the reduced echelon form of
     each slice up to the first full one (the identity, if proved full)."""
-    elements, dims = _slices(I, reduced=True)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, dims)
+    leads, elements, dims = _slices(I, reduced=True)
+    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, MonomialIdealExt(leads, I.order), dims)
 
 
 def initial_data_ext(I: ExtIdeal) -> ExtInitialData:
     """The initial ideal and slice dimensions of ``groebner_ext(I)``, from
     the pivots of each slice alone."""
-    leads, dims = _slices(I, reduced=False)
+    leads, _, dims = _slices(I, reduced=False)
     return ExtInitialData(I.ctx, MonomialIdealExt(leads, I.order), dims)
-
-
-def initial_ideal_ext(G: ExtGroebnerBasis) -> MonomialIdealExt:
-    return MonomialIdealExt(G.leading_monomials(), G.order)
 
 
 def hilbert_ext(G: ExtGroebnerBasis | ExtInitialData) -> list[int]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from math import lcm
 
 from .algebra import (
     AlgebraContext,
@@ -29,6 +28,7 @@ from .algebra import (
 from .exterior import ExtIdeal, MonomialIdealExt, initial_data_ext
 from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
 from .lifting import anti_commutator_leading_words, check_natural_ranking
+from .linalg import primitive
 from .orders import FreeOrderSpec
 
 
@@ -107,14 +107,11 @@ def gin_free(
 
 
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
-    """Generic initial ideal in E(V): transform an integer multiple of each
-    generator, which spans the same ideal, then read the initial ideal off
-    the slices with no back-substitution; the per-degree dimensions are the
-    first trial's slice dimensions."""
-    gens = []
-    for f in I.generators:
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        gens.append(ExtPolynomial._raw({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}))
+    """Generic initial ideal in E(V): transform the primitive integer
+    multiple of each generator, which spans the same ideal, then read the
+    initial ideal off the slices with no back-substitution; the per-degree
+    dimensions are the first trial's slice dimensions."""
+    gens = [ExtPolynomial._raw(primitive(f.terms)) for f in I.generators]
 
     def trial(g: GLMatrix):
         data = initial_data_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order))

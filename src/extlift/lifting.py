@@ -23,7 +23,7 @@ from .algebra import (
     delta,
 )
 from .exterior import ExtGroebnerBasis, MonomialIdealExt
-from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, monic_ext, monic_free
+from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, monic_free
 
 
 def anti_commutators(ctx: AlgebraContext) -> list[FreePolynomial]:
@@ -179,16 +179,15 @@ def _check_liftable(G: ExtGroebnerBasis) -> None:
 
 
 def lift_groebner(G: ExtGroebnerBasis) -> LiftedBasis:
-    """Lift of a minimal exterior Groebner basis, all elements of degree >= 2."""
+    """Lift of a reduced minimal exterior Groebner basis, monic elements
+    all of degree >= 2, as ``groebner_ext`` returns it."""
     _check_liftable(G)
     order = FreeOrderSpec(G.order)
-    L = MonomialIdealExt(G.leading_monomials(), G.order)
     lifted = []
     init: list[Word] = list(anti_commutator_leading_words(G.ctx))
     for f in G.elements:
-        f = monic_ext(f, G.order)
         m, _ = leading_term_ext(f, G.order)
-        for u in sorted(compute_U(L, m), key=G.order.ext_key):
+        for u in sorted(compute_U(G.initial, m), key=G.order.ext_key):
             prod = ExtPolynomial.monomial(u) * f
             lifted.append((f, u, monic_free(delta(prod), order)))
             init.append((u * m).support)

@@ -9,10 +9,9 @@ it stands for (``primitive``), which spans the same space.  ``rref``
 returns the reduced row echelon form of Fractions, keyed by column: each
 row is monic at its pivot and no row contains another row's pivot
 column.  ``pivots`` returns only the pivot keys, which an echelon form
-already fixes, so it skips the back-substitution; told how many columns
-the rows can reach, it also stops reading rows at full rank, where every
-later row reduces to 0.  With columns keyed by a term order, the pivots
-of a degree slice of an ideal are exactly the initial-ideal slice.
+already fixes, so it skips the back-substitution.  With columns keyed by
+a term order, the pivots of a degree slice of an ideal are exactly the
+initial-ideal slice.
 
 Elimination is fraction-free, with content removal as in Bareiss's
 method.  Each incoming row is copied once and then reduced in place: a
@@ -97,10 +96,9 @@ def _eliminate(row: Row, k, pivot: Row, content: bool) -> None:
                 row[c] //= g
 
 
-def _echelon(rows: Iterable[Row], reduced: bool, ncols: int | None = None) -> dict:
+def _echelon(rows: Iterable[Row], reduced: bool) -> dict:
     """The map pivot key -> integer pivot row.  The pivot rows are an
-    echelon form, or when ``reduced`` the reduced one with positive leads.
-    Reading stops once there are ``ncols`` pivots."""
+    echelon form, or when ``reduced`` the reduced one with positive leads."""
     pivots: dict = {}
     for row in rows:
         row = dict(row)
@@ -122,8 +120,6 @@ def _echelon(rows: Iterable[Row], reduced: bool, ncols: int | None = None) -> di
                 pivots[lead] = row
                 break
             _eliminate(row, lead, prow, reduced)
-        if len(pivots) == ncols:
-            break
     return pivots
 
 
@@ -140,14 +136,10 @@ def rref(rows: Iterable[Row], column: dict) -> list[Row]:
     return out
 
 
-def pivots(rows: Iterable[Row], ncols: int | None = None) -> list:
+def pivots(rows: Iterable[Row]) -> list:
     """The pivot keys of the integer rows' reduced echelon form, largest
-    first, found without back-substitution.  Their number is the rank.
-
-    ``ncols``, when given, is the number of columns the rows can reach.
-    Once there are that many pivots every later row reduces to 0, so no
-    further row is read."""
-    return sorted(_echelon(rows, reduced=False, ncols=ncols), reverse=True)
+    first, found without back-substitution.  Their number is the rank."""
+    return sorted(_echelon(rows, reduced=False), reverse=True)
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:

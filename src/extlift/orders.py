@@ -102,11 +102,6 @@ def leading_term_free(F: FreePolynomial, spec: FreeOrderSpec) -> tuple[Word, Fra
     return w, F.terms[w]
 
 
-def monic_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> ExtPolynomial:
-    _, c = leading_term_ext(f, spec)
-    return f.scale(1 / c)
-
-
 def monic_free(F: FreePolynomial, spec: FreeOrderSpec) -> FreePolynomial:
     _, c = leading_term_free(F, spec)
     return F.scale(1 / c)

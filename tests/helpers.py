@@ -32,7 +32,7 @@ from extlift.lifting import (
     strongly_stable_witness,
 )
 from extlift.linalg import Columns, primitive
-from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_ext, monic_free
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_free
 
 
 def _cmp(a, b) -> int:
@@ -237,7 +237,7 @@ def naive_lift(G: ExtGroebnerBasis) -> list[FreePolynomial]:
     _check_liftable(G)
     order = FreeOrderSpec(G.order)
     return anti_commutators(G.ctx) + [
-        monic_free(delta(monic_ext(f, G.order)), order) for f in G.elements
+        monic_free(delta(f), order) for f in G.elements
     ]
 
 

@@ -169,7 +169,8 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
 def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
     """Reduced minimal Groebner basis by degree-wise elimination.  Each
     slice is reduced once; slices below the lowest generator degree are 0.
-    A pivot is a new minimal generator iff no pivot below divides it."""
+    A pivot is a new minimal generator iff no pivot below divides it; the
+    initial ideal is read off the elements' leading terms."""
     elements: list[ExtPolynomial] = []
     dims: list[int] = []
     pivots: set[int] = set()  # bitmasks of the pivot monomials
@@ -183,7 +184,8 @@ def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
             pivots.add(lead.bits)
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 elements.append(row)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, tuple(dims))
+    initial = MonomialIdealExt([leading_term_ext(f, I.order)[0] for f in elements], I.order)
+    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, initial, tuple(dims))
 
 
 def scan_groebner_elements(I: ExtIdeal) -> list[ExtPolynomial]:

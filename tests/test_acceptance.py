@@ -20,7 +20,7 @@ from extlift.algebra import (
     apply_gl_ext,
     delta,
 )
-from extlift.exterior import ExtIdeal, groebner_ext, hilbert_ext, initial_ideal_ext
+from extlift.exterior import ExtIdeal, groebner_ext, hilbert_ext
 from extlift.freealg import (
     FreeGroebnerCandidate,
     MonomialIdealFree,
@@ -89,7 +89,7 @@ def corpus():
         n = (3, 4, 5)[k % 3]
         I = _random_corpus_ideal(rng, n)
         gb = groebner_ext(I)
-        init = initial_ideal_ext(gb)
+        init = gb.initial
         lifted = lift_groebner(gb)
         inJ = MonomialIdealFree(lifted.initial_mingens, n, ORDER)
         items.append(CorpusItem(I.ctx, I, gb, init, lifted, inJ))
@@ -182,7 +182,7 @@ def test_criterion_01_defining_relations_verify(tmp_path, capsys):
 
 def test_criterion_02_generic_quadric_example(quadric_gin):
     ctx, I, q, _, _, res = quadric_gin
-    init = initial_ideal_ext(groebner_ext(I))
+    init = groebner_ext(I).initial
     expected_gin = {(2, 3), (1, 1), (2, 2), (3, 3), (2, 1), (3, 1), (3, 2)}
     borel_ok, witness = is_borel_fixed(res.gin, ctx)
     ok = (

@@ -1,14 +1,17 @@
 """Guards on the size of the library's API: every public definition in
-``src/extlift`` is used by the library itself, every field a class lists
-in ``__slots__`` is read by it, every name a module imports is read by
-that module, and the package exports exactly the names the README's
-"Library usage" example imports."""
+``src/extlift`` is used by the library itself (a command function
+``cli.cmd_<command>`` by ``cli.main``, which looks it up by name for each
+command of ``cli.COMMANDS``), every field a class lists in ``__slots__``
+is read by it, every name a module imports is read by that module, and
+the package exports exactly the names the README's "Library usage"
+example imports."""
 
 import ast
 import re
 from pathlib import Path
 
 import extlift
+from extlift.cli import COMMANDS
 
 SRC = Path(extlift.__file__).parent
 README = SRC.parents[1] / "README.md"
@@ -65,7 +68,10 @@ def _read_attributes(tree: ast.Module) -> set[str]:
 
 def test_every_public_definition_is_used_by_the_library():
     modules = _modules()
-    used = set().union(*(_read_names(tree) for tree in modules.values()))
+    dispatched = {f"cmd_{command}" for command in COMMANDS}
+    # each command has the function main looks up for it
+    assert dispatched <= {name for _, name in _public_definitions(modules["cli.py"])}
+    used = set().union(*(_read_names(tree) for tree in modules.values())) | dispatched
     unused = [
         f"{module}:{qualified}"
         for module, tree in modules.items()

@@ -6,23 +6,24 @@ from math import comb
 import pytest
 
 from extlift.algebra import (
+    MAX_VARS,
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
+    _odd_below,
     apply_gl_ext,
     ext_monomials_of_degree,
+    word_sort_sign,
 )
 from extlift.exterior import (
     ExtIdeal,
     MonomialIdealExt,
-    _odd_below,
     groebner_ext,
     hilbert_ext,
     initial_data_ext,
-    initial_ideal_ext,
 )
 from extlift.gin import random_gl
-from extlift.orders import ExtOrderSpec, leading_term_ext, monic_ext
+from extlift.orders import ExtOrderSpec, leading_term_ext
 
 from helpers import dense_rank, exterior_corpus, random_ext_ideal_gens
 from oracles import ideal_degree_basis, scan_groebner_elements, slice_groebner_ext
@@ -93,22 +94,23 @@ class TestGroebnerExt:
         assert len(gb.elements) == 1
         lead, c = leading_term_ext(gb.elements[0], DEGLEX)
         assert lead == ExtMonomial([2, 3]) and c == 1
-        assert initial_ideal_ext(gb) == MonomialIdealExt([ExtMonomial([2, 3])])
+        assert gb.initial == MonomialIdealExt([ExtMonomial([2, 3])])
 
     def test_two_generator_example_dimensions(self):
         # oracle: per-degree span dimension equals the monomial cone of the
         # initial ideal
         ctx = AlgebraContext(4)
         I = ExtIdeal(ctx, [mono(1, 2) + mono(3, 4), mono(1, 3)])
-        gb = groebner_ext(I)
-        init = initial_ideal_ext(gb)
+        init = groebner_ext(I).initial
         for d in range(5):
             assert len(ideal_degree_basis(I, d)) == init.degree_count(ctx, d)
 
     def test_minimal_gb_leads_form_antichain(self):
         ctx = AlgebraContext(4)
         I = ExtIdeal(ctx, [mono(1, 2) + mono(3, 4), mono(1, 3)])
-        leads = groebner_ext(I).leading_monomials()
+        gb = groebner_ext(I)
+        leads = [leading_term_ext(f, DEGLEX)[0] for f in gb.elements]
+        assert leads == sorted(gb.initial, key=lambda m: (m.degree, -DEGLEX.ext_key(m)))
         for a in leads:
             for b in leads:
                 if a != b:
@@ -118,7 +120,7 @@ class TestGroebnerExt:
         ctx = AlgebraContext(4)
         I = ExtIdeal(ctx, [mono(1, 2) + mono(3, 4), mono(1, 3), mono(2, 4) + mono(1, 4)])
         gb = groebner_ext(I)
-        init = initial_ideal_ext(gb)
+        init = gb.initial
         for f in gb.elements:
             lead, _ = leading_term_ext(f, DEGLEX)
             for m in f.terms:
@@ -154,7 +156,8 @@ class TestGroebnerExt:
             ctx = AlgebraContext(n)
             I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx))
             gb = groebner_ext(I)
-            elems = [monic_ext(f, DEGLEX) for f in gb.elements]
+            elems = gb.elements
+            assert all(leading_term_ext(f, DEGLEX)[1] == 1 for f in elems)
             leads = [leading_term_ext(f, DEGLEX)[0] for f in elems]
 
             def reduce_full(p):
@@ -213,25 +216,61 @@ def test_slices_match_full_slice_oracle(n, kind):
         assert gb.elements == oracle.elements
         assert all(type(c) is Fraction for f in gb.elements for _, c in f)
         assert gb.slice_dims == oracle.slice_dims
+        assert gb.initial.gens == oracle.initial.gens
         data = initial_data_ext(I)
-        assert data.initial.gens == initial_ideal_ext(oracle).gens
+        assert data.initial.gens == oracle.initial.gens
         assert data.slice_dims == oracle.slice_dims
     assert early > 0
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_popcount_sign_matches_mul_sign(n):
-    """The slice rows' sign rule: for disjoint x_u and x_m,
-    x_u * x_m = (-1)^popcount(u & odd) x_{u|m} with odd = _odd_below(m)."""
-    monomials = [ExtMonomial(c) for d in range(n + 1) for c in combinations(range(1, n + 1), d)]
+def inversions(word) -> int:
+    """Brute force: the pairs of positions whose letters are out of order."""
+    return sum(1 for a, b in combinations(word, 2) if a > b)
+
+
+def subsets(letters) -> list[ExtMonomial]:
+    return [ExtMonomial(c) for d in range(len(letters) + 1) for c in combinations(letters, d)]
+
+
+def assert_sign_rule(letters) -> int:
+    """``mul_sign`` and the mask rule x_u * x_m = (-1)^popcount(u &
+    _odd_below(m)) x_{u|m} against the inversions of u's letters followed by
+    m's, on every disjoint pair over the letters; returns the pair count."""
+    monomials = subsets(letters)
     pairs = 0
     for u in monomials:
         for m in monomials:
             if u.disjoint(m):
-                odd = _odd_below(m.bits, n)
-                assert (-1) ** (u.bits & odd).bit_count() == u.mul_sign(m)
+                expected = (-1) ** inversions(u.support + m.support)
+                assert u.mul_sign(m) == expected
+                assert (-1) ** (u.bits & _odd_below(m.bits)).bit_count() == expected
                 pairs += 1
-    assert pairs == 3**n
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_popcount_sign_matches_mul_sign(n):
+    """The slice rows' sign rule and ``mul_sign``, both against the brute
+    force, on all 3^n disjoint pairs in n variables."""
+    assert assert_sign_rule(range(1, n + 1)) == 3**n
+
+
+def test_sign_rule_on_the_top_letters():
+    """Letters up to MAX_VARS, where a monomial with an odd number of
+    letters has a negative mask; ``word_sort_sign`` on shuffled words of
+    the same letters, with and without a repeat."""
+    letters = (1, 2) + tuple(range(MAX_VARS - 6, MAX_VARS + 1))
+    assert assert_sign_rule(letters) == 3 ** len(letters)
+    assert _odd_below(ExtMonomial([MAX_VARS]).bits) < 0
+    assert _odd_below(ExtMonomial([MAX_VARS - 1, MAX_VARS]).bits) >= 0
+    rng = random.Random("top-letters")
+    for m in subsets(letters):
+        w = list(m.support)
+        rng.shuffle(w)
+        assert word_sort_sign(tuple(w)) == ((-1) ** inversions(w), m.support)
+        if w:
+            repeated = tuple(w + [rng.choice(w)])
+            assert word_sort_sign(repeated) == (0, tuple(sorted(repeated)))
 
 
 class TestMonomialIdeal:
@@ -276,7 +315,7 @@ class TestHilbert:
         for _ in range(5):
             I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx))
             gb = groebner_ext(I)
-            init = initial_ideal_ext(gb)
+            init = gb.initial
             dims = hilbert_ext(gb)
             for d in range(n + 1):
                 outside = sum(

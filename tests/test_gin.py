@@ -11,7 +11,7 @@ from extlift.algebra import (
     apply_gl_ext,
     delta,
 )
-from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext, initial_ideal_ext
+from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext
 from extlift.freealg import MonomialIdealFree
 from extlift.gin import (
     GinRequest,
@@ -151,7 +151,7 @@ class TestGinExt:
         I = ExtIdeal(ctx, gens)
         res = gin_ext(I, GinRequest(max_degree=4, seed=23))
         assert res.agreement
-        assert res.gin == initial_ideal_ext(groebner_ext(I))
+        assert res.gin == groebner_ext(I).initial
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gin_strongly_stable_random(self, seed):

@@ -9,7 +9,7 @@ from extlift.algebra import (
     FreePolynomial,
     pi,
 )
-from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext, initial_ideal_ext
+from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext
 from extlift.lifting import (
     anti_commutator_leading_words,
     anti_commutators,
@@ -272,7 +272,7 @@ class TestLiftGroebner:
             I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx))
             gb = groebner_ext(I)
             lifted = lift_groebner(gb)
-            init = initial_ideal_ext(gb)
+            init = gb.initial
             for f, u, F in lifted.lifted:
                 image = pi(F)
                 # pi of the lifted element lies in I: its normal form
@@ -295,7 +295,7 @@ class TestLiftGroebner:
             ctx = AlgebraContext(n)
             I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx, min_deg=2, max_deg=2))
             gb = groebner_ext(I)
-            init = initial_ideal_ext(gb)
+            init = gb.initial
             lifted = lift_groebner(gb)
             from extlift.freealg import MonomialIdealFree
 

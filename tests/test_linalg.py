@@ -4,12 +4,11 @@ the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
 seeded exterior and free-algebra corpora, and in the arithmetic they do.
 Rows of rationals reach them through ``helpers.keyed_rows``, scaled to
 primitive integer rows keyed by the order key, as the slice builders
-make them.  ``pivots`` told the column count must give the same answer
-and read no row after the rank reaches it.  The certificate
-``full_rank`` is checked against ``pivots`` and against a dense rank
-modulo its prime: never True on rows of lower rank, True on every full
-slice of the corpus, and harmless where a coefficient meets its prime.
-No entry point changes the rows it is given."""
+make them.  The certificate ``full_rank`` is checked against ``pivots``
+and against a dense rank modulo its prime: never True on rows of lower
+rank, True on every full slice of the corpus, and harmless where a
+coefficient meets its prime.  No entry point changes the rows it is
+given."""
 
 import copy
 import random
@@ -24,10 +23,10 @@ from extlift import exterior
 from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
 from extlift.cli import EXIT_OK, main
 from extlift.exterior import ExtIdeal, groebner_ext
-from extlift.freealg import free_initial_ideal, ideal_slice_rows
+from extlift.freealg import free_initial_ideal
 from extlift.gin import random_gl
 from extlift.lifting import anti_commutators, lift_groebner
-from extlift.linalg import PRIME, Columns, full_rank, pivots, primitive, rref
+from extlift.linalg import PRIME, full_rank, pivots, rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 from extlift.parsing import parse_ideal
 
@@ -78,7 +77,6 @@ def test_rref_against_dense_elimination(system):
     # the echelon-only entry point finds the pivots of the reduced rows
     assert [column[k] for k in pivots(keyed)] == [max(r, key=key) for r in reduced]
     ncols = len({c for row in rows for c in row})
-    assert_rank_stop(keyed, ncols)
     # the certificate proves nothing that is false
     assert not full_rank(keyed, ncols) or len(reduced) == ncols
     assert keyed == given_rows
@@ -101,43 +99,6 @@ def test_rref_against_dense_elimination(system):
         assert not any(other in row for other in leads if other != pivot)
 
 
-def rows_until_full(rows: list, ncols: int):
-    """The rows as a generator that fails if a row is read after the
-    shortest prefix of rank ``ncols``."""
-    if len(pivots(rows)) < ncols:
-        yield from rows
-        return
-    lo, hi = 0, len(rows)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if len(pivots(rows[:mid])) == ncols:
-            hi = mid
-        else:
-            lo = mid + 1
-    yield from rows[:lo]
-    raise AssertionError(f"row {lo} read after the rank reached {ncols}")
-
-
-def assert_rank_stop(rows: list, ncols: int) -> None:
-    """``pivots`` told that the rows reach ``ncols`` columns returns what
-    it returns untold, and stops reading at full rank (when rows without
-    columns are all there is, it reads one of them)."""
-    expected = pivots(rows)
-    assert pivots(rows, ncols) == expected
-    if ncols:
-        assert pivots(rows_until_full(rows, ncols), ncols) == expected
-
-
-@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
-@pytest.mark.parametrize("n", range(2, 8))
-def test_pivots_rank_stop_on_exterior_slices(n, kind):
-    full = 0
-    for rows, _, ncols in slice_oracle_corpus(n, kind):
-        assert_rank_stop(rows, ncols)
-        full += len(pivots(rows)) == ncols
-    assert full > 0
-
-
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_full_rank_against_pivots_on_exterior_slices(n, kind):
@@ -145,7 +106,7 @@ def test_full_rank_against_pivots_on_exterior_slices(n, kind):
     this corpus the prime is never unlucky: it proves every full slice."""
     full = 0
     for rows, _, ncols in slice_oracle_corpus(n, kind):
-        oracle = len(pivots(rows, ncols)) == ncols
+        oracle = len(pivots(rows)) == ncols
         assert full_rank(rows, ncols) == oracle
         full += oracle
     assert full > 0
@@ -250,13 +211,6 @@ def test_free_initial_ideal_matches_fraction_oracle(gens, ctx, order, maxdeg):
     slow = rref_free_initial_ideal(gens, ctx, order, maxdeg)
     assert fast.initial == slow.initial
     assert fast.slice_dims == slow.slice_dims
-
-
-@pytest.mark.parametrize("gens, ctx, order, maxdeg", free_corpus())
-def test_pivots_rank_stop_on_free_slices(gens, ctx, order, maxdeg):
-    prims = [(g.degree, list(primitive(g.terms).items())) for g in gens if g]
-    for d in range(maxdeg + 1):
-        assert_rank_stop(ideal_slice_rows(prims, ctx, d, Columns(order.word_key)), ctx.n**d)
 
 
 FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
@@ -377,15 +331,13 @@ def rank_mod_prime(rows: list) -> int:
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_elimination_leaves_its_input_rows_unchanged(n):
-    """``rref``, ``pivots`` (told the column count or not) and
-    ``full_rank`` reduce copies: the slice rows they are given, and the
+    """``rref``, ``pivots`` and ``full_rank`` reduce copies: the slice rows they are given, and the
     dicts holding them, are as they were."""
     for rows, column, ncols in slice_oracle_corpus(n, "deglex"):
         given_rows = copy.deepcopy(rows)
         ids = [id(row) for row in rows]
         rref(rows, column)
         pivots(rows)
-        pivots(rows, ncols)
         full_rank(rows, ncols)
         assert rows == given_rows
         assert [id(row) for row in rows] == ids

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from extlift import algebra, parsing
+from extlift import algebra, cli, parsing
 from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
 from extlift.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, EXIT_PIPE, main
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
@@ -450,6 +450,19 @@ class TestCLI:
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["extlift", "gb", str(DATA / "quadric_n3.ideal"), "--json"])
         assert main() == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "gb_quadric_n3.json").read_text()
+
+    def test_main_runs_a_wrapper_set_on_the_module(self, capsys, monkeypatch):
+        # a tracer replaces cli.cmd_* after import; main must call the replacement
+        calls = []
+
+        def wrapper(args, _inner=cli.cmd_gb):
+            calls.append(args.command)
+            return _inner(args)
+
+        monkeypatch.setattr(cli, "cmd_gb", wrapper)
+        assert main(["gb", str(DATA / "quadric_n3.ideal"), "--json"]) == EXIT_OK
+        assert calls == ["gb"]
         assert capsys.readouterr().out == (GOLDEN / "gb_quadric_n3.json").read_text()
 
     @pytest.mark.parametrize("command,source,flags", EXIT_TWO_CASES.values(), ids=list(EXIT_TWO_CASES))
