@@ -3,7 +3,8 @@
 Commands: gb, lift, verify, gin, hilbert, predicates.  Results go to
 stdout, human-readable by default or as stable JSON with --json;
 diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical failure
-(verification or genericity agreement failed), 2 input error.
+(verification or genericity agreement failed), 2 input error, 141 the
+reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -343,10 +344,15 @@ def cmd_hilbert(args) -> int:
 
 def cmd_predicates(args) -> int:
     from .exterior import MonomialIdealExt
-    from .lifting import squeezed_witness, stable_witness, strongly_stable_witness
+    from .lifting import check_natural_ranking, squeezed_witness, stable_witness, strongly_stable_witness
 
     ideal = _load(args)
     _require(ideal, "exterior", "predicates")
+    try:
+        # the exchanges and the squeezed test read the variable indices
+        check_natural_ranking(ideal.order, ideal.ctx.n, "'predicates'")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     L = MonomialIdealExt(_monomials(ideal, "this command requires monomial generators"), ideal.order)
     stable_ok, stable_wit = stable_witness(L)
     strong_ok, strong_wit = strongly_stable_witness(L)
@@ -520,5 +526,23 @@ def main(argv=None) -> int:
         return EXIT_PIPE
 
 
+def _run() -> int:
+    """The ``extlift`` script and ``python -m extlift.cli``: runs ``main``,
+    flushes its output and ends the process at once.
+
+    Interpreter teardown would only free memory that the OS discards at
+    exit anyway: the library registers no ``atexit`` callback and starts no
+    thread.  An exception that escapes ``main`` (``--help``'s
+    ``SystemExit`` too) takes the normal exit, and so does a process under
+    a tracer or profiler, whose report is written at exit; ``main``'s code
+    is then returned for ``sys.exit``."""
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run())

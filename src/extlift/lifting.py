@@ -155,13 +155,14 @@ class LiftedBasis:
         return list(self.anti_commutators) + [F for _, _, F in self.lifted]
 
 
-def check_natural_ranking(order: ExtOrderSpec, n: int) -> None:
+def check_natural_ranking(order: ExtOrderSpec, n: int, caller: str = "the lift") -> None:
     """The lift reads leading words and multiplier gaps off the variable
-    indices, so it holds only under the natural ranking x1 < ... < xn."""
+    indices, so it holds only under the natural ranking x1 < ... < xn, as
+    do the exchanges and the squeezed test.  The refusal names ``caller``."""
     if order.ranking is not None and order.ranking != tuple(range(1, n + 1)):
         varorder = ",".join(str(v) for v in sorted(range(1, n + 1), key=order.rank))
         raise ValueError(
-            f"the lift requires the natural variable ranking x1 < ... < x{n}; "
+            f"{caller} requires the natural variable ranking x1 < ... < x{n}; "
             f"got varorder {varorder}"
         )
 

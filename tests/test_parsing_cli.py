@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import os
 import random
@@ -30,6 +32,7 @@ SRC = Path(algebra.__file__).parents[1]
 DEGLEX = ExtOrderSpec("deglex")
 Q3 = "vars: 3\n{header}generators:\nx1*x2 + 2*x1*x3 + 5*x2*x3\n"
 Q5 = "vars: 5\n{header}generators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n"
+G4 = "vars: 4\n{header}generators:\nx1*x4\nx2*x3\n"
 
 
 # The README's exit-code-2 cases as (command, source, flags); the source is
@@ -54,6 +57,7 @@ EXIT_TWO_CASES = {
     "bad-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "1,1,2"]),
     "non-natural-ranking-lift": ("lift", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
     "non-natural-ranking-exterior-gin": ("gin", "quadric_n3.ideal", ["--varorder", "2,1,3"]),
+    "non-natural-ranking-predicates": ("predicates", "gap_n4.ideal", ["--varorder", "4,3,2,1"]),
     "negative-maxdeg": ("gin", "quadric_n3.ideal", ["--maxdeg", "-2"]),
     "non-integer-seed": ("gin", "quadric_n3.ideal", ["--seed", "1.5"]),
     "non-integer-trials": ("gin", "quadric_n3.ideal", ["--trials", "two"]),
@@ -249,6 +253,8 @@ class TestCLI:
             ("lift_quadric_n3.json", ["lift", "quadric_n3.ideal", "--json", "--varorder", "1,2,3"]),
             # an exterior gin with its lifted cone
             ("gin_quadric_n3.json", ["gin", "quadric_n3.ideal", "--json", "--seed", "3"]),
+            # the identity ranking passes the predicates' natural-ranking check
+            ("predicates_gap_n4.json", ["predicates", "gap_n4.ideal", "--json", "--varorder", "1,2,3,4"]),
         ],
     )
     def test_golden_json(self, capsys, golden, argv):
@@ -379,11 +385,13 @@ class TestCLI:
             ("lift", Q5, "3,5,1,4,2", True),
             ("gin", Q5, "3,5,1,4,2", False),
             ("gin", Q3, "3,1,2", True),
+            ("predicates", G4, "4,3,2,1", False),
+            ("predicates", G4, "2,1,3,4", True),
         ],
     )
     def test_non_natural_ranking_refused(self, capsys, tmp_path, command, text, varorder, in_header):
-        # the lift and the lifted gin assume x1 < ... < xn; the ranking
-        # reaches them from the flag or from a varorder header
+        # the lift, the lifted gin and the predicates assume x1 < ... < xn;
+        # the ranking reaches them from the flag or from a varorder header
         path = tmp_path / "ranked.ideal"
         path.write_text(text.format(header=f"varorder: {varorder}\n" if in_header else ""))
         flags = [] if in_header else ["--varorder", varorder]
@@ -513,6 +521,36 @@ class TestCLI:
 # ---- the CLI as a process ----------------------------------------------------
 
 
+def cli_process(argv, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m extlift.cli`` on ``argv`` in a fresh process, its stdout
+    buffered unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "extlift.cli", *argv], env=env, **kwargs)
+
+
+def in_process(capsys, argv) -> tuple[bytes, str, int]:
+    """What ``main(argv)`` writes and returns, as a process would report it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out.encode(), captured.err, code
+
+
+# every command on every data file, plain and --json; on the n=5 file the
+# commands that take --maxdeg stop at degree 3, as the free gin at the
+# default n+1 is out of reach
+PARITY_RUNS = [
+    [command, str(path), *(["--maxdeg", "3"] if path.name == "anticomm_n5.ideal" and "--maxdeg" in own else [])]
+    for command, (_, own) in cli.COMMANDS.items()
+    for path in sorted(DATA.glob("*.ideal"))
+]
+
+
 class TestProcess:
     def test_import_loads_no_code_generators_or_argparse(self):
         # -S keeps site .pth files from loading any of these before extlift does
@@ -557,18 +595,116 @@ class TestProcess:
     )
     def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
         argv = [str(DATA / a) if a.endswith(".ideal") else a for a in argv]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(SRC)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            cmd = [sys.executable, "-m", "extlift.cli", *argv]
-            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+            proc = cli_process(argv, unbuffered, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr.decode()) == (EXIT_PIPE, "")
+
+    @pytest.mark.parametrize("argv", PARITY_RUNS, ids=[f"{a[0]}-{Path(a[1]).stem}" for a in PARITY_RUNS])
+    def test_process_reports_what_main_returns(self, capsys, argv):
+        # the process ends without interpreter teardown: its output must
+        # still be complete and its exit code main's
+        for run in (argv, [*argv, "--json"]):
+            proc = cli_process(run, capture_output=True)
+            assert (proc.stdout, proc.stderr.decode(), proc.returncode) == in_process(capsys, run)
+
+    @pytest.mark.parametrize(
+        "argv,text,expected",
+        [
+            (["verify"], "vars: 2\nalgebra: free\ngenerators:\nX2*X1*X2 - X1*X2*X1\n", EXIT_MATH),
+            (["gb"], "vars: 2\ngenerators:\nx1 +* x2\n", EXIT_INPUT),
+            (["--help"], None, EXIT_OK),
+            (["gin", "--help"], None, EXIT_OK),
+        ],
+        ids=["failing-verify", "unparsable-file", "help", "command-help"],
+    )
+    def test_process_reports_what_main_returns_on_exits(self, capsys, tmp_path, argv, text, expected):
+        if text is not None:
+            path = tmp_path / "case.ideal"
+            path.write_text(text)
+            argv = [*argv, str(path)]
+        want = in_process(capsys, argv)
+        assert want[2] == expected
+        proc = cli_process(argv, capture_output=True)
+        assert (proc.stdout, proc.stderr.decode(), proc.returncode) == want
+
+    @pytest.mark.parametrize("into", ["pipe", "file"])
+    def test_output_beyond_the_pipe_buffer_is_complete(self, capsys, tmp_path, into):
+        # lift --json on the benchmark's gap binomials in n=12 prints
+        # 89,928 bytes, more than a 64 KiB pipe buffer holds
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", SRC.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        path = tmp_path / "gap12.ideal"
+        path.write_text(inputs.gap_binomials(random.Random("gap12/0"), 12))
+        argv = ["lift", str(path), "--json"]
+        out, err, code = in_process(capsys, argv)
+        assert len(out) > 64 * 1024 and (err, code) == ("", EXIT_OK)
+        if into == "pipe":
+            proc = cli_process(argv, capture_output=True)
+            got = proc.stdout
+        else:
+            with open(tmp_path / "out.json", "wb") as fh:
+                proc = cli_process(argv, stdout=fh, stderr=subprocess.PIPE)
+            got = (tmp_path / "out.json").read_bytes()
+        assert (got, proc.stderr.decode(), proc.returncode) == (out, err, code)
+
+    def test_commands_leave_no_work_for_interpreter_teardown(self):
+        # the console entry ends the process with os._exit once the output
+        # is flushed; that skips atexit callbacks, the join of threads and
+        # logging's shutdown, so no command may need any of them
+        runs = [
+            ["gb", "quadric_n3.ideal", "--json"],
+            ["hilbert", "quadric_n3.ideal"],
+            ["hilbert", "monomial_free_n2.ideal", "--json"],
+            ["gin", "quadric_n3.ideal", "--json"],
+            ["gin", "commutator_n2.ideal", "--maxdeg", "3"],
+            ["lift", "quadric_n3.ideal"],
+            ["verify", "anticomm_n2.ideal", "--json"],
+            ["predicates", "gap_n4.ideal"],
+            ["gb", "commutator_n2.ideal"],  # an input error
+        ]
+        runs = [[argv[0], str(DATA / argv[1]), *argv[2:]] for argv in runs]
+        modules = {"threading", "logging", "tempfile"}
+        code = (
+            f"import atexit, io, sys; sys.path.insert(0, {str(SRC)!r}); from extlift.cli import main; "
+            f"sys.stdout = io.StringIO(); codes = [main(argv) for argv in {runs!r}]; "
+            f"print(*codes, atexit._ncallbacks(), *sorted({modules!r} & set(sys.modules)), file=sys.__stdout__)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0"] * 8 + ["2", "0"]
+
+    def test_console_script_is_the_main_blocks_exit(self):
+        # a rename must not leave the installed script on another function
+        # than `python -m extlift.cli`
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        module, _, name = pyproject["project"]["scripts"]["extlift"].partition(":")
+        assert module == "extlift.cli" and callable(getattr(cli, name, None))
+        tree = ast.parse(Path(cli.__file__).read_text())
+        blocks = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(blocks) == 1
+        called = {
+            node.func.id for node in ast.walk(blocks[0])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert name in called
+
+    def test_profiled_process_keeps_its_report(self):
+        # a profiler writes its report after main returns, so a profiled
+        # process takes the normal exit
+        argv = ["-m", "cProfile", "-m", "extlift.cli", "gb", str(DATA / "quadric_n3.ideal"), "--json"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith((GOLDEN / "gb_quadric_n3.json").read_text())
+        assert "function calls" in proc.stdout
 
 
 # ---- the parser against the arithmetic parser ----------------------------
