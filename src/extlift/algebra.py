@@ -268,11 +268,27 @@ class FreePolynomial(_TermPolynomial):
         return f"FreePolynomial({self.terms!r})"
 
 
+def anti_commutators(ctx: AlgebraContext) -> list[FreePolynomial]:
+    """Monic defining relations of E(V): X_i X_j + X_j X_i for i < j and
+    X_i^2 (the i = j relation 2 X_i^2, normalized); n(n+1)/2 in total.
+
+    Under the lifted order each has leading word X_j X_i with j >= i.
+    """
+    out = []
+    for i in range(1, ctx.n + 1):
+        out.append(FreePolynomial.monomial((i, i)))
+        for j in range(i + 1, ctx.n + 1):
+            out.append(
+                FreePolynomial([((i, j), 1), ((j, i), 1)])
+            )
+    return out
+
+
 def pi(F: FreePolynomial) -> ExtPolynomial:
     """Quotient map onto E(V): sort each word with its sign, kill repeats."""
     sorted_terms = ((word_sort_sign(w), c) for w, c in F.terms.items())
     return ExtPolynomial._raw(_add_into({}, (
-        (ExtMonomial(sorted_word), sign * c) for (sign, sorted_word), c in sorted_terms if sign
+        (ExtMonomial(sorted_word), c if sign > 0 else -c) for (sign, sorted_word), c in sorted_terms if sign
     )))
 
 

@@ -4,7 +4,8 @@ Commands: gb, lift, verify, gin, hilbert, predicates.  Results go to
 stdout, human-readable by default or as stable JSON with --json;
 diagnostics go to stderr.  Exit codes: 0 success, 1 mathematical failure
 (verification or genericity agreement failed), 2 input error, 141 the
-reader closed stdout before the output was written.
+reader closed stdout before the output was written, or the process
+started without one.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 from types import SimpleNamespace
 
 from .orders import ExtOrderSpec, leading_term_ext
@@ -150,14 +152,31 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
+def _ideal_slices(ideal: IdealFile, candidate, maxdeg: int) -> dict:
+    """dim J_d for d up to ``maxdeg``, J the ideal of the candidate's elements.
+
+    When J holds every anti-commutator (the elements are monic, so a
+    scaled one counts), it holds their ideal A, and J/A is pi(J), the ideal
+    of E(V) = K<X>/A that the images of the elements generate.  Then
+    dim J_d = (n^d - C(n, d)) + dim pi(J)_d, read off exterior slices of
+    C(n, d) columns, and n^d above n.  Otherwise the free slices, of n^d
+    columns, give dim J_d."""
+    from .algebra import anti_commutators, pi
+
+    n = ideal.ctx.n
+    if set(anti_commutators(ideal.ctx)) <= set(candidate.elements):
+        from .exterior import ExtIdeal, initial_data_ext
+
+        images = ExtIdeal(ideal.ctx, [pi(F) for F in candidate.elements], ideal.order)
+        dims = initial_data_ext(images, maxdeg).slice_dims
+        return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(maxdeg + 1)}
+    from .freealg import free_initial_ideal
+
+    return free_initial_ideal(list(ideal.generators), ideal.ctx, ideal.free_order, maxdeg).slice_dims
+
+
 def cmd_verify(args) -> int:
-    from .freealg import (
-        FreeGroebnerCandidate,
-        MonomialIdealFree,
-        free_initial_ideal,
-        normal_word_counts,
-        obstructions_resolve,
-    )
+    from .freealg import FreeGroebnerCandidate, MonomialIdealFree, normal_word_counts, obstructions_resolve
 
     ideal = _load(args)
     _require(ideal, "free", "verify")
@@ -166,7 +185,7 @@ def cmd_verify(args) -> int:
     ok, failures = obstructions_resolve(candidate)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
-    slice_dims = free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
+    slice_dims = _ideal_slices(ideal, candidate, maxdeg)
     counts = normal_word_counts(cone, maxdeg)
     dims = []
     dims_ok = True
@@ -290,7 +309,7 @@ def cmd_gin(args) -> int:
             )
         print(f"Hilbert series preserved: {hilbert_ok}")
     if not agreement:
-        print("trials disagree: raise --height or choose a fresh --seed", file=sys.stderr)
+        _warn("trials disagree: raise --height or choose a fresh --seed")
         return EXIT_MATH
     if not hilbert_ok:
         return EXIT_MATH
@@ -509,7 +528,24 @@ def _read_args(argv: list) -> SimpleNamespace:
     return args
 
 
+def _warn(message: str) -> None:
+    """Write one diagnostic line to stderr.  A stderr that is missing or
+    cannot be written loses the line, not the exit code; print would send
+    it to stdout when ``sys.stderr`` is None."""
+    try:
+        sys.stderr.write(message + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        # the process started with stdout closed (`>&-`): write into a pipe
+        # without a reader, so that the command ends as a closed pipe does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w")
     try:
         try:
             args = _read_args(sys.argv[1:] if argv is None else argv)
@@ -518,7 +554,7 @@ def main(argv=None) -> int:
         finally:
             sys.stdout.flush()
     except (InputError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_INPUT
     except BrokenPipeError:
         # the reader closed stdout: send the rest to devnull, as the signal module's docs do
@@ -538,8 +574,11 @@ def _run() -> int:
     is then returned for ``sys.exit``."""
     code = main()
     if sys.gettrace() is None and sys.getprofile() is None:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, OSError):
+                pass  # a missing or closed stream has lost its output already
         os._exit(code)
     return code
 

@@ -24,6 +24,11 @@ monomial's order key is computed once per bitmask and kept with the way
 back to the monomial (``linalg.Columns``), and the sign of x_u * x_m is
 one popcount of u against a mask fixed per term m (``algebra._odd_below``).
 Fractions appear only in the basis elements ``groebner_ext`` returns.
+
+A generator that adds no pivot to the slice of its own degree, spanned by
+the generators kept below it, lies in their ideal: the leads-only readers
+drop it there, so an input that lists its whole reduced basis, as the
+images of a lifted basis do, costs the slices of the few that generate.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ class ExtGroebnerBasis:
 
 class ExtInitialData:
     """The initial ideal of an exterior ideal and its ``slice_dims``, read
-    off the slices as in ``ExtGroebnerBasis`` but without back-substitution."""
+    off the slices as in ``ExtGroebnerBasis`` but without back-substitution,
+    and only up to a degree cap if one was given."""
 
     __slots__ = ("ctx", "initial", "slice_dims")
 
@@ -125,10 +131,12 @@ class ExtInitialData:
 
 
 def _slice_rows(I: ExtIdeal, columns: Columns):
-    """The function d -> rows spanning I_d: x_u * g for every generator g
-    and monomial x_u of degree d - deg g, as integer rows keyed by
-    ``columns`` on bitmasks.  Each generator is scaled once to its
-    primitive integer multiple, which spans the same slices.
+    """The function (d, gens) -> rows spanning the degree-d slice of the
+    ideal of the generators ``I.generators[i]``, i in gens: x_u * g for
+    each such g and monomial x_u of degree d - deg g, in the order of
+    gens, as integer rows keyed by ``columns`` on bitmasks.  A generator
+    of degree d gives one row, itself.  Each generator is scaled once to
+    its primitive integer multiple, which spans the same slices.
 
     Left multiples of the generators suffice: homogeneous elements of E(V)
     commute up to sign, so left, right and two-sided ideals coincide.
@@ -140,11 +148,10 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
     ]
     units: dict[int, list[int]] = {}  # the bitmasks of each degree
 
-    def rows(d: int) -> list[dict]:
+    def rows(d: int, which: list[int]) -> list[dict]:
         out = []
-        for e, terms in gens:
-            if e > d:
-                continue
+        for i in which:
+            e, terms = gens[i]
             us = units.get(d - e)
             if us is None:
                 us = units[d - e] = [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d - e)]
@@ -158,28 +165,39 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
     return rows
 
 
-def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, list, tuple[int, ...]]:
+def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list, list, tuple[int, ...]]:
     """The slice loop: the leading monomials of the minimal basis elements
     by degree, largest first; the elements themselves when ``reduced``,
-    else their leads again; and dim I_d for d = 0..n.  Slices below the
-    lowest generator degree are 0, and each slice from there to the first
-    full one is built once and either proved full modulo a prime or
-    eliminated once.  A pivot is a new
-    minimal generator iff no pivot one degree below divides it."""
+    else their leads again; and dim I_d for d = 0..min(maxdeg, n).  Slices
+    below the lowest generator degree are 0, and each slice from there to
+    the first full one is built once and either proved full modulo a
+    prime or eliminated once.  A pivot is a new minimal generator iff no
+    pivot one degree below divides it.
+
+    A generator of degree d enters the slice last, after the multiples of
+    the generators kept below d.  When only pivots are asked for, one
+    whose row adds no pivot lies in the ideal of those before it, so it
+    is dropped for good and its multiples are never built: the slices
+    stay the same.  (``rref``, which back-substitutes, does not report
+    which rows reduce to 0, so with ``reduced`` every generator is kept.)"""
     n, key = I.ctx.n, I.order.ext_key
+    top = n if maxdeg is None else min(maxdeg, n)
     columns = Columns(key, ExtMonomial.from_bits)
     slice_rows = _slice_rows(I, columns)
+    degrees = [g.degree for g in I.generators]
     mins: list[ExtMonomial] = []
     found: list = []
     dims: list[int] = []
+    kept: list[int] = []  # the generators below d that are kept
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
-    dmin = min((g.degree for g in I.generators), default=n + 1)
-    for d in range(n + 1):
+    dmin = min(degrees, default=n + 1)
+    for d in range(top + 1):
         if d < dmin:
             dims.append(0)
             continue
         full = comb(n, d)
-        rows = slice_rows(d)
+        new = [i for i, e in enumerate(degrees) if e == d]
+        rows = slice_rows(d, kept + new)
         if len(rows) >= full and full_rank(rows, full):
             # the reduced echelon form of a full slice is the identity
             leads = sorted(ext_monomials_of_degree(I.ctx, d), key=key, reverse=True)
@@ -188,7 +206,12 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, list, tuple[int, ...]]:
             items = [ExtPolynomial._raw(r) for r in rref(rows, columns.column)]
             leads = [leading_term_ext(f, I.order)[0] for f in items]
         else:
-            items = leads = [columns.column[k] for k in pivots(rows)]
+            dependent: list[int] = []
+            items = leads = [columns.column[k] for k in pivots(rows, dependent)]
+            # the rows of the new generators are the last len(new)
+            zero = set(dependent)
+            new = [i for r, i in enumerate(new, len(rows) - len(new)) if r not in zero]
+        kept += new
         for lead, item in zip(leads, items):
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 mins.append(lead)
@@ -197,7 +220,7 @@ def _slices(I: ExtIdeal, reduced: bool) -> tuple[list, list, tuple[int, ...]]:
         dims.append(len(leads))
         if len(leads) == full:
             # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
-            dims += [comb(n, e) for e in range(d + 1, n + 1)]
+            dims += [comb(n, e) for e in range(d + 1, top + 1)]
             break
     return mins, found, tuple(dims)
 
@@ -209,10 +232,11 @@ def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
     return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, MonomialIdealExt(leads, I.order), dims)
 
 
-def initial_data_ext(I: ExtIdeal) -> ExtInitialData:
+def initial_data_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtInitialData:
     """The initial ideal and slice dimensions of ``groebner_ext(I)``, from
-    the pivots of each slice alone."""
-    leads, _, dims = _slices(I, reduced=False)
+    the pivots of each slice alone; with ``maxdeg``, only their part up to
+    that degree."""
+    leads, _, dims = _slices(I, False, maxdeg)
     return ExtInitialData(I.ctx, MonomialIdealExt(leads, I.order), dims)
 
 

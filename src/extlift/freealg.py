@@ -302,37 +302,39 @@ class Obstruction:
         return isinstance(other, Obstruction) and mine == (other.i, other.j, other.word, other.remainder)
 
 
-def _ambiguities(w1: Word, w2: Word, same: bool) -> list[tuple[Word, Word, Word, Word]]:
-    """(A, B, C, D) with A w2 B = w1 D = C w2 ... encoded as:
-    the ambiguity word W plus the cofactors so that g1 * r - l * g2 matches.
-
-    Returned tuples are (left1, right1, left2, right2): W = left1 w1 right1
-    = left2 w2 right2 with the two occurrences genuinely overlapping.
-    """
-    out = []
-    l1, l2 = len(w1), len(w2)
-    # proper overlap: a suffix of w1 equals a prefix of w2
-    for k in range(1, min(l1, l2)):
-        if w1[l1 - k:] == w2[:k]:
-            out.append(((), w2[k:], w1[:l1 - k], ()))
-    # inclusion: w2 inside w1
-    if l2 < l1 or (l2 == l1 and not same):
-        for p in range(l1 - l2 + 1):
-            if w1[p:p + l2] == w2:
-                out.append(((), (), w1[:p], w1[p + l2:]))
-    return out
-
-
 def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
     """All overlap and inclusion ambiguities (i, j, W, left1, right1, left2,
-    right2), W = left1 w_i right1 = left2 w_j right2, sorted by W."""
+    right2), W = left1 w_i right1 = left2 w_j right2, sorted by W; ties
+    in the order of (i, j), overlaps before inclusions, then by position.
+
+    An overlap is a proper suffix of w_i of length k that is a proper
+    prefix of w_j: W = w_i w_j[k:].  An inclusion is w_j as a factor of
+    w_i at offset p, w_j shorter or another element's word: W = w_i.  Each
+    w_i looks its suffixes and factors up among the proper prefixes and
+    the words of all elements, so no pair without an ambiguity is visited.
+    """
+    words = G.leading_words
+    prefixes: dict[Word, list[int]] = {}  # a proper prefix -> the j whose word starts with it
+    whole: dict[Word, list[int]] = {}  # a word -> the j whose word it is
+    for j, w in enumerate(words):
+        for k in range(1, len(w)):
+            prefixes.setdefault(w[:k], []).append(j)
+        whole.setdefault(w, []).append(j)
     found = []
-    for i, w1 in enumerate(G.leading_words):
-        for j, w2 in enumerate(G.leading_words):
-            for left1, right1, left2, right2 in _ambiguities(w1, w2, i == j):
-                found.append((i, j, left1 + w1 + right1, left1, right1, left2, right2))
-    found.sort(key=lambda t: G.order.word_key(t[2]))
-    return found
+    for i, w1 in enumerate(words):
+        n1 = len(w1)
+        for k in range(1, n1):
+            for j in prefixes.get(w1[n1 - k:], ()):
+                right = words[j][k:]
+                found.append((i, j, 0, k, w1 + right, (), right, w1[: n1 - k], ()))
+        for p in range(n1):
+            for q in range(p + 1, n1 + 1):
+                for j in whole.get(w1[p:q], ()):
+                    if q - p < n1 or j != i:
+                        found.append((i, j, 1, p, w1, (), (), w1[:p], w1[q:]))
+    key = G.order.word_key
+    found.sort(key=lambda t: (key(t[4]), t[:4]))
+    return [(i, j, *rest) for i, j, _, _, *rest in found]
 
 
 def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:

@@ -20,26 +20,11 @@ from .algebra import (
     ExtPolynomial,
     FreePolynomial,
     Word,
+    anti_commutators,
     delta,
 )
 from .exterior import ExtGroebnerBasis, MonomialIdealExt
 from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, monic_free
-
-
-def anti_commutators(ctx: AlgebraContext) -> list[FreePolynomial]:
-    """Monic defining relations of E(V): X_i X_j + X_j X_i for i < j and
-    X_i^2 (the i = j relation 2 X_i^2, normalized); n(n+1)/2 in total.
-
-    Under the lifted order each has leading word X_j X_i with j >= i.
-    """
-    out = []
-    for i in range(1, ctx.n + 1):
-        out.append(FreePolynomial.monomial((i, i)))
-        for j in range(i + 1, ctx.n + 1):
-            out.append(
-                FreePolynomial([((i, j), 1), ((j, i), 1)])
-            )
-    return out
 
 
 def anti_commutator_leading_words(ctx: AlgebraContext) -> list[Word]:

@@ -9,7 +9,8 @@ it stands for (``primitive``), which spans the same space.  ``rref``
 returns the reduced row echelon form of Fractions, keyed by column: each
 row is monic at its pivot and no row contains another row's pivot
 column.  ``pivots`` returns only the pivot keys, which an echelon form
-already fixes, so it skips the back-substitution.  With columns keyed by
+already fixes, so it skips the back-substitution; on request it also
+names the rows that reduced to 0, each in the span of the rows before it.  With columns keyed by
 a term order, the pivots of a degree slice of an ideal are exactly the
 initial-ideal slice.
 
@@ -96,11 +97,12 @@ def _eliminate(row: Row, k, pivot: Row, content: bool) -> None:
                 row[c] //= g
 
 
-def _echelon(rows: Iterable[Row], reduced: bool) -> dict:
+def _echelon(rows: Iterable[Row], reduced: bool, dependent: list | None = None) -> dict:
     """The map pivot key -> integer pivot row.  The pivot rows are an
-    echelon form, or when ``reduced`` the reduced one with positive leads."""
+    echelon form, or when ``reduced`` the reduced one with positive leads.
+    The index of each row that reduces to 0 is appended to ``dependent``."""
     pivots: dict = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         row = dict(row)
         while row:
             lead = max(row)
@@ -120,6 +122,9 @@ def _echelon(rows: Iterable[Row], reduced: bool) -> dict:
                 pivots[lead] = row
                 break
             _eliminate(row, lead, prow, reduced)
+        else:
+            if dependent is not None:
+                dependent.append(i)
     return pivots
 
 
@@ -136,10 +141,12 @@ def rref(rows: Iterable[Row], column: dict) -> list[Row]:
     return out
 
 
-def pivots(rows: Iterable[Row]) -> list:
+def pivots(rows: Iterable[Row], dependent: list | None = None) -> list:
     """The pivot keys of the integer rows' reduced echelon form, largest
-    first, found without back-substitution.  Their number is the rank."""
-    return sorted(_echelon(rows, reduced=False), reverse=True)
+    first, found without back-substitution.  Their number is the rank.
+    When ``dependent`` is a list, the index of each row that lies in the
+    span of the rows before it is appended to it."""
+    return sorted(_echelon(rows, False, dependent), reverse=True)
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:

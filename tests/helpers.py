@@ -293,7 +293,7 @@ def slice_oracle_corpus(n: int, kind: str):
         columns = Columns(I.order.ext_key, ExtMonomial.from_bits)
         rows = _slice_rows(I, columns)
         for d in range(n + 1):
-            yield rows(d), columns.column, comb(n, d)
+            yield rows(d, [i for i, g in enumerate(I.generators) if g.degree <= d]), columns.column, comb(n, d)
 
 
 def keyed_rows(rows, key):

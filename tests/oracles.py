@@ -7,8 +7,6 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
-import sympy
-
 from extlift.algebra import (
     AlgebraContext,
     ExtMonomial,
@@ -386,8 +384,55 @@ def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Ob
     return not failures, failures
 
 
-def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
-    """Transfer-matrix reference for ``freealg.hilbert_rational``.
+def _poly_trim(p: list) -> list:
+    """Coefficients ascending in t, without trailing zeros."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b != 0 over Q, coefficients ascending."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        f = Fraction(a[-1]) / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = _poly_trim(a)
+    return q, a
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    """The monic gcd over Q by Euclid's algorithm."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def fraction_charpoly(M: list[list[int]]) -> list[Fraction]:
+    """det(x I - M), coefficients ascending in x, by the Faddeev-LeVerrier
+    recurrence over Fraction: with N_0 = 0 and c_k = 1,
+    N_m = M N_{m-1} + c_{k-m+1} I and c_{k-m} = -tr(M N_m) / m."""
+    k = len(M)
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in M]
+    c = [Fraction(0)] * k + [Fraction(1)]
+    N = [[Fraction(0)] * k for _ in range(k)]
+    for m in range(1, k + 1):
+        N = [[sum((v * N[j][col] for j, v in nonzero[i]), Fraction(0)) for col in range(k)] for i in range(k)]
+        for i in range(k):
+            N[i][i] += c[k - m + 1]
+        c[k - m] = -sum(v * N[j][i] for i in range(k) for j, v in nonzero[i]) / m
+    return c
+
+
+def charpoly_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
+    """Transfer-matrix reference for ``freealg.hilbert_rational``, with no
+    Berlekamp-Massey.
 
     Generating function of normal-word counts as a reduced rational
     function; coefficient lists ascending in t, denominator normalized to
@@ -397,7 +442,7 @@ def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     e_root^T (I - tM)^{-1} 1 with M the transfer matrix on live states.  Its
     denominator divides det(I - tM), the reversed characteristic polynomial
     of M, and the numerator has smaller degree, so it is recovered exactly
-    from the first k counts.
+    from the first k counts.  The fraction is then reduced by the gcd over Q.
     """
     auto = B.automaton()
     live = [s for s, m in enumerate(auto.match) if m < 0]
@@ -409,39 +454,17 @@ def sympy_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
             t = auto.step[s][a]
             if t in index:
                 M[index[t]][index[s]] += 1
-    # det(I - tM) = t^k charpoly_M(1/t); all_coeffs is descending in lam,
-    # which is ascending in t
-    den = [int(c) for c in sympy.Matrix(M).charpoly().all_coeffs()]
+    # det(I - tM) = t^k charpoly_M(1/t): the coefficients in reverse
+    den = fraction_charpoly(M)[::-1]
     counts = normal_word_counts(B, max(k - 1, 0))
-    num = [
-        sum(den[i] * counts[e - i] for i in range(e + 1))
-        for e in range(k)
-    ] or [1]
-    t = sympy.Symbol("t")
-    num_poly = sympy.Poly(list(reversed(num)), t)
-    den_poly = sympy.Poly(list(reversed(den)), t)
-    if not num_poly.is_zero:
-        g = sympy.gcd(num_poly, den_poly)
-        num_poly = sympy.div(num_poly, g, t)[0]
-        den_poly = sympy.div(den_poly, g, t)[0]
-    num = [int(c) for c in reversed(num_poly.all_coeffs())] or [0]
-    den = [int(c) for c in reversed(den_poly.all_coeffs())]
-    if den[0] == 0:
-        raise ArithmeticError("denominator has vanishing constant term")
-    if den[0] < 0:
-        num = [-v for v in num]
-        den = [-v for v in den]
-    if den[0] != 1:
-        # gcd cancellation is monic over Q; rescale to integer lists
-        from math import gcd as _gcd
-
-        g_all = 0
-        for v in num + den:
-            g_all = _gcd(g_all, abs(v))
-        if g_all > 1:
-            num = [v // g_all for v in num]
-            den = [v // g_all for v in den]
-    return num, den
+    num = [sum(den[i] * counts[e - i] for i in range(e + 1)) for e in range(k)]
+    g = _poly_gcd(num, den)
+    num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
+    # den(0) divides det(I - 0 M) = 1 up to the gcd's scale: normalize it to 1
+    num, den = [c / den[0] for c in num], [c / den[0] for c in den]
+    if any(c.denominator != 1 for c in num + den):
+        raise ArithmeticError("the reduced fraction has non-integer coefficients")
+    return [int(c) for c in num], [int(c) for c in den]
 
 
 class ArithmeticExprParser:
@@ -635,3 +658,22 @@ def fraction_apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
                 break
         acc = acc + part
     return acc
+
+
+def pairwise_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
+    """``enumerate_obstructions`` by testing every pair of leading words
+    for every overlap and inclusion, then a stable sort by the ambiguity
+    word."""
+    found = []
+    for i, w1 in enumerate(G.leading_words):
+        for j, w2 in enumerate(G.leading_words):
+            l1, l2 = len(w1), len(w2)
+            for k in range(1, min(l1, l2)):
+                if w1[l1 - k:] == w2[:k]:
+                    found.append((i, j, w1 + w2[k:], (), w2[k:], w1[: l1 - k], ()))
+            if l2 < l1 or (l2 == l1 and i != j):
+                for p in range(l1 - l2 + 1):
+                    if w1[p:p + l2] == w2:
+                        found.append((i, j, w1, (), (), w1[:p], w1[p + l2:]))
+    found.sort(key=lambda t: G.order.word_key(t[2]))
+    return found

@@ -220,7 +220,49 @@ def test_slices_match_full_slice_oracle(n, kind):
         data = initial_data_ext(I)
         assert data.initial.gens == oracle.initial.gens
         assert data.slice_dims == oracle.slice_dims
+        for maxdeg in range(n + 2):
+            assert initial_data_ext(I, maxdeg).slice_dims == oracle.slice_dims[: maxdeg + 1]
     assert early > 0
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_redundant_generators_change_no_slice(n, kind):
+    """The loop drops a generator that adds no pivot where it enters; with
+    the reduced basis, products of the generators and a combination of
+    two of them listed too, every reader still gets the oracle's answer
+    on the ideal of the generators alone."""
+    for I in slice_oracle_corpus(n, kind):
+        if len(I.generators) < 2:
+            continue
+        oracle = slice_groebner_ext(I)
+        g, h = I.generators[:2]
+        products = [ExtPolynomial.monomial(ExtMonomial([i])) * g for i in range(1, n + 1)]
+        redundant = [*oracle.elements, *products, g + h.scale(3), *I.generators]
+        J = ExtIdeal(I.ctx, redundant, I.order)
+        data = initial_data_ext(J)
+        assert (data.initial.gens, data.slice_dims) == (oracle.initial.gens, oracle.slice_dims)
+        gb = groebner_ext(J)
+        assert (gb.elements, gb.slice_dims) == (oracle.elements, oracle.slice_dims)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sparse_mixed_degree_generators_match_the_oracle(n):
+    """Monomials and binomials of mixed degrees, listed in random order:
+    multiples of the lower ones often coincide, and a higher one may or
+    may not lie in the ideal of those before it."""
+    rng = random.Random(f"sparse-mixed/{n}")
+    ctx = AlgebraContext(n)
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(2, 6)):
+            monos = rng.sample(ext_monomials_of_degree(ctx, rng.randint(1, n - 1)), 2)
+            gens.append(ExtPolynomial([(m, rng.choice([-2, -1, 1, 3])) for m in monos[: rng.randint(1, 2)]]))
+        I = ExtIdeal(ctx, gens, ExtOrderSpec(rng.choice(["deglex", "degrevlex"])))
+        oracle = slice_groebner_ext(I)
+        data = initial_data_ext(I)
+        assert (data.initial.gens, data.slice_dims) == (oracle.initial.gens, oracle.slice_dims), gens
+        assert groebner_ext(I).elements == oracle.elements
 
 
 def inversions(word) -> int:

@@ -35,6 +35,7 @@ from oracles import (
     fraction_obstructions,
     fraction_slice_rows,
     naive_first_match,
+    pairwise_obstructions,
     scan_minimal_words,
     subword_divides,
     subword_offsets,
@@ -215,6 +216,23 @@ class TestObstructions:
         ok, failures = obstructions_resolve(G)
         assert not ok
         assert all(f.remainder for f in failures)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_obstructions_match_the_pairwise_scan(self, seed):
+        """Lifted bases, and random words of lengths 1-5 over 1-3 letters
+        with repeats and duplicated leading words, under both orders."""
+        rng = random.Random(f"obstructions/{seed}")
+        order = FreeOrderSpec(ExtOrderSpec(["deglex", "degrevlex"][seed % 2]))
+        for _ in range(15):
+            ctx = AlgebraContext(rng.randint(1, 3))
+            words = [tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(1, 8))]
+            words += rng.sample(words, rng.randint(0, len(words)))
+            G = FreeGroebnerCandidate(ctx, [FreePolynomial.monomial(w) for w in words], order)
+            assert enumerate_obstructions(G) == pairwise_obstructions(G), words
+        ctx = AlgebraContext(rng.randint(3, 5))
+        lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx), order.base)))
+        G = FreeGroebnerCandidate(ctx, lifted.elements(), order)
+        assert enumerate_obstructions(G) == pairwise_obstructions(G)
 
     def test_obstruction_words_contain_both_leads(self):
         G = anticomm_candidate(3)

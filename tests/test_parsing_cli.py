@@ -566,7 +566,7 @@ class TestProcess:
         "argv,absent",
         [
             (["gb", "quadric_n3.ideal"], {"extlift.freealg", "extlift.lifting", "extlift.gin", "heapq"}),
-            (["verify", "anticomm_n2.ideal"], {"extlift.exterior", "extlift.lifting", "extlift.gin"}),
+            (["verify", "anticomm_n2.ideal"], {"extlift.lifting", "extlift.gin"}),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, absent):
@@ -602,6 +602,38 @@ class TestProcess:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr.decode()) == (EXIT_PIPE, "")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["gb", "quadric_n3.ideal"], EXIT_PIPE),
+            (["verify", "anticomm_n2.ideal", "--json"], EXIT_PIPE),
+            (["--help"], EXIT_PIPE),
+            (["gb", "commutator_n2.ideal"], EXIT_INPUT),  # the error still goes to stderr
+        ],
+        ids=["gb", "verify-json", "help", "input-error"],
+    )
+    def test_missing_stdout_exits_as_a_closed_pipe(self, capsys, argv, expected):
+        # started with fd 1 closed (`>&-`), the process has no sys.stdout
+        argv = [str(DATA / a) if a.endswith(".ideal") else a for a in argv]
+        proc = cli_process(argv, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        err = in_process(capsys, argv)[1] if expected == EXIT_INPUT else ""
+        assert (proc.returncode, proc.stderr.decode()) == (expected, err)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["gb", "commutator_n2.ideal"], EXIT_INPUT),
+            (["gb", "missing.ideal"], EXIT_INPUT),
+            (["gb", "quadric_n3.ideal", "--maxdeg", "2"], EXIT_INPUT),
+            (["gb", "quadric_n3.ideal", "--json"], EXIT_OK),  # _run's final flushes do not raise
+        ],
+        ids=["wrong-algebra", "missing-file", "unknown-flag", "gb-json"],
+    )
+    def test_closed_stderr_keeps_the_exit_code(self, capsys, argv, expected):
+        argv = [str(DATA / a) if a.endswith(".ideal") else a for a in argv]
+        proc = cli_process(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert (proc.stdout, proc.returncode) == (in_process(capsys, argv)[0], expected)
 
     @pytest.mark.parametrize("argv", PARITY_RUNS, ids=[f"{a[0]}-{Path(a[1]).stem}" for a in PARITY_RUNS])
     def test_process_reports_what_main_returns(self, capsys, argv):

@@ -3,7 +3,8 @@ most once per Groebner pass, and an exterior pass stops at the first full
 slice.  An exterior slice is either certified full modulo a prime
 (``linalg.full_rank``), and then never eliminated, or eliminated once;
 only gb and lift back-substitute (``linalg.rref``), while hilbert, the
-exterior gin and verify ask only for pivots (``linalg.pivots``).  The
+exterior gin and verify ask only for pivots (``linalg.pivots``); verify
+reads exterior slices when its candidate holds the anti-commutators.  The
 exterior gin runs gin_ext once, transforms each generator once per trial
 and refuses an ideal without a lifted gin before any trial."""
 
@@ -18,6 +19,10 @@ import pytest
 import extlift
 from extlift import algebra, gin, linalg
 from extlift.cli import EXIT_INPUT, EXIT_OK, main
+from extlift.exterior import ExtIdeal, groebner_ext
+from extlift.lifting import lift_groebner
+from extlift.orders import FreeOrderSpec
+from extlift.parsing import free_poly_str, parse_ideal
 
 DATA = Path(__file__).parent / "data"
 MODULES = [
@@ -150,12 +155,31 @@ def test_exterior_gin_refused_before_any_trial(monkeypatch, capsys, source, flag
 
 @pytest.mark.parametrize("maxdeg", [3, 5])
 def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
-    # verify reads only the pivots of its free slices: no back-substitution
-    # and no certificate
+    # without the anti-commutators, verify reads only the pivots of its free
+    # slices: no back-substitution and no certificate
     calls = slice_calls(monkeypatch)
-    run(capsys, "verify", "anticomm_n2.ideal", "--maxdeg", str(maxdeg))
+    run(capsys, "verify", "commutator_n2.ideal", "--maxdeg", str(maxdeg))
     assert 0 < len(calls) <= maxdeg + 1
     assert {name for name, _ in calls} == {"pivots"}
+
+
+@pytest.mark.parametrize("maxdeg", [3, 9])
+def test_verify_lifted_basis_reduces_each_exterior_slice_once(monkeypatch, capsys, tmp_path, maxdeg):
+    """The lifted basis holds the anti-commutators, so verify reads the
+    exterior slices of the images of its elements.  Those above degree 2
+    lie in the ideal of the three quadrics and add no pivot where they
+    enter, so the slices are hilbert's on the quadrics: d=2 and 3 are
+    eliminated for their pivots, d=4 is certified full, nothing above it
+    is touched and nothing goes through rref."""
+    ideal = parse_ideal(quadrics_file(tmp_path, 8).read_text())
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ideal.ctx, ideal.generators, ideal.order))).elements()
+    assert {F.degree for F in lifted} == {2, 3, 4}
+    path = tmp_path / "lifted.ideal"
+    path.write_text("vars: 8\nalgebra: free\ngenerators:\n" + "".join(free_poly_str(F, FreeOrderSpec()) + "\n" for F in lifted))
+    calls = slice_calls(monkeypatch)
+    assert main(["verify", str(path), "--json", "--maxdeg", str(maxdeg)]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [("pivots", 3), ("pivots", 24), ("full_rank", True)][: maxdeg - 1]
 
 
 def test_verify_anticommutators_n5_default_maxdeg(capsys):
