@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations, product
 
-from .linalg import pivots, primitive
+from .linalg import echelon, primitive
 
 Word = tuple[int, ...]
 
@@ -311,7 +311,7 @@ class GLMatrix:
             raise ValueError("matrix must be square and non-empty")
         self.n = n
         self.entries = tuple(rows)
-        if len(pivots([primitive({j: e for j, e in enumerate(row) if e}) for row in rows])) < n:
+        if len(echelon([primitive({j: e for j, e in enumerate(row) if e}) for row in rows])) < n:
             raise ValueError("matrix is singular")
 
     def __eq__(self, other) -> bool:

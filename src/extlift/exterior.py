@@ -2,21 +2,25 @@
 
 Because E(V) is finite dimensional and homogeneous elements commute up to
 sign, a reduced minimal Groebner basis can be read off degree by degree:
-eliminate each degree slice of the ideal with columns sorted descending
-by the exterior order; the pivot monomials are exactly the initial-ideal
-slice, and pivots not divisible by a lower-degree initial monomial lead
-new basis elements (their rows of the reduced echelon form).
+bring each degree slice of the ideal to echelon form with columns sorted
+descending by the exterior order; the pivot monomials are exactly the
+initial-ideal slice, and pivots not divisible by a lower-degree initial
+monomial lead new basis elements (their rows of the reduced echelon form).
 
-One slice loop serves every reader.  It stops at the first full slice:
-if I_d = E_d then I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator
-lies above d, and every later slice is filled with C(n, d) and not
-reduced.  Nor is that full slice when its rank modulo a prime is C(n, d)
-(``linalg.full_rank``): then its rank over Q is too, and its reduced
-echelon form is the identity.  Only ``groebner_ext``, whose rows ``gb`` and
-``lift`` read, back-substitutes.  ``initial_data_ext``, for readers of
-leads and dimensions alone (the exterior ``hilbert``, the gin trials and
-the gin's Hilbert check), asks only for the pivots.  Both return the
-initial ideal of the minimal elements' leads, read off the slices.
+One slice loop serves every reader, and it handles every slice the same
+way.  It stops at the first full slice: if I_d = E_d then
+I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator lies above d, and
+every later slice is filled with C(n, d) and not reduced.  Nor is that
+full slice when its rank modulo a prime is C(n, d) (``linalg.full_rank``):
+then its rank over Q is too, and its reduced echelon form is the identity.
+Every other slice is brought to echelon form once (``linalg.echelon``).
+``groebner_ext``, whose elements ``gb`` and ``lift`` read, then
+back-substitutes only the rows of new minimal leads
+(``linalg.back_substitute``); ``initial_data_ext``, for readers of leads
+and dimensions alone (the exterior ``hilbert``, the gin trials, the gin's
+Hilbert check and ``verify``'s dimension check), skips that last step.
+Both return the initial ideal of the minimal elements' leads, read off
+the slices.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
 every generator is scaled once to its primitive integer multiple, a
@@ -26,9 +30,9 @@ one popcount of u against a mask fixed per term m (``algebra._odd_below``).
 Fractions appear only in the basis elements ``groebner_ext`` returns.
 
 A generator that adds no pivot to the slice of its own degree, spanned by
-the generators kept below it, lies in their ideal: the leads-only readers
-drop it there, so an input that lists its whole reduced basis, as the
-images of a lifted basis do, costs the slices of the few that generate.
+the generators kept below it, lies in their ideal: every reader drops it
+there, so an input that lists its whole reduced basis, as the images of
+a lifted basis do, costs the slices of the few that generate.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .algebra import (
     _odd_below,
     ext_monomials_of_degree,
 )
-from .linalg import Columns, full_rank, pivots, primitive, rref
-from .orders import ExtOrderSpec, leading_term_ext
+from .linalg import Columns, back_substitute, echelon, full_rank, primitive
+from .orders import ExtOrderSpec
 
 
 class ExtIdeal:
@@ -109,8 +113,10 @@ class MonomialIdealExt:
 class ExtGroebnerBasis:
     """Reduced minimal Groebner basis of monic elements, with ``initial``,
     the initial ideal of their leads, and ``slice_dims[d] = dim I_d`` for
-    d = 0..n read off the same slices; the first full slice, if a prime
-    proved it full, and the slices past it are C(n, d) and not reduced."""
+    d = 0..n read off the same slices.  Each element is the
+    back-substituted row of its lead in the echelon form of its slice;
+    the first full slice, if a prime proved it full, and the slices past
+    it are C(n, d) and not reduced."""
 
     __slots__ = ("ctx", "elements", "order", "initial", "slice_dims")
 
@@ -121,8 +127,8 @@ class ExtGroebnerBasis:
 
 class ExtInitialData:
     """The initial ideal of an exterior ideal and its ``slice_dims``, read
-    off the slices as in ``ExtGroebnerBasis`` but without back-substitution,
-    and only up to a degree cap if one was given."""
+    off the same echelon forms as ``ExtGroebnerBasis`` with no row
+    back-substituted, and only up to a degree cap if one was given."""
 
     __slots__ = ("ctx", "initial", "slice_dims")
 
@@ -168,25 +174,24 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
 def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list, list, tuple[int, ...]]:
     """The slice loop: the leading monomials of the minimal basis elements
     by degree, largest first; the elements themselves when ``reduced``,
-    else their leads again; and dim I_d for d = 0..min(maxdeg, n).  Slices
-    below the lowest generator degree are 0, and each slice from there to
-    the first full one is built once and either proved full modulo a
-    prime or eliminated once.  A pivot is a new minimal generator iff no
-    pivot one degree below divides it.
+    else nothing; and dim I_d for d = 0..min(maxdeg, n).  Slices below
+    the lowest generator degree are 0, and each slice from there to the
+    first full one is built once and either proved full modulo a prime or
+    brought to echelon form once.  A pivot is a new minimal generator iff
+    no pivot one degree below divides it, and only its row is
+    back-substituted.
 
     A generator of degree d enters the slice last, after the multiples of
-    the generators kept below d.  When only pivots are asked for, one
-    whose row adds no pivot lies in the ideal of those before it, so it
-    is dropped for good and its multiples are never built: the slices
-    stay the same.  (``rref``, which back-substitutes, does not report
-    which rows reduce to 0, so with ``reduced`` every generator is kept.)"""
+    the generators kept below d.  One whose row adds no pivot lies in the
+    ideal of those before it, so it is dropped for good and its multiples
+    are never built: the slices stay the same."""
     n, key = I.ctx.n, I.order.ext_key
     top = n if maxdeg is None else min(maxdeg, n)
     columns = Columns(key, ExtMonomial.from_bits)
     slice_rows = _slice_rows(I, columns)
     degrees = [g.degree for g in I.generators]
     mins: list[ExtMonomial] = []
-    found: list = []
+    elements: list[ExtPolynomial] = []
     dims: list[int] = []
     kept: list[int] = []  # the generators below d that are kept
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
@@ -200,42 +205,44 @@ def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list
         rows = slice_rows(d, kept + new)
         if len(rows) >= full and full_rank(rows, full):
             # the reduced echelon form of a full slice is the identity
+            pivot_rows = None
             leads = sorted(ext_monomials_of_degree(I.ctx, d), key=key, reverse=True)
-            items = [ExtPolynomial._raw({m: Fraction(1)}) for m in leads] if reduced else leads
-        elif reduced:
-            items = [ExtPolynomial._raw(r) for r in rref(rows, columns.column)]
-            leads = [leading_term_ext(f, I.order)[0] for f in items]
         else:
             dependent: list[int] = []
-            items = leads = [columns.column[k] for k in pivots(rows, dependent)]
+            pivot_rows = echelon(rows, dependent)
+            leads = [columns.column[k] for k in sorted(pivot_rows, reverse=True)]
             # the rows of the new generators are the last len(new)
             zero = set(dependent)
             new = [i for r, i in enumerate(new, len(rows) - len(new)) if r not in zero]
         kept += new
-        for lead, item in zip(leads, items):
+        for lead in leads:
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 mins.append(lead)
-                found.append(item)
+                if reduced and pivot_rows is None:
+                    elements.append(ExtPolynomial._raw({lead: Fraction(1)}))
+                elif reduced:
+                    elements.append(ExtPolynomial._raw(back_substitute(pivot_rows, columns[lead.bits], columns.column)))
         below = {lead.bits for lead in leads}
         dims.append(len(leads))
         if len(leads) == full:
             # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
             dims += [comb(n, e) for e in range(d + 1, top + 1)]
             break
-    return mins, found, tuple(dims)
+    return mins, elements, tuple(dims)
 
 
 def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
-    """Reduced minimal Groebner basis, from the reduced echelon form of
-    each slice up to the first full one (the identity, if proved full)."""
+    """Reduced minimal Groebner basis, from the echelon form of each slice
+    up to the first full one (the identity, if proved full), with the row
+    of each new minimal lead back-substituted."""
     leads, elements, dims = _slices(I, reduced=True)
     return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, MonomialIdealExt(leads, I.order), dims)
 
 
 def initial_data_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtInitialData:
     """The initial ideal and slice dimensions of ``groebner_ext(I)``, from
-    the pivots of each slice alone; with ``maxdeg``, only their part up to
-    that degree."""
+    the echelon form of each slice with no back-substitution; with
+    ``maxdeg``, only their part up to that degree."""
     leads, _, dims = _slices(I, False, maxdeg)
     return ExtInitialData(I.ctx, MonomialIdealExt(leads, I.order), dims)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
-from .linalg import Columns, Row, pivots, primitive
+from .linalg import Columns, Row, echelon, primitive
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
 
@@ -452,7 +452,7 @@ def free_initial_ideal(
     max_degree: int,
 ) -> FreeInitialData:
     """Degree-wise elimination: the pivot columns of each slice are the
-    initial-ideal slice, so only pivots are asked for, with no
+    initial-ideal slice, so only an echelon form is asked for, with no
     back-substitution.  The initial ideal is two-sided, so a pivot is a
     new minimal generator iff dropping its first or its last letter leaves
     no pivot of the slice below.  Each generator is scaled once to its
@@ -465,7 +465,7 @@ def free_initial_ideal(
     dmin = min((e for e, _ in prims), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         below = set(leads)
-        leads = [columns.column[k] for k in pivots(ideal_slice_rows(prims, ctx, d, columns))]
+        leads = [columns.column[k] for k in sorted(echelon(ideal_slice_rows(prims, ctx, d, columns)), reverse=True)]
         dims[d] = len(leads)
         mingens += [w for w in leads if w[1:] not in below and w[:-1] not in below]
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)

@@ -1,28 +1,30 @@
 """Sparse exact Gaussian elimination over the rationals, the only one in
-extlift: one loop with two entry points, beside a full-rank certificate.
+extlift: one echelon loop and the back-substitution of chosen rows,
+beside a full-rank certificate.
 
 Rows are dicts key -> nonzero int, where a column's key is its order key
 (``Columns`` computes each once and maps it back): the largest key is
 the row's lead, so no key function runs during elimination.  The row
 builders hand over each row as a primitive integer multiple of the row
-it stands for (``primitive``), which spans the same space.  ``rref``
-returns the reduced row echelon form of Fractions, keyed by column: each
-row is monic at its pivot and no row contains another row's pivot
-column.  ``pivots`` returns only the pivot keys, which an echelon form
-already fixes, so it skips the back-substitution; on request it also
-names the rows that reduced to 0, each in the span of the rows before it.  With columns keyed by
-a term order, the pivots of a degree slice of an ideal are exactly the
-initial-ideal slice.
+it stands for (``primitive``), which spans the same space.  ``echelon``
+brings the rows to an echelon form, keyed by pivot: with columns keyed
+by a term order, the pivots of a degree slice of an ideal are exactly
+the initial-ideal slice, and their number is the rank.  On request it
+also names the rows that reduced to 0, each in the span of the rows
+before it.  ``back_substitute`` reads one row of the reduced row echelon
+form off an echelon form, so a caller that needs only some of those rows
+pays for only those.
 
 Elimination is fraction-free, with content removal as in Bareiss's
-method.  Each incoming row is copied once and then reduced in place: a
-step cancels key c by the cross-multiplication (p/g)*row - (r/g)*pivot,
-where r = row[c], p = pivot[c] and g = gcd(r, p).  ``rref`` divides out
-the row's content after every step, which keeps its back-substitution
-short of coefficient growth; ``pivots`` only after a step that
-multiplied the row (p/g != 1), the only kind of step that scales every
-entry, which saves most gcds on slices of small coefficients.  Only
-``rref``'s output rows are divided by their leads, once, into Fractions.
+method.  A step cancels key c from a row, in place, by the
+cross-multiplication (p/g)*row - (r/g)*pivot, where r = row[c],
+p = pivot[c] and g = gcd(r, p).  The one content rule: the row's content
+is divided out after a step that multiplied the row (p/g != 1), the only
+kind of step that scales every entry, which saves most gcds on slices of
+small coefficients.  ``echelon`` copies each incoming row once;
+``back_substitute`` copies its pivot row, clears the other pivot columns
+from it, largest first, and divides it once by its lead into Fractions.
+Neither changes the rows it is given.
 
 ``full_rank`` only certifies full rank, modulo the one prime ``PRIME``:
 a minor that is nonzero modulo a prime is nonzero over Q (von zur Gathen
@@ -67,11 +69,10 @@ class Columns(dict):
         return k
 
 
-def _eliminate(row: Row, k, pivot: Row, content: bool) -> None:
+def _eliminate(row: Row, k, pivot: Row) -> None:
     """Replace row, in place, by b*row - a*pivot, with a/b = row[k]/pivot[k]
-    in lowest terms, so that k drops out; then divide out its content when
-    ``content`` or b != 1.  b > 0 when pivot[k] > 0, so a pivot row reduced
-    by another pivot row keeps its positive lead."""
+    in lowest terms, so that k drops out; then, if b != 1, divide out its
+    content."""
     a, b = row[k], pivot[k]
     g = gcd(a, b)
     if g != 1:
@@ -90,17 +91,19 @@ def _eliminate(row: Row, k, pivot: Row, content: bool) -> None:
                 row[c] = s
             else:
                 del row[c]
-    if (content or b != 1) and row:
+    if b != 1 and row:
         g = gcd(*row.values())
         if g != 1:
             for c in row:
                 row[c] //= g
 
 
-def _echelon(rows: Iterable[Row], reduced: bool, dependent: list | None = None) -> dict:
-    """The map pivot key -> integer pivot row.  The pivot rows are an
-    echelon form, or when ``reduced`` the reduced one with positive leads.
-    The index of each row that reduces to 0 is appended to ``dependent``."""
+def echelon(rows: Iterable[Row], dependent: list | None = None) -> dict:
+    """The map pivot key -> integer pivot row of an echelon form of the
+    integer rows: its keys are the pivots of their reduced echelon form,
+    and their number is the rank.  When ``dependent`` is a list, the index
+    of each row that lies in the span of the rows before it is appended
+    to it."""
     pivots: dict = {}
     for i, row in enumerate(rows):
         row = dict(row)
@@ -108,45 +111,27 @@ def _echelon(rows: Iterable[Row], reduced: bool, dependent: list | None = None) 
             lead = max(row)
             prow = pivots.get(lead)
             if prow is None:
-                if reduced:
-                    # clear remaining pivot columns from the tail, then
-                    # clear the new pivot column from the other pivot rows
-                    for k in [k for k in row if k in pivots]:
-                        _eliminate(row, k, pivots[k], True)
-                    if row[lead] < 0:
-                        for k in row:
-                            row[k] = -row[k]
-                    for other in pivots.values():
-                        if lead in other:
-                            _eliminate(other, lead, row, True)
                 pivots[lead] = row
                 break
-            _eliminate(row, lead, prow, reduced)
+            _eliminate(row, lead, prow)
         else:
             if dependent is not None:
                 dependent.append(i)
     return pivots
 
 
-def rref(rows: Iterable[Row], column: dict) -> list[Row]:
-    """Reduced row echelon form of integer rows keyed by order key, as
-    monic rows of Fractions keyed by ``column[key]``, sorted by pivot,
-    largest first."""
-    pivot_rows = _echelon(rows, reduced=True)
-    out = []
-    for lead in sorted(pivot_rows, reverse=True):
-        row = pivot_rows[lead]
-        lc = row[lead]
-        out.append({column[k]: Fraction(v, lc) for k, v in row.items()})
-    return out
-
-
-def pivots(rows: Iterable[Row], dependent: list | None = None) -> list:
-    """The pivot keys of the integer rows' reduced echelon form, largest
-    first, found without back-substitution.  Their number is the rank.
-    When ``dependent`` is a list, the index of each row that lies in the
-    span of the rows before it is appended to it."""
-    return sorted(_echelon(rows, False, dependent), reverse=True)
+def back_substitute(pivots: dict, lead, column: dict) -> Row:
+    """The row with pivot ``lead`` of the reduced row echelon form, read
+    off the echelon form ``pivots`` (as ``echelon`` returns it): its pivot
+    row cleared of every other pivot column, largest first, then made
+    monic, as a row of Fractions keyed by ``column[key]``."""
+    row = dict(pivots[lead])
+    for k in sorted(pivots, reverse=True):
+        # clearing k brings in only keys below k
+        if k < lead and k in row:
+            _eliminate(row, k, pivots[k])
+    lc = row[lead]
+    return {column[k]: Fraction(v, lc) for k, v in row.items()}
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:

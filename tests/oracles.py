@@ -30,7 +30,7 @@ from extlift.freealg import (
     normal_word_counts,
 )
 from extlift.lifting import compute_U
-from extlift.linalg import rref
+from extlift.linalg import _eliminate
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
@@ -73,6 +73,41 @@ def fraction_rref(rows: Iterable[dict], key: Callable[[Hashable], object]) -> li
                 break
             row = _axpy(row, row[lead], prow)
     return [pivots[c] for c in sorted(pivots, key=key, reverse=True)]
+
+
+def rref(rows: Iterable[dict], column: dict) -> list[dict]:
+    """The eager reduced row echelon form that ``linalg`` computed before it
+    back-substituted only chosen rows: each new pivot row is cleared of
+    the earlier pivot columns and then clears its own column from every
+    other pivot row, each step by ``linalg._eliminate``.  Integer rows
+    keyed by order key in; monic rows of Fractions keyed by
+    ``column[key]`` out, sorted by pivot, largest first."""
+    pivot_rows: dict = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row)
+            prow = pivot_rows.get(lead)
+            if prow is None:
+                # clear remaining pivot columns from the tail, then
+                # clear the new pivot column from the other pivot rows
+                for k in [k for k in row if k in pivot_rows]:
+                    _eliminate(row, k, pivot_rows[k])
+                if row[lead] < 0:
+                    for k in row:
+                        row[k] = -row[k]
+                for other in pivot_rows.values():
+                    if lead in other:
+                        _eliminate(other, lead, row)
+                pivot_rows[lead] = row
+                break
+            _eliminate(row, lead, prow)
+    out = []
+    for lead in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[lead]
+        lc = row[lead]
+        out.append({column[k]: Fraction(v, lc) for k, v in row.items()})
+    return out
 
 
 def keyed_fraction_rref(rows: Iterable[dict], column: dict) -> list[dict]:

@@ -28,7 +28,7 @@ from extlift.freealg import (
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from extlift.linalg import Columns, primitive, rref
+from extlift.linalg import Columns, primitive
 from helpers import dense_rank, initial_ideal_free, keyed_rows, random_ext_ideal_gens, random_free_polynomial
 from oracles import (
     automaton_free_initial,
@@ -36,6 +36,7 @@ from oracles import (
     fraction_slice_rows,
     naive_first_match,
     pairwise_obstructions,
+    rref,
     scan_minimal_words,
     subword_divides,
     subword_offsets,

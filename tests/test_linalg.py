@@ -1,14 +1,15 @@
-"""The fraction-free ``rref`` and ``pivots`` against the ``Fraction``
-elimination they replaced (``tests/oracles.fraction_rref``) and against
+"""The fraction-free ``echelon`` and ``back_substitute`` against the
+eager integer elimination they replaced (``tests/oracles.rref``), the
+``Fraction`` elimination before it (``tests/oracles.fraction_rref``) and
 the dense elimination in ``tests/helpers.py``: on hypothesis systems, on
 seeded exterior and free-algebra corpora, and in the arithmetic they do.
 Rows of rationals reach them through ``helpers.keyed_rows``, scaled to
 primitive integer rows keyed by the order key, as the slice builders
-make them.  The certificate ``full_rank`` is checked against ``pivots``
+make them.  The certificate ``full_rank`` is checked against ``echelon``
 and against a dense rank modulo its prime: never True on rows of lower
 rank, True on every full slice of the corpus, and harmless where a
 coefficient meets its prime.  No entry point changes the rows it is
-given."""
+given, and back-substitution leaves the echelon form it reads as it was."""
 
 import copy
 import random
@@ -26,7 +27,7 @@ from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.freealg import free_initial_ideal
 from extlift.gin import random_gl
 from extlift.lifting import anti_commutators, lift_groebner
-from extlift.linalg import PRIME, full_rank, pivots, rref
+from extlift.linalg import PRIME, back_substitute, echelon, full_rank
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 from extlift.parsing import parse_ideal
 
@@ -38,7 +39,8 @@ from helpers import (
     random_free_polynomial,
     slice_oracle_corpus,
 )
-from oracles import fraction_rref, keyed_fraction_rref, rref_free_initial_ideal
+import oracles
+from oracles import fraction_rref, keyed_fraction_rref, rref, rref_free_initial_ideal, slice_groebner_ext
 
 
 @st.composite
@@ -74,8 +76,8 @@ def test_rref_against_dense_elimination(system):
     keyed, column = keyed_rows(rows, key)
     given_rows = copy.deepcopy(keyed)
     reduced = rref(keyed, column)
-    # the echelon-only entry point finds the pivots of the reduced rows
-    assert [column[k] for k in pivots(keyed)] == [max(r, key=key) for r in reduced]
+    # the echelon form has the pivots of the reduced rows
+    assert [column[k] for k in sorted(echelon(keyed), reverse=True)] == [max(r, key=key) for r in reduced]
     ncols = len({c for row in rows for c in row})
     # the certificate proves nothing that is false
     assert not full_rank(keyed, ncols) or len(reduced) == ncols
@@ -99,6 +101,32 @@ def test_rref_against_dense_elimination(system):
         assert not any(other in row for other in leads if other != pivot)
 
 
+def back_substituted(rows: list, column: dict) -> list[dict]:
+    """Every row of the reduced row echelon form, each back-substituted on
+    its own from one echelon form, largest pivot first."""
+    pivot_rows = echelon(rows)
+    return [back_substitute(pivot_rows, k, column) for k in sorted(pivot_rows, reverse=True)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sparse_systems())
+def test_back_substitution_against_rref_on_hypothesis_systems(system):
+    rows, key, _ = system
+    keyed, column = keyed_rows(rows, key)
+    reduced = back_substituted(keyed, column)
+    assert reduced == rref(keyed, column)
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_back_substitution_against_rref_on_exterior_slices(n, kind):
+    """Every degree slice of the seeded exterior corpus, its height-100
+    coordinate changes and, for n >= 4, the gap binomials."""
+    for rows, column, _ in slice_oracle_corpus(n, kind):
+        assert back_substituted(rows, column) == rref(rows, column)
+
+
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_full_rank_against_pivots_on_exterior_slices(n, kind):
@@ -106,7 +134,7 @@ def test_full_rank_against_pivots_on_exterior_slices(n, kind):
     this corpus the prime is never unlucky: it proves every full slice."""
     full = 0
     for rows, _, ncols in slice_oracle_corpus(n, kind):
-        oracle = len(pivots(rows)) == ncols
+        oracle = len(echelon(rows)) == ncols
         assert full_rank(rows, ncols) == oracle
         full += oracle
     assert full > 0
@@ -127,7 +155,7 @@ def test_full_rank_refuses_rank_deficient_rows(seed):
         combo = {c: sum(a * b[c] for a, b in zip(coeffs, basis)) for c in range(ncols)}
         rows.append({c: v for c, v in combo.items() if v})
     rows = keyed_rows(rows, int)[0]
-    assert len(pivots(rows)) < ncols
+    assert len(echelon(rows)) < ncols
     assert not full_rank(rows, ncols)
 
 
@@ -175,14 +203,18 @@ def test_prime_coefficients_match_the_rational_path(monkeypatch, capsys, tmp_pat
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_groebner_ext_matches_fraction_oracle(monkeypatch, n, kind):
+    """``groebner_ext``, with and without the certificate, against the
+    slice engine of ``tests/oracles.py`` reducing every slice to n by the
+    ``Fraction`` elimination."""
     ideals = list(exterior_corpus(n, kind))
     fast = [groebner_ext(I) for I in ideals]
-    monkeypatch.setattr(exterior, "rref", keyed_fraction_rref)
     monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)
-    for I, G in zip(ideals, fast):
-        slow = groebner_ext(I)
-        assert G.elements == slow.elements
-        assert G.slice_dims == slow.slice_dims
+    uncertified = [groebner_ext(I) for I in ideals]
+    monkeypatch.setattr(oracles, "rref", keyed_fraction_rref)
+    for I, G, H in zip(ideals, fast, uncertified):
+        slow = slice_groebner_ext(I)
+        assert G.elements == H.elements == slow.elements
+        assert G.slice_dims == H.slice_dims == slow.slice_dims
         assert all(type(c) is Fraction for f in G.elements for _, c in f)
 
 
@@ -231,7 +263,9 @@ def count_fraction_ops(monkeypatch) -> list:
 
 def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     """Only the boundary converts: integer rows in, one Fraction per output
-    entry.  Every elimination step is integer work."""
+    entry.  Every elimination step is integer work.  The rows are a
+    height-100 coordinate change of three quadrics, and every row of their
+    reduced echelon form is back-substituted."""
     rng = random.Random(7)
     ctx = AlgebraContext(7)
     g = random_gl(ctx, 7, 100)
@@ -241,10 +275,11 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     rows = [(ExtPolynomial.monomial(u) * f).terms for f in gens for u in ext_monomials_of_degree(ctx, 2)]
     keyed, column = keyed_rows(rows, order.ext_key)
     calls = count_fraction_ops(monkeypatch)
-    reduced = rref(keyed, column)
+    reduced = back_substituted(keyed, column)
     monkeypatch.undo()
     assert calls == []
     assert len(reduced) == 35
+    assert reduced == rref(keyed, column)
     assert reduced == fraction_rref(rows, order.ext_key)
 
 
@@ -287,7 +322,7 @@ def test_full_rank_folding_on_adversarial_entries(seed):
     """Entries at the edges of the packed slots (0, 1, PRIME - 1, PRIME,
     2^31, 2^62 and their negatives) in up to 100 columns: the certificate
     says True exactly when the rank modulo the prime is full, and then,
-    up to 20 columns, ``pivots`` finds full rank over Q."""
+    up to 20 columns, ``echelon`` finds full rank over Q."""
     rng = random.Random(f"fold/{seed}")
     ncols = rng.choice([1, 2, 3, 7, 20, 64, 100])
     values = [0, 1, PRIME - 1, PRIME, 2**31, 2**62, PRIME + 1, 2 * PRIME - 1]
@@ -307,7 +342,7 @@ def test_full_rank_folding_on_adversarial_entries(seed):
     assert certified == (rank_mod_prime(rows) == reached)
     if reached <= 20:
         # over Q the dense rows' entries grow too long beyond this
-        assert not certified or len(pivots(rows)) == reached
+        assert not certified or len(echelon(rows)) == reached
 
 
 def rank_mod_prime(rows: list) -> int:
@@ -331,13 +366,20 @@ def rank_mod_prime(rows: list) -> int:
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_elimination_leaves_its_input_rows_unchanged(n):
-    """``rref``, ``pivots`` and ``full_rank`` reduce copies: the slice rows they are given, and the
-    dicts holding them, are as they were."""
+    """``echelon``, ``back_substitute`` and ``full_rank`` reduce copies:
+    the slice rows they are given, and the dicts holding them, are as they
+    were.  Back-substituting every pivot row leaves the echelon form it
+    reads as it was too, since later rows of the slice read it again."""
     for rows, column, ncols in slice_oracle_corpus(n, "deglex"):
         given_rows = copy.deepcopy(rows)
         ids = [id(row) for row in rows]
-        rref(rows, column)
-        pivots(rows)
+        pivot_rows = echelon(rows)
+        given_echelon = copy.deepcopy(pivot_rows)
+        echelon_ids = {k: id(row) for k, row in pivot_rows.items()}
+        for k in sorted(pivot_rows, reverse=True):
+            back_substitute(pivot_rows, k, column)
+        assert pivot_rows == given_echelon
+        assert {k: id(row) for k, row in pivot_rows.items()} == echelon_ids
         full_rank(rows, ncols)
         assert rows == given_rows
         assert [id(row) for row in rows] == ids

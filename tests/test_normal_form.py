@@ -22,7 +22,6 @@ from extlift.freealg import (
     obstructions_resolve,
 )
 from extlift.lifting import anti_commutators, lift_groebner
-from extlift.linalg import rref
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import gap_binomials, keyed_rows, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
@@ -32,6 +31,7 @@ from oracles import (
     fraction_slice_rows,
     rescan_normal_form,
     rescan_obstructions_resolve,
+    rref,
 )
 
 

@@ -1,12 +1,14 @@
 """Work-count guard: a command handles each degree slice of an ideal at
 most once per Groebner pass, and an exterior pass stops at the first full
 slice.  An exterior slice is either certified full modulo a prime
-(``linalg.full_rank``), and then never eliminated, or eliminated once;
-only gb and lift back-substitute (``linalg.rref``), while hilbert, the
-exterior gin and verify ask only for pivots (``linalg.pivots``); verify
-reads exterior slices when its candidate holds the anti-commutators.  The
-exterior gin runs gin_ext once, transforms each generator once per trial
-and refuses an ideal without a lifted gin before any trial."""
+(``linalg.full_rank``), and then never eliminated, or brought to echelon
+form once (``linalg.echelon``), the same way for every command: gb, lift
+and hilbert log identical calls.  Only gb and lift then back-substitute,
+and only the rows of new minimal leads (``linalg.back_substitute``);
+hilbert, the exterior gin and verify never do.  verify reads exterior
+slices when its candidate holds the anti-commutators.  The exterior gin
+runs gin_ext once, transforms each generator once per trial and refuses
+an ideal without a lifted gin before any trial."""
 
 import importlib
 import json
@@ -33,13 +35,13 @@ MODULES = [
 
 def count_calls(monkeypatch, *fns) -> list:
     """Wrap each of ``fns`` at every module that binds it; the returned
-    list grows by (name, result) per call, a list result given as its
-    length (an elimination's rank)."""
+    list grows by (name, result) per call, a list or dict result given as
+    its length (an echelon form's rank)."""
     calls = []
     for fn in fns:
         def counted(*args, _fn=fn, **kwargs):
             result = _fn(*args, **kwargs)
-            calls.append((_fn.__name__, len(result) if type(result) is list else result))
+            calls.append((_fn.__name__, len(result) if type(result) in (list, dict) else result))
             return result
 
         for mod in [extlift, *MODULES]:
@@ -65,37 +67,57 @@ def quadrics_file(tmp_path, n: int) -> Path:
 
 
 def slice_calls(monkeypatch) -> list:
-    """The log of the certificate and both elimination entry points."""
-    return count_calls(monkeypatch, linalg.full_rank, linalg.rref, linalg.pivots)
+    """The log of the certificate and the echelon form."""
+    return count_calls(monkeypatch, linalg.full_rank, linalg.echelon)
 
 
-# the elimination of the exterior commands that back-substitute, and of
-# those that read pivots only
-ELIMINATION = {"gb": "rref", "lift": "rref", "hilbert": "pivots"}
+EXTERIOR_COMMANDS = ["gb", "hilbert", "lift"]
+# the one log of each input: the echelon forms' ranks, then the certificate
+QUADRIC_N3_LOG = [("echelon", 1), ("full_rank", True)]
+QUADRICS_N8_LOG = [("echelon", 3), ("echelon", 24), ("full_rank", True)]
 
 
-@pytest.mark.parametrize("command", sorted(ELIMINATION))
+@pytest.mark.parametrize("command", EXTERIOR_COMMANDS)
 def test_exterior_slices_reduced_once(monkeypatch, capsys, command):
-    # the quadric in n=3 first fills the slice at d=3: slice 2 (one row,
-    # too few to be full) is eliminated and slice 3 is certified full
+    """The quadric in n=3 first fills the slice at d=3: slice 2 (one row,
+    too few to be full) is brought to echelon form and slice 3 is
+    certified full.  gb and lift back-substitute the one row of the
+    quadric's lead, hilbert nothing."""
     calls = slice_calls(monkeypatch)
+    rows = count_calls(monkeypatch, linalg.back_substitute)
     run(capsys, command, "quadric_n3.ideal")
-    assert calls == [(ELIMINATION[command], 1), ("full_rank", True)]
+    assert calls == QUADRIC_N3_LOG
+    assert rows == ([] if command == "hilbert" else [("back_substitute", 3)])
 
 
-@pytest.mark.parametrize("command", sorted(ELIMINATION))
+@pytest.mark.parametrize("command", EXTERIOR_COMMANDS)
 def test_exterior_slices_stop_at_first_full_slice(monkeypatch, capsys, tmp_path, command):
     """Three quadrics in n=8 fill the slice at d=4: d=2 and 3 have fewer
-    rows than columns and are eliminated, d=4 is certified full and not
-    eliminated, and nothing above it is touched; the quotient is still
-    reported in every degree."""
+    rows than columns and are brought to echelon form, d=4 is certified
+    full and not eliminated, and nothing above it is touched; the quotient
+    is still reported in every degree."""
     path = quadrics_file(tmp_path, 8)
     calls = slice_calls(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)
-    assert calls == [(ELIMINATION[command], 3), (ELIMINATION[command], 24), ("full_rank", True)]
+    assert calls == QUADRICS_N8_LOG
     if command != "lift":
         assert result["quotient_dimensions"] == [1, 8, 25, 32, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("source", ["quadric_n3", "quadrics_n8"])
+def test_exterior_commands_log_identical_slices(monkeypatch, capsys, tmp_path, source):
+    """gb and lift, which read the basis elements, handle every slice as
+    hilbert, which reads only leads and dimensions, does."""
+    path = DATA / "quadric_n3.ideal" if source == "quadric_n3" else quadrics_file(tmp_path, 8)
+    logs = []
+    for command in EXTERIOR_COMMANDS:
+        calls = slice_calls(monkeypatch)
+        assert main([command, str(path), "--json"]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.undo()
+        logs.append(calls)
+    assert logs[0] == logs[1] == logs[2] == (QUADRIC_N3_LOG if source == "quadric_n3" else QUADRICS_N8_LOG)
 
 
 def test_exterior_slices_certificate_failure_falls_back_once(monkeypatch, capsys, tmp_path):
@@ -107,7 +129,7 @@ def test_exterior_slices_certificate_failure_falls_back_once(monkeypatch, capsys
     path.write_text(f"vars: 3\ngenerators:\nx1*x2 + x1*x3\nx1*x2 + {linalg.PRIME + 1}*x1*x3\nx2*x3\n")
     calls = slice_calls(monkeypatch)
     run(capsys, "gb", str(path))
-    assert calls == [("full_rank", False), ("rref", 3)]
+    assert calls == [("full_rank", False), ("echelon", 3)]
 
 
 def test_exterior_slices_certify_a_generator_divisible_by_the_prime(monkeypatch, capsys, tmp_path):
@@ -118,18 +140,21 @@ def test_exterior_slices_certify_a_generator_divisible_by_the_prime(monkeypatch,
     path.write_text(f"vars: 3\ngenerators:\n{linalg.PRIME}*x1*x2\n")
     calls = slice_calls(monkeypatch)
     run(capsys, "gb", str(path))
-    assert calls == [("rref", 1), ("full_rank", True)]
+    assert calls == [("echelon", 1), ("full_rank", True)]
 
 
 def test_exterior_gin_two_trials(monkeypatch, capsys):
     # two transformed ideals plus the untransformed one for the Hilbert
-    # check, each with slice 2 read by pivots and slice 3 certified full,
-    # and no back-substitution; GLMatrix asks pivots once per drawn matrix
+    # check, each with slice 2 brought to echelon form and slice 3
+    # certified full, and no back-substitution; GLMatrix asks an echelon
+    # form once per drawn matrix
     calls = slice_calls(monkeypatch)
+    rows = count_calls(monkeypatch, linalg.back_substitute)
     gin_ext_calls = count_calls(monkeypatch, gin.gin_ext)
     run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
-    trial = [("pivots", 3), ("pivots", 1), ("full_rank", True)]
+    trial = [("echelon", 3), ("echelon", 1), ("full_rank", True)]
     assert calls == trial * 2 + trial[1:]
+    assert rows == []
     assert len(gin_ext_calls) == 1
 
 
@@ -156,11 +181,13 @@ def test_exterior_gin_refused_before_any_trial(monkeypatch, capsys, source, flag
 @pytest.mark.parametrize("maxdeg", [3, 5])
 def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
     # without the anti-commutators, verify reads only the pivots of its free
-    # slices: no back-substitution and no certificate
+    # slices: echelon forms, no back-substitution and no certificate
     calls = slice_calls(monkeypatch)
+    rows = count_calls(monkeypatch, linalg.back_substitute)
     run(capsys, "verify", "commutator_n2.ideal", "--maxdeg", str(maxdeg))
     assert 0 < len(calls) <= maxdeg + 1
-    assert {name for name, _ in calls} == {"pivots"}
+    assert {name for name, _ in calls} == {"echelon"}
+    assert rows == []
 
 
 @pytest.mark.parametrize("maxdeg", [3, 9])
@@ -169,17 +196,19 @@ def test_verify_lifted_basis_reduces_each_exterior_slice_once(monkeypatch, capsy
     exterior slices of the images of its elements.  Those above degree 2
     lie in the ideal of the three quadrics and add no pivot where they
     enter, so the slices are hilbert's on the quadrics: d=2 and 3 are
-    eliminated for their pivots, d=4 is certified full, nothing above it
-    is touched and nothing goes through rref."""
+    brought to echelon form, d=4 is certified full, nothing above it is
+    touched and nothing is back-substituted."""
     ideal = parse_ideal(quadrics_file(tmp_path, 8).read_text())
     lifted = lift_groebner(groebner_ext(ExtIdeal(ideal.ctx, ideal.generators, ideal.order))).elements()
     assert {F.degree for F in lifted} == {2, 3, 4}
     path = tmp_path / "lifted.ideal"
     path.write_text("vars: 8\nalgebra: free\ngenerators:\n" + "".join(free_poly_str(F, FreeOrderSpec()) + "\n" for F in lifted))
     calls = slice_calls(monkeypatch)
+    rows = count_calls(monkeypatch, linalg.back_substitute)
     assert main(["verify", str(path), "--json", "--maxdeg", str(maxdeg)]) == EXIT_OK
     capsys.readouterr()
-    assert calls == [("pivots", 3), ("pivots", 24), ("full_rank", True)][: maxdeg - 1]
+    assert calls == QUADRICS_N8_LOG[: maxdeg - 1]
+    assert rows == []
 
 
 def test_verify_anticommutators_n5_default_maxdeg(capsys):
