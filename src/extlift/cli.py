@@ -159,16 +159,17 @@ def _ideal_slices(ideal: IdealFile, candidate, maxdeg: int) -> dict:
     scaled one counts), it holds their ideal A, and J/A is pi(J), the ideal
     of E(V) = K<X>/A that the images of the elements generate.  Then
     dim J_d = (n^d - C(n, d)) + dim pi(J)_d, read off exterior slices of
-    C(n, d) columns, and n^d above n.  Otherwise the free slices, of n^d
+    C(n, d) columns (``groebner_ext`` to ``maxdeg``, whose elements are
+    never read), and n^d above n.  Otherwise the free slices, of n^d
     columns, give dim J_d."""
     from .algebra import anti_commutators, pi
 
     n = ideal.ctx.n
     if set(anti_commutators(ideal.ctx)) <= set(candidate.elements):
-        from .exterior import ExtIdeal, initial_data_ext
+        from .exterior import ExtIdeal, groebner_ext
 
         images = ExtIdeal(ideal.ctx, [pi(F) for F in candidate.elements], ideal.order)
-        dims = initial_data_ext(images, maxdeg).slice_dims
+        dims = groebner_ext(images, maxdeg).slice_dims
         return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(maxdeg + 1)}
     from .freealg import free_initial_ideal
 
@@ -184,9 +185,11 @@ def cmd_verify(args) -> int:
     candidate = FreeGroebnerCandidate(ideal.ctx, list(ideal.generators), order)
     ok, failures = obstructions_resolve(candidate)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
+    # the candidate's automaton counts the normal words; the cone only
+    # names the minimal leading words
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
     slice_dims = _ideal_slices(ideal, candidate, maxdeg)
-    counts = normal_word_counts(cone, maxdeg)
+    counts = normal_word_counts(candidate.automaton, maxdeg)
     dims = []
     dims_ok = True
     for d in range(maxdeg + 1):
@@ -326,10 +329,10 @@ def _borel_witness_json(witness):
 def cmd_hilbert(args) -> int:
     ideal = _load(args)
     if ideal.algebra == "exterior":
-        from .exterior import ExtIdeal, hilbert_ext, initial_data_ext
+        from .exterior import ExtIdeal, groebner_ext, hilbert_ext
 
         I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
-        vector = hilbert_ext(initial_data_ext(I))
+        vector = hilbert_ext(groebner_ext(I))
         result = {
             "command": "hilbert",
             "vars": ideal.ctx.n,
@@ -349,7 +352,7 @@ def cmd_hilbert(args) -> int:
             "command": "hilbert",
             "vars": ideal.ctx.n,
             "algebra": "free",
-            "quotient_dimensions": normal_word_counts(B, maxdeg),
+            "quotient_dimensions": normal_word_counts(B.automaton(), maxdeg),
             "numerator": num,
             "denominator": den,
         }

@@ -7,20 +7,21 @@ descending by the exterior order; the pivot monomials are exactly the
 initial-ideal slice, and pivots not divisible by a lower-degree initial
 monomial lead new basis elements (their rows of the reduced echelon form).
 
-One slice loop serves every reader, and it handles every slice the same
-way.  It stops at the first full slice: if I_d = E_d then
-I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator lies above d, and
-every later slice is filled with C(n, d) and not reduced.  Nor is that
-full slice when its rank modulo a prime is C(n, d) (``linalg.full_rank``):
-then its rank over Q is too, and its reduced echelon form is the identity.
-Every other slice is brought to echelon form once (``linalg.echelon``).
-``groebner_ext``, whose elements ``gb`` and ``lift`` read, then
-back-substitutes only the rows of new minimal leads
-(``linalg.back_substitute``); ``initial_data_ext``, for readers of leads
-and dimensions alone (the exterior ``hilbert``, the gin trials, the gin's
-Hilbert check and ``verify``'s dimension check), skips that last step.
-Both return the initial ideal of the minimal elements' leads, read off
-the slices.
+One entry point, ``groebner_ext``, serves every reader, and it handles
+every slice the same way.  It stops at the first full slice: if
+I_d = E_d then I_{d+1} = E_1 I_d = E_{d+1}, so no minimal generator lies
+above d, and every later slice is filled with C(n, d) and not reduced.
+Nor is that full slice when its rank modulo a prime is C(n, d)
+(``linalg.full_rank``): then its rank over Q is too, and its reduced
+echelon form is the identity.  Every other slice is brought to echelon
+form once (``linalg.echelon``).  The initial ideal of the minimal
+elements' leads and the slice dimensions are read off there.  The basis
+keeps the echelon form of each slice with a new minimal lead and
+back-substitutes only the rows of those leads (``linalg.back_substitute``),
+the first time its elements are read: ``gb`` and ``lift`` read them,
+while the exterior ``hilbert``, the gin trials, the gin's Hilbert check
+and ``verify``'s dimension check read leads and dimensions alone and
+never pay for the rows.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
 every generator is scaled once to its primitive integer multiple, a
@@ -113,27 +114,35 @@ class MonomialIdealExt:
 class ExtGroebnerBasis:
     """Reduced minimal Groebner basis of monic elements, with ``initial``,
     the initial ideal of their leads, and ``slice_dims[d] = dim I_d`` for
-    d = 0..n read off the same slices.  Each element is the
-    back-substituted row of its lead in the echelon form of its slice;
-    the first full slice, if a prime proved it full, and the slices past
-    it are C(n, d) and not reduced."""
+    d = 0..n, or up to the cap ``groebner_ext`` was given, read off the
+    same slices.  Each element is the back-substituted row of its lead in
+    the echelon form of its slice, or the lead itself in a slice proved
+    full; the slices past the first full one are C(n, d) and not reduced.
 
-    __slots__ = ("ctx", "elements", "order", "initial", "slice_dims")
+    The elements are made the first time ``elements`` is read: until
+    then the basis keeps each new minimal lead with the echelon form of
+    its slice (None for a slice proved full), so a reader of ``initial``
+    or ``slice_dims`` alone never pays for the rows."""
 
-    def __init__(self, ctx, elements: tuple, order: ExtOrderSpec, initial: MonomialIdealExt, slice_dims: tuple):
-        self.ctx, self.elements, self.order = ctx, elements, order
-        self.initial, self.slice_dims = initial, slice_dims
+    __slots__ = ("ctx", "order", "initial", "slice_dims", "_pending", "_elements")
 
+    def __init__(self, ctx, order: ExtOrderSpec, slice_dims: tuple, pending: list, columns: Columns):
+        self.ctx, self.order, self.slice_dims = ctx, order, slice_dims
+        self.initial = MonomialIdealExt([lead for lead, _ in pending], order)
+        self._pending, self._elements = (pending, columns), None
 
-class ExtInitialData:
-    """The initial ideal of an exterior ideal and its ``slice_dims``, read
-    off the same echelon forms as ``ExtGroebnerBasis`` with no row
-    back-substituted, and only up to a degree cap if one was given."""
-
-    __slots__ = ("ctx", "initial", "slice_dims")
-
-    def __init__(self, ctx: AlgebraContext, initial: MonomialIdealExt, slice_dims: tuple[int, ...]):
-        self.ctx, self.initial, self.slice_dims = ctx, initial, slice_dims
+    @property
+    def elements(self) -> tuple[ExtPolynomial, ...]:
+        if self._elements is None:
+            pending, columns = self._pending
+            self._elements = tuple(
+                ExtPolynomial._raw(
+                    {lead: Fraction(1)} if rows is None else back_substitute(rows, columns[lead.bits], columns.column)
+                )
+                for lead, rows in pending
+            )
+            self._pending = None
+        return self._elements
 
 
 def _slice_rows(I: ExtIdeal, columns: Columns):
@@ -171,15 +180,14 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
     return rows
 
 
-def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list, list, tuple[int, ...]]:
-    """The slice loop: the leading monomials of the minimal basis elements
-    by degree, largest first; the elements themselves when ``reduced``,
-    else nothing; and dim I_d for d = 0..min(maxdeg, n).  Slices below
-    the lowest generator degree are 0, and each slice from there to the
-    first full one is built once and either proved full modulo a prime or
-    brought to echelon form once.  A pivot is a new minimal generator iff
-    no pivot one degree below divides it, and only its row is
-    back-substituted.
+def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
+    """Reduced minimal Groebner basis of I, with its initial ideal and
+    dim I_d for d = 0..min(maxdeg, n); with ``maxdeg``, only the part of
+    each up to that degree.  Slices below the lowest generator degree are
+    0, and each slice from there to the first full one is built once and
+    either proved full modulo a prime or brought to echelon form once.  A
+    pivot is a new minimal lead iff no pivot one degree below divides it;
+    only its row is back-substituted, the first time ``elements`` is read.
 
     A generator of degree d enters the slice last, after the multiples of
     the generators kept below d.  One whose row adds no pivot lies in the
@@ -190,8 +198,7 @@ def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list
     columns = Columns(key, ExtMonomial.from_bits)
     slice_rows = _slice_rows(I, columns)
     degrees = [g.degree for g in I.generators]
-    mins: list[ExtMonomial] = []
-    elements: list[ExtPolynomial] = []
+    pending: list = []  # (new minimal lead, echelon form of its slice or None)
     dims: list[int] = []
     kept: list[int] = []  # the generators below d that are kept
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
@@ -215,39 +222,19 @@ def _slices(I: ExtIdeal, reduced: bool, maxdeg: int | None = None) -> tuple[list
             zero = set(dependent)
             new = [i for r, i in enumerate(new, len(rows) - len(new)) if r not in zero]
         kept += new
-        for lead in leads:
-            if not any((lead.bits ^ 1 << i) in below for i in lead.support):
-                mins.append(lead)
-                if reduced and pivot_rows is None:
-                    elements.append(ExtPolynomial._raw({lead: Fraction(1)}))
-                elif reduced:
-                    elements.append(ExtPolynomial._raw(back_substitute(pivot_rows, columns[lead.bits], columns.column)))
+        pending += [
+            (lead, pivot_rows) for lead in leads if not any((lead.bits ^ 1 << i) in below for i in lead.support)
+        ]
         below = {lead.bits for lead in leads}
         dims.append(len(leads))
         if len(leads) == full:
             # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
             dims += [comb(n, e) for e in range(d + 1, top + 1)]
             break
-    return mins, elements, tuple(dims)
+    return ExtGroebnerBasis(I.ctx, I.order, tuple(dims), pending, columns)
 
 
-def groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
-    """Reduced minimal Groebner basis, from the echelon form of each slice
-    up to the first full one (the identity, if proved full), with the row
-    of each new minimal lead back-substituted."""
-    leads, elements, dims = _slices(I, reduced=True)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, MonomialIdealExt(leads, I.order), dims)
-
-
-def initial_data_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtInitialData:
-    """The initial ideal and slice dimensions of ``groebner_ext(I)``, from
-    the echelon form of each slice with no back-substitution; with
-    ``maxdeg``, only their part up to that degree."""
-    leads, _, dims = _slices(I, False, maxdeg)
-    return ExtInitialData(I.ctx, MonomialIdealExt(leads, I.order), dims)
-
-
-def hilbert_ext(G: ExtGroebnerBasis | ExtInitialData) -> list[int]:
-    """dim (E(V)/I)_d for d = 0..n, exact, for the ideal I of the basis or
-    initial data G."""
+def hilbert_ext(G: ExtGroebnerBasis) -> list[int]:
+    """dim (E(V)/I)_d for d = 0..n, or up to the cap G was computed to,
+    exact, for the ideal I of the basis G."""
     return [comb(G.ctx.n, d) - dim for d, dim in enumerate(G.slice_dims)]

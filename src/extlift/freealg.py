@@ -357,12 +357,14 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
     return not failures, failures
 
 
-def normal_word_counts(B: MonomialIdealFree, d: int) -> list[int]:
-    """Numbers of words of degrees 0..d avoiding every generator of B, by
-    dynamic programming over the pattern automaton."""
+def normal_word_counts(auto: PatternAutomaton, d: int) -> list[int]:
+    """Numbers of words of degrees 0..d avoiding every pattern of the
+    automaton, by dynamic programming over it.  A word that avoids the
+    minimal patterns avoids all of them, so the automaton of a candidate's
+    leading words, repeats and multiples included, counts the normal
+    words of their ideal."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    auto = B.automaton()
     counts = [1]
     state_counts = {0: 1}
     for _ in range(d):
@@ -387,7 +389,8 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     order <= k, which the first 2k of them fix.  Berlekamp-Massey over Q
     finds the shortest one; its connection polynomial is the reduced den.
     """
-    counts = normal_word_counts(B, 2 * B.automaton().match.count(-1))
+    auto = B.automaton()
+    counts = normal_word_counts(auto, 2 * auto.match.count(-1))
     # den: the shortest recurrence so far, of order length; prev: den before
     # the last change of length, whose discrepancy was prev_disc, shift
     # counts ago

@@ -25,7 +25,7 @@ from .algebra import (
     apply_gl,
     apply_gl_ext,
 )
-from .exterior import ExtIdeal, MonomialIdealExt, initial_data_ext
+from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext
 from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
 from .lifting import anti_commutator_leading_words, check_natural_ranking
 from .linalg import primitive
@@ -109,13 +109,14 @@ def gin_free(
 def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
     """Generic initial ideal in E(V): transform the primitive integer
     multiple of each generator, which spans the same ideal, then read the
-    initial ideal off the slices with no back-substitution; the per-degree
-    dimensions are the first trial's slice dimensions."""
+    initial ideal off ``groebner_ext``, whose elements are never read, so
+    no row is back-substituted; the per-degree dimensions are the first
+    trial's slice dimensions."""
     gens = [ExtPolynomial._raw(primitive(f.terms)) for f in I.generators]
 
     def trial(g: GLMatrix):
-        data = initial_data_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order))
-        return data.initial, dict(enumerate(data.slice_dims))
+        G = groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order))
+        return G.initial, dict(enumerate(G.slice_dims))
 
     return _gin_trials(I.ctx, req, trial)
 
@@ -171,14 +172,15 @@ def hilbert_compare(
     This re-derives the slice dimensions from the untransformed generators,
     so it is an independent check of the Hilbert-series preservation."""
     dims = free_initial_ideal(gens, ctx, order, max_degree).slice_dims
-    counts = normal_word_counts(gin, max_degree)
+    counts = normal_word_counts(gin.automaton(), max_degree)
     return all(dims.get(d, 0) == ctx.n**d - c for d, c in enumerate(counts))
 
 
 def hilbert_compare_ext(I: ExtIdeal, gin: MonomialIdealExt) -> bool:
     """Exterior analogue: slice dimensions of I vs monomial counts of the
-    exterior gin cone, the former from the slices of the untransformed I."""
+    exterior gin cone, the former from the slices of the untransformed I
+    (``groebner_ext``, its elements never read)."""
     return all(
         dim == gin.degree_count(I.ctx, d)
-        for d, dim in enumerate(initial_data_ext(I).slice_dims)
+        for d, dim in enumerate(groebner_ext(I).slice_dims)
     )

@@ -20,7 +20,7 @@ from extlift.algebra import (
     pi,
     words_of_degree,
 )
-from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt
+from extlift.exterior import ExtIdeal, MonomialIdealExt
 from extlift.freealg import (
     FreeGroebnerCandidate,
     FreeInitialData,
@@ -199,7 +199,19 @@ def ideal_degree_basis(I: ExtIdeal, d: int) -> list[ExtPolynomial]:
     return [ExtPolynomial._raw(r) for r in rref(*keyed_rows(rows, I.order.ext_key))]
 
 
-def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
+class SliceBasis:
+    """A basis as ``slice_groebner_ext`` computes it, with the attributes
+    of ``exterior.ExtGroebnerBasis`` that ``lift_groebner`` and
+    ``hilbert_ext`` read, all computed up front."""
+
+    __slots__ = ("ctx", "order", "elements", "initial", "slice_dims")
+
+    def __init__(self, ctx, order, elements: tuple, initial: MonomialIdealExt, slice_dims: tuple):
+        self.ctx, self.order, self.elements = ctx, order, elements
+        self.initial, self.slice_dims = initial, slice_dims
+
+
+def slice_groebner_ext(I: ExtIdeal) -> SliceBasis:
     """Reduced minimal Groebner basis by degree-wise elimination.  Each
     slice is reduced once; slices below the lowest generator degree are 0.
     A pivot is a new minimal generator iff no pivot below divides it; the
@@ -218,7 +230,7 @@ def slice_groebner_ext(I: ExtIdeal) -> ExtGroebnerBasis:
             if not any((lead.bits ^ 1 << i) in below for i in lead.support):
                 elements.append(row)
     initial = MonomialIdealExt([leading_term_ext(f, I.order)[0] for f in elements], I.order)
-    return ExtGroebnerBasis(I.ctx, tuple(elements), I.order, initial, tuple(dims))
+    return SliceBasis(I.ctx, I.order, tuple(elements), initial, tuple(dims))
 
 
 def scan_groebner_elements(I: ExtIdeal) -> list[ExtPolynomial]:
@@ -491,7 +503,7 @@ def charpoly_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int
                 M[index[t]][index[s]] += 1
     # det(I - tM) = t^k charpoly_M(1/t): the coefficients in reverse
     den = fraction_charpoly(M)[::-1]
-    counts = normal_word_counts(B, max(k - 1, 0))
+    counts = normal_word_counts(auto, max(k - 1, 0))
     num = [sum(den[i] * counts[e - i] for i in range(e + 1)) for e in range(k)]
     g = _poly_gcd(num, den)
     num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]

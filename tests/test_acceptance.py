@@ -235,7 +235,7 @@ def test_criterion_05_lift_is_groebner_basis(corpus):
         candidate = FreeGroebnerCandidate(item.ctx, item.lifted.elements(), ORDER)
         ok, _ = obstructions_resolve(candidate)
         dims = hilbert_ext(item.gb)
-        counts = normal_word_counts(item.inJ, n + 1)
+        counts = normal_word_counts(item.inJ.automaton(), n + 1)
         counts_ok = all(
             counts[d] == (dims[d] if d <= n else 0)
             for d in range(n + 2)
@@ -352,7 +352,7 @@ def test_criterion_10_saturation(corpus):
             if not any(subword_divides(p, w) for p in descents):
                 exhaustive_ok = False
     corpus_ok = all(
-        normal_word_counts(item.inJ, item.ctx.n + 1)[-1] == 0 for item in corpus
+        normal_word_counts(item.inJ.automaton(), item.ctx.n + 1)[-1] == 0 for item in corpus
     )
     verdict(
         10,

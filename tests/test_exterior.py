@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from extlift import exterior
 from extlift.algebra import (
     MAX_VARS,
     AlgebraContext,
@@ -20,7 +21,6 @@ from extlift.exterior import (
     MonomialIdealExt,
     groebner_ext,
     hilbert_ext,
-    initial_data_ext,
 )
 from extlift.gin import random_gl
 from extlift.orders import ExtOrderSpec, leading_term_ext
@@ -206,23 +206,60 @@ def slice_oracle_corpus(n: int, kind: str):
 def test_slices_match_full_slice_oracle(n, kind):
     """The slice loop, which stops at the first full slice, against the
     loop that reduces every slice to n: the same elements in the same
-    order, all Fraction, and the same dimensions; the pivots-only path
-    gives the oracle's initial ideal, in the same order, and dimensions."""
+    order, all Fraction, the same initial ideal, in the same order, and
+    the same dimensions, whether or not the elements are read."""
     early = 0
     for I in slice_oracle_corpus(n, kind):
         oracle = slice_groebner_ext(I)
         early += any(dim == comb(n, d) for d, dim in enumerate(oracle.slice_dims[:n]))
+        unread = groebner_ext(I)
+        assert unread.initial.gens == oracle.initial.gens
+        assert unread.slice_dims == oracle.slice_dims
         gb = groebner_ext(I)
         assert gb.elements == oracle.elements
         assert all(type(c) is Fraction for f in gb.elements for _, c in f)
         assert gb.slice_dims == oracle.slice_dims
         assert gb.initial.gens == oracle.initial.gens
-        data = initial_data_ext(I)
-        assert data.initial.gens == oracle.initial.gens
-        assert data.slice_dims == oracle.slice_dims
-        for maxdeg in range(n + 2):
-            assert initial_data_ext(I, maxdeg).slice_dims == oracle.slice_dims[: maxdeg + 1]
     assert early > 0
+
+
+@pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_capped_basis_is_the_uncapped_one_cut_off(n, kind):
+    """For every cap from 0 to n+1, the capped loop gives the uncapped
+    answer cut off at the cap: its dimensions are a prefix, its initial
+    ideal holds the uncapped leads of degree <= cap, and its elements are
+    the uncapped elements of degree <= cap, in the same order."""
+    for I in slice_oracle_corpus(n, kind):
+        whole = groebner_ext(I)
+        for cap in range(n + 2):
+            capped = groebner_ext(I, cap)
+            assert capped.slice_dims == whole.slice_dims[: cap + 1]
+            assert capped.initial.gens == tuple(m for m in whole.initial.gens if m.degree <= cap)
+            assert capped.elements == tuple(f for f in whole.elements if f.degree <= cap)
+
+
+def test_elements_are_made_once_on_first_read(monkeypatch):
+    """Reading ``elements`` twice gives the same tuple, and each row is
+    back-substituted once, on the first read.  With the certificate off,
+    every element is a back-substituted row."""
+    calls = []
+
+    def counted(pivots, lead, column, _fn=exterior.back_substitute):
+        calls.append(lead)
+        return _fn(pivots, lead, column)
+
+    monkeypatch.setattr(exterior, "back_substitute", counted)
+    monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)
+    for I in slice_oracle_corpus(6, "deglex"):
+        calls.clear()
+        G = groebner_ext(I)
+        assert calls == []
+        first = G.elements
+        assert len(calls) == len(set(calls)) == len(first)
+        assert G.elements is first
+        assert len(calls) == len(first)
+        assert first == slice_groebner_ext(I).elements
 
 
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
@@ -240,10 +277,9 @@ def test_redundant_generators_change_no_slice(n, kind):
         products = [ExtPolynomial.monomial(ExtMonomial([i])) * g for i in range(1, n + 1)]
         redundant = [*oracle.elements, *products, g + h.scale(3), *I.generators]
         J = ExtIdeal(I.ctx, redundant, I.order)
-        data = initial_data_ext(J)
-        assert (data.initial.gens, data.slice_dims) == (oracle.initial.gens, oracle.slice_dims)
         gb = groebner_ext(J)
-        assert (gb.elements, gb.slice_dims) == (oracle.elements, oracle.slice_dims)
+        assert (gb.initial.gens, gb.slice_dims) == (oracle.initial.gens, oracle.slice_dims)
+        assert gb.elements == oracle.elements
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -260,9 +296,9 @@ def test_sparse_mixed_degree_generators_match_the_oracle(n):
             gens.append(ExtPolynomial([(m, rng.choice([-2, -1, 1, 3])) for m in monos[: rng.randint(1, 2)]]))
         I = ExtIdeal(ctx, gens, ExtOrderSpec(rng.choice(["deglex", "degrevlex"])))
         oracle = slice_groebner_ext(I)
-        data = initial_data_ext(I)
-        assert (data.initial.gens, data.slice_dims) == (oracle.initial.gens, oracle.slice_dims), gens
-        assert groebner_ext(I).elements == oracle.elements
+        gb = groebner_ext(I)
+        assert (gb.initial.gens, gb.slice_dims) == (oracle.initial.gens, oracle.slice_dims), gens
+        assert gb.elements == oracle.elements
 
 
 def inversions(word) -> int:

@@ -8,7 +8,9 @@ and only the rows of new minimal leads (``linalg.back_substitute``);
 hilbert, the exterior gin and verify never do.  verify reads exterior
 slices when its candidate holds the anti-commutators.  The exterior gin
 runs gin_ext once, transforms each generator once per trial and refuses
-an ideal without a lifted gin before any trial."""
+an ideal without a lifted gin before any trial.  Every command reads its
+exterior slices through one ``groebner_ext`` pass per ideal, and verify
+builds one automaton, its candidate's."""
 
 import importlib
 import json
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import extlift
-from extlift import algebra, gin, linalg
+from extlift import algebra, exterior, freealg, gin, linalg
 from extlift.cli import EXIT_INPUT, EXIT_OK, main
 from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.lifting import lift_groebner
@@ -160,11 +162,17 @@ def test_exterior_gin_two_trials(monkeypatch, capsys):
 
 @pytest.mark.parametrize("trials", [2, 3])
 def test_exterior_gin_transforms_each_generator_once_per_trial(monkeypatch, capsys, tmp_path, trials):
+    """One exterior pass per trial and one for the Hilbert check, none of
+    which back-substitutes."""
     path = tmp_path / "q5.ideal"
     path.write_text("vars: 5\ngenerators:\nx1*x2 + 2*x3*x4 - x2*x5\nx1*x3 - x4*x5 + 3*x2*x3\n")
     apply_calls = count_calls(monkeypatch, algebra.apply_gl_ext)
+    passes = count_calls(monkeypatch, exterior.groebner_ext)
+    rows = count_calls(monkeypatch, linalg.back_substitute)
     run(capsys, "gin", str(path), "--trials", str(trials))
     assert len(apply_calls) == trials * 2
+    assert len(passes) == trials + 1
+    assert rows == []
 
 
 @pytest.mark.parametrize(
@@ -190,6 +198,16 @@ def test_verify_slices_reduced_once(monkeypatch, capsys, maxdeg):
     assert rows == []
 
 
+def lifted_quadrics_file(tmp_path) -> Path:
+    """The lifted basis of the three quadrics in n=8, as a free ideal file."""
+    ideal = parse_ideal(quadrics_file(tmp_path, 8).read_text())
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ideal.ctx, ideal.generators, ideal.order))).elements()
+    assert {F.degree for F in lifted} == {2, 3, 4}
+    path = tmp_path / "lifted.ideal"
+    path.write_text("vars: 8\nalgebra: free\ngenerators:\n" + "".join(free_poly_str(F, FreeOrderSpec()) + "\n" for F in lifted))
+    return path
+
+
 @pytest.mark.parametrize("maxdeg", [3, 9])
 def test_verify_lifted_basis_reduces_each_exterior_slice_once(monkeypatch, capsys, tmp_path, maxdeg):
     """The lifted basis holds the anti-commutators, so verify reads the
@@ -198,11 +216,7 @@ def test_verify_lifted_basis_reduces_each_exterior_slice_once(monkeypatch, capsy
     enter, so the slices are hilbert's on the quadrics: d=2 and 3 are
     brought to echelon form, d=4 is certified full, nothing above it is
     touched and nothing is back-substituted."""
-    ideal = parse_ideal(quadrics_file(tmp_path, 8).read_text())
-    lifted = lift_groebner(groebner_ext(ExtIdeal(ideal.ctx, ideal.generators, ideal.order))).elements()
-    assert {F.degree for F in lifted} == {2, 3, 4}
-    path = tmp_path / "lifted.ideal"
-    path.write_text("vars: 8\nalgebra: free\ngenerators:\n" + "".join(free_poly_str(F, FreeOrderSpec()) + "\n" for F in lifted))
+    path = lifted_quadrics_file(tmp_path)
     calls = slice_calls(monkeypatch)
     rows = count_calls(monkeypatch, linalg.back_substitute)
     assert main(["verify", str(path), "--json", "--maxdeg", str(maxdeg)]) == EXIT_OK
@@ -219,3 +233,33 @@ def test_verify_anticommutators_n5_default_maxdeg(capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["dimensions_agree"]
     assert [row["ideal_slice"] for row in result["dimension_check"]] == [0, 0, 15, 115, 620, 3124, 15625]
+
+
+@pytest.mark.parametrize("command", ["gb", "lift", "hilbert", "verify"])
+def test_one_exterior_pass_per_command(monkeypatch, capsys, tmp_path, command):
+    """gb, lift and hilbert on the three quadrics in n=8, and verify on
+    their lifted basis, each read the exterior slices in one pass."""
+    path = lifted_quadrics_file(tmp_path) if command == "verify" else quadrics_file(tmp_path, 8)
+    passes = count_calls(monkeypatch, exterior.groebner_ext)
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("source", ["anticomm_n2", "commutator_n2", "monomial_free_n2", "lifted_quadrics_n8"])
+def test_verify_builds_one_automaton(monkeypatch, capsys, tmp_path, source):
+    """The candidate's automaton of its leading words both reduces and
+    counts the normal words of the initial cone; no second one is built
+    for the count."""
+    path = lifted_quadrics_file(tmp_path) if source == "lifted_quadrics_n8" else DATA / f"{source}.ideal"
+    built = []
+    init = freealg.PatternAutomaton.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(freealg.PatternAutomaton, "__init__", counted)
+    main(["verify", str(path), "--json", "--maxdeg", "4"])
+    capsys.readouterr()
+    assert len(built) == 1

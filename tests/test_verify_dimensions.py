@@ -34,7 +34,7 @@ def routes(monkeypatch) -> list:
     """The log of the dimension check's passes: 'exterior' per exterior
     slice pass, 'free' per free one."""
     log = []
-    for module, name, tag in ((exterior, "initial_data_ext", "exterior"), (freealg, "free_initial_ideal", "free")):
+    for module, name, tag in ((exterior, "groebner_ext", "exterior"), (freealg, "free_initial_ideal", "free")):
         def logged(*args, _fn=getattr(module, name), _tag=tag, **kwargs):
             log.append(_tag)
             return _fn(*args, **kwargs)
