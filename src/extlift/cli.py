@@ -109,7 +109,7 @@ def cmd_lift(args) -> int:
         lifted = lift_groebner(gb)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    order = ideal.free_order
+    order = lifted.order
     squeezed, witness = squeezed_witness(gb.initial)
     result = {
         "command": "lift",
@@ -173,7 +173,7 @@ def _ideal_slices(ideal: IdealFile, candidate, maxdeg: int) -> dict:
         return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(maxdeg + 1)}
     from .freealg import free_initial_ideal
 
-    return free_initial_ideal(list(ideal.generators), ideal.ctx, ideal.free_order, maxdeg).slice_dims
+    return free_initial_ideal(list(ideal.generators), ideal.ctx, candidate.order, maxdeg).slice_dims
 
 
 def cmd_verify(args) -> int:

@@ -11,8 +11,12 @@ File format (see README for the grammar):
     x1*x2 + 3/2*x2*x3
     x1*x3
 
-Each header key may appear once.  Exterior generators use x1..xn,
-free-algebra generators X1..Xn; coefficients are exact rationals.  Every
+Each header key may appear once, and "generators:" stands alone on its
+line, which the file must have.  A generator line is [sign] term
+{sign term}: a term is a product of factors, each an integer, a rational
+p/q or a variable with an optional ^k (k >= 0), and the "*" between two
+factors may be left out only before a variable; "(" and ")" are refused.
+Exterior generators use x1..xn, free-algebra generators X1..Xn.  Every
 term parses to one coefficient and one word, and a generator is the sum of
 its terms in the free algebra, or that sum's image under algebra.pi in the
 exterior one: each word sorted with its sign (x3*x2 parses to -x2x3), or
@@ -49,126 +53,95 @@ class IdealFile:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xX])(\d+)|([-+*/^()])|(\S))")
+_END = ("$", None, None)  # the end of the line: a tag no token has, and no column
 
 
-def _tokenize(text: str, line: int):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(5):
-            raise ParseError(f"unexpected character {m.group(5)!r}", line, m.start(5) + 1)
-        if m.group(1):
-            out.append(("int", int(m.group(1)), m.start(1) + 1))
-        elif m.group(2):
-            out.append(("var", (m.group(2), int(m.group(3))), m.start(2) + 1))
+def _tokenize(text: str, line: int) -> list:
+    """The line's tokens as (tag, value, column), then ``_END``: tag "n" for an
+    integer, a variable's letter with its index, or an operator with None.
+    The first character that starts no token is refused here, before any
+    grammar error on the line."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 5:
+            raise ParseError(f"unexpected character {m[5]!r}", line, m.start(5) + 1)
+        if group == 1:
+            out.append(("n", int(m[1]), m.start(1) + 1))
+        elif group == 3:
+            out.append((m[2], int(m[3]), m.start(2) + 1))
         else:
-            out.append(("op", m.group(4), m.start(4) + 1))
-        pos = m.end()
+            out.append((m[4], None, m.start(4) + 1))
+    out.append(_END)
     return out
 
 
-class _ExprParser:
-    """Recursive-descent parser for one generator expression.  Each term
-    parses to one coefficient and one word; the generator is built once,
-    from the (word, coefficient) pairs, at the end."""
-
-    def __init__(self, tokens, line: int, ctx: AlgebraContext, algebra: str):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line
-        self.ctx = ctx
-        self.algebra = algebra
-        self.var_letter = "x" if algebra == "exterior" else "X"
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def error(self, message: str):
-        tok = self.peek()
-        col = tok[2] if tok else None
-        raise ParseError(message, self.line, col)
-
-    def parse(self):
-        terms = self.parse_expr()
-        if self.peek() is not None:
-            self.error("trailing input after expression")
-        F = FreePolynomial(terms)
-        return pi(F) if self.algebra == "exterior" else F
-
-    def parse_expr(self):
-        terms = []
+def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
+    """One generator line, in one pass over its tokens.  Each term reads to
+    an integer numerator and denominator and a word (a variable and each
+    ``^k`` append letters); the generator is built once from the terms."""
+    tokens = _tokenize(text, line)
+    exterior = algebra == "exterior"
+    letter = "x" if exterior else "X"
+    terms = []
+    i = 0
+    tag, value, col = tokens[0]
+    while True:
+        # (tag, value, col) is tokens[i], the line's first token or the one after a term
+        num, den, word = 1, 1, []
+        if tag == "+" or tag == "-":
+            num = -1 if tag == "-" else 1
+            i += 1
+        elif terms:
+            if tag != "$":
+                raise ParseError("trailing input after expression", line, col)
+            break
         while True:
-            tok = self.peek()
-            sign = 1
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                sign = -1 if tok[1] == "-" else 1
-                self.i += 1
-            elif terms:
-                return terms
-            c, word = self.parse_term()
-            terms.append((word, sign * c))
-
-    def parse_term(self):
-        coef, word = 1, []
-        while True:
-            c, letters = self.parse_factor()
-            coef *= c
-            word += letters
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                self.i += 1
-            elif tok is None or tok[0] != "var":
-                # adjacent variables multiply implicitly: x1x3 == x1*x3
-                return coef, tuple(word)
-
-    def parse_factor(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a coefficient or a variable")
-        kind, value, col = tok
-        if kind == "int":
-            self.i += 1
-            num = value
-            den = 1
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.i += 1
-                dtok = self.peek()
-                if dtok is None or dtok[0] != "int":
-                    self.error("malformed rational: expected a denominator")
-                den = dtok[1]
-                if den == 0:
-                    raise ParseError("malformed rational: zero denominator", self.line, dtok[2])
-                self.i += 1
-            return Fraction(num, den), []
-        if kind == "var":
-            letter, index = value
-            if letter != self.var_letter:
+            tag, value, col = tokens[i]
+            i += 1
+            if tag == "n":
+                num *= value
+                if tokens[i][0] == "/":
+                    tag, value, col = tokens[i + 1]
+                    if tag != "n":
+                        raise ParseError("malformed rational: expected a denominator", line, col)
+                    if value == 0:
+                        raise ParseError("malformed rational: zero denominator", line, col)
+                    den *= value
+                    i += 2
+            elif tag == letter:
+                try:
+                    ctx.check_index(value)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line, col) from None
+                power = 1
+                if tokens[i][0] == "^":
+                    tag, power, col = tokens[i + 1]
+                    if tag != "n":
+                        raise ParseError("expected an integer exponent", line, col)
+                    i += 2
+                # a repeated letter already makes an exterior term zero
+                word += [value] * (min(power, 2) if exterior else power)
+            elif tag == "x" or tag == "X":
                 raise ParseError(
-                    f"variable {letter}{index} does not belong to the "
-                    f"{self.algebra} algebra (use {self.var_letter}1..{self.var_letter}{self.ctx.n})",
-                    self.line,
+                    f"variable {tag}{value} does not belong to the "
+                    f"{algebra} algebra (use {letter}1..{letter}{ctx.n})",
+                    line,
                     col,
                 )
-            try:
-                self.ctx.check_index(index)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.line, col) from None
-            self.i += 1
-            power = 1
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.i += 1
-                ptok = self.peek()
-                if ptok is None or ptok[0] != "int":
-                    self.error("expected an integer exponent")
-                power = ptok[1]
-                self.i += 1
-            # a repeated letter already makes an exterior term zero
-            return 1, [index] * (min(power, 2) if self.algebra == "exterior" else power)
-        self.error(f"unexpected token {value!r}")
+            elif tag == "$":
+                raise ParseError("expected a coefficient or a variable", line)
+            else:
+                raise ParseError(f"unexpected token {tag!r}", line, col)
+            # "*" joins two factors, and may be left out before a variable
+            tag, value, col = tokens[i]
+            if tag == "*":
+                i += 1
+            elif tag != "x" and tag != "X":
+                break
+        terms.append((tuple(word), Fraction(num, den)))
+    F = FreePolynomial(terms)
+    return pi(F) if exterior else F
 
 
 def parse_ranking(text: str, n: int) -> tuple[int, ...]:
@@ -202,6 +175,8 @@ def parse_ideal(text: str) -> IdealFile:
                 raise ParseError("expected 'key: value' header or 'generators:'", lineno)
             key = m.group(1).lower()
             if key == "generators":
+                if m.group(2):
+                    raise ParseError("text after 'generators:' (each generator goes on its own line)", lineno)
                 in_generators = True
                 continue
             if key in header:
@@ -211,6 +186,8 @@ def parse_ideal(text: str) -> IdealFile:
             gen_lines.append((lineno, stripped))
     if "vars" not in header:
         raise ParseError("missing 'vars:' header", 1)
+    if not in_generators:
+        raise ParseError("missing 'generators:' line", len(lines))
     vars_text, vars_line = header["vars"]
     try:
         n = int(vars_text)
@@ -240,7 +217,7 @@ def parse_ideal(text: str) -> IdealFile:
 
     generators = []
     for lineno, expr in gen_lines:
-        poly = _ExprParser(_tokenize(expr, lineno), lineno, ctx, algebra).parse()
+        poly = _parse_generator(expr, lineno, ctx, algebra)
         if not poly:
             raise ParseError("generator is zero", lineno)
         if not poly.is_homogeneous():

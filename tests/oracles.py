@@ -4,6 +4,7 @@ fast paths in ``extlift``.  Nothing in the library imports this module."""
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
@@ -514,10 +515,37 @@ def charpoly_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int
     return [int(c) for c in num], [int(c) for c in den]
 
 
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xX])(\d+)|([-+*/^()])|(\S))")
+
+
+def _tokenize(text: str, line: int):
+    pos, out = 0, []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            break
+        if m.group(5):
+            raise ParseError(f"unexpected character {m.group(5)!r}", line, m.start(5) + 1)
+        if m.group(1):
+            out.append(("int", int(m.group(1)), m.start(1) + 1))
+        elif m.group(2):
+            out.append(("var", (m.group(2), int(m.group(3))), m.start(2) + 1))
+        else:
+            out.append(("op", m.group(4), m.start(4) + 1))
+        pos = m.end()
+    return out
+
+
+def arithmetic_parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
+    """Reference for ``parsing._parse_generator``, with the same interface:
+    the tokenizer it replaced, then ``ArithmeticExprParser``."""
+    return ArithmeticExprParser(_tokenize(text, line), line, ctx, algebra).parse()
+
+
 class ArithmeticExprParser:
     """The generator parser that builds each term by polynomial arithmetic:
-    one polynomial per factor, multiplied together, and the terms summed.
-    Reference for ``parsing._ExprParser``, which has the same interface."""
+    one polynomial per factor, multiplied together, and the terms summed,
+    over the tokens of ``_tokenize``."""
 
     def __init__(self, tokens, line: int, ctx: AlgebraContext, algebra: str):
         self.tokens = tokens

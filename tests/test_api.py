@@ -4,7 +4,8 @@
 command of ``cli.COMMANDS``), every field a class lists in ``__slots__``
 is read by it, every name a module imports is read by that module, and
 the package exports exactly the names the README's "Library usage"
-example imports."""
+example imports.  Every module also parses with the oldest grammar that
+``pyproject.toml``'s ``requires-python`` allows."""
 
 import ast
 import re
@@ -121,3 +122,11 @@ def test_exports_match_readme_library_usage():
     ]
     assert len(imported) == 8
     assert sorted(extlift.__all__) == sorted(imported)
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml: requires-python = ">=3.10"
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -24,7 +24,7 @@ from extlift.parsing import (
 )
 
 from helpers import random_ext_polynomial
-from oracles import ArithmeticExprParser
+from oracles import arithmetic_parse_generator
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +70,19 @@ EXIT_TWO_CASES = {
     "second-file": ("gb", "quadric_n3.ideal", ["other.ideal"]),
     "switch-with-value": ("gb", "quadric_n3.ideal", ["--json=1"]),
     "abbreviated-flag": ("verify", "anticomm_n2.ideal", ["--max", "3"]),
+}
+
+
+# Files whose "generators:" line is missing or carries text, with the
+# ParseError message each gets.
+GENERATORS_LINE_ERRORS = {
+    "text-after-generators": (
+        "vars: 2\ngenerators: x1*x2\n",
+        "line 2: text after 'generators:' (each generator goes on its own line)",
+    ),
+    "no-generators-line": ("vars: 2\nalgebra: exterior\n", "line 2: missing 'generators:' line"),
+    "truncated-after-headers": ("vars: 2\n# x1*x2\n", "line 2: missing 'generators:' line"),
+    "no-vars-and-no-generators": ("algebra: free\n", "line 1: missing 'vars:' header"),
 }
 
 
@@ -192,6 +205,46 @@ class TestParsing:
         F = parse_one("X1^40000", header="vars: 1\nalgebra: free\n")
         assert F == FreePolynomial.monomial((1,) * 40000)
 
+    @pytest.mark.parametrize(
+        "algebra,body,message",
+        [
+            ("exterior", "x1 @ x2", "line 4, column 4: unexpected character '@'"),
+            # the tokenizer reads the whole line before the grammar does
+            ("exterior", "x1 +* x2 @", "line 4, column 10: unexpected character '@'"),
+            ("exterior", "x1*x2 +", "line 4: expected a coefficient or a variable"),
+            ("exterior", "3/x1*x2", "line 4, column 3: malformed rational: expected a denominator"),
+            ("exterior", "x1*x2*3/", "line 4: malformed rational: expected a denominator"),
+            ("exterior", "1/0*x1*x2", "line 4, column 3: malformed rational: zero denominator"),
+            ("exterior", "x1^x2", "line 4, column 4: expected an integer exponent"),
+            ("exterior", "x1^", "line 4: expected an integer exponent"),
+            ("exterior", "(x1*x2)", "line 4, column 1: unexpected token '('"),
+            ("exterior", "x1 ++ x2", "line 4, column 5: unexpected token '+'"),
+            ("exterior", "x1*x2 3", "line 4, column 7: trailing input after expression"),
+            ("exterior", "x1*x2)", "line 4, column 6: trailing input after expression"),
+            (
+                "exterior",
+                "X1*x2",
+                "line 4, column 1: variable X1 does not belong to the exterior algebra (use x1..x3)",
+            ),
+            ("free", "X1*x2", "line 4, column 4: variable x2 does not belong to the free algebra (use X1..X3)"),
+            ("exterior", "x1*x5", "line 4, column 4: variable index 5 out of range 1..3"),
+        ],
+    )
+    def test_generator_error_messages(self, algebra, body, message):
+        with pytest.raises(ParseError) as info:
+            parse_ideal(f"vars: 3\nalgebra: {algebra}\ngenerators:\n{body}\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", GENERATORS_LINE_ERRORS.values(), ids=list(GENERATORS_LINE_ERRORS))
+    def test_generators_line_refusals(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["vars: 2\ngenerators:\n", "vars: 2\ngenerators:  # none yet\n\n"])
+    def test_bare_generators_line_is_the_zero_ideal(self, text):
+        assert parse_ideal(text).generators == ()
+
 
 class TestSerialization:
     def test_ext_examples(self):
@@ -293,6 +346,33 @@ class TestCLI:
         bad.write_text("vars: 2\ngenerators:\nx1 + x1*x2\n")
         code, _ = run_cli(capsys, "gb", str(bad))
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("text,message", GENERATORS_LINE_ERRORS.values(), ids=list(GENERATORS_LINE_ERRORS))
+    def test_generators_line_refusals_exit_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "case.ideal"
+        path.write_text(text)
+        code = main(["gb", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lift", "quadric_n3.ideal"], ["verify", "commutator_n2.ideal"]],
+        ids=["lift", "verify-free-slices"],
+    )
+    def test_one_free_order_per_command(self, capsys, monkeypatch, argv):
+        built = []
+        init = FreeOrderSpec.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FreeOrderSpec, "__init__", counting_init)
+        command, name = argv
+        main([command, str(DATA / name), "--json"])
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_duplicate_header_exit_code(self, capsys, tmp_path):
         path = tmp_path / "twice.ideal"
@@ -844,7 +924,7 @@ def refuse_polynomial_arithmetic(mp: pytest.MonkeyPatch) -> None:
 
 class TestAgainstArithmeticParser:
     """parse_ideal against the same function with the generator parser
-    swapped for ``oracles.ArithmeticExprParser``: equal generators, or the
+    swapped for ``oracles.arithmetic_parse_generator``: equal generators, or the
     same error type and message.  The parser runs with polynomial
     arithmetic refused."""
 
@@ -853,7 +933,7 @@ class TestAgainstArithmeticParser:
         outcomes = []
         for text in corpus_files(seed, 1000):
             with monkeypatch.context() as m:
-                m.setattr(parsing, "_ExprParser", ArithmeticExprParser)
+                m.setattr(parsing, "_parse_generator", arithmetic_parse_generator)
                 expected = parse_outcome(text)
             with monkeypatch.context() as m:
                 refuse_polynomial_arithmetic(m)
