@@ -10,8 +10,8 @@ started without one.
 
 from __future__ import annotations
 
-import json
 import os
+import re
 import sys
 from math import comb
 from types import SimpleNamespace
@@ -40,12 +40,18 @@ class InputError(ValueError):
 
 
 def _load(args) -> IdealFile:
+    # bytes decoded here, not through the utf-8-sig codec, which a text-mode
+    # open would import; parse_ideal's splitlines reads CRLF and CR alike
     try:
-        with open(args.file, encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(str(exc)) from None
-    ideal = parse_ideal(text)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.file}: not UTF-8 text ({exc.reason} at byte offset {exc.start})") from None
+    ideal = parse_ideal(text.removeprefix("\ufeff"))
     if args.order or args.varorder:
         ranking = ideal.order.ranking
         if args.varorder:
@@ -426,7 +432,62 @@ def cmd_predicates(args) -> int:
 
 
 def _emit_json(result: dict) -> None:
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json(result, "\n"))
+
+
+# What json.dumps(value, indent=2, sort_keys=True) writes, for the values
+# the commands emit: dicts with str keys, lists, tuples, str, int, bool and
+# None.  Written here so that no command imports the json package.
+_JSON_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+_JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_escape(m) -> str:
+    c = m.group()
+    escape = _JSON_ESCAPES.get(c)
+    if escape is not None:
+        return escape
+    code = ord(c)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a surrogate pair, as ensure_ascii writes it
+    return f"\\u{0xD800 | (code >> 10):04x}\\u{0xDC00 | (code & 0x3FF):04x}"
+
+
+def _json_str(s: str) -> str:
+    # printable ASCII with no '"' and no '\\' is written as is
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + _JSON_ESCAPE.sub(_json_escape, s) + '"'
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as JSON, its nested lines starting with ``newline`` (a line
+    break and the indent of ``value``'s own line)."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + sep.join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{_json_str(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + sep.join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _order(text: str) -> str:
@@ -436,15 +497,16 @@ def _order(text: str) -> str:
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+    if text.isascii():  # int() would also read non-ASCII digits such as '٣'
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {text!r}")
 
 
 def _nonnegative(text: str) -> int:
-    # isdecimal, not isdigit: int() refuses digits such as '²'
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 

@@ -52,7 +52,8 @@ class IdealFile:
         return FreeOrderSpec(self.order)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xX])(\d+)|([-+*/^()])|(\S))")
+# [0-9], not \d, which also matches non-ASCII digits such as '٣'
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([xX])([0-9]+)|([-+*/^()])|(\S))")
 _END = ("$", None, None)  # the end of the line: a tag no token has, and no column
 
 
@@ -148,6 +149,8 @@ def parse_ranking(text: str, n: int) -> tuple[int, ...]:
     """Ranking of a varorder, a permutation listing the variables smallest
     first; a ValueError's message follows the word "varorder"."""
     try:
+        if not text.isascii():
+            raise ValueError
         perm = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError("must be a comma-separated permutation") from None
@@ -190,6 +193,8 @@ def parse_ideal(text: str) -> IdealFile:
         raise ParseError("missing 'generators:' line", len(lines))
     vars_text, vars_line = header["vars"]
     try:
+        if not vars_text.isascii():
+            raise ValueError(f"expected ASCII digits, got {vars_text!r}")
         n = int(vars_text)
         ctx = AlgebraContext(n)
     except ValueError as exc:

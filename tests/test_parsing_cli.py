@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extlift import algebra, cli, parsing
 from extlift.algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial
@@ -36,9 +38,17 @@ G4 = "vars: 4\n{header}generators:\nx1*x4\nx2*x3\n"
 
 
 # The README's exit-code-2 cases as (command, source, flags); the source is
-# a file under tests/data, the text of a file, or None for a missing file.
+# a file under tests/data, the text or the bytes of a file, or None for a
+# missing file.
 EXIT_TWO_CASES = {
     "unreadable-file": ("gb", None, []),
+    "non-utf8-file": ("gb", b"vars: 2\ngenerators:\nx1*x2\xff\n", []),
+    "non-ascii-vars": ("gb", "vars: \u0663\ngenerators:\nx1*x2\n", []),
+    "non-ascii-generator-digits": ("gb", "vars: 3\ngenerators:\nx\u0661*x\u0662\n", []),
+    "non-ascii-varorder-header": ("gb", "vars: 3\nvarorder: \u0663,\u0662,\u0661\ngenerators:\nx1*x2\n", []),
+    "non-ascii-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "\u0663,\u0662,\u0661"]),
+    "non-ascii-maxdeg": ("verify", "anticomm_n2.ideal", ["--maxdeg", "\u0662"]),
+    "non-ascii-seed": ("gin", "quadric_n3.ideal", ["--seed", "\u0663"]),
     "unparsable-file": ("gb", "vars: 2\ngenerators:\nx1 +* x2\n", []),
     "repeated-header-key": ("gb", "vars: 3\nvars: 4\ngenerators:\nx1*x2\n", []),
     "free-ideal-to-gb": ("gb", "commutator_n2.ideal", []),
@@ -235,6 +245,27 @@ class TestParsing:
             parse_ideal(f"vars: 3\nalgebra: {algebra}\ngenerators:\n{body}\n")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("vars: \u0663\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected ASCII digits, got '\u0663'"),
+            ("vars: 3\ngenerators:\nx\u0661*x\u0662\n", "line 3, column 1: unexpected character 'x'"),
+            ("vars: 3\ngenerators:\nx1*x2 + \u0663*x1*x3\n", "line 3, column 9: unexpected character '\u0663'"),
+            ("vars: 3\ngenerators:\n2/\u0663*x1*x2\n", "line 3, column 3: unexpected character '\u0663'"),
+            ("vars: 3\nalgebra: free\ngenerators:\nX1^\u0662\n", "line 4, column 4: unexpected character '\u0662'"),
+            (
+                "vars: 3\nvarorder: \u0663,\u0662,\u0661\ngenerators:\nx1*x2\n",
+                "line 2: varorder must be a comma-separated permutation",
+            ),
+        ],
+        ids=["vars", "variable-index", "coefficient", "denominator", "exponent", "varorder"],
+    )
+    def test_non_ascii_digits_refused(self, text, message):
+        # the grammar's int is ASCII digits; \d and int() also read '\u0663' as 3
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text,message", GENERATORS_LINE_ERRORS.values(), ids=list(GENERATORS_LINE_ERRORS))
     def test_generators_line_refusals(self, text, message):
         with pytest.raises(ParseError) as info:
@@ -277,6 +308,79 @@ class TestSerialization:
             + "\n"
         )
         assert parse_ideal(text).generators[0] == F
+
+
+# every command on every data file, plain and --json; on the n=5 file the
+# commands that take --maxdeg stop at degree 3, as the free gin at the
+# default n+1 is out of reach
+PARITY_RUNS = [
+    [command, str(path), *(["--maxdeg", "3"] if path.name == "anticomm_n5.ideal" and "--maxdeg" in own else [])]
+    for command, (_, own) in cli.COMMANDS.items()
+    for path in sorted(DATA.glob("*.ideal"))
+]
+
+
+# strings over all of Unicode (lone surrogates too), with printable ASCII
+# and the characters that JSON escapes drawn often
+JSON_ESCAPED = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\u2028\U0001f600'
+JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+        st.sampled_from(JSON_ESCAPED),
+        st.characters(exclude_categories=()),
+    )
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=-(10**40), max_value=10**40), JSON_TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """cli._json against json.dumps(value, indent=2, sort_keys=True), which
+    it replaces."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "",
+            "x1x2",
+            'a"b',
+            "c\\d/e",
+            "\x00\x1f\x7f\b\f\n\r\t",
+            "\u00e9\u2028\uffff",
+            "\U0001f600\U0010ffff",
+            "\ud800",
+            ["x1", "x2\n", 3],
+            ["x1", 1, None, True, False, [], {}, ()],
+            {"b": [["1", "x1x2"], ("-3/2", "x2x3")], "a": {"z": -(10**30), "": [0]}},
+        ],
+        ids=[
+            "empty", "plain", "quote", "backslash-slash", "controls-and-del", "non-ascii", "astral",
+            "lone-surrogate", "list-with-escape", "mixed-list", "nested",
+        ],
+    )
+    def test_examples(self, value):
+        assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, b"x1", {1: "x1"}, {None: 1}, ["x1", 0.5], {"a": {(1, 2): 3}}, {1, 2}],
+        ids=["float", "bytes", "int-key", "none-key", "float-in-list", "tuple-key", "set"],
+    )
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value, "\n")
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +494,75 @@ class TestCLI:
         code, expected = run_cli(capsys, command, str(original))
         assert code == EXIT_OK
         assert run_cli(capsys, command, str(bom)) == (EXIT_OK, expected)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"vars: 2\ngenerators:\nx1*x2\xff\n", "not UTF-8 text (invalid start byte at byte offset 25)"),
+            # the offset counts the byte-order mark's 3 bytes
+            (b"\xef\xbb\xbfvars: 2\ngenerators:\nx1*x2\xff\n", "not UTF-8 text (invalid start byte at byte offset 28)"),
+            (b"vars: 2\ngenerators:\nx1*x2 # \xc3", "not UTF-8 text (unexpected end of data at byte offset 28)"),
+            (b"\xfe\xffvars: 2\n", "not UTF-8 text (invalid start byte at byte offset 0)"),
+        ],
+        ids=["stray-byte", "after-bom", "truncated", "utf16-bom"],
+    )
+    def test_non_utf8_file_refused(self, capsys, tmp_path, data, message):
+        path = tmp_path / "latin.ideal"
+        path.write_bytes(data)
+        code = main(["gb", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_INPUT, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["verify", "anticomm_n2.ideal", "--maxdeg", "\u0662"],
+                "argument --maxdeg: expected a nonnegative integer, got '\u0662'",
+            ),
+            (
+                ["gb", "quadric_n3.ideal", "--varorder", "\u0663,\u0662,\u0661"],
+                "--varorder must be a comma-separated permutation",
+            ),
+            (
+                ["gb", "quadric_n3.ideal", "--varorder", "3,2,\u0661"],
+                "--varorder must be a comma-separated permutation",
+            ),
+            (["gin", "quadric_n3.ideal", "--seed", "\u0663"], "argument --seed: expected an integer, got '\u0663'"),
+            (["gin", "quadric_n3.ideal", "--trials", "\u0662"], "argument --trials: expected an integer, got '\u0662'"),
+            (["gin", "quadric_n3.ideal", "--height", "\uff19"], "argument --height: expected an integer, got '\uff19'"),
+        ],
+        ids=["maxdeg", "varorder", "varorder-one-digit", "seed", "trials", "height-fullwidth"],
+    )
+    def test_non_ascii_flag_digits_refused(self, capsys, argv, message):
+        code = main([argv[0], str(DATA / argv[1]), *argv[2:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", PARITY_RUNS, ids=[f"{a[0]}-{Path(a[1]).stem}" for a in PARITY_RUNS])
+    def test_line_endings_and_bom_print_the_same(self, capsys, tmp_path, argv):
+        # CRLF, CR and a leading byte-order mark change no line of the file
+        original = Path(argv[1]).read_bytes()
+        variants = {
+            "bom": b"\xef\xbb\xbf" + original,
+            "crlf": original.replace(b"\n", b"\r\n"),
+            "cr": original.replace(b"\n", b"\r"),
+            "bom-crlf": b"\xef\xbb\xbf" + original.replace(b"\n", b"\r\n"),
+        }
+        for flags in ([], ["--json"]):
+            expected = in_process(capsys, [*argv, *flags])
+            for name, data in variants.items():
+                path = tmp_path / f"{name}.ideal"
+                path.write_bytes(data)
+                assert in_process(capsys, [argv[0], str(path), *argv[2:], *flags]) == expected, name
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_parse_error_position_in_any_line_ending(self, capsys, tmp_path, newline):
+        text = newline.join(["# a comment", "vars: 3", "generators:", "x1*x2", "x1*x3 + x2 @ x3", ""])
+        path = tmp_path / "bad.ideal"
+        path.write_bytes(text.encode())
+        code = main(["gb", str(path)])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, "error: line 5, column 12: unexpected character '@'\n")
 
     def test_verify_failure_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "braid.ideal"
@@ -558,11 +731,11 @@ class TestCLI:
         # the README's exit-code-2 list, command-line refusals included
         if source is None:
             path = tmp_path / "missing.ideal"
-        elif source.endswith(".ideal"):
+        elif isinstance(source, str) and source.endswith(".ideal"):
             path = DATA / source
         else:
             path = tmp_path / "case.ideal"
-            path.write_text(source)
+            path.write_bytes(source if isinstance(source, bytes) else source.encode())
         code = main([command, str(path), "--json", *flags])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
@@ -621,20 +794,13 @@ def in_process(capsys, argv) -> tuple[bytes, str, int]:
     return captured.out.encode(), captured.err, code
 
 
-# every command on every data file, plain and --json; on the n=5 file the
-# commands that take --maxdeg stop at degree 3, as the free gin at the
-# default n+1 is out of reach
-PARITY_RUNS = [
-    [command, str(path), *(["--maxdeg", "3"] if path.name == "anticomm_n5.ideal" and "--maxdeg" in own else [])]
-    for command, (_, own) in cli.COMMANDS.items()
-    for path in sorted(DATA.glob("*.ideal"))
-]
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "encodings.utf_8_sig"}
 
 
 class TestProcess:
     def test_import_loads_no_code_generators_or_argparse(self):
         # -S keeps site .pth files from loading any of these before extlift does
-        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "argparse", "gettext"}
+        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "argparse", "gettext", "json"}
         code = (
             f"import sys; sys.path.insert(0, {str(SRC)!r}); import extlift.cli; "
             f"print(*sorted({banned!r} & set(sys.modules)))"
@@ -647,12 +813,16 @@ class TestProcess:
         [
             (["gb", "quadric_n3.ideal"], {"extlift.freealg", "extlift.lifting", "extlift.gin", "heapq"}),
             (["verify", "anticomm_n2.ideal"], {"extlift.lifting", "extlift.gin"}),
+            # --json is written, and the file decoded, without the json
+            # package or the utf-8-sig codec
+            (["gb", "quadric_n3.ideal", "--json"], {"extlift.freealg", "extlift.lifting", *JSON_MODULES}),
+            (["verify", "anticomm_n2.ideal", "--json"], {"extlift.lifting", "extlift.gin", *JSON_MODULES}),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, absent):
         code = (
             f"import sys; sys.path.insert(0, {str(SRC)!r}); from extlift.cli import main; "
-            f"code = main({[argv[0], str(DATA / argv[1])]!r}); "
+            f"code = main({[argv[0], str(DATA / argv[1]), *argv[2:]]!r}); "
             f"print(code, *sorted({absent!r} & set(sys.modules)), file=sys.stderr)"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
