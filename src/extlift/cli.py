@@ -25,6 +25,7 @@ from .parsing import (
     free_poly_pairs,
     free_poly_str,
     parse_ideal,
+    parse_int,
     parse_ranking,
     word_str,
 )
@@ -241,7 +242,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gin(args) -> int:
-    from .exterior import ExtIdeal
+    from .exterior import ExtIdeal, groebner_ext
+    from .freealg import free_initial_ideal
     from .gin import (
         GinRequest,
         _check_lifted_gin,
@@ -273,9 +275,11 @@ def cmd_gin(args) -> int:
             _check_lifted_gin(I)
         except ValueError as exc:
             raise InputError(str(exc)) from None
+        # dim (g.I)_d = dim I_d: the untransformed slices, once, before the trials
+        dims = dict(enumerate(groebner_ext(I).slice_dims))
         res = gin_ext(I, req)
         cone = gin_lifted(I, res.gin)
-        hilbert_ok = hilbert_compare_ext(I, res.gin)
+        hilbert_ok = hilbert_compare_ext(dims, ideal.ctx, res.gin)
         # the gin is stable in the exchange direction matching the term
         # order (x1 is smallest, so exchanges go toward larger indices)
         result.update(
@@ -287,16 +291,17 @@ def cmd_gin(args) -> int:
         )
     else:
         order = ideal.free_order
+        dims = free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
         res = gin_free(list(ideal.generators), ideal.ctx, req, order)
         cone = res.gin
-        hilbert_ok = hilbert_compare(list(ideal.generators), ideal.ctx, cone, maxdeg, order)
+        hilbert_ok = hilbert_compare(dims, ideal.ctx, cone, maxdeg)
         result["gin"] = [word_str(w) for w in cone]
     borel_ok, borel_witness = is_borel_fixed(cone, ideal.ctx)
     agreement = res.agreement
     result.update(
         trial_seeds=list(res.trial_seeds),
         agreement=agreement,
-        ideal_slice_dimensions={str(d): v for d, v in sorted(res.slice_dims.items())},
+        ideal_slice_dimensions={str(d): v for d, v in sorted(dims.items())},
         borel_fixed=borel_ok,
         borel_witness=_borel_witness_json(borel_witness),
         hilbert_series_match=hilbert_ok,
@@ -496,21 +501,6 @@ def _order(text: str) -> str:
     return text
 
 
-def _integer(text: str) -> int:
-    if text.isascii():  # int() would also read non-ASCII digits such as '٣'
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise ValueError(f"expected an integer, got {text!r}")
-
-
-def _nonnegative(text: str) -> int:
-    if not (text.isascii() and text.isdecimal()):
-        raise ValueError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
-
-
 # The flags every command takes, then each command's help line and own
 # flags.  A flag maps to (converter, default, help); a converter of None
 # makes a switch, any other reads one value and raises ValueError on a bad one.
@@ -519,11 +509,11 @@ COMMON_FLAGS = {
     "--order": (_order, None, "override the base order: deglex or degrevlex"),
     "--varorder": (str, None, "override the variable ranking, e.g. 2,1,3"),
 }
-_MAXDEG = {"--maxdeg": (_nonnegative, None, "degree cap (default n+1)")}
+_MAXDEG = {"--maxdeg": (parse_int, None, "degree cap (default n+1)")}
 _GIN = {
-    "--seed": (_integer, 0, "master PRNG seed (default 0)"),
-    "--trials": (_integer, 2, "independent samples (default 2)"),
-    "--height": (_integer, 100, "entry bound for random matrices (default 100)"),
+    "--seed": (parse_int, 0, "master PRNG seed (default 0)"),
+    "--trials": (parse_int, 2, "independent samples (default 2)"),
+    "--height": (parse_int, 100, "entry bound for random matrices (default 100)"),
 }
 COMMANDS = {
     "gb": ("reduced minimal exterior Groebner basis and initial ideal", {}),

@@ -24,11 +24,13 @@ and ``verify``'s dimension check read leads and dimensions alone and
 never pay for the rows.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
-every generator is scaled once to its primitive integer multiple, a
-monomial's order key is computed once per bitmask and kept with the way
-back to the monomial (``linalg.Columns``), and the sign of x_u * x_m is
-one popcount of u against a mask fixed per term m (``algebra._odd_below``).
-Fractions appear only in the basis elements ``groebner_ext`` returns.
+every generator is scaled once to its primitive integer multiple, each
+column is keyed in the order's memo (``ExtOrderSpec.keys``, bitmask to
+key and back), and the sign of x_u * x_m is one popcount of u against a
+mask fixed per term m (``algebra._odd_below``).  The loop stays on
+bitmasks: its leads, the pivots one degree below and the minimal-lead
+test over set bits.  Monomials and Fractions appear only in the basis
+it returns.
 
 A generator that adds no pivot to the slice of its own degree, spanned by
 the generators kept below it, lies in their ideal: every reader drops it
@@ -49,7 +51,7 @@ from .algebra import (
     _odd_below,
     ext_monomials_of_degree,
 )
-from .linalg import Columns, back_substitute, echelon, full_rank, primitive
+from .linalg import back_substitute, echelon, full_rank, primitive
 from .orders import ExtOrderSpec
 
 
@@ -120,43 +122,50 @@ class ExtGroebnerBasis:
     full; the slices past the first full one are C(n, d) and not reduced.
 
     The elements are made the first time ``elements`` is read: until
-    then the basis keeps each new minimal lead with the echelon form of
-    its slice (None for a slice proved full), so a reader of ``initial``
-    or ``slice_dims`` alone never pays for the rows."""
+    then the basis keeps each new minimal lead (a bitmask) with the
+    echelon form of its slice (None for a slice proved full), so a reader
+    of ``initial`` or ``slice_dims`` alone never pays for the rows."""
 
     __slots__ = ("ctx", "order", "initial", "slice_dims", "_pending", "_elements")
 
-    def __init__(self, ctx, order: ExtOrderSpec, slice_dims: tuple, pending: list, columns: Columns):
+    def __init__(self, ctx, order: ExtOrderSpec, slice_dims: tuple, pending: list):
         self.ctx, self.order, self.slice_dims = ctx, order, slice_dims
-        self.initial = MonomialIdealExt([lead for lead, _ in pending], order)
-        self._pending, self._elements = (pending, columns), None
+        self.initial = MonomialIdealExt([ExtMonomial.from_bits(b) for b, _ in pending], order)
+        self._pending, self._elements = pending, None
 
     @property
     def elements(self) -> tuple[ExtPolynomial, ...]:
         if self._elements is None:
-            pending, columns = self._pending
+            keys, from_bits = self.order.keys, ExtMonomial.from_bits
             self._elements = tuple(
                 ExtPolynomial._raw(
-                    {lead: Fraction(1)} if rows is None else back_substitute(rows, columns[lead.bits], columns.column)
+                    {from_bits(b): Fraction(1)}
+                    if rows is None
+                    else {from_bits(keys.column[k]): c for k, c in back_substitute(rows, keys[b]).items()}
                 )
-                for lead, rows in pending
+                for b, rows in self._pending
             )
             self._pending = None
         return self._elements
 
 
-def _slice_rows(I: ExtIdeal, columns: Columns):
+def _bitmasks(n: int, d: int) -> list[int]:
+    """The bitmasks of the degree-d monomials, in index order."""
+    return [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d)]
+
+
+def _slice_rows(I: ExtIdeal):
     """The function (d, gens) -> rows spanning the degree-d slice of the
     ideal of the generators ``I.generators[i]``, i in gens: x_u * g for
     each such g and monomial x_u of degree d - deg g, in the order of
-    gens, as integer rows keyed by ``columns`` on bitmasks.  A generator
-    of degree d gives one row, itself.  Each generator is scaled once to
-    its primitive integer multiple, which spans the same slices.
+    gens, as integer rows keyed by the order's memo on bitmasks.  A
+    generator of degree d gives one row, itself.  Each generator is scaled
+    once to its primitive integer multiple, which spans the same slices.
 
     Left multiples of the generators suffice: homogeneous elements of E(V)
     commute up to sign, so left, right and two-sided ideals coincide.
     """
-    n = I.ctx.n
+    n, keys = I.ctx.n, I.order.keys
     gens = [
         (g.degree, [(b, _odd_below(b), c) for b, c in primitive({m.bits: c for m, c in g.terms.items()}).items()])
         for g in I.generators
@@ -169,15 +178,27 @@ def _slice_rows(I: ExtIdeal, columns: Columns):
             e, terms = gens[i]
             us = units.get(d - e)
             if us is None:
-                us = units[d - e] = [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d - e)]
+                us = units[d - e] = _bitmasks(n, d - e)
             for u in us:
                 # distinct m give distinct u|m
-                row = {columns[u | b]: -c if (u & odd).bit_count() & 1 else c for b, odd, c in terms if not u & b}
+                row = {keys[u | b]: -c if (u & odd).bit_count() & 1 else c for b, odd, c in terms if not u & b}
                 if row:
                     out.append(row)
         return out
 
     return rows
+
+
+def _minimal(b: int, below: set[int]) -> bool:
+    """Whether no monomial of ``below``, one degree lower, divides x_b:
+    none is x_b with one of its set bits cleared."""
+    rest = b
+    while rest:
+        low = rest & -rest
+        if b ^ low in below:
+            return False
+        rest ^= low
+    return True
 
 
 def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
@@ -188,17 +209,17 @@ def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
     either proved full modulo a prime or brought to echelon form once.  A
     pivot is a new minimal lead iff no pivot one degree below divides it;
     only its row is back-substituted, the first time ``elements`` is read.
+    Leads stay bitmasks; only the minimal ones become monomials.
 
     A generator of degree d enters the slice last, after the multiples of
     the generators kept below d.  One whose row adds no pivot lies in the
     ideal of those before it, so it is dropped for good and its multiples
     are never built: the slices stay the same."""
-    n, key = I.ctx.n, I.order.ext_key
+    n, keys = I.ctx.n, I.order.keys
     top = n if maxdeg is None else min(maxdeg, n)
-    columns = Columns(key, ExtMonomial.from_bits)
-    slice_rows = _slice_rows(I, columns)
+    slice_rows = _slice_rows(I)
     degrees = [g.degree for g in I.generators]
-    pending: list = []  # (new minimal lead, echelon form of its slice or None)
+    pending: list = []  # (bitmask of a new minimal lead, echelon form of its slice or None)
     dims: list[int] = []
     kept: list[int] = []  # the generators below d that are kept
     below: set[int] = set()  # bitmasks of the pivot monomials of slice d-1
@@ -212,26 +233,24 @@ def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
         rows = slice_rows(d, kept + new)
         if len(rows) >= full and full_rank(rows, full):
             # the reduced echelon form of a full slice is the identity
-            pivot_rows = None
-            leads = sorted(ext_monomials_of_degree(I.ctx, d), key=key, reverse=True)
+            pivot_rows, leads = None, _bitmasks(n, d)
         else:
             dependent: list[int] = []
             pivot_rows = echelon(rows, dependent)
-            leads = [columns.column[k] for k in sorted(pivot_rows, reverse=True)]
+            leads = [keys.column[k] for k in pivot_rows]
             # the rows of the new generators are the last len(new)
             zero = set(dependent)
             new = [i for r, i in enumerate(new, len(rows) - len(new)) if r not in zero]
         kept += new
-        pending += [
-            (lead, pivot_rows) for lead in leads if not any((lead.bits ^ 1 << i) in below for i in lead.support)
-        ]
-        below = {lead.bits for lead in leads}
+        found = sorted([b for b in leads if _minimal(b, below)], key=keys.__getitem__, reverse=True)
+        pending += [(b, pivot_rows) for b in found]
         dims.append(len(leads))
         if len(leads) == full:
             # E_1 * E_d = E_{d+1}: every later slice is full, with no new lead
             dims += [comb(n, e) for e in range(d + 1, top + 1)]
             break
-    return ExtGroebnerBasis(I.ctx, I.order, tuple(dims), pending, columns)
+        below = set(leads)
+    return ExtGroebnerBasis(I.ctx, I.order, tuple(dims), pending)
 
 
 def hilbert_ext(G: ExtGroebnerBasis) -> list[int]:

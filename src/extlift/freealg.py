@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
-from .linalg import Columns, Row, echelon, primitive
+from .linalg import Row, echelon, primitive
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
 
@@ -421,12 +421,12 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
 
 
 def ideal_slice_rows(
-    gens: list[tuple[int, list[tuple[Word, int]]]], ctx: AlgebraContext, d: int, columns: Columns
+    gens: list[tuple[int, list[tuple[Word, int]]]], ctx: AlgebraContext, d: int, keys: dict
 ) -> list[Row]:
     """Spanning rows of the degree-d slice of the two-sided ideal: all word
     multiples A g B with |A| + deg g + |B| = d, as integer rows keyed by
-    ``columns``.  Each generator comes as its degree and the terms of its
-    primitive integer multiple, which spans the same slices."""
+    ``keys``, the order's memo.  Each generator comes as its degree and the
+    terms of its primitive integer multiple, which spans the same slices."""
     rows = []
     for e, terms in gens:
         if e > d:
@@ -435,7 +435,7 @@ def ideal_slice_rows(
             rights = words_of_degree(ctx, d - e - la)
             for A in words_of_degree(ctx, la):
                 for B in rights:
-                    rows.append({columns[A + w + B]: c for w, c in terms})
+                    rows.append({keys[A + w + B]: c for w, c in terms})
     return rows
 
 
@@ -459,8 +459,8 @@ def free_initial_ideal(
     back-substitution.  The initial ideal is two-sided, so a pivot is a
     new minimal generator iff dropping its first or its last letter leaves
     no pivot of the slice below.  Each generator is scaled once to its
-    primitive integer multiple, and each word keyed once."""
-    columns = Columns(order.word_key)
+    primitive integer multiple, and each word keyed once, in ``keys``."""
+    keys = order.keys
     prims = [(g.degree, list(primitive(g.terms).items())) for g in gens if g]
     mingens: list[Word] = []
     dims: dict[int, int] = {}
@@ -468,7 +468,7 @@ def free_initial_ideal(
     dmin = min((e for e, _ in prims), default=max_degree + 1)
     for d in range(dmin, max_degree + 1):
         below = set(leads)
-        leads = [columns.column[k] for k in sorted(echelon(ideal_slice_rows(prims, ctx, d, columns)), reverse=True)]
+        leads = [keys.column[k] for k in echelon(ideal_slice_rows(prims, ctx, d, keys))]
         dims[d] = len(leads)
         mingens += [w for w in leads if w[1:] not in below and w[:-1] not in below]
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)

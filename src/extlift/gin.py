@@ -68,23 +68,21 @@ class GinRequest:
 
 
 class GinResult:
-    """The first trial's cone and slice dimensions, and whether every trial's cone equals it."""
+    """The first trial's cone, and whether every trial's cone equals it."""
 
-    __slots__ = ("gin", "slice_dims", "trial_seeds", "agreement")
+    __slots__ = ("gin", "trial_seeds", "agreement")
 
-    def __init__(self, gin, slice_dims: dict[int, int], trial_seeds: tuple[int, ...], agreement: bool):
-        self.gin, self.slice_dims, self.trial_seeds, self.agreement = gin, slice_dims, trial_seeds, agreement
+    def __init__(self, gin, trial_seeds: tuple[int, ...], agreement: bool):
+        self.gin, self.trial_seeds, self.agreement = gin, trial_seeds, agreement
 
 
 def _gin_trials(ctx: AlgebraContext, req: GinRequest, trial) -> GinResult:
     """The trial loop of both gins: ``trial`` maps a coordinate change to
-    (initial cone, slice dimensions) and runs once per trial seed.  Only
-    the cones are kept; the result is the first trial's, with whether
-    every cone equals it."""
+    its initial cone and runs once per trial seed.  The result is the
+    first trial's cone, with whether every cone equals it."""
     seeds = req.trial_seeds()
-    first, slice_dims = trial(random_gl(ctx, seeds[0], req.height))
-    cones = [trial(random_gl(ctx, s, req.height))[0] for s in seeds[1:]]
-    return GinResult(first, slice_dims, tuple(seeds), all(cone == first for cone in cones))
+    first, *cones = [trial(random_gl(ctx, s, req.height)) for s in seeds]
+    return GinResult(first, tuple(seeds), all(cone == first for cone in cones))
 
 
 def gin_free(
@@ -100,8 +98,7 @@ def gin_free(
             raise ValueError("generators must be homogeneous")
 
     def trial(g: GLMatrix):
-        data = free_initial_ideal([apply_gl(g, f) for f in gens], ctx, order, req.max_degree)
-        return data.initial, dict(data.slice_dims)
+        return free_initial_ideal([apply_gl(g, f) for f in gens], ctx, order, req.max_degree).initial
 
     return _gin_trials(ctx, req, trial)
 
@@ -110,13 +107,11 @@ def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
     """Generic initial ideal in E(V): transform the primitive integer
     multiple of each generator, which spans the same ideal, then read the
     initial ideal off ``groebner_ext``, whose elements are never read, so
-    no row is back-substituted; the per-degree dimensions are the first
-    trial's slice dimensions."""
+    no row is back-substituted."""
     gens = [ExtPolynomial._raw(primitive(f.terms)) for f in I.generators]
 
     def trial(g: GLMatrix):
-        G = groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order))
-        return G.initial, dict(enumerate(G.slice_dims))
+        return groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order)).initial
 
     return _gin_trials(I.ctx, req, trial)
 
@@ -160,27 +155,14 @@ def is_borel_fixed(
     return True, None
 
 
-def hilbert_compare(
-    gens: list[FreePolynomial],
-    ctx: AlgebraContext,
-    gin: MonomialIdealFree,
-    max_degree: int,
-    order: FreeOrderSpec = FreeOrderSpec(),
-) -> bool:
-    """dim of each original ideal slice vs the word count of the gin cone.
-
-    This re-derives the slice dimensions from the untransformed generators,
-    so it is an independent check of the Hilbert-series preservation."""
-    dims = free_initial_ideal(gens, ctx, order, max_degree).slice_dims
+def hilbert_compare(dims: dict[int, int], ctx: AlgebraContext, gin: MonomialIdealFree, max_degree: int) -> bool:
+    """``dims``, dim J_d (0 where absent) read off the slices of the
+    untransformed generators, vs the word counts of the gin cone up to
+    ``max_degree``: dim (g J)_d = dim J_d for g in GL, so they agree."""
     counts = normal_word_counts(gin.automaton(), max_degree)
     return all(dims.get(d, 0) == ctx.n**d - c for d, c in enumerate(counts))
 
 
-def hilbert_compare_ext(I: ExtIdeal, gin: MonomialIdealExt) -> bool:
-    """Exterior analogue: slice dimensions of I vs monomial counts of the
-    exterior gin cone, the former from the slices of the untransformed I
-    (``groebner_ext``, its elements never read)."""
-    return all(
-        dim == gin.degree_count(I.ctx, d)
-        for d, dim in enumerate(groebner_ext(I).slice_dims)
-    )
+def hilbert_compare_ext(dims: dict[int, int], ctx: AlgebraContext, gin: MonomialIdealExt) -> bool:
+    """Exterior analogue: ``dims``, dim I_d, vs the monomial counts of the exterior gin cone."""
+    return all(dim == gin.degree_count(ctx, d) for d, dim in dims.items())

@@ -3,8 +3,9 @@ extlift: one echelon loop and the back-substitution of chosen rows,
 beside a full-rank certificate.
 
 Rows are dicts key -> nonzero int, where a column's key is its order key
-(``Columns`` computes each once and maps it back): the largest key is
-the row's lead, so no key function runs during elimination.  The row
+(the order spec's memo, ``orders.KeyMemo``, computes each once and maps
+it back): the largest key is the row's lead, so no key function runs
+during elimination, and ``linalg`` never sees a column.  The row
 builders hand over each row as a primitive integer multiple of the row
 it stands for (``primitive``), which spans the same space.  ``echelon``
 brings the rows to an echelon form, keyed by pivot: with columns keyed
@@ -34,7 +35,7 @@ coefficient, and where it proves nothing the caller eliminates over Q.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -50,23 +51,6 @@ def primitive(terms: dict) -> Row:
     ints = {c: v.numerator * (den // v.denominator) for c, v in terms.items()}
     g = gcd(*ints.values())
     return {c: v // g for c, v in ints.items()} if g > 1 else ints
-
-
-class Columns(dict):
-    """Column -> order key, each computed once, on first lookup; ``column``
-    maps each key back to its column (``label`` of the lookup)."""
-
-    __slots__ = ("key", "label", "column")
-
-    def __init__(self, key: Callable[[Hashable], int], label: Callable[[Hashable], Hashable] = lambda c: c):
-        super().__init__()
-        self.key, self.label, self.column = key, label, {}
-
-    def __missing__(self, c):
-        col = self.label(c)
-        k = self[c] = self.key(col)
-        self.column[k] = col
-        return k
 
 
 def _eliminate(row: Row, k, pivot: Row) -> None:
@@ -120,18 +104,18 @@ def echelon(rows: Iterable[Row], dependent: list | None = None) -> dict:
     return pivots
 
 
-def back_substitute(pivots: dict, lead, column: dict) -> Row:
+def back_substitute(pivots: dict, lead) -> Row:
     """The row with pivot ``lead`` of the reduced row echelon form, read
     off the echelon form ``pivots`` (as ``echelon`` returns it): its pivot
     row cleared of every other pivot column, largest first, then made
-    monic, as a row of Fractions keyed by ``column[key]``."""
+    monic, as a row of Fractions on the same keys."""
     row = dict(pivots[lead])
     for k in sorted(pivots, reverse=True):
         # clearing k brings in only keys below k
         if k < lead and k in row:
             _eliminate(row, k, pivots[k])
     lc = row[lead]
-    return {column[k]: Fraction(v, lc) for k, v in row.items()}
+    return {k: Fraction(v, lc) for k, v in row.items()}
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:

@@ -9,6 +9,9 @@ delta.  Comparing commutative images (rather than only the square-free
 ones) is what makes the lifted relation transitive: comparing words with a
 repeated letter purely lexicographically admits cycles such as
 X2X3 < X1X4 < X2X2 < X2X3 under deglex with four variables.
+
+Each spec owns the one memo of its integer keys (``KeyMemo``), both ways:
+the slice loops index it, ``ext_key`` and ``word_key`` read it.
 """
 
 from __future__ import annotations
@@ -31,22 +34,41 @@ def _digits(ranks) -> int:
     return k
 
 
+class KeyMemo(dict):
+    """The one memo of a spec's order keys: column -> key, each key
+    computed once, by ``key``, on the column's first lookup, and
+    ``column``, the map back from each key to its column."""
+
+    __slots__ = ("key", "column")
+
+    def __init__(self, key):
+        super().__init__()
+        self.key, self.column = key, {}
+
+    def __missing__(self, c):
+        k = self[c] = self.key(c)
+        self.column[k] = c
+        return k
+
+
 class ExtOrderSpec:
     """Base order on monomials: kind plus an optional variable ranking.
 
     ``ranking`` permutes 1..n; ranking[i] is the rank of variable i+1, and
     variables of higher rank are larger.  Default is the natural ranking
-    x1 < x2 < ... < xn.  ``_keys`` memoises ``ext_key`` per instance.
+    x1 < x2 < ... < xn.  ``keys`` memoises each monomial's key per
+    instance, both ways, on its bitmask; the slice loops index it.
     """
 
-    __slots__ = ("kind", "ranking", "_keys")
+    __slots__ = ("kind", "ranking", "keys")
 
     def __init__(self, kind: str = "deglex", ranking: tuple[int, ...] | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown order kind {kind!r}; expected one of {KINDS}")
         if ranking is not None and sorted(ranking) != list(range(1, len(ranking) + 1)):
             raise ValueError("variable ranking must be a permutation of 1..n")
-        self.kind, self.ranking, self._keys = kind, ranking, {}
+        self.kind, self.ranking = kind, ranking
+        self.keys = KeyMemo(lambda bits: _digits(self.multiset_key(ExtMonomial.from_bits(bits).support)))
 
     def rank(self, i: int) -> int:
         if self.ranking is None:
@@ -67,25 +89,20 @@ class ExtOrderSpec:
         return tuple(ranks)
 
     def ext_key(self, m: ExtMonomial) -> int:
-        k = self._keys.get(m.bits)
-        if k is None:
-            k = self._keys[m.bits] = _digits(self.multiset_key(m.support))
-        return k
+        return self.keys[m.bits]
 
 
 class FreeOrderSpec:
-    """Degree-first lift of an exterior order to the free monoid; ``_keys`` memoises ``word_key``."""
+    """Degree-first lift of an exterior order to the free monoid; ``keys`` memoises each word's key both ways."""
 
-    __slots__ = ("base", "_keys")
+    __slots__ = ("base", "keys")
 
     def __init__(self, base: ExtOrderSpec = ExtOrderSpec()):
-        self.base, self._keys = base, {}
+        self.base = base
+        self.keys = KeyMemo(lambda w: _digits(self.base.multiset_key(w) + tuple(map(self.base.rank, w))))
 
     def word_key(self, w: Word) -> int:
-        k = self._keys.get(w)
-        if k is None:
-            k = self._keys[w] = _digits(self.base.multiset_key(w) + tuple(map(self.base.rank, w)))
-        return k
+        return self.keys[w]
 
 
 def leading_term_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> tuple[ExtMonomial, Fraction]:

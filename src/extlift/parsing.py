@@ -145,13 +145,20 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
     return pi(F) if exterior else F
 
 
+def parse_int(text: str) -> int:
+    """The grammar's ``int``, ASCII digits only, for the file and the
+    flags alike: int() would also read a sign, "_", surrounding spaces and
+    non-ASCII digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected a nonnegative integer, got {text!r}")
+
+
 def parse_ranking(text: str, n: int) -> tuple[int, ...]:
     """Ranking of a varorder, a permutation listing the variables smallest
     first; a ValueError's message follows the word "varorder"."""
     try:
-        if not text.isascii():
-            raise ValueError
-        perm = [int(v) for v in text.split(",")]
+        perm = [parse_int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError("must be a comma-separated permutation") from None
     if sorted(perm) != list(range(1, n + 1)):
@@ -193,9 +200,7 @@ def parse_ideal(text: str) -> IdealFile:
         raise ParseError("missing 'generators:' line", len(lines))
     vars_text, vars_line = header["vars"]
     try:
-        if not vars_text.isascii():
-            raise ValueError(f"expected ASCII digits, got {vars_text!r}")
-        n = int(vars_text)
+        n = parse_int(vars_text)
         ctx = AlgebraContext(n)
     except ValueError as exc:
         raise ParseError(f"invalid 'vars': {exc}", vars_line) from None

@@ -31,7 +31,7 @@ from extlift.lifting import (
     stable_witness,
     strongly_stable_witness,
 )
-from extlift.linalg import Columns, primitive
+from extlift.linalg import primitive
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_free
 
 
@@ -281,7 +281,7 @@ def exterior_corpus(n: int, kind: str):
 def slice_oracle_corpus(n: int, kind: str):
     """Every degree slice of the exterior corpus and, for n >= 4, of two
     seeded gap binomials before and after a height-100 coordinate change,
-    as (integer rows, map from key back to monomial, number of columns)."""
+    as (integer rows, map from key back to bitmask, number of columns)."""
     ideals = list(exterior_corpus(n, kind))
     if n >= 4:
         rng = random.Random(f"slice-oracle/{n}/{kind}")
@@ -290,15 +290,14 @@ def slice_oracle_corpus(n: int, kind: str):
         g = random_gl(ctx, rng.randrange(1000), 100)
         ideals += [ExtIdeal(ctx, gens, ExtOrderSpec(kind)), ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], ExtOrderSpec(kind))]
     for I in ideals:
-        columns = Columns(I.order.ext_key, ExtMonomial.from_bits)
-        rows = _slice_rows(I, columns)
+        rows = _slice_rows(I)
         for d in range(n + 1):
-            yield rows(d, [i for i, g in enumerate(I.generators) if g.degree <= d]), columns.column, comb(n, d)
+            yield rows(d, [i for i, g in enumerate(I.generators) if g.degree <= d]), I.order.keys.column, comb(n, d)
 
 
 def keyed_rows(rows, key):
     """Rows of rationals keyed by column, as ``linalg`` takes them: each
     scaled to its primitive integer multiple and keyed by ``key`` of its
     column; with the map from key back to column."""
-    columns = Columns(key)
-    return [{columns[c]: v for c, v in primitive(row).items()} for row in rows], columns.column
+    keyed = [{key(c): v for c, v in primitive(row).items()} for row in rows]
+    return keyed, {key(c): c for row in rows for c in row}

@@ -330,12 +330,14 @@ def test_criterion_08_gin_stable_and_lift_minimal(gin_survey):
 def test_criterion_09_hilbert_preserved(quadric_gin, commutator_gin, gin_survey):
     ctx_q, _, _, preimage_gens, req_q, res_q = quadric_gin
     ctx_c, comm, req_c, res_c = commutator_gin
-    ok_q = hilbert_compare(preimage_gens, ctx_q, res_q.gin, req_q.max_degree, ORDER)
-    ok_c = hilbert_compare([comm], ctx_c, res_c.gin, req_c.max_degree, ORDER)
+    dims_q = free_initial_ideal(preimage_gens, ctx_q, ORDER, req_q.max_degree).slice_dims
+    dims_c = free_initial_ideal([comm], ctx_c, ORDER, req_c.max_degree).slice_dims
+    ok_q = hilbert_compare(dims_q, ctx_q, res_q.gin, req_q.max_degree)
+    ok_c = hilbert_compare(dims_c, ctx_c, res_c.gin, req_c.max_degree)
     bad = sum(
         1
         for I, _, res in gin_survey
-        if res.agreement and not hilbert_compare_ext(I, res.gin)
+        if res.agreement and not hilbert_compare_ext(dict(enumerate(groebner_ext(I).slice_dims)), I.ctx, res.gin)
     )
     verdict(
         9,

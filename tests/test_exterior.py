@@ -245,9 +245,9 @@ def test_elements_are_made_once_on_first_read(monkeypatch):
     every element is a back-substituted row."""
     calls = []
 
-    def counted(pivots, lead, column, _fn=exterior.back_substitute):
+    def counted(pivots, lead, _fn=exterior.back_substitute):
         calls.append(lead)
-        return _fn(pivots, lead, column)
+        return _fn(pivots, lead)
 
     monkeypatch.setattr(exterior, "back_substitute", counted)
     monkeypatch.setattr(exterior, "full_rank", lambda rows, ncols: False)

@@ -28,7 +28,7 @@ from extlift.freealg import (
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from extlift.linalg import Columns, primitive
+from extlift.linalg import primitive
 from helpers import dense_rank, initial_ideal_free, keyed_rows, random_ext_ideal_gens, random_free_polynomial
 from oracles import (
     automaton_free_initial,
@@ -350,7 +350,7 @@ class TestSliceElimination:
         ctx = AlgebraContext(3)
         gens = anti_commutators(ctx) + [delta(mono(1, 2) + mono(2, 3).scale(Fraction(-4, 6)))]
         prims = [(g.degree, list(primitive(g.terms).items())) for g in gens]
-        keys = Columns(ORDER.word_key)
+        keys = ORDER.keys
         for d in range(2, 5):
             rows = ideal_slice_rows(prims, ctx, d, keys)
             slow = fraction_slice_rows(gens, ctx, d)

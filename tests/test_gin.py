@@ -12,7 +12,7 @@ from extlift.algebra import (
     delta,
 )
 from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext
-from extlift.freealg import MonomialIdealFree
+from extlift.freealg import MonomialIdealFree, free_initial_ideal
 from extlift.gin import (
     GinRequest,
     gin_ext,
@@ -119,7 +119,8 @@ class TestGinFree:
         res = gin_free(gens, ctx, req, ORDER)
         assert res.agreement
         # the transformed slice has the same dimensions as the original
-        assert hilbert_compare(gens, ctx, res.gin, max_degree=4, order=ORDER)
+        dims = free_initial_ideal(gens, ctx, ORDER, 4).slice_dims
+        assert hilbert_compare(dims, ctx, res.gin, max_degree=4)
 
     def test_rejects_nonhomogeneous(self):
         ctx = AlgebraContext(2)
@@ -140,7 +141,7 @@ class TestGinExt:
         # default direction
         assert is_strongly_stable(res.gin, toward_larger=True, n=3)
         assert not is_strongly_stable(res.gin)
-        assert hilbert_compare_ext(I, res.gin)
+        assert hilbert_compare_ext(dict(enumerate(groebner_ext(I).slice_dims)), ctx, res.gin)
 
     def test_gl_invariant_power_ideal(self):
         # the d-th power of the maximal ideal is GL-invariant: gin = in
@@ -162,7 +163,7 @@ class TestGinExt:
         res = gin_ext(I, GinRequest(max_degree=n, seed=seed))
         if res.agreement:
             assert is_strongly_stable(res.gin, toward_larger=True, n=n)
-            assert hilbert_compare_ext(I, res.gin)
+            assert hilbert_compare_ext(dict(enumerate(groebner_ext(I).slice_dims)), ctx, res.gin)
 
     def test_invariant_under_change_of_coordinates(self):
         # gin(g I) = gin(I) for any invertible g
@@ -261,6 +262,7 @@ class TestHilbertCompare:
         comm = word(1, 2) - word(2, 1)
         req = GinRequest(max_degree=3, seed=7)
         res = gin_free([comm], ctx, req, ORDER)
-        assert hilbert_compare([comm], ctx, res.gin, max_degree=3, order=ORDER)
+        dims = free_initial_ideal([comm], ctx, ORDER, 3).slice_dims
+        assert hilbert_compare(dims, ctx, res.gin, max_degree=3)
         wrong = MonomialIdealFree([(1, 1)], 2, ORDER)
-        assert not hilbert_compare([comm], ctx, wrong, max_degree=3, order=ORDER)
+        assert not hilbert_compare(dims, ctx, wrong, max_degree=3)

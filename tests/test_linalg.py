@@ -105,7 +105,7 @@ def back_substituted(rows: list, column: dict) -> list[dict]:
     """Every row of the reduced row echelon form, each back-substituted on
     its own from one echelon form, largest pivot first."""
     pivot_rows = echelon(rows)
-    return [back_substitute(pivot_rows, k, column) for k in sorted(pivot_rows, reverse=True)]
+    return [{column[c]: v for c, v in back_substitute(pivot_rows, k).items()} for k in sorted(pivot_rows, reverse=True)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -372,14 +372,14 @@ def test_elimination_leaves_its_input_rows_unchanged(n):
     the slice rows they are given, and the dicts holding them, are as they
     were.  Back-substituting every pivot row leaves the echelon form it
     reads as it was too, since later rows of the slice read it again."""
-    for rows, column, ncols in slice_oracle_corpus(n, "deglex"):
+    for rows, _, ncols in slice_oracle_corpus(n, "deglex"):
         given_rows = copy.deepcopy(rows)
         ids = [id(row) for row in rows]
         pivot_rows = echelon(rows)
         given_echelon = copy.deepcopy(pivot_rows)
         echelon_ids = {k: id(row) for k, row in pivot_rows.items()}
         for k in sorted(pivot_rows, reverse=True):
-            back_substitute(pivot_rows, k, column)
+            back_substitute(pivot_rows, k)
         assert pivot_rows == given_echelon
         assert {k: id(row) for k, row in pivot_rows.items()} == echelon_ids
         full_rank(rows, ncols)

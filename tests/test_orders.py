@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -12,8 +13,9 @@ from extlift.algebra import (
     FreePolynomial,
     ext_monomials_of_degree,
 )
-from extlift.exterior import ExtIdeal, groebner_ext
+from extlift.cli import EXIT_OK, main
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
+from extlift.parsing import ext_poly_str
 
 from helpers import cmp_ext, cmp_lex, cmp_t, random_ext_polynomial
 from oracles import tuple_ext_key, tuple_word_key
@@ -179,13 +181,41 @@ class TestIntegerKeys:
         monos = [ExtMonomial(rng.sample(range(1, n + 1), rng.randint(0, 5))) for _ in range(300)]
         assert_same_order(set(monos), spec.base.ext_key, lambda m: tuple_ext_key(spec.base, m))
 
-    def test_groebner_ext_computes_each_key_once(self, monkeypatch):
-        # rref, the leading terms and the minimal-generator test all look
-        # the key of a monomial up in the order's memo
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_ext_memo_maps_back_and_orders_like_tuple_key(self, kind):
+        # every bitmask of x1..x7: the memo's way back inverts it, and its
+        # keys order like the tuple key, under the natural ranking and 3 random ones
+        rng = random.Random(f"ext-memo/{kind}")
+        for n in range(1, 8):
+            for ranking in [None] + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]:
+                spec = ExtOrderSpec(kind, ranking)
+                bitmasks = range(0, 1 << n + 1, 2)  # bit 0 is no variable
+                assert all(spec.keys.column[spec.keys[b]] == b for b in bitmasks)
+                assert len(spec.keys.column) == len(spec.keys) == 1 << n
+                monos = {b: ExtMonomial.from_bits(b) for b in bitmasks}
+                assert_same_order(bitmasks, spec.keys.__getitem__, lambda b: tuple_ext_key(spec, monos[b]))
+                assert all(spec.ext_key(m) == spec.keys[b] for b, m in monos.items())
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_word_memo_maps_back_and_orders_like_tuple_key(self, kind):
+        # every word of length up to 4 in X1..X3, as above
+        rng = random.Random(f"word-memo/{kind}")
+        words = [w for d in range(5) for w in product(range(1, 4), repeat=d)]
+        for ranking in [None] + [tuple(rng.sample(range(1, 4), 3)) for _ in range(3)]:
+            spec = FreeOrderSpec(ExtOrderSpec(kind, ranking))
+            assert all(spec.keys.column[spec.keys[w]] == w for w in words)
+            assert len(spec.keys.column) == len(spec.keys) == len(words)
+            assert_same_order(words, spec.keys.__getitem__, lambda w: tuple_word_key(spec, w))
+            assert all(spec.word_key(w) == spec.keys[w] for w in words)
+
+    def test_groebner_ext_computes_each_key_once(self, monkeypatch, capsys, tmp_path):
+        # one gb at n=8: the slice loop, the minimal-lead test and the
+        # output sorting all look the key of a monomial up in the order's
+        # memo, which computes it at most once per distinct monomial
         rng = random.Random("key-memo")
-        ctx = AlgebraContext(8)
-        order = ExtOrderSpec("deglex")
-        I = ExtIdeal(ctx, [random_ext_polynomial(rng, ctx, 2) for _ in range(3)], order)
+        gens = [random_ext_polynomial(rng, AlgebraContext(8), 2) for _ in range(3)]
+        path = tmp_path / "q8.ideal"
+        path.write_text("vars: 8\ngenerators:\n" + "\n".join(ext_poly_str(f, DEGLEX) for f in gens) + "\n")
         computed: Counter = Counter()
         multiset_key = ExtOrderSpec.multiset_key
 
@@ -194,7 +224,8 @@ class TestIntegerKeys:
             return multiset_key(self, letters)
 
         monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted)
-        groebner_ext(I)
+        assert main(["gb", str(path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["groebner_basis"]
         assert computed and max(computed.values()) == 1
 
 
@@ -232,10 +263,10 @@ class TestSpecValidation:
     def test_key_memos_are_per_instance(self):
         # a spec memoises its keys; two specs, also two default ones, never share a memo
         a, b = ExtOrderSpec(), ExtOrderSpec()
-        assert a._keys is not b._keys
+        assert a.keys is not b.keys
         a.ext_key(ExtMonomial([1, 2]))
-        assert len(a._keys) == 1 and b._keys == {}
+        assert len(a.keys) == len(a.keys.column) == 1 and b.keys == b.keys.column == {}
         ta, tb = FreeOrderSpec(a), FreeOrderSpec(a)
-        assert ta._keys is not tb._keys
+        assert ta.keys is not tb.keys
         ta.word_key((2, 1))
-        assert len(ta._keys) == 1 and tb._keys == {}
+        assert len(ta.keys) == len(ta.keys.column) == 1 and tb.keys == tb.keys.column == {}

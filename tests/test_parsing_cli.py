@@ -49,6 +49,13 @@ EXIT_TWO_CASES = {
     "non-ascii-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "\u0663,\u0662,\u0661"]),
     "non-ascii-maxdeg": ("verify", "anticomm_n2.ideal", ["--maxdeg", "\u0662"]),
     "non-ascii-seed": ("gin", "quadric_n3.ideal", ["--seed", "\u0663"]),
+    # the grammar's int is ASCII digits: no "_", sign or space, which int() reads
+    "underscore-vars": ("gb", "vars: 1_0\ngenerators:\nx1*x2\n", []),
+    "signed-spaced-varorder-header": ("gb", "vars: 3\nvarorder: +1, 2,3\ngenerators:\nx1*x2\n", []),
+    "spaced-varorder": ("gb", "quadric_n3.ideal", ["--varorder", "1, 2,3"]),
+    "underscore-seed": ("gin", "quadric_n3.ideal", ["--seed", "1_0"]),
+    "negative-seed": ("gin", "quadric_n3.ideal", ["--seed", "-5"]),
+    "signed-trials": ("gin", "quadric_n3.ideal", ["--trials=+3"]),
     "unparsable-file": ("gb", "vars: 2\ngenerators:\nx1 +* x2\n", []),
     "repeated-header-key": ("gb", "vars: 3\nvars: 4\ngenerators:\nx1*x2\n", []),
     "free-ideal-to-gb": ("gb", "commutator_n2.ideal", []),
@@ -248,7 +255,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("vars: \u0663\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected ASCII digits, got '\u0663'"),
+            ("vars: \u0663\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected a nonnegative integer, got '\u0663'"),
             ("vars: 3\ngenerators:\nx\u0661*x\u0662\n", "line 3, column 1: unexpected character 'x'"),
             ("vars: 3\ngenerators:\nx1*x2 + \u0663*x1*x3\n", "line 3, column 9: unexpected character '\u0663'"),
             ("vars: 3\ngenerators:\n2/\u0663*x1*x2\n", "line 3, column 3: unexpected character '\u0663'"),
@@ -257,14 +264,25 @@ class TestParsing:
                 "vars: 3\nvarorder: \u0663,\u0662,\u0661\ngenerators:\nx1*x2\n",
                 "line 2: varorder must be a comma-separated permutation",
             ),
+            ("vars: 1_0\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected a nonnegative integer, got '1_0'"),
+            ("vars: +3\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected a nonnegative integer, got '+3'"),
+            ("vars: 1 0\ngenerators:\nx1*x2\n", "line 1: invalid 'vars': expected a nonnegative integer, got '1 0'"),
+            ("vars: 3\nvarorder: +1, 2,3\ngenerators:\nx1*x2\n", "line 2: varorder must be a comma-separated permutation"),
+            ("vars: 3\nvarorder: 1, 2, 3\ngenerators:\nx1*x2\n", "line 2: varorder must be a comma-separated permutation"),
+            ("vars: 3\nvarorder: 1,_2,3\ngenerators:\nx1*x2\n", "line 2: varorder must be a comma-separated permutation"),
         ],
-        ids=["vars", "variable-index", "coefficient", "denominator", "exponent", "varorder"],
+        ids=["vars", "variable-index", "coefficient", "denominator", "exponent", "varorder",
+             "vars-underscore", "vars-sign", "vars-space", "varorder-sign", "varorder-spaces", "varorder-underscore"],
     )
     def test_non_ascii_digits_refused(self, text, message):
-        # the grammar's int is ASCII digits; \d and int() also read '\u0663' as 3
+        # the grammar's int is ASCII digits; \d and int() also read '\u0663' as 3,
+        # and int() reads "_", a sign and surrounding spaces too
         with pytest.raises(ParseError) as info:
             parse_ideal(text)
         assert str(info.value) == message
+
+    def test_leading_zeros_are_digits(self):
+        assert parse_ideal("vars: 03\nvarorder: 2,01,3\ngenerators:\nx1*x2\n").order.ranking == (2, 1, 3)
 
     @pytest.mark.parametrize("text,message", GENERATORS_LINE_ERRORS.values(), ids=list(GENERATORS_LINE_ERRORS))
     def test_generators_line_refusals(self, text, message):
@@ -528,11 +546,23 @@ class TestCLI:
                 ["gb", "quadric_n3.ideal", "--varorder", "3,2,\u0661"],
                 "--varorder must be a comma-separated permutation",
             ),
-            (["gin", "quadric_n3.ideal", "--seed", "\u0663"], "argument --seed: expected an integer, got '\u0663'"),
-            (["gin", "quadric_n3.ideal", "--trials", "\u0662"], "argument --trials: expected an integer, got '\u0662'"),
-            (["gin", "quadric_n3.ideal", "--height", "\uff19"], "argument --height: expected an integer, got '\uff19'"),
+            (["gin", "quadric_n3.ideal", "--seed", "\u0663"], "argument --seed: expected a nonnegative integer, got '\u0663'"),
+            (["gin", "quadric_n3.ideal", "--trials", "\u0662"], "argument --trials: expected a nonnegative integer, got '\u0662'"),
+            (["gin", "quadric_n3.ideal", "--height", "\uff19"], "argument --height: expected a nonnegative integer, got '\uff19'"),
+            # int() would also read "_", a sign and surrounding spaces
+            (["gin", "quadric_n3.ideal", "--seed", "1_0"], "argument --seed: expected a nonnegative integer, got '1_0'"),
+            # random.Random seeds by absolute value, so -5 would replay --seed 5
+            (["gin", "quadric_n3.ideal", "--seed", "-5"], "argument --seed: expected a nonnegative integer, got '-5'"),
+            (["gin", "quadric_n3.ideal", "--seed=+5"], "argument --seed: expected a nonnegative integer, got '+5'"),
+            (["gin", "quadric_n3.ideal", "--trials", " 3"], "argument --trials: expected a nonnegative integer, got ' 3'"),
+            (["gin", "quadric_n3.ideal", "--height", "1_00"], "argument --height: expected a nonnegative integer, got '1_00'"),
+            (["verify", "anticomm_n2.ideal", "--maxdeg", "+2"], "argument --maxdeg: expected a nonnegative integer, got '+2'"),
+            (["gb", "quadric_n3.ideal", "--varorder", "+1,2,3"], "--varorder must be a comma-separated permutation"),
+            (["gb", "quadric_n3.ideal", "--varorder", "1, 2,3"], "--varorder must be a comma-separated permutation"),
         ],
-        ids=["maxdeg", "varorder", "varorder-one-digit", "seed", "trials", "height-fullwidth"],
+        ids=["maxdeg", "varorder", "varorder-one-digit", "seed", "trials", "height-fullwidth",
+             "seed-underscore", "seed-negative", "seed-sign", "trials-space", "height-underscore", "maxdeg-sign",
+             "varorder-sign", "varorder-space"],
     )
     def test_non_ascii_flag_digits_refused(self, capsys, argv, message):
         code = main([argv[0], str(DATA / argv[1]), *argv[2:]])
@@ -707,6 +737,25 @@ class TestCLI:
         first = run_cli(capsys, argv[0], path, "--json", *argv[2:])
         assert first == run_cli(capsys, argv[0], path, "--json", *same)
         assert first[0] == EXIT_OK
+
+    def test_digit_forms_print_what_they_printed(self, capsys, tmp_path):
+        # leading zeros are digits: --seed=007 is --seed 7, and vars: 03 is vars: 3
+        gin = ["gin", str(DATA / "quadric_n3.ideal"), "--json"]
+        for flags, seed, trial_seeds in [
+            (["--seed", "5"], 5, [2356064425258417221, 3306906422018949273]),
+            (["--seed=007"], 7, [8742514861359412280, 3641603982383516983]),
+        ]:
+            code, out = run_cli(capsys, *gin, *flags)
+            result = json.loads(out)
+            assert (code, result["seed"], result["trial_seeds"]) == (EXIT_OK, seed, trial_seeds)
+        assert run_cli(capsys, *gin, "--seed=007") == run_cli(capsys, *gin, "--seed", "7")
+        path = tmp_path / "v03.ideal"
+        path.write_text("vars: 03\ngenerators:\nx1*x2 + 2*x2*x3\n")
+        assert run_cli(capsys, "gb", str(path)) == (
+            EXIT_OK,
+            "reduced minimal Groebner basis (1 elements):\n  x2x3 + 1/2*x1x2\n"
+            "initial ideal minimal generators:\n  x2x3\nquotient dimensions by degree: [1, 3, 2, 0]\n",
+        )
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["extlift", "gb", str(DATA / "quadric_n3.ideal"), "--json"])

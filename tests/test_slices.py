@@ -146,16 +146,16 @@ def test_exterior_slices_certify_a_generator_divisible_by_the_prime(monkeypatch,
 
 
 def test_exterior_gin_two_trials(monkeypatch, capsys):
-    # two transformed ideals plus the untransformed one for the Hilbert
-    # check, each with slice 2 brought to echelon form and slice 3
-    # certified full, and no back-substitution; GLMatrix asks an echelon
-    # form once per drawn matrix
+    # the untransformed ideal for the reported dimensions and the Hilbert
+    # check, before the trials, then two transformed ideals, each with
+    # slice 2 brought to echelon form and slice 3 certified full, and no
+    # back-substitution; GLMatrix asks an echelon form once per drawn matrix
     calls = slice_calls(monkeypatch)
     rows = count_calls(monkeypatch, linalg.back_substitute)
     gin_ext_calls = count_calls(monkeypatch, gin.gin_ext)
     run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
     trial = [("echelon", 3), ("echelon", 1), ("full_rank", True)]
-    assert calls == trial * 2 + trial[1:]
+    assert calls == trial[1:] + trial * 2
     assert rows == []
     assert len(gin_ext_calls) == 1
 
