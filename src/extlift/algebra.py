@@ -8,13 +8,16 @@ Conventions:
   - an exterior monomial is a square-free product x_I, stored as the index
     set I (a bitmask); signs are never stored in monomials, they are folded
     into coefficients when multiplying or projecting.
+
+The GL(V) action on E(V) works on bitmasks: it splits each term into its
+lowest letter and a cofactor, and maps each distinct cofactor once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .linalg import echelon, primitive
 
@@ -139,7 +142,7 @@ def word_sort_sign(word: Word) -> tuple[int, Word]:
 
     Sign is 0 when a letter repeats (the square-free image vanishes), which
     is checked first.  Otherwise each letter counts the earlier letters
-    above it, as ``apply_gl_ext`` does.
+    above it.
     """
     if len(set(word)) < len(word):
         return 0, tuple(sorted(word))
@@ -231,7 +234,7 @@ class ExtPolynomial(_TermPolynomial):
     """Element of E(V): finite map ExtMonomial -> nonzero Fraction."""
 
     def degrees(self) -> set[int]:
-        return {m.degree for m in self.terms}
+        return {m.bits.bit_count() for m in self.terms}
 
     def __mul__(self, other: "ExtPolynomial") -> "ExtPolynomial":
         return ExtPolynomial._raw(_add_into({}, (
@@ -343,33 +346,53 @@ def apply_gl(g: GLMatrix, F: FreePolynomial) -> FreePolynomial:
     return FreePolynomial._raw(acc)
 
 
+def _image_ext(cols: list, terms: dict) -> dict:
+    """The image of sum c * x_b over ``terms`` (bitmask b -> c) under the
+    substitution with columns ``cols``, as bitmask -> coefficient.  Each
+    term splits into its lowest letter x_a and its cofactor, which has
+    only letters above a: sum_b c x_b = sum_a x_a f_a.  Each f_a is mapped
+    once, recursively, and wedged with g(x_a) = sum_l e x_l, where
+    x_l * x_P is 0 if l is in P, and otherwise x_{P+l} with the sign
+    (-1)^(letters of P below l)."""
+    cofactors: dict[int, dict] = {}
+    for b, c in terms.items():
+        low = b & -b
+        f = cofactors.get(low)
+        if f is None:
+            cofactors[low] = {b ^ low: c}
+        else:
+            f[b ^ low] = c
+    acc = cofactors.pop(0, {})  # the constant term maps to itself
+    for low, f in cofactors.items():
+        image = _image_ext(cols, f).items()
+        for bit, e in cols[low.bit_length() - 2]:
+            below = bit - 1
+            for pb, pc in image:
+                if pb & bit:
+                    continue
+                k = pb | bit
+                v = -e * pc if (pb & below).bit_count() & 1 else e * pc
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = v
+                else:
+                    s += v
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+    return acc
+
+
 def apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
     """Induced GL(V) action on E(V); equals pi(apply_gl(g, delta(f))).
 
-    Each monomial is expanded letter by letter on bitmasks, as apply_gl
-    expands a word: x_P * x_l is 0 if l is in P, and otherwise x_{P+l}
-    with the sign (-1)^(letters of P above l)."""
-    cols = _columns(g)
-    acc: dict[int, Fraction] = {}
-    for m, c in f.terms.items():
-        partial: dict[int, int | Fraction] = {0: 1}
-        for letter in m.support:
-            # with l outside pb, pb >> l holds exactly the letters above l
-            partial = _add_into({}, (
-                (pb | 1 << l, -pc * e if (pb >> l).bit_count() & 1 else pc * e)
-                for pb, pc in partial.items()
-                for l, e in cols[letter - 1]
-                if not pb >> l & 1
-            ))
-        _add_into(acc, ((pb, c * pc) for pb, pc in partial.items()))
-    return ExtPolynomial._raw({ExtMonomial.from_bits(b): v for b, v in acc.items()})
-
-
-def ext_monomials_of_degree(ctx: AlgebraContext, d: int) -> list[ExtMonomial]:
-    """All square-free monomials of degree d, in index order."""
-    if d < 0 or d > ctx.n:
-        return []
-    return [ExtMonomial(c) for c in combinations(range(1, ctx.n + 1), d)]
+    The terms are mapped on bitmasks, grouped by their lowest letter, so
+    that terms sharing their lowest letters share the images of those
+    letters' cofactors (``_image_ext``)."""
+    cols = [[(1 << l, e) for l, e in col] for col in _columns(g)]
+    image = _image_ext(cols, {m.bits: c for m, c in f.terms.items()})
+    return ExtPolynomial._raw({ExtMonomial.from_bits(b): v for b, v in image.items()})
 
 
 def words_of_degree(ctx: AlgebraContext, d: int) -> list[Word]:

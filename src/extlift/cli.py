@@ -275,9 +275,11 @@ def cmd_gin(args) -> int:
             _check_lifted_gin(I)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        # dim (g.I)_d = dim I_d: the untransformed slices, once, before the trials
-        dims = dict(enumerate(groebner_ext(I).slice_dims))
-        res = gin_ext(I, req)
+        # dim (g.I)_d = dim I_d: the untransformed slices, once, before the
+        # trials, which stop at those ranks
+        slice_dims = groebner_ext(I).slice_dims
+        dims = dict(enumerate(slice_dims))
+        res = gin_ext(I, req, slice_dims)
         cone = gin_lifted(I, res.gin)
         hilbert_ok = hilbert_compare_ext(dims, ideal.ctx, res.gin)
         # the gin is stable in the exchange direction matching the term

@@ -14,23 +14,28 @@ above d, and every later slice is filled with C(n, d) and not reduced.
 Nor is that full slice when its rank modulo a prime is C(n, d)
 (``linalg.full_rank``): then its rank over Q is too, and its reduced
 echelon form is the identity.  Every other slice is brought to echelon
-form once (``linalg.echelon``).  The initial ideal of the minimal
-elements' leads and the slice dimensions are read off there.  The basis
-keeps the echelon form of each slice with a new minimal lead and
-back-substitutes only the rows of those leads (``linalg.back_substitute``),
-the first time its elements are read: ``gb`` and ``lift`` read them,
-while the exterior ``hilbert``, the gin trials, the gin's Hilbert check
-and ``verify``'s dimension check read leads and dimensions alone and
-never pay for the rows.
+form once (``linalg.echelon``).  A gin trial knows every slice's rank in
+advance, as dim (g.I)_d = dim I_d, and passes it as its targets: a slice
+whose target is C(n, d) is full with no row built, and any other stops
+at its target number of pivots, with its later rows never built.  The
+initial ideal of the minimal elements' leads and the slice dimensions
+are read off there.  The basis keeps the echelon form of each slice with
+a new minimal lead and back-substitutes only the rows of those leads
+(``linalg.back_substitute``), the first time its elements are read:
+``gb`` and ``lift`` read them, while the exterior ``hilbert``, the gin
+trials, the gin's Hilbert check and ``verify``'s dimension check read
+leads and dimensions alone and never pay for the rows.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
 every generator is scaled once to its primitive integer multiple, each
 column is keyed in the order's memo (``ExtOrderSpec.keys``, bitmask to
-key and back), and the sign of x_u * x_m is one popcount of u against a
-mask fixed per term m (``algebra._odd_below``).  The loop stays on
-bitmasks: its leads, the pivots one degree below and the minimal-lead
-test over set bits.  Monomials and Fractions appear only in the basis
-it returns.
+key and back, each key made from the bitmask alone), and the sign of
+x_u * x_m is one popcount of u against a mask fixed per term m
+(``algebra._odd_below``).  The rows are drawn lazily, so a slice that
+stops early builds none past its stop.  The loop stays on bitmasks: the
+monomials of a degree, built from those one degree lower, its leads,
+the pivots one degree below and the minimal-lead test over set bits.
+Monomials and Fractions appear only in the basis it returns.
 
 A generator that adds no pivot to the slice of its own degree, spanned by
 the generators kept below it, lies in their ideal: every reader drops it
@@ -41,7 +46,6 @@ a lifted basis do, costs the slices of the few that generate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -49,7 +53,6 @@ from .algebra import (
     ExtMonomial,
     ExtPolynomial,
     _odd_below,
-    ext_monomials_of_degree,
 )
 from .linalg import back_substitute, echelon, full_rank, primitive
 from .orders import ExtOrderSpec
@@ -60,7 +63,7 @@ class ExtIdeal:
 
     __slots__ = ("ctx", "generators", "order")
 
-    def __init__(self, ctx, generators, order=ExtOrderSpec()):
+    def __init__(self, ctx, generators, order: ExtOrderSpec | None = None):
         gens = []
         for g in generators:
             if not g:
@@ -70,32 +73,40 @@ class ExtIdeal:
             if g.degree < 1:
                 raise ValueError("constant generators are not allowed")
             for m in g.terms:
-                for i in m.support:
-                    ctx.check_index(i)
+                if m.bits >> ctx.n + 1:  # a variable above x_n: name the first
+                    for i in m.support:
+                        ctx.check_index(i)
             gens.append(g)
-        self.ctx, self.generators, self.order = ctx, tuple(gens), order
+        self.ctx, self.generators = ctx, tuple(gens)
+        self.order = ExtOrderSpec() if order is None else order
 
 
 class MonomialIdealExt:
     """Square-free monomial ideal, stored as the antichain of its minimal
-    generators under divisibility (= support inclusion)."""
+    generators under divisibility (= support inclusion).  Divisibility is
+    tested on bitmasks: x_g divides x_b iff g & ~b == 0."""
 
-    __slots__ = ("gens",)
+    __slots__ = ("gens", "_bits")
 
-    def __init__(self, monomials, order: ExtOrderSpec = ExtOrderSpec()):
-        mins: list[ExtMonomial] = []
-        for m in sorted(set(monomials), key=lambda m: m.degree):
-            if not any(g.divides(m) for g in mins):
-                mins.append(m)
-        mins.sort(key=order.ext_key)
-        self.gens = tuple(mins)
+    def __init__(self, monomials, order: ExtOrderSpec | None = None):
+        mins: list[int] = []
+        for b in sorted({m.bits for m in monomials}, key=int.bit_count):
+            if not any(not g & ~b for g in mins):
+                mins.append(b)
+        mins.sort(key=(ExtOrderSpec() if order is None else order).keys.__getitem__)
+        self.gens = tuple(ExtMonomial.from_bits(b) for b in mins)
+        self._bits = tuple(mins)
 
     def member(self, m: ExtMonomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        b = m.bits
+        return any(not g & ~b for g in self._bits)
 
     def degree_count(self, ctx: AlgebraContext, d: int) -> int:
         """Number of degree-d square-free monomials in the ideal."""
-        return sum(1 for m in ext_monomials_of_degree(ctx, d) if self.member(m))
+        if d < 0:
+            return 0
+        gens = self._bits
+        return sum(1 for b in _Bitmasks(ctx.n)[d] if any(not g & ~b for g in gens))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialIdealExt) and set(self.gens) == set(other.gens)
@@ -149,42 +160,55 @@ class ExtGroebnerBasis:
         return self._elements
 
 
-def _bitmasks(n: int, d: int) -> list[int]:
-    """The bitmasks of the degree-d monomials, in index order."""
-    return [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d)]
+class _Bitmasks:
+    """The bitmasks of the monomials of each degree in x1..xn, in index
+    order.  Degree k is built on first use from degree k - 1, each mask
+    extended by each larger variable in turn, which keeps index order."""
+
+    __slots__ = ("n", "_by_degree")
+
+    def __init__(self, n: int):
+        self.n, self._by_degree = n, [[0]]
+
+    def __getitem__(self, d: int) -> list[int]:
+        by_degree, n = self._by_degree, self.n
+        while len(by_degree) <= d:
+            by_degree.append([m | 1 << i for m in by_degree[-1] for i in range(m.bit_length() or 1, n + 1)])
+        return by_degree[d]
 
 
-def _slice_rows(I: ExtIdeal):
-    """The function (d, gens) -> rows spanning the degree-d slice of the
-    ideal of the generators ``I.generators[i]``, i in gens: x_u * g for
-    each such g and monomial x_u of degree d - deg g, in the order of
-    gens, as integer rows keyed by the order's memo on bitmasks.  A
-    generator of degree d gives one row, itself.  Each generator is scaled
-    once to its primitive integer multiple, which spans the same slices.
+def _slice_rows(I: ExtIdeal, bitmasks: _Bitmasks):
+    """The function (d, gens, starts) -> a generator of the rows spanning
+    the degree-d slice of the ideal of the generators ``I.generators[i]``,
+    i in gens: x_u * g for each such g and monomial x_u of degree d - deg g
+    (from ``bitmasks``, in index order), in the order of gens, as integer
+    rows keyed by the order's memo on bitmasks.  A generator of degree d
+    gives one row, itself.  Each
+    generator is scaled once to its primitive integer multiple, which
+    spans the same slices.  A row is built only when it is drawn, and as
+    the rows of each generator start to be drawn, the index of its first
+    row is appended to ``starts``.
 
     Left multiples of the generators suffice: homogeneous elements of E(V)
     commute up to sign, so left, right and two-sided ideals coincide.
     """
-    n, keys = I.ctx.n, I.order.keys
+    keys = I.order.keys
     gens = [
         (g.degree, [(b, _odd_below(b), c) for b, c in primitive({m.bits: c for m, c in g.terms.items()}).items()])
         for g in I.generators
     ]
-    units: dict[int, list[int]] = {}  # the bitmasks of each degree
 
-    def rows(d: int, which: list[int]) -> list[dict]:
-        out = []
+    def rows(d: int, which: list[int], starts: list[int]):
+        r = 0
         for i in which:
+            starts.append(r)
             e, terms = gens[i]
-            us = units.get(d - e)
-            if us is None:
-                us = units[d - e] = _bitmasks(n, d - e)
-            for u in us:
+            for u in bitmasks[d - e]:
                 # distinct m give distinct u|m
                 row = {keys[u | b]: -c if (u & odd).bit_count() & 1 else c for b, odd, c in terms if not u & b}
                 if row:
-                    out.append(row)
-        return out
+                    yield row
+                    r += 1
 
     return rows
 
@@ -201,7 +225,7 @@ def _minimal(b: int, below: set[int]) -> bool:
     return True
 
 
-def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
+def groebner_ext(I: ExtIdeal, maxdeg: int | None = None, targets: tuple[int, ...] | None = None) -> ExtGroebnerBasis:
     """Reduced minimal Groebner basis of I, with its initial ideal and
     dim I_d for d = 0..min(maxdeg, n); with ``maxdeg``, only the part of
     each up to that degree.  Slices below the lowest generator degree are
@@ -214,10 +238,18 @@ def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
     A generator of degree d enters the slice last, after the multiples of
     the generators kept below d.  One whose row adds no pivot lies in the
     ideal of those before it, so it is dropped for good and its multiples
-    are never built: the slices stay the same."""
+    are never built: the slices stay the same.
+
+    ``targets``, when given, holds dim I_d for every d, known in advance
+    (a gin trial's ideal g.I has the slice dimensions of I).  A slice whose
+    target is C(n, d) is then full: no row of it is built.  Any other
+    slice stops its echelon form at the target number of pivots, which
+    span it, and its later rows are never built.  A slice that ends short
+    of its target raises RuntimeError: the targets were wrong."""
     n, keys = I.ctx.n, I.order.keys
     top = n if maxdeg is None else min(maxdeg, n)
-    slice_rows = _slice_rows(I)
+    bitmasks = _Bitmasks(n)
+    slice_rows = _slice_rows(I, bitmasks)
     degrees = [g.degree for g in I.generators]
     pending: list = []  # (bitmask of a new minimal lead, echelon form of its slice or None)
     dims: list[int] = []
@@ -229,18 +261,27 @@ def groebner_ext(I: ExtIdeal, maxdeg: int | None = None) -> ExtGroebnerBasis:
             dims.append(0)
             continue
         full = comb(n, d)
+        target = None if targets is None else targets[d]
         new = [i for i, e in enumerate(degrees) if e == d]
-        rows = slice_rows(d, kept + new)
-        if len(rows) >= full and full_rank(rows, full):
+        starts: list[int] = []
+        rows = slice_rows(d, kept + new, starts)
+        if target is None:
+            rows = list(rows)
+            proved_full = len(rows) >= full and full_rank(rows, full)
+        else:
+            proved_full = target == full
+        if proved_full:
             # the reduced echelon form of a full slice is the identity
-            pivot_rows, leads = None, _bitmasks(n, d)
+            pivot_rows, leads = None, bitmasks[d]
         else:
             dependent: list[int] = []
-            pivot_rows = echelon(rows, dependent)
+            pivot_rows = echelon(rows, dependent, target)
+            if target is not None and len(pivot_rows) < target:
+                raise RuntimeError(f"slice {d} has rank {len(pivot_rows)}, short of its target {target}")
             leads = [keys.column[k] for k in pivot_rows]
-            # the rows of the new generators are the last len(new)
+            # a new generator is kept iff its one row was drawn and added a pivot
             zero = set(dependent)
-            new = [i for r, i in enumerate(new, len(rows) - len(new)) if r not in zero]
+            new = [i for i, r in zip(new, starts[len(kept):]) if r not in zero]
         kept += new
         found = sorted([b for b in leads if _minimal(b, below)], key=keys.__getitem__, reverse=True)
         pending += [(b, pivot_rows) for b in found]

@@ -77,7 +77,7 @@ class MonomialIdealFree:
 
     __slots__ = ("gens", "n", "_auto")
 
-    def __init__(self, words, n: int, order: FreeOrderSpec = FreeOrderSpec()):
+    def __init__(self, words, n: int, order: FreeOrderSpec | None = None):
         # shortest first, a word is minimal iff none of its shorter
         # factors is a generator kept so far
         kept: set[Word] = set()
@@ -86,7 +86,7 @@ class MonomialIdealFree:
             if not any(w[i:i + k] in kept for k in lengths for i in range(len(w) - k + 1)):
                 kept.add(w)
                 lengths.add(len(w))
-        self.gens = tuple(sorted(kept, key=order.word_key))
+        self.gens = tuple(sorted(kept, key=(FreeOrderSpec() if order is None else order).word_key))
         self.n = n
         self._auto: PatternAutomaton | None = None
 
@@ -144,7 +144,9 @@ class FreeGroebnerCandidate:
 
     __slots__ = ("ctx", "elements", "order", "leading_words", "automaton", "leads", "tails", "_rules")
 
-    def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec = FreeOrderSpec()):
+    def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec | None = None):
+        if order is None:
+            order = FreeOrderSpec()
         normalized = []
         for F in elements:
             if not F:

@@ -6,10 +6,12 @@ Genericity is handled probabilistically: each trial draws a fresh random
 integer matrix from a seeded PRNG, and the trials must agree.  The seeds
 are recorded in the result so every run can be replayed.  Both gins share
 one trial loop; each supplies only its step, which applies the coordinate
-change (``apply_gl`` or ``apply_gl_ext``, a column-wise expansion with
-integer partial products) and computes the initial cone.  The lifted gin's
-refusals are cheap checks on the ideal, so the CLI runs them before the
-first trial.
+change (``apply_gl``, a column-wise expansion with integer partial
+products, or ``apply_gl_ext``, which maps terms that share their lowest
+letters once) and computes the initial cone.  An exterior trial is given
+the slice dimensions of the untransformed ideal, which every g.I shares,
+so its slices stop at those ranks.  The lifted gin's refusals are cheap
+checks on the ideal, so the CLI runs them before the first trial.
 """
 
 from __future__ import annotations
@@ -89,10 +91,12 @@ def gin_free(
     gens: list[FreePolynomial],
     ctx: AlgebraContext,
     req: GinRequest,
-    order: FreeOrderSpec = FreeOrderSpec(),
+    order: FreeOrderSpec | None = None,
 ) -> GinResult:
     """Generic initial ideal of the two-sided ideal on the given homogeneous
     generators, computed up to the degree cap."""
+    if order is None:
+        order = FreeOrderSpec()
     for g in gens:
         if g and not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
@@ -103,15 +107,16 @@ def gin_free(
     return _gin_trials(ctx, req, trial)
 
 
-def gin_ext(I: ExtIdeal, req: GinRequest) -> GinResult:
+def gin_ext(I: ExtIdeal, req: GinRequest, dims: tuple[int, ...]) -> GinResult:
     """Generic initial ideal in E(V): transform the primitive integer
     multiple of each generator, which spans the same ideal, then read the
     initial ideal off ``groebner_ext``, whose elements are never read, so
-    no row is back-substituted."""
+    no row is back-substituted.  ``dims`` holds dim I_d for d = 0..n, which
+    every g.I shares: each trial's slices stop at those ranks."""
     gens = [ExtPolynomial._raw(primitive(f.terms)) for f in I.generators]
 
     def trial(g: GLMatrix):
-        return groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order)).initial
+        return groebner_ext(ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in gens], I.order), targets=dims).initial
 
     return _gin_trials(I.ctx, req, trial)
 

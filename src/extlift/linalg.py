@@ -12,9 +12,10 @@ brings the rows to an echelon form, keyed by pivot: with columns keyed
 by a term order, the pivots of a degree slice of an ideal are exactly
 the initial-ideal slice, and their number is the rank.  On request it
 also names the rows that reduced to 0, each in the span of the rows
-before it.  ``back_substitute`` reads one row of the reduced row echelon
-form off an echelon form, so a caller that needs only some of those rows
-pays for only those.
+before it, and stops at a given number of pivots: a caller that knows
+the rank draws no row past the last pivot.  ``back_substitute`` reads
+one row of the reduced row echelon form off an echelon form, so a caller
+that needs only some of those rows pays for only those.
 
 Elimination is fraction-free, with content removal as in Bareiss's
 method.  A step cancels key c from a row, in place, by the
@@ -82,12 +83,14 @@ def _eliminate(row: Row, k, pivot: Row) -> None:
                 row[c] //= g
 
 
-def echelon(rows: Iterable[Row], dependent: list | None = None) -> dict:
+def echelon(rows: Iterable[Row], dependent: list | None = None, stop: int | None = None) -> dict:
     """The map pivot key -> integer pivot row of an echelon form of the
     integer rows: its keys are the pivots of their reduced echelon form,
     and their number is the rank.  When ``dependent`` is a list, the index
     of each row that lies in the span of the rows before it is appended
-    to it."""
+    to it.  With ``stop``, the loop ends once it holds that many pivots,
+    and no later row is drawn from ``rows``: given the rank of the rows,
+    every later row lies in the span of those pivots."""
     pivots: dict = {}
     for i, row in enumerate(rows):
         row = dict(row)
@@ -101,6 +104,9 @@ def echelon(rows: Iterable[Row], dependent: list | None = None) -> dict:
         else:
             if dependent is not None:
                 dependent.append(i)
+            continue
+        if len(pivots) == stop:
+            break
     return pivots
 
 
@@ -132,23 +138,29 @@ def full_rank(rows: list[Row], ncols: int) -> bool:
     row at the top slot, ``x += (PRIME - f) * pivot``, then adds under
     2^63 to each slot, and a row meets each pivot once, so a slot of
     64 + ncols.bit_length() + 1 bits never carries.  A slot is reduced
-    modulo ``PRIME`` only when read as the lead."""
+    modulo ``PRIME`` only when read as the lead, and then cleared by
+    xor-ing out its own bits.  The slots' shifts are computed once; no
+    mask is, since one per slot would take memory quadratic in ``ncols``."""
     # one slot per column reached, in the order the rows first reach them
-    slot = {c: i for i, c in enumerate(dict.fromkeys(c for row in rows for c in row))}
-    if len(slot) < ncols:
+    reached = dict.fromkeys(c for row in rows for c in row)
+    if len(reached) < ncols:
         return False
     w = 64 + ncols.bit_length() + 1
-    unit = sum(1 << w * t for t in range(len(slot)))
+    at = [w * t for t in range(len(reached))]  # the shift of each slot
+    shift = dict(zip(reached, at))
+    unit = ((1 << w * len(at)) - 1) // ((1 << w) - 1)  # a 1 in every slot
     lo, hi = unit * PRIME, unit * ((1 << w - 31) - 1)
     spare = len(rows) - ncols  # more zero rows than this leave the rank short
     pivot_rows = {}
     for row in rows:
         x = 0
         for c, v in row.items():
-            x |= (v % PRIME) << w * slot[c]
+            x |= (v % PRIME) << shift[c]
         while x:
             s = (x.bit_length() - 1) // w
-            f = (x >> w * s) % PRIME
+            a = at[s]
+            top = x >> a
+            f = top % PRIME
             if f:
                 prow = pivot_rows.get(s)
                 if prow is None:
@@ -161,7 +173,8 @@ def full_rank(rows: list[Row], ncols: int) -> bool:
                         return True
                     break
                 x += (PRIME - f) * prow
-            x &= (1 << w * s) - 1
+                top = x >> a
+            x ^= top << a  # clear the top slot
         else:  # the row reduced to 0
             spare -= 1
             if spare < 0:

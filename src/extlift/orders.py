@@ -11,7 +11,12 @@ repeated letter purely lexicographically admits cycles such as
 X2X3 < X1X4 < X2X2 < X2X3 under deglex with four variables.
 
 Each spec owns the one memo of its integer keys (``KeyMemo``), both ways:
-the slice loops index it, ``ext_key`` and ``word_key`` read it.
+the slice loops index it, ``ext_key`` and ``word_key`` read it.  An
+exterior key is made from the monomial's bitmask alone (``bits_key``):
+within a degree, deglex is the order of the rank-permuted bits, since the
+largest variable of the symmetric difference decides, and degrevlex is
+the order of their complemented bit reversal, since the smallest one
+decides and the monomial lacking it is larger.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ from .algebra import MAX_VARS, ExtMonomial, ExtPolynomial, FreePolynomial, Word
 
 KINDS = ("deglex", "degrevlex")
 
-# A key is an integer with one DIGIT_BITS-bit digit per rank.  Ranks lie in
-# 1..MAX_VARS, so no digit is 0 and a key with more digits is larger.
+# A word key is an integer with one DIGIT_BITS-bit digit per rank.  Ranks
+# lie in 1..MAX_VARS, so no digit is 0 and a key with more digits is larger.
 DIGIT_BITS = MAX_VARS.bit_length()
+# An exterior key is the degree above MONO_BITS bits that order the
+# monomials of that degree: bit r stands for rank r (deglex) or for rank
+# MAX_VARS - r (degrevlex), with r in 1..MAX_VARS.
+MONO_BITS = MAX_VARS + 1
 
 
 def _digits(ranks) -> int:
@@ -60,7 +69,7 @@ class ExtOrderSpec:
     instance, both ways, on its bitmask; the slice loops index it.
     """
 
-    __slots__ = ("kind", "ranking", "keys")
+    __slots__ = ("kind", "ranking", "keys", "_image", "_flip")
 
     def __init__(self, kind: str = "deglex", ranking: tuple[int, ...] | None = None):
         if kind not in KINDS:
@@ -68,7 +77,13 @@ class ExtOrderSpec:
         if ranking is not None and sorted(ranking) != list(range(1, len(ranking) + 1)):
             raise ValueError("variable ranking must be a permutation of 1..n")
         self.kind, self.ranking = kind, ranking
-        self.keys = KeyMemo(lambda bits: _digits(self.multiset_key(ExtMonomial.from_bits(bits).support)))
+        # each variable's bit -> its key bit; degrevlex reverses the ranks
+        # and complements the result
+        variables = range(1, MAX_VARS + 1 if ranking is None else len(ranking) + 1)
+        deglex = kind == "deglex"
+        self._image = {1 << i: 1 << (self.rank(i) if deglex else MAX_VARS - self.rank(i)) for i in variables}
+        self._flip = 0 if deglex else (1 << MAX_VARS) - 1
+        self.keys = KeyMemo(self.bits_key)
 
     def rank(self, i: int) -> int:
         if self.ranking is None:
@@ -88,6 +103,16 @@ class ExtOrderSpec:
         ranks.sort(reverse=self.kind == "deglex")
         return tuple(ranks)
 
+    def bits_key(self, bits: int) -> int:
+        """The key of the monomial with bitmask ``bits``: its degree, then
+        its variables' key bits, complemented under degrevlex."""
+        image, v, rest = self._image, 0, bits
+        while rest:
+            low = rest & -rest
+            v |= image[low]
+            rest ^= low
+        return bits.bit_count() << MONO_BITS | v ^ self._flip
+
     def ext_key(self, m: ExtMonomial) -> int:
         return self.keys[m.bits]
 
@@ -97,8 +122,8 @@ class FreeOrderSpec:
 
     __slots__ = ("base", "keys")
 
-    def __init__(self, base: ExtOrderSpec = ExtOrderSpec()):
-        self.base = base
+    def __init__(self, base: ExtOrderSpec | None = None):
+        self.base = ExtOrderSpec() if base is None else base
         self.keys = KeyMemo(lambda w: _digits(self.base.multiset_key(w) + tuple(map(self.base.rank, w))))
 
     def word_key(self, w: Word) -> int:

@@ -19,9 +19,8 @@ from extlift.algebra import (
     Word,
     apply_gl_ext,
     delta,
-    ext_monomials_of_degree,
 )
-from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt, _slice_rows
+from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt, _Bitmasks, _slice_rows
 from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, obstructions_resolve
 from extlift.gin import random_gl
 from extlift.lifting import (
@@ -33,6 +32,13 @@ from extlift.lifting import (
 )
 from extlift.linalg import primitive
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, monic_free
+
+
+def ext_monomials_of_degree(ctx: AlgebraContext, d: int) -> list[ExtMonomial]:
+    """All square-free monomials of degree d, in index order."""
+    if d < 0 or d > ctx.n:
+        return []
+    return [ExtMonomial(c) for c in combinations(range(1, ctx.n + 1), d)]
 
 
 def _cmp(a, b) -> int:
@@ -290,9 +296,9 @@ def slice_oracle_corpus(n: int, kind: str):
         g = random_gl(ctx, rng.randrange(1000), 100)
         ideals += [ExtIdeal(ctx, gens, ExtOrderSpec(kind)), ExtIdeal(ctx, [apply_gl_ext(g, f) for f in gens], ExtOrderSpec(kind))]
     for I in ideals:
-        rows = _slice_rows(I)
+        rows = _slice_rows(I, _Bitmasks(n))
         for d in range(n + 1):
-            yield rows(d, [i for i, g in enumerate(I.generators) if g.degree <= d]), I.order.keys.column, comb(n, d)
+            yield list(rows(d, [i for i, g in enumerate(I.generators) if g.degree <= d], [])), I.order.keys.column, comb(n, d)
 
 
 def keyed_rows(rows, key):

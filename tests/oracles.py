@@ -16,8 +16,8 @@ from extlift.algebra import (
     GLMatrix,
     Word,
     _add_into,
+    _columns,
     apply_gl,
-    ext_monomials_of_degree,
     pi,
     words_of_degree,
 )
@@ -32,10 +32,10 @@ from extlift.freealg import (
 )
 from extlift.lifting import compute_U
 from extlift.linalg import _eliminate
-from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, _digits, leading_term_ext
 from extlift.parsing import ParseError
 
-from helpers import elementary, keyed_rows
+from helpers import elementary, ext_monomials_of_degree, keyed_rows
 
 ONE_EXT = ExtMonomial()
 
@@ -163,6 +163,13 @@ def tuple_ext_key(spec: ExtOrderSpec, m: ExtMonomial) -> tuple:
     """The exterior order as a tuple key: degree, then the multiset key of
     the support."""
     return (m.degree, _multiset_key(spec, m.support))
+
+
+def digit_ext_key(spec: ExtOrderSpec, bits: int) -> int:
+    """``ExtOrderSpec.bits_key`` as it was before keys came from the
+    bitmask alone: the support of the monomial, its ranks sorted by the
+    multiset key, one ``orders.DIGIT_BITS``-bit digit per rank."""
+    return _digits(spec.multiset_key(ExtMonomial.from_bits(bits).support))
 
 
 def tuple_word_key(spec: FreeOrderSpec, w: Word) -> tuple:
@@ -735,6 +742,28 @@ def fraction_apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
     return acc
 
 
+def letterwise_apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
+    """``algebra.apply_gl_ext`` as it expanded each monomial letter by
+    letter on bitmasks, as ``apply_gl`` expands a word: x_P * x_l is 0 if
+    l is in P, and otherwise x_{P+l} with the sign (-1)^(letters of P
+    above l).  The partial products multiply matrix entries only, and each
+    term's coefficient is applied once per output monomial."""
+    cols = _columns(g)
+    acc: dict[int, Fraction] = {}
+    for m, c in f.terms.items():
+        partial: dict[int, int | Fraction] = {0: 1}
+        for letter in m.support:
+            # with l outside pb, pb >> l holds exactly the letters above l
+            partial = _add_into({}, (
+                (pb | 1 << l, -pc * e if (pb >> l).bit_count() & 1 else pc * e)
+                for pb, pc in partial.items()
+                for l, e in cols[letter - 1]
+                if not pb >> l & 1
+            ))
+        _add_into(acc, ((pb, c * pc) for pb, pc in partial.items()))
+    return ExtPolynomial._raw({ExtMonomial.from_bits(b): v for b, v in acc.items()})
+
+
 def pairwise_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
     """``enumerate_obstructions`` by testing every pair of leading words
     for every overlap and inclusion, then a stable sort by the ambiguity
@@ -752,3 +781,4 @@ def pairwise_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word
                         found.append((i, j, w1, (), (), w1[:p], w1[p + l2:]))
     found.sort(key=lambda t: G.order.word_key(t[2]))
     return found
+

@@ -137,7 +137,7 @@ def gin_survey():
         res = None
         for attempt in range(4):
             req = GinRequest(max_degree=n, seed=rng.getrandbits(63), height=100 * (attempt + 1))
-            res = gin_ext(I, req)
+            res = gin_ext(I, req, groebner_ext(I).slice_dims)
             if res.agreement:
                 break
         entries.append((I, req, res))

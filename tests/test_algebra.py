@@ -13,14 +13,23 @@ from extlift.algebra import (
     apply_gl,
     apply_gl_ext,
     delta,
-    ext_monomials_of_degree,
     pi,
     word_sort_sign,
 )
 from extlift.gin import random_gl
+from extlift.linalg import primitive
 
-from helpers import dense_rank, elementary, gl_product, mul_ext, random_ext_polynomial, random_free_polynomial, sign_by_sorting
-from oracles import fraction_apply_gl, fraction_apply_gl_ext
+from helpers import (
+    dense_rank,
+    elementary,
+    ext_monomials_of_degree,
+    gl_product,
+    mul_ext,
+    random_ext_polynomial,
+    random_free_polynomial,
+    sign_by_sorting,
+)
+from oracles import fraction_apply_gl, fraction_apply_gl_ext, letterwise_apply_gl_ext
 
 
 def mono(*idx):
@@ -223,6 +232,26 @@ class TestGLActionOracle:
             if degree <= n:
                 f = random_ext_polynomial(rng, ctx, degree).scale(c)
                 assert apply_gl_ext(g, f) == fraction_apply_gl_ext(g, f)
+
+    @pytest.mark.parametrize("kind", ["random_gl", "rational"])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_ext_matches_letterwise_expansion(self, seed, kind):
+        """The images by shared lowest letters against the letter-by-letter
+        expansion they replaced, in n = 1..8 and every degree from 0 to n:
+        dense and sparse, with Fraction and with integer coefficients (as
+        gin_ext maps them), and their non-homogeneous sum."""
+        rng = random.Random(f"letterwise/{seed}/{kind}")
+        n = 1 + seed % 8
+        ctx = AlgebraContext(n)
+        g = random_gl(ctx, rng.getrandbits(63), 100) if kind == "random_gl" else rational_gl(rng, n)
+        total = ExtPolynomial()
+        for degree in range(n + 1):
+            dense = random_ext_polynomial(rng, ctx, degree).scale(Fraction(rng.randint(1, 9), rng.randint(2, 9)))
+            sparse = ExtPolynomial(rng.sample(list(dense), rng.randint(1, len(dense))))
+            for f in (dense, sparse, ExtPolynomial._raw(primitive(dense.terms))):
+                assert apply_gl_ext(g, f) == letterwise_apply_gl_ext(g, f)
+            total = total + sparse
+        assert apply_gl_ext(g, total) == letterwise_apply_gl_ext(g, total)
 
     def test_integral_entries_kept_as_int(self):
         g = GLMatrix([[Fraction(4, 2), Fraction(1, 3)], [1, 0]])

@@ -13,7 +13,6 @@ from extlift.algebra import (
     ExtPolynomial,
     _odd_below,
     apply_gl_ext,
-    ext_monomials_of_degree,
     word_sort_sign,
 )
 from extlift.exterior import (
@@ -25,7 +24,7 @@ from extlift.exterior import (
 from extlift.gin import random_gl
 from extlift.orders import ExtOrderSpec, leading_term_ext
 
-from helpers import dense_rank, exterior_corpus, random_ext_ideal_gens
+from helpers import dense_rank, ext_monomials_of_degree, exterior_corpus, random_ext_ideal_gens
 from oracles import ideal_degree_basis, scan_groebner_elements, slice_groebner_ext
 
 DEGLEX = ExtOrderSpec("deglex")
@@ -260,6 +259,16 @@ def test_elements_are_made_once_on_first_read(monkeypatch):
         assert G.elements is first
         assert len(calls) == len(first)
         assert first == slice_groebner_ext(I).elements
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bitmasks_in_index_order(n):
+    # each degree built from the one below, on first use, whatever the
+    # order of the lookups, lists the monomials as combinations does
+    shared = exterior._Bitmasks(n)
+    for d in [n + 1, *range(n + 1)]:
+        oracle = [sum(1 << i for i in c) for c in combinations(range(1, n + 1), d)]
+        assert exterior._Bitmasks(n)[d] == shared[d] == oracle
 
 
 @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])

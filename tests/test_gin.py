@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -26,7 +27,7 @@ from extlift.gin import (
 from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, is_strongly_stable, random_ext_ideal_gens
+from helpers import dense_rank, ext_monomials_of_degree, gap_binomials, is_strongly_stable, random_ext_ideal_gens
 from oracles import matrix_is_borel_fixed
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
@@ -133,7 +134,7 @@ class TestGinExt:
         ctx = AlgebraContext(3)
         q = mono(1, 2) + mono(1, 3).scale(2) + mono(2, 3).scale(5)
         I = ExtIdeal(ctx, [q])
-        res = gin_ext(I, GinRequest(max_degree=3, seed=17))
+        res = gin_ext(I, GinRequest(max_degree=3, seed=17), groebner_ext(I).slice_dims)
         assert res.agreement
         assert res.gin == MonomialIdealExt([ExtMonomial([2, 3])])
         # gins are stable in the exchange direction matching the order
@@ -146,11 +147,9 @@ class TestGinExt:
     def test_gl_invariant_power_ideal(self):
         # the d-th power of the maximal ideal is GL-invariant: gin = in
         ctx = AlgebraContext(4)
-        from extlift.algebra import ext_monomials_of_degree
-
         gens = [ExtPolynomial.monomial(m) for m in ext_monomials_of_degree(ctx, 3)]
         I = ExtIdeal(ctx, gens)
-        res = gin_ext(I, GinRequest(max_degree=4, seed=23))
+        res = gin_ext(I, GinRequest(max_degree=4, seed=23), groebner_ext(I).slice_dims)
         assert res.agreement
         assert res.gin == groebner_ext(I).initial
 
@@ -160,7 +159,7 @@ class TestGinExt:
         n = rng.choice([3, 4, 5])
         ctx = AlgebraContext(n)
         I = ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx))
-        res = gin_ext(I, GinRequest(max_degree=n, seed=seed))
+        res = gin_ext(I, GinRequest(max_degree=n, seed=seed), groebner_ext(I).slice_dims)
         if res.agreement:
             assert is_strongly_stable(res.gin, toward_larger=True, n=n)
             assert hilbert_compare_ext(dict(enumerate(groebner_ext(I).slice_dims)), ctx, res.gin)
@@ -172,10 +171,59 @@ class TestGinExt:
         I = ExtIdeal(ctx, [q])
         g = random_gl(ctx, seed=404, height=10)
         J = ExtIdeal(ctx, [apply_gl_ext(g, f) for f in I.generators])
-        a = gin_ext(I, GinRequest(max_degree=3, seed=31))
-        b = gin_ext(J, GinRequest(max_degree=3, seed=77))
+        a = gin_ext(I, GinRequest(max_degree=3, seed=31), groebner_ext(I).slice_dims)
+        b = gin_ext(J, GinRequest(max_degree=3, seed=77), groebner_ext(J).slice_dims)
         assert a.agreement and b.agreement
         assert a.gin == b.gin
+
+
+def target_corpus(n: int):
+    """13 seeded ideals in n variables, each with an order: random
+    generators of mixed degrees (degree 1 included), gap binomials, and
+    redundant lists, whose later generators lie in the ideal of the
+    earlier ones, so that a trial drops them or never draws their rows."""
+    rng = random.Random(f"gin-targets/{n}")
+    ctx = AlgebraContext(n)
+    for k in range(13):
+        ranking = tuple(rng.sample(range(1, n + 1), n)) if k % 4 == 3 else None
+        order = ExtOrderSpec(rng.choice(["deglex", "degrevlex"]), ranking)
+        if k % 3 == 0:
+            gens = random_ext_ideal_gens(rng, ctx, min_deg=1 + k % 2, max_gens=4)
+        elif k % 3 == 1:
+            gens = gap_binomials(rng, ctx) if n >= 4 else random_ext_ideal_gens(rng, ctx, max_gens=2)
+        else:
+            base = random_ext_ideal_gens(rng, ctx, max_deg=min(3, n - 1), max_gens=2)
+            a, b = rng.sample(range(1, n + 1), 2)
+            gens = base + [mono(a) * base[0], (mono(a) + mono(b).scale(2)) * base[-1]] + base
+        yield ExtIdeal(ctx, gens, order)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_trial_with_targets_gives_the_cone_without(n):
+    """A gin trial's groebner_ext with the untransformed slice dimensions as
+    targets gives the cone and the dimensions it gives without them: 65
+    ideals, 3 coordinate changes each."""
+    rng = random.Random(f"gin-target-seeds/{n}")
+    for I in target_corpus(n):
+        dims = groebner_ext(I).slice_dims
+        for _ in range(3):
+            g = random_gl(I.ctx, rng.getrandbits(63), 100)
+            J = ExtIdeal(I.ctx, [apply_gl_ext(g, f) for f in I.generators], I.order)
+            free, stopped = groebner_ext(J), groebner_ext(J, targets=dims)
+            assert stopped.initial.gens == free.initial.gens
+            assert stopped.slice_dims == free.slice_dims == dims
+
+
+def test_short_slice_raises():
+    """A slice that ends short of its target is an error, not a
+    non-generic trial: tampered targets ask one slice for one pivot more."""
+    ctx = AlgebraContext(6)
+    I = ExtIdeal(ctx, random_ext_ideal_gens(random.Random("short-slice"), ctx, max_deg=2, max_gens=3))
+    dims = groebner_ext(I).slice_dims
+    d = next(d for d, dim in enumerate(dims) if 0 < dim < comb(6, d) - 1)
+    tampered = dims[:d] + (dims[d] + 1,) + dims[d + 1:]
+    with pytest.raises(RuntimeError, match=f"slice {d} has rank {dims[d]}, short of its target {dims[d] + 1}"):
+        gin_ext(I, GinRequest(max_degree=6, seed=1), tampered)
 
 
 class TestGinLifted:
@@ -184,7 +232,7 @@ class TestGinLifted:
         q = mono(1, 2) + mono(1, 3).scale(2) + mono(2, 3).scale(5)
         I = ExtIdeal(ctx, [q])
         req = GinRequest(max_degree=3, seed=5)
-        res = gin_ext(I, req)
+        res = gin_ext(I, req, groebner_ext(I).slice_dims)
         lifted = gin_lifted(I, res.gin)
         direct = gin_free(anti_commutators(ctx) + [delta(q)], ctx, req, ORDER)
         assert res.agreement and direct.agreement
@@ -193,7 +241,7 @@ class TestGinLifted:
     def test_degree_one_rejected(self):
         ctx = AlgebraContext(2)
         I = ExtIdeal(ctx, [mono(1)])
-        res = gin_ext(I, GinRequest(max_degree=2, seed=1))
+        res = gin_ext(I, GinRequest(max_degree=2, seed=1), groebner_ext(I).slice_dims)
         with pytest.raises(ValueError):
             gin_lifted(I, res.gin)
 

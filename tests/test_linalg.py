@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlift import exterior
-from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext, ext_monomials_of_degree
+from extlift.algebra import AlgebraContext, ExtPolynomial, apply_gl_ext
 from extlift.cli import EXIT_OK, main
 from extlift.exterior import ExtIdeal, groebner_ext
 from extlift.freealg import free_initial_ideal
@@ -33,6 +33,7 @@ from extlift.parsing import parse_ideal
 
 from helpers import (
     dense_rank,
+    ext_monomials_of_degree,
     exterior_corpus,
     keyed_rows,
     random_ext_polynomial,
@@ -385,3 +386,21 @@ def test_elimination_leaves_its_input_rows_unchanged(n):
         full_rank(rows, ncols)
         assert rows == given_rows
         assert [id(row) for row in rows] == ids
+
+
+def test_echelon_draws_no_row_past_its_stop():
+    """With ``stop``, the loop ends at that many pivots and draws no later
+    row; a row reduced to 0 before that is still named dependent."""
+    rows = [{3: 1, 1: 2}, {3: 2, 1: 4}, {2: 1}, {1: 1}, {1: 5}]
+    drawn = []
+
+    def lazy():
+        for i, row in enumerate(rows):
+            drawn.append(i)
+            yield row
+
+    dependent: list[int] = []
+    assert sorted(echelon(lazy(), dependent, stop=2)) == [2, 3]
+    assert drawn == [0, 1, 2] and dependent == [1]
+    dependent = []
+    assert sorted(echelon(rows, dependent)) == [1, 2, 3] and dependent == [1, 4]

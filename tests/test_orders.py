@@ -11,14 +11,17 @@ from extlift.algebra import (
     ExtMonomial,
     ExtPolynomial,
     FreePolynomial,
-    ext_monomials_of_degree,
 )
 from extlift.cli import EXIT_OK, main
+from extlift.exterior import ExtIdeal, MonomialIdealExt
+from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree
+from extlift.gin import gin_free
+from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
 from extlift.parsing import ext_poly_str
 
-from helpers import cmp_ext, cmp_lex, cmp_t, random_ext_polynomial
-from oracles import tuple_ext_key, tuple_word_key
+from helpers import cmp_ext, cmp_lex, cmp_t, ext_monomials_of_degree, random_ext_polynomial
+from oracles import digit_ext_key, tuple_ext_key, tuple_word_key
 
 DEGLEX = ExtOrderSpec("deglex")
 DEGREVLEX = ExtOrderSpec("degrevlex")
@@ -197,6 +200,19 @@ class TestIntegerKeys:
                 assert all(spec.ext_key(m) == spec.keys[b] for b, m in monos.items())
 
     @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_bits_key_orders_like_digit_key(self, kind):
+        # every bitmask of x1..x7, under the natural ranking and 4 random
+        # ones: the bitmask keys sort the monomials as the digit keys of
+        # their supports did, and the memo maps each key back
+        rng = random.Random(f"bits-key/{kind}")
+        for n in range(1, 8):
+            for ranking in [None] + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4)]:
+                spec = ExtOrderSpec(kind, ranking)
+                bitmasks = range(0, 1 << n + 1, 2)  # bit 0 is no variable
+                assert sorted(bitmasks, key=spec.keys.__getitem__) == sorted(bitmasks, key=lambda b: digit_ext_key(spec, b))
+                assert [spec.keys.column[spec.keys[b]] for b in bitmasks] == list(bitmasks)
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
     def test_word_memo_maps_back_and_orders_like_tuple_key(self, kind):
         # every word of length up to 4 in X1..X3, as above
         rng = random.Random(f"word-memo/{kind}")
@@ -217,13 +233,13 @@ class TestIntegerKeys:
         path = tmp_path / "q8.ideal"
         path.write_text("vars: 8\ngenerators:\n" + "\n".join(ext_poly_str(f, DEGLEX) for f in gens) + "\n")
         computed: Counter = Counter()
-        multiset_key = ExtOrderSpec.multiset_key
+        bits_key = ExtOrderSpec.bits_key
 
-        def counted(self, letters):
-            computed[letters] += 1
-            return multiset_key(self, letters)
+        def counted(self, bits):
+            computed[bits] += 1
+            return bits_key(self, bits)
 
-        monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted)
+        monkeypatch.setattr(ExtOrderSpec, "bits_key", counted)
         assert main(["gb", str(path), "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["groebner_basis"]
         assert computed and max(computed.values()) == 1
@@ -270,3 +286,15 @@ class TestSpecValidation:
         assert ta.keys is not tb.keys
         ta.word_key((2, 1))
         assert len(ta.keys) == len(ta.keys.column) == 1 and tb.keys == tb.keys.column == {}
+
+    def test_default_specs_are_fresh(self):
+        # an object built without an order makes its own spec, so library
+        # callers never share one key memo
+        ctx = AlgebraContext(3)
+        a, b = ExtIdeal(ctx, []), ExtIdeal(ctx, [])
+        assert a.order.keys is not b.order.keys
+        assert FreeOrderSpec().base.keys is not FreeOrderSpec().base.keys
+        c, d = (FreeGroebnerCandidate(ctx, anti_commutators(ctx)) for _ in range(2))
+        assert c.order.keys is not d.order.keys and c.order.base.keys is not d.order.base.keys
+        for fn in (ExtIdeal, MonomialIdealExt, MonomialIdealFree, FreeGroebnerCandidate, gin_free, FreeOrderSpec):
+            assert (fn.__init__ if isinstance(fn, type) else fn).__defaults__ == (None,), fn.__name__

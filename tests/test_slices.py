@@ -8,9 +8,11 @@ and only the rows of new minimal leads (``linalg.back_substitute``);
 hilbert, the exterior gin and verify never do.  verify reads exterior
 slices when its candidate holds the anti-commutators.  The exterior gin
 runs gin_ext once, transforms each generator once per trial and refuses
-an ideal without a lifted gin before any trial.  Every command reads its
-exterior slices through one ``groebner_ext`` pass per ideal, and verify
-builds one automaton, its candidate's."""
+an ideal without a lifted gin before any trial; each trial takes a slice
+whose known rank is C(n, d) as full without a certificate, and draws no
+row of a slice past the one that reaches its known rank.  Every command
+reads its exterior slices through one ``groebner_ext`` pass per ideal,
+and verify builds one automaton, its candidate's."""
 
 import importlib
 import json
@@ -146,18 +148,46 @@ def test_exterior_slices_certify_a_generator_divisible_by_the_prime(monkeypatch,
 
 
 def test_exterior_gin_two_trials(monkeypatch, capsys):
-    # the untransformed ideal for the reported dimensions and the Hilbert
-    # check, before the trials, then two transformed ideals, each with
-    # slice 2 brought to echelon form and slice 3 certified full, and no
+    # the untransformed ideal for the reported dimensions, the Hilbert
+    # check and the trials' targets, before the trials: slice 2 brought to
+    # echelon form and slice 3 certified full.  Then two transformed
+    # ideals, each with slice 2 brought to echelon form and slice 3 taken
+    # as full from its target, with no certificate, and no
     # back-substitution; GLMatrix asks an echelon form once per drawn matrix
     calls = slice_calls(monkeypatch)
     rows = count_calls(monkeypatch, linalg.back_substitute)
     gin_ext_calls = count_calls(monkeypatch, gin.gin_ext)
     run(capsys, "gin", "quadric_n3.ideal", "--trials", "2", "--seed", "3")
-    trial = [("echelon", 3), ("echelon", 1), ("full_rank", True)]
-    assert calls == trial[1:] + trial * 2
+    trial = [("echelon", 3), ("echelon", 1)]
+    assert calls == QUADRIC_N3_LOG + trial * 2
     assert rows == []
     assert len(gin_ext_calls) == 1
+
+
+def test_exterior_gin_trials_draw_no_row_past_their_targets(monkeypatch, capsys, tmp_path):
+    """Each trial brings a slice to echelon form only up to its target,
+    the slice's dimension before the coordinate change: the last row it
+    draws adds the target-th pivot, and no later row is built.  In n=6
+    these two binomials' slice at d=4 has rank 13; each trial reaches it
+    at its 18th row there and builds none of the rows after it."""
+    path = tmp_path / "gap6.ideal"
+    path.write_text("vars: 6\ngenerators:\n2*x1*x6 - 3*x2*x3\n-3*x1*x5 + x2*x3\n")
+    log = []
+
+    def counted(rows, dependent=None, stop=None):
+        drawn = []
+        pivots = linalg.echelon((drawn.append(row) or row for row in rows), dependent, stop)
+        log.append((stop, len(pivots), len(drawn), list(dependent or [])))
+        return pivots
+
+    monkeypatch.setattr(exterior, "echelon", counted)
+    run(capsys, "gin", str(path), "--seed", "1")
+    trials = [entry for entry in log if entry[0] is not None]
+    assert len(trials) == 2 * 3  # slices 2, 3 and 4 of each trial; 5 and 6 are full
+    for stop, rank, drawn, dependent in trials:
+        assert rank == stop and drawn == rank + len(dependent) and drawn - 1 not in dependent
+    assert [stop for stop, *_ in trials] == [2, 10, 13] * 2
+    assert any(dependent for *_, dependent in trials)
 
 
 @pytest.mark.parametrize("trials", [2, 3])
