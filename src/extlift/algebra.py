@@ -87,9 +87,6 @@ class ExtMonomial:
             raise ValueError(f"{other} does not divide {self}")
         return ExtMonomial.from_bits(self.bits & ~other.bits)
 
-    def disjoint(self, other: "ExtMonomial") -> bool:
-        return self.bits & other.bits == 0
-
     def mul_sign(self, other: "ExtMonomial") -> int:
         """Sign of x_I * x_J = sign * x_{I|J}; 0 if the supports meet.
 

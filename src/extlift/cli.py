@@ -168,14 +168,26 @@ def _ideal_slices(ideal: IdealFile, candidate, maxdeg: int) -> dict:
     dim J_d = (n^d - C(n, d)) + dim pi(J)_d, read off exterior slices of
     C(n, d) columns (``groebner_ext`` to ``maxdeg``, whose elements are
     never read), and n^d above n.  Otherwise the free slices, of n^d
-    columns, give dim J_d."""
+    columns, give dim J_d.
+
+    An element is an anti-commutator iff it equals the one among whose
+    words its leading word is; pi of an anti-commutator is 0, so pi is
+    taken only of the other elements."""
     from .algebra import anti_commutators, pi
 
     n = ideal.ctx.n
-    if set(anti_commutators(ideal.ctx)) <= set(candidate.elements):
+    relations = anti_commutators(ideal.ctx)
+    by_word = {w: A.terms for A in relations for w in A.terms}
+    found, others = set(), []
+    for w, F in zip(candidate.leading_words, candidate.elements):
+        if len(w) == 2 and F.terms == by_word.get(w):
+            found.add(w)
+        else:
+            others.append(F)
+    if len(found) == len(relations):
         from .exterior import ExtIdeal, groebner_ext
 
-        images = ExtIdeal(ideal.ctx, [pi(F) for F in candidate.elements], ideal.order)
+        images = ExtIdeal(ideal.ctx, [pi(F) for F in others], ideal.order)
         dims = groebner_ext(images, maxdeg).slice_dims
         return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(maxdeg + 1)}
     from .freealg import free_initial_ideal

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
 from .linalg import Row, echelon, primitive
@@ -123,10 +123,10 @@ class FreeGroebnerCandidate:
     """Monic homogeneous polynomials proposed as a Groebner basis.
 
     Besides the leading words and their automaton, the candidate keeps what
-    every normal form modulo it reuses: each element as a primitive integer
+    every reduction modulo it reuses: each element as a primitive integer
     polynomial, split into its positive lead ``leads[i]`` and the terms
     without its leading word, ``tails[i]``; and ``_rules``, a memo of each
-    word's rewrite that every ``normal_form`` modulo the candidate reads and
+    word's rewrite that every ``_reduce`` modulo the candidate reads and
     extends.
 
     Write N for the normal form.  ``_rules[w]`` is None when no leading
@@ -224,32 +224,29 @@ class FreeGroebnerCandidate:
         return rule
 
 
-def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
-    """Fully reduce F: rewrite the largest reducible word A in(g) B into
-    A (in(g) - g) B until no word contains a leading word of G.
+def _reduce(G: FreeGroebnerCandidate, terms: dict) -> tuple[dict[Word, int], int]:
+    """Reduce sum c N(u) over ``terms``, entries ``(-word_key(u), u)`` with
+    nonzero integer c, each u the end of its chain (see
+    ``FreeGroebnerCandidate``): (remainder, scale), the remainder an
+    integer polynomial equal to scale times the exact one.
 
-    Each word of F is first replaced by the end of its chain (see
-    ``FreeGroebnerCandidate``).  The words of the running polynomial sit in
-    a max-heap on their order keys.  A rule only brings in words smaller
-    than the one it removes, so the popped word is the largest left: if no
-    leading word divides it, it belongs to the remainder for good;
-    otherwise it is replaced by its rule from ``G._rules``, built the first
-    time the word is popped modulo G.  No word is popped twice in one
-    normal form, nor matched twice modulo one candidate.  Each rule holds
-    for the linear map N that rewriting by first matches defines, so the
-    remainder is the one a word-by-word rewrite leaves; the heap only fixes
-    the order of evaluation.
+    The words of the running polynomial sit in a max-heap on their order
+    keys.  A rule only brings in words smaller than the one it removes, so
+    the popped word is the largest left: if no leading word divides it, it
+    belongs to the remainder for good; otherwise it is replaced by its rule
+    from ``G._rules``, built the first time the word is popped modulo G.
+    No word is popped twice in one reduction, nor matched twice modulo one
+    candidate.  Each rule holds for the linear map N that rewriting by
+    first matches defines, so the remainder is the one a word-by-word
+    rewrite leaves; the heap only fixes the order of evaluation.
 
-    It is integer pseudo-division: the terms are F times ``scale``.  To
-    rewrite a word of coefficient c by a rule of lead L, all terms and
-    the scale are multiplied by L/g, g = gcd(c, L), and (c/g) tail is
-    subtracted.  Scaling by positive integers cancels the same words as over
-    the rationals, so the remainder over the scale is the exact remainder.
-    """
+    It is integer pseudo-division: to rewrite a word of coefficient c by a
+    rule of lead L, all terms and the scale are multiplied by L/g, g =
+    gcd(c, L), and (c/g) tail is subtracted.  Scaling by positive integers
+    cancels the same words as over the rationals, so the remainder over
+    the scale is the exact remainder."""
     rules = G._rules
-    scale = lcm(*(c.denominator for c in F.terms.values()))
-    ends = [(G._chain_end(w), c) for w, c in F.terms.items()]
-    terms = _add_into({}, ((entry, f * c.numerator * (scale // c.denominator)) for (entry, f), c in ends))
+    scale = 1
     current = {entry[1]: c for entry, c in terms.items()}
     heap = list(terms)
     heapq.heapify(heap)
@@ -288,7 +285,7 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
                     current[v] = s
                 else:
                     del current[v]
-    return FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
+    return remainder, scale
 
 
 class Obstruction:
@@ -339,22 +336,48 @@ def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Wor
     return [(i, j, *rest) for i, j, _, _, *rest in found]
 
 
+def _s_polynomial_ends(G: FreeGroebnerCandidate, i: int, j: int, left1: Word, right1: Word,
+                       left2: Word, right2: Word) -> tuple[dict, int]:
+    """The S-polynomial of the ambiguity left1 w_i right1 = left2 w_j
+    right2 on integers, (L_j/g) left1 tail_i right1 - (L_i/g) left2 tail_j
+    right2 with g = gcd(L_i, L_j), which is L_i L_j / g times the monic
+    one: each of its words summed straight onto the end of its chain, as
+    ``_reduce`` takes them, and the multiple L_i L_j / g."""
+    leads, chain_end = G.leads, G._chain_end
+    g = gcd(leads[i], leads[j])
+    a, b = leads[j] // g, leads[i] // g
+    ends: dict = {}
+    for factor, left, tail, right in ((a, left1, G.tails[i], right1), (-b, left2, G.tails[j], right2)):
+        for t, c in tail:
+            w = left + t + right
+            entry, f = chain_end(w)
+            if f:
+                v = ends.get(entry, 0) + factor * c * f
+                if v:
+                    ends[entry] = v
+                else:
+                    del ends[entry]
+    return ends, a * b * g
+
+
 def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """Reduce every S-polynomial; (True, []) iff all vanish, otherwise the
-    failing ambiguities are returned as certificates.  The S-polynomial of
-    an ambiguity A w_i B = C w_j D is built on integers as (L_j/g) A tail_i B
-    - (L_i/g) C tail_j D, g = gcd(L_i, L_j): L_i L_j / g times the monic
-    one, and so is its remainder."""
+    failing ambiguities are returned as certificates.
+
+    Each S-polynomial is summed onto chain ends as integers
+    (``_s_polynomial_ends``), so no polynomial is built for it, and one
+    whose sum cancels there reduces to 0.  The rest go through
+    ``_reduce``.  Only a failing remainder is turned into ``Fraction``s,
+    divided by its scale and by the S-polynomial's multiple."""
     failures = []
-    for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G):
-        g = gcd(G.leads[i], G.leads[j])
-        a, b = G.leads[j] // g, G.leads[i] // g
-        s = {left1 + t + right1: a * c for t, c in G.tails[i]}
-        _add_into(s, ((left2 + t + right2, -b * c) for t, c in G.tails[j]))
-        rem = normal_form(FreePolynomial._raw(s), G)
-        if rem:
-            if a * b * g != 1:
-                rem = rem.scale(Fraction(1, a * b * g))
+    for i, j, word, *sides in enumerate_obstructions(G):
+        ends, multiple = _s_polynomial_ends(G, i, j, *sides)
+        if not ends:
+            continue
+        remainder, scale = _reduce(G, ends)
+        if remainder:
+            scale *= multiple
+            rem = FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
             failures.append(Obstruction(i, j, word, rem))
     return not failures, failures
 
@@ -390,9 +413,18 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     degree <= k, and deg num < k: the counts satisfy a linear recurrence of
     order <= k, which the first 2k of them fix.  Berlekamp-Massey over Q
     finds the shortest one; its connection polynomial is the reduced den.
+
+    Every prefix of a normal word is normal, so once a count is 0 every
+    later one is, and the series is the polynomial of the counts before
+    that zero, over 1.  A normal word of length k would pass a live state
+    twice and repeat the loop between, so a finite series has its zero
+    among the counts up to degree k; Berlekamp-Massey runs only for
+    infinite series.
     """
     auto = B.automaton()
     counts = normal_word_counts(auto, 2 * auto.match.count(-1))
+    if 0 in counts:
+        return counts[: counts.index(0)], [1]
     # den: the shortest recurrence so far, of order length; prev: den before
     # the last change of length, whose discrepancy was prev_disc, shift
     # counts ago

@@ -74,12 +74,10 @@ def squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMonomial, ExtM
 
 
 def _exchange_ok(L: MonomialIdealExt, m: ExtMonomial, i: int, j: int) -> bool:
-    # a vanishing exchange x_i (m / x_j) = 0 belongs to every ideal
-    quotient = m / ExtMonomial([j])
-    xi = ExtMonomial([i])
-    if not xi.disjoint(quotient):
-        return True
-    return L.member(xi * quotient)
+    """Is x_i (m / x_j) in L, for x_j dividing m?  On bitmasks; a
+    vanishing exchange, x_i already in m / x_j, belongs to every ideal."""
+    quotient = m.bits & ~(1 << j)
+    return bool(quotient >> i & 1) or L.member(ExtMonomial.from_bits(quotient | 1 << i))
 
 
 def _exchange_targets(j: int, toward_larger: bool, n: int | None) -> range:
@@ -174,7 +172,7 @@ def lift_groebner(G: ExtGroebnerBasis) -> LiftedBasis:
     for f in G.elements:
         m, _ = leading_term_ext(f, G.order)
         for u in sorted(compute_U(G.initial, m), key=G.order.ext_key):
-            prod = ExtPolynomial.monomial(u) * f
+            prod = ExtPolynomial.monomial(u) * f if u.bits else f
             lifted.append((f, u, monic_free(delta(prod), order)))
             init.append((u * m).support)
     return LiftedBasis(

@@ -16,7 +16,10 @@ exterior key is made from the monomial's bitmask alone (``bits_key``):
 within a degree, deglex is the order of the rank-permuted bits, since the
 largest variable of the symmetric difference decides, and degrevlex is
 the order of their complemented bit reversal, since the smallest one
-decides and the monomial lacking it is larger.
+decides and the monomial lacking it is larger.  A word key is its bytes
+of ranks, sorted and then as written, read as one integer: a table
+lookup (``bytes.translate``), a sort and ``int.from_bytes``, each one C
+call.
 """
 
 from __future__ import annotations
@@ -27,20 +30,10 @@ from .algebra import MAX_VARS, ExtMonomial, ExtPolynomial, FreePolynomial, Word
 
 KINDS = ("deglex", "degrevlex")
 
-# A word key is an integer with one DIGIT_BITS-bit digit per rank.  Ranks
-# lie in 1..MAX_VARS, so no digit is 0 and a key with more digits is larger.
-DIGIT_BITS = MAX_VARS.bit_length()
 # An exterior key is the degree above MONO_BITS bits that order the
 # monomials of that degree: bit r stands for rank r (deglex) or for rank
 # MAX_VARS - r (degrevlex), with r in 1..MAX_VARS.
 MONO_BITS = MAX_VARS + 1
-
-
-def _digits(ranks) -> int:
-    k = 0
-    for r in ranks:
-        k = k << DIGIT_BITS | r
-    return k
 
 
 class KeyMemo(dict):
@@ -90,19 +83,6 @@ class ExtOrderSpec:
             return i
         return self.ranking[i - 1]
 
-    def multiset_key(self, letters: Word) -> tuple[int, ...]:
-        """Key comparing commutative monomials of equal degree.
-
-        deglex compares exponents from the largest variable down, which on
-        letter multisets is lexicographic comparison of the descending rank
-        tuple; degrevlex prefers the monomial *lacking* the smallest
-        differing variable, which is lexicographic comparison of the
-        ascending rank tuple.
-        """
-        ranks = [self.rank(i) for i in letters]
-        ranks.sort(reverse=self.kind == "deglex")
-        return tuple(ranks)
-
     def bits_key(self, bits: int) -> int:
         """The key of the monomial with bitmask ``bits``: its degree, then
         its variables' key bits, complemented under degrevlex."""
@@ -118,13 +98,30 @@ class ExtOrderSpec:
 
 
 class FreeOrderSpec:
-    """Degree-first lift of an exterior order to the free monoid; ``keys`` memoises each word's key both ways."""
+    """Degree-first lift of an exterior order to the free monoid; ``keys`` memoises each word's key both ways.
+
+    A word's key has one byte per letter for its multiset key, then one
+    per letter for its ranks left to right.  The multiset key is the ranks
+    sorted: descending under deglex, which compares exponents from the
+    largest variable down, and ascending under degrevlex, which prefers
+    the monomial lacking the smallest differing variable.  Ranks lie in
+    1..MAX_VARS, so no byte is 0 and a longer word has a larger key."""
 
     __slots__ = ("base", "keys")
 
     def __init__(self, base: ExtOrderSpec | None = None):
         self.base = ExtOrderSpec() if base is None else base
-        self.keys = KeyMemo(lambda w: _digits(self.base.multiset_key(w) + tuple(map(self.base.rank, w))))
+        ranking = self.base.ranking
+        table = bytearray(256)  # letter -> rank; letters lie in 1..MAX_VARS
+        for i in range(1, MAX_VARS + 1 if ranking is None else len(ranking) + 1):
+            table[i] = self.base.rank(i)
+        table, descending = bytes(table), self.base.kind == "deglex"
+
+        def key(w: Word) -> int:
+            ranks = bytes(w).translate(table)
+            return int.from_bytes(bytes(sorted(ranks, reverse=descending)) + ranks, "big")
+
+        self.keys = KeyMemo(key)
 
     def word_key(self, w: Word) -> int:
         return self.keys[w]
@@ -145,8 +142,9 @@ def leading_term_free(F: FreePolynomial, spec: FreeOrderSpec) -> tuple[Word, Fra
 
 
 def monic_free(F: FreePolynomial, spec: FreeOrderSpec) -> FreePolynomial:
+    """F over its lead coefficient; F itself when that is already 1."""
     _, c = leading_term_free(F, spec)
-    return F.scale(1 / c)
+    return F if c == 1 else F.scale(1 / c)
 
 
 def sorted_terms_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> list[tuple[ExtMonomial, Fraction]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, pi
+from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, _add_into, pi
 from .orders import ExtOrderSpec, FreeOrderSpec, sorted_terms_ext, sorted_terms_free
 
 
@@ -141,7 +141,7 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
             elif tag != "x" and tag != "X":
                 break
         terms.append((tuple(word), Fraction(num, den)))
-    F = FreePolynomial(terms)
+    F = FreePolynomial._raw(_add_into({}, terms))
     return pi(F) if exterior else F
 
 

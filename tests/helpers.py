@@ -199,7 +199,7 @@ def stable_closure(rng: random.Random, ctx: AlgebraContext, strongly: bool,
             base = m / ExtMonomial([j])
             for i in range(1, j):
                 xi = ExtMonomial([i])
-                if not xi.disjoint(base):
+                if xi.bits & base.bits:
                     continue
                 ex = xi * base
                 if ex not in monos:

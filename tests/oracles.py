@@ -6,9 +6,11 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable
 
 from extlift.algebra import (
+    MAX_VARS,
     AlgebraContext,
     ExtMonomial,
     ExtPolynomial,
@@ -27,12 +29,13 @@ from extlift.freealg import (
     FreeInitialData,
     MonomialIdealFree,
     Obstruction,
+    _reduce,
     enumerate_obstructions,
     normal_word_counts,
 )
 from extlift.lifting import compute_U
 from extlift.linalg import _eliminate
-from extlift.orders import ExtOrderSpec, FreeOrderSpec, _digits, leading_term_ext
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 from extlift.parsing import ParseError
 
 from helpers import elementary, ext_monomials_of_degree, keyed_rows
@@ -159,6 +162,26 @@ def _multiset_key(spec: ExtOrderSpec, letters: Word) -> tuple[int, ...]:
     return tuple(sorted((spec.rank(i) for i in letters), reverse=spec.kind == "deglex"))
 
 
+# The integer keys before they took one byte per rank: one DIGIT_BITS-bit
+# digit per rank.  Ranks lie in 1..MAX_VARS, so no digit is 0 and a key
+# with more digits is larger.
+DIGIT_BITS = MAX_VARS.bit_length()
+
+
+def _digits(ranks) -> int:
+    k = 0
+    for r in ranks:
+        k = k << DIGIT_BITS | r
+    return k
+
+
+def digit_word_key(spec: FreeOrderSpec, w: Word) -> int:
+    """``FreeOrderSpec.word_key`` as it was before it read one byte per
+    rank: the multiset key, then the ranks of the letters left to right,
+    one ``DIGIT_BITS``-bit digit each."""
+    return _digits(_multiset_key(spec.base, w) + tuple(spec.base.rank(i) for i in w))
+
+
 def tuple_ext_key(spec: ExtOrderSpec, m: ExtMonomial) -> tuple:
     """The exterior order as a tuple key: degree, then the multiset key of
     the support."""
@@ -168,8 +191,8 @@ def tuple_ext_key(spec: ExtOrderSpec, m: ExtMonomial) -> tuple:
 def digit_ext_key(spec: ExtOrderSpec, bits: int) -> int:
     """``ExtOrderSpec.bits_key`` as it was before keys came from the
     bitmask alone: the support of the monomial, its ranks sorted by the
-    multiset key, one ``orders.DIGIT_BITS``-bit digit per rank."""
-    return _digits(spec.multiset_key(ExtMonomial.from_bits(bits).support))
+    multiset key, one ``DIGIT_BITS``-bit digit per rank."""
+    return _digits(_multiset_key(spec, ExtMonomial.from_bits(bits).support))
 
 
 def tuple_word_key(spec: FreeOrderSpec, w: Word) -> tuple:
@@ -349,6 +372,42 @@ def rescan_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolyn
                 current.pop(key_w, None)
 
 
+def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
+    """Fully reduce F: rewrite the largest reducible word A in(g) B into
+    A (in(g) - g) B until no word contains a leading word of G.
+
+    The library's reducer on one polynomial, as ``obstructions_resolve``
+    called it on each S-polynomial before it summed their words onto
+    chain ends itself: the denominators of F are cleared, each word is
+    replaced by the end of its chain (see ``FreeGroebnerCandidate``), and
+    ``freealg._reduce`` runs the heap loop and pseudo-division; the
+    remainder over the scale is the exact remainder, in ``Fraction``s."""
+    scale = lcm(*(c.denominator for c in F.terms.values()))
+    ends = [(G._chain_end(w), c) for w, c in F.terms.items()]
+    terms = _add_into({}, ((entry, f * c.numerator * (scale // c.denominator)) for (entry, f), c in ends))
+    remainder, m = _reduce(G, terms)
+    return FreePolynomial._raw({w: Fraction(c, scale * m) for w, c in remainder.items()})
+
+
+def normal_form_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
+    """``freealg.obstructions_resolve`` as it was before it summed each
+    S-polynomial onto chain ends: the integer S-polynomial of each
+    ambiguity built as a ``FreePolynomial`` and reduced by ``normal_form``,
+    a failing remainder then divided by L_i L_j / g."""
+    failures = []
+    for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G):
+        g = gcd(G.leads[i], G.leads[j])
+        a, b = G.leads[j] // g, G.leads[i] // g
+        s = {left1 + t + right1: a * c for t, c in G.tails[i]}
+        _add_into(s, ((left2 + t + right2, -b * c) for t, c in G.tails[j]))
+        rem = normal_form(FreePolynomial._raw(s), G)
+        if rem:
+            if a * b * g != 1:
+                rem = rem.scale(Fraction(1, a * b * g))
+            failures.append(Obstruction(i, j, word, rem))
+    return not failures, failures
+
+
 def fraction_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
     """``freealg.normal_form`` with every step a ``Fraction`` operation, on
     the tails of the monic elements.
@@ -483,6 +542,41 @@ def fraction_charpoly(M: list[list[int]]) -> list[Fraction]:
             N[i][i] += c[k - m + 1]
         c[k - m] = -sum(v * N[j][i] for i in range(k) for j, v in nonzero[i]) / m
     return c
+
+
+def bm_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
+    """``freealg.hilbert_rational`` as it was before finite series were read
+    off the counts: Berlekamp-Massey over Q on the first 2k counts, k the
+    live states of the automaton, for every series."""
+    auto = B.automaton()
+    counts = normal_word_counts(auto, 2 * auto.match.count(-1))
+    # den: the shortest recurrence so far, of order length; prev: den before
+    # the last change of length, whose discrepancy was prev_disc, shift
+    # counts ago
+    den, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for i in range(len(counts)):
+        disc = sum(den[j] * counts[i - j] for j in range(min(len(den), i + 1)))
+        if not disc:
+            shift += 1
+            continue
+        f = disc / prev_disc
+        update = den + [Fraction(0)] * (shift + len(prev) - len(den))
+        for j, c in enumerate(prev):
+            update[shift + j] -= f * c
+        if 2 * length <= i:
+            prev, prev_disc, length, shift = den, disc, i + 1 - length, 1
+        else:
+            shift += 1
+        den = update
+    # num = den * series mod t^length; both have integer coefficients
+    num = [sum(den[j] * counts[e - j] for j in range(min(len(den), e + 1))) for e in range(length)]
+    num, den = [int(c) for c in num], [int(c) for c in den]
+    while not num[-1]:
+        num.pop()
+    while not den[-1]:
+        den.pop()
+    return num, den
 
 
 def charpoly_hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
@@ -688,6 +782,17 @@ def matrix_is_borel_fixed(
                     if not B.member(word):
                         return False, (w, (i, j), word)
     return True, None
+
+
+def monomial_exchange_ok(L: MonomialIdealExt, m: ExtMonomial, i: int, j: int) -> bool:
+    """``lifting._exchange_ok`` as it was before it worked on bitmasks: is
+    x_i (m / x_j) in L, from the monomials x_j, m / x_j and x_i and their
+    product?  A vanishing exchange belongs to every ideal."""
+    quotient = m / ExtMonomial([j])
+    xi = ExtMonomial([i])
+    if xi.bits & quotient.bits:
+        return True
+    return L.member(xi * quotient)
 
 
 def enumerating_squeezed_witness(L: MonomialIdealExt) -> tuple[bool, tuple[ExtMonomial, ExtMonomial] | None]:

@@ -21,7 +21,6 @@ from extlift.freealg import (
     free_initial_ideal,
     hilbert_rational,
     ideal_slice_rows,
-    normal_form,
     normal_word_counts,
     obstructions_resolve,
 )
@@ -35,6 +34,7 @@ from oracles import (
     fraction_obstructions,
     fraction_slice_rows,
     naive_first_match,
+    normal_form,
     pairwise_obstructions,
     rref,
     scan_minimal_words,

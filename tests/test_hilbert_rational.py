@@ -1,6 +1,7 @@
-"""Differential test of the Berlekamp-Massey Hilbert series against the
+"""Differential tests of the rational Hilbert series against the
 transfer-matrix reference (a characteristic polynomial and a gcd over
-Fraction), and a guard that the CLI does not load sympy."""
+Fraction) and against Berlekamp-Massey run on every series, finite ones
+too, and a guard that the CLI does not load sympy."""
 
 import os
 import random
@@ -18,7 +19,7 @@ from extlift.lifting import lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from helpers import random_ext_ideal_gens
-from oracles import charpoly_hilbert_rational, fraction_charpoly
+from oracles import bm_hilbert_rational, charpoly_hilbert_rational, fraction_charpoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,6 +59,28 @@ def test_lifted_preimage_initial_ideals_match_oracle(kind):
         lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx), order)))
         B = MonomialIdealFree(lifted.initial_mingens, n, FreeOrderSpec(order))
         assert hilbert_rational(B) == charpoly_hilbert_rational(B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_finite_series_read_off_the_counts_match_berlekamp_massey(n):
+    # a finite series is the polynomial of the counts before the first 0;
+    # an infinite one still goes through Berlekamp-Massey
+    rng = random.Random(f"bm/{n}")
+    cases = [[]] + [random_patterns(rng, n) for _ in range(250)]
+    ctx = AlgebraContext(n)
+    for kind in ("deglex", "degrevlex"):
+        order = ExtOrderSpec(kind)
+        for _ in range(4 if n >= 3 else 0):
+            lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx), order)))
+            cases.append(list(lifted.initial_mingens))
+    finite = infinite = 0
+    for pats in cases:
+        B = MonomialIdealFree(pats, n)
+        num, den = hilbert_rational(B)
+        assert (num, den) == bm_hilbert_rational(B), pats
+        finite += den == [1]
+        infinite += den != [1]
+    assert finite >= 50 and infinite >= 30
 
 
 @pytest.mark.parametrize("seed", range(5))

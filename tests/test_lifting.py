@@ -9,6 +9,7 @@ from extlift.algebra import (
     FreePolynomial,
     pi,
 )
+from extlift import lifting
 from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext
 from extlift.lifting import (
     anti_commutator_leading_words,
@@ -16,6 +17,8 @@ from extlift.lifting import (
     compute_U,
     lift_groebner,
     squeezed_witness,
+    stable_witness,
+    strongly_stable_witness,
 )
 from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
 
@@ -30,7 +33,7 @@ from helpers import (
     random_monomial_ideal,
     stable_closure,
 )
-from oracles import enumerating_squeezed_witness, ideal_degree_basis
+from oracles import enumerating_squeezed_witness, ideal_degree_basis, monomial_exchange_ok
 
 DEGLEX = ExtOrderSpec("deglex")
 ONE = ExtMonomial()
@@ -156,7 +159,7 @@ class TestPredicates:
                         base = m / ExtMonomial([j])
                         for i in range(1, j):
                             xi = ExtMonomial([i])
-                            if not xi.disjoint(base):
+                            if xi.bits & base.bits:
                                 continue
                             if not L.member(xi * base):
                                 return False
@@ -164,6 +167,29 @@ class TestPredicates:
 
             assert is_stable(L) == oracle(strongly=False)
             assert is_strongly_stable(L) == oracle(strongly=True)
+
+    def test_witnesses_equal_those_of_monomial_exchanges(self, monkeypatch):
+        # the exchanges on bitmasks name the same (generator, i, j) as the
+        # ExtMonomial products they replaced, in both directions
+        rng = random.Random("exchange-witnesses")
+        cases = []
+        for _ in range(40):
+            ctx = AlgebraContext(rng.choice([3, 4, 5, 6, 7]))
+            cases.append((random_monomial_ideal(rng, ctx, min_deg=1), ctx.n))
+            cases.append((stable_closure(rng, ctx, strongly=rng.random() < 0.5), ctx.n))
+
+        def witnesses():
+            return [
+                witness(L, toward, n)
+                for L, n in cases
+                for witness in (stable_witness, strongly_stable_witness)
+                for toward in (False, True)
+            ]
+
+        fast = witnesses()
+        monkeypatch.setattr(lifting, "_exchange_ok", monomial_exchange_ok)
+        assert witnesses() == fast
+        assert sum(ok for ok, _ in fast) >= 40 and sum(not ok for ok, _ in fast) >= 40
 
     def test_strongly_stable_implies_stable(self):
         rng = random.Random(5)

@@ -18,7 +18,6 @@ from extlift.freealg import (
     FreeGroebnerCandidate,
     PatternAutomaton,
     enumerate_obstructions,
-    normal_form,
     obstructions_resolve,
 )
 from extlift.lifting import anti_commutators, lift_groebner
@@ -27,6 +26,8 @@ from extlift.orders import ExtOrderSpec, FreeOrderSpec
 from helpers import gap_binomials, keyed_rows, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
 from oracles import (
     fraction_normal_form,
+    normal_form,
+    normal_form_obstructions_resolve,
     fraction_obstructions_resolve,
     fraction_slice_rows,
     rescan_normal_form,
@@ -164,6 +165,83 @@ class TestAgainstFraction:
                 leads += sum(1 for L in G.leads if L != 1)
         assert failing >= 400
         assert leads >= 200
+
+
+# --- S-polynomials on chain ends, against one normal form each --------------
+
+
+CHAIN_END_CASES = [
+    (n, kind, family)
+    for n in range(3, 8)
+    for kind in ("deglex", "degrevlex")
+    for family in ("quadrics", "gaps")
+    if family == "quadrics" or n >= 4
+]
+
+
+def chain_end_corpus(n, kind, family):
+    """The element lists of the lifted basis of seeded quadrics or gap
+    binomials: intact, with one lifted element dropped, and, when a lifted
+    element has a tail, with one coefficient of its tail changed."""
+    rng = random.Random(f"chain-ends/{n}/{kind}/{family}")
+    ctx = AlgebraContext(n)
+    if family == "quadrics":
+        gens = [random_ext_polynomial(rng, ctx, 2) for _ in range(3)]
+    else:
+        gens = gap_binomials(rng, ctx)
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens, ExtOrderSpec(kind))))
+    elements = lifted.elements()
+    k = len(lifted.anti_commutators)
+    drop = rng.randrange(k, len(elements))
+    out = [elements, elements[:drop] + elements[drop + 1:]]
+    with_tails = [i for i in range(k, len(elements)) if len(elements[i]) > 1]
+    if with_tails:
+        idx = rng.choice(with_tails)
+        lead = max(elements[idx].terms, key=FreeOrderSpec(ExtOrderSpec(kind)).word_key)
+        terms = dict(elements[idx].terms)
+        w = rng.choice(sorted(set(terms) - {lead}))
+        terms[w] *= Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(10, 19))  # neither 0 nor 1
+        out.append(elements[:idx] + [FreePolynomial(terms)] + elements[idx + 1:])
+    return ctx, out
+
+
+def certificates(result):
+    ok, failures = result
+    return ok, [(f.i, f.j, f.word, list(f.remainder.terms.items())) for f in failures]
+
+
+@pytest.mark.parametrize("n,kind,family", CHAIN_END_CASES)
+def test_chain_end_sums_equal_one_normal_form_per_obstruction(n, kind, family):
+    # each side reduces modulo its own candidate, so neither reads rules
+    # or chain ends that the other one built
+    ctx, bases = chain_end_corpus(n, kind, family)
+    order = FreeOrderSpec(ExtOrderSpec(kind))
+    for E in bases:
+        fast = obstructions_resolve(FreeGroebnerCandidate(ctx, E, order))
+        slow = normal_form_obstructions_resolve(FreeGroebnerCandidate(ctx, E, order))
+        assert certificates(fast) == certificates(slow)
+        for f in fast[1]:
+            assert all(type(v) is Fraction for v in f.remainder.terms.values())
+    assert obstructions_resolve(FreeGroebnerCandidate(ctx, bases[0], order)) == (True, [])
+
+
+def test_chain_end_corpus_cancels_reduces_and_fails():
+    # the comparison above covers S-polynomials that cancel on their chain
+    # ends, ones that reduce to 0 only in the heap loop, and failures
+    cancelled = reduced = failing = 0
+    for n, kind, family in CHAIN_END_CASES:
+        ctx, bases = chain_end_corpus(n, kind, family)
+        for E in bases:
+            G = FreeGroebnerCandidate(ctx, E, FreeOrderSpec(ExtOrderSpec(kind)))
+            for i, j, _, *sides in enumerate_obstructions(G):
+                ends, _ = freealg._s_polynomial_ends(G, i, j, *sides)
+                if not ends:
+                    cancelled += 1
+                elif freealg._reduce(G, ends)[0]:
+                    failing += 1
+                else:
+                    reduced += 1
+    assert cancelled >= 1000 and reduced >= 200 and failing >= 200
 
 
 # --- chains -----------------------------------------------------------------
@@ -318,37 +396,38 @@ def test_obstructions_resolve_does_no_fraction_arithmetic(monkeypatch):
 
 
 def test_each_word_keyed_once_and_matched_once_per_candidate(monkeypatch):
-    """Rules live on the candidate: across all the normal forms of one
-    ``obstructions_resolve``, no word is matched twice."""
+    """Rules live on the candidate: across all the S-polynomials of one
+    ``obstructions_resolve``, no word is keyed or matched twice, and every
+    obstruction is summed onto its chain ends."""
     G = seeded_n6_basis()
 
-    # a word's key is computed from its multiset key; looking it up in the
-    # order's memo computes nothing
+    # the spec's key function runs on a word's first lookup in the
+    # order's memo; a later lookup computes nothing
     keyed: Counter = Counter()
     matched: Counter = Counter()
-    normal_forms = []
-    multiset_key = ExtOrderSpec.multiset_key
+    summed = []
+    key = G.order.keys.key
     first_match = PatternAutomaton.first_match
-    nf = freealg.normal_form
+    s_polynomial_ends = freealg._s_polynomial_ends
 
-    def counted_multiset_key(self, w):
+    def counted_key(w):
         keyed[w] += 1
-        return multiset_key(self, w)
+        return key(w)
 
     def counted_first_match(self, w):
         matched[w] += 1
         return first_match(self, w)
 
-    def counted_normal_form(F, G):
-        normal_forms.append(F)
-        return nf(F, G)
+    def counted_s_polynomial_ends(G, i, j, *sides):
+        summed.append((i, j, *sides))
+        return s_polynomial_ends(G, i, j, *sides)
 
-    monkeypatch.setattr(ExtOrderSpec, "multiset_key", counted_multiset_key)
+    monkeypatch.setattr(G.order.keys, "key", counted_key)
     monkeypatch.setattr(PatternAutomaton, "first_match", counted_first_match)
-    monkeypatch.setattr(freealg, "normal_form", counted_normal_form)
+    monkeypatch.setattr(freealg, "_s_polynomial_ends", counted_s_polynomial_ends)
     ok, _ = freealg.obstructions_resolve(G)
 
     assert ok
-    assert len(normal_forms) == len(enumerate_obstructions(G))
+    assert summed == [(i, j, *sides) for i, j, _, *sides in enumerate_obstructions(G)]
     assert keyed and max(keyed.values()) == 1
     assert matched and max(matched.values()) == 1

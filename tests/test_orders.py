@@ -21,7 +21,7 @@ from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leadin
 from extlift.parsing import ext_poly_str
 
 from helpers import cmp_ext, cmp_lex, cmp_t, ext_monomials_of_degree, random_ext_polynomial
-from oracles import digit_ext_key, tuple_ext_key, tuple_word_key
+from oracles import digit_ext_key, digit_word_key, tuple_ext_key, tuple_word_key
 
 DEGLEX = ExtOrderSpec("deglex")
 DEGREVLEX = ExtOrderSpec("degrevlex")
@@ -90,7 +90,7 @@ class TestCmpExt:
                 if cmp_ext(m, u, spec) >= 0:
                     continue
                 for t in monos:
-                    if m.disjoint(t) and u.disjoint(t):
+                    if not m.bits & t.bits and not u.bits & t.bits:
                         assert cmp_ext(m * t, u * t, spec) < 0
 
     def test_varorder_ranking(self):
@@ -183,6 +183,30 @@ class TestIntegerKeys:
         assert_same_order(set(words), spec.word_key, lambda w: tuple_word_key(spec, w))
         monos = [ExtMonomial(rng.sample(range(1, n + 1), rng.randint(0, 5))) for _ in range(300)]
         assert_same_order(set(monos), spec.base.ext_key, lambda m: tuple_ext_key(spec.base, m))
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_byte_keys_order_like_tuple_and_digit_keys_at_n64(self, kind):
+        # every word of length up to 4 over X1, X2, X63 and X64, and random
+        # words over all 64 letters, under the natural ranking and 3 random
+        # ones: one byte per rank sorts them as the tuple key and as the
+        # 7-bit digit keys it replaced
+        rng = random.Random(f"byte-keys/{kind}")
+        n = MAX_VARS
+        words = {w for d in range(5) for w in product((1, 2, n - 1, n), repeat=d)}
+        words |= {tuple(rng.randint(1, n) for _ in range(rng.randint(1, 6))) for _ in range(400)}
+        for ranking in [None] + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]:
+            spec = FreeOrderSpec(ExtOrderSpec(kind, ranking))
+            assert_same_order(words, spec.word_key, lambda w: tuple_word_key(spec, w))
+            assert sorted(words, key=spec.word_key) == sorted(words, key=lambda w: digit_word_key(spec, w))
+
+    def test_byte_key_layout(self):
+        # the sorted ranks, then the ranks as written, one byte each
+        deglex, degrevlex = FreeOrderSpec(DEGLEX), FreeOrderSpec(DEGREVLEX)
+        assert deglex.word_key(()) == degrevlex.word_key(()) == 0
+        assert deglex.word_key((2, 64, 1)) == int.from_bytes(bytes([64, 2, 1, 2, 64, 1]), "big")
+        assert degrevlex.word_key((2, 64, 1)) == int.from_bytes(bytes([1, 2, 64, 2, 64, 1]), "big")
+        ranked = FreeOrderSpec(ExtOrderSpec("deglex", (3, 1, 2)))
+        assert ranked.word_key((1, 2)) == int.from_bytes(bytes([3, 1, 3, 1]), "big")
 
     @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
     def test_ext_memo_maps_back_and_orders_like_tuple_key(self, kind):

@@ -328,11 +328,12 @@ class TestSerialization:
         assert parse_ideal(text).generators[0] == F
 
 
-# every command on every data file, plain and --json; on the n=5 file the
-# commands that take --maxdeg stop at degree 3, as the free gin at the
+# every command on every data file, plain and --json; on the n=5 free files
+# the commands that take --maxdeg stop at degree 3, as the free gin at the
 # default n+1 is out of reach
+N5_FREE = ("anticomm_n5.ideal", "lifted_drop_n5.ideal")
 PARITY_RUNS = [
-    [command, str(path), *(["--maxdeg", "3"] if path.name == "anticomm_n5.ideal" and "--maxdeg" in own else [])]
+    [command, str(path), *(["--maxdeg", "3"] if path.name in N5_FREE and "--maxdeg" in own else [])]
     for command, (_, own) in cli.COMMANDS.items()
     for path in sorted(DATA.glob("*.ideal"))
 ]
@@ -438,6 +439,22 @@ class TestCLI:
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_text()
         json.loads(out)  # well-formed
+
+    @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
+    def test_failing_verify_golden(self, capsys, json_flag):
+        # a lifted basis with one element dropped: verify lists rational
+        # remainders and exits 1, as recorded before its reducer summed
+        # S-polynomials onto chain ends
+        flags, golden = (["--json"], "verify_lifted_drop_n5.json") if json_flag else ([], "verify_lifted_drop_n5.txt")
+        code, out = run_cli(capsys, "verify", str(DATA / "lifted_drop_n5.ideal"), *flags)
+        assert code == EXIT_MATH
+        assert out == (GOLDEN / golden).read_text()
+        if json_flag:
+            result = json.loads(out)
+            assert not result["obstructions_resolve"] and not result["dimensions_agree"]
+            assert result["failing_obstructions"][0]["remainder"] == [["-4/45", "X1X2X4"], ["856/495", "X1X2X3"]]
+        else:
+            assert "remainder -4/45*X1X2X4 + 856/495*X1X2X3\n" in out
 
     def test_json_byte_deterministic(self, capsys):
         argv = [
@@ -1169,6 +1186,6 @@ class TestAgainstArithmeticParser:
     def test_data_files_parse_without_polynomial_arithmetic(self, monkeypatch):
         refuse_polynomial_arithmetic(monkeypatch)
         paths = sorted(DATA.glob("*.ideal"))
-        assert len(paths) == 7
+        assert len(paths) == 8
         for path in paths:
             assert parse_ideal(path.read_text(encoding="utf-8")).generators
