@@ -3,7 +3,10 @@ associative algebra K<X1,...,Xn>, together with the projection pi, its
 section delta, and the GL(V) action on both algebras.
 
 Conventions:
-  - scalars are ``fractions.Fraction`` (exact, always reduced);
+  - scalars are exact: parsed and transformed integral ones may be
+    ``int``, and every basis element, lifted element and remainder holds
+    ``fractions.Fraction``s (always reduced), as the public constructors
+    and ``scale`` make; ``fractions`` is imported only where one is made;
   - a free-monoid word is a tuple of variable indices in 1..n, () is 1;
   - an exterior monomial is a square-free product x_I, stored as the index
     set I (a bitmask); signs are never stored in monomials, they are folded
@@ -16,7 +19,6 @@ lowest letter and a cofactor, and maps each distinct cofactor once.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from itertools import product
 
 from .linalg import echelon, primitive
@@ -174,6 +176,8 @@ class _TermPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
+        from fractions import Fraction
+
         items = terms.items() if isinstance(terms, Mapping) else terms
         self.terms = _add_into({}, ((m, Fraction(c)) for m, c in items))
 
@@ -202,6 +206,8 @@ class _TermPolynomial:
         return type(self)._raw({m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "_TermPolynomial":
+        from fractions import Fraction
+
         c = Fraction(c)
         if not c:
             return type(self)._raw({})
@@ -300,12 +306,13 @@ def delta(f: ExtPolynomial) -> FreePolynomial:
 class GLMatrix:
     """Invertible n x n matrix of exact rationals, acting on variables by
     X_i -> sum_l g[l][i] X_l; one with fewer than n pivots is singular.
-    An integral entry is kept as an ``int``."""
+    An integral entry is kept as an ``int``, and an ``int`` entry makes no
+    ``Fraction``."""
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Iterable[Iterable] = ()):
-        rows = [tuple(f.numerator if (f := Fraction(e)).denominator == 1 else f for e in row) for row in entries]
+        rows = [tuple(e if type(e) is int else _integral(e) for e in row) for row in entries]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -319,6 +326,15 @@ class GLMatrix:
 
     def __repr__(self) -> str:
         return f"GLMatrix({[list(map(str, r)) for r in self.entries]})"
+
+
+def _integral(e):
+    """A matrix entry other than an int (a bool too) as a Fraction, or as
+    an int when it is integral."""
+    from fractions import Fraction
+
+    f = Fraction(e)
+    return f.numerator if f.denominator == 1 else f
 
 
 def _columns(g: GLMatrix) -> list[list[tuple[int, int | Fraction]]]:

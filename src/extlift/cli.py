@@ -456,8 +456,9 @@ def _emit_json(result: dict) -> None:
 
 # What json.dumps(value, indent=2, sort_keys=True) writes, for the values
 # the commands emit: dicts with str keys, lists, tuples, str, int, bool and
-# None.  Written here so that no command imports the json package.
-_JSON_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+# None.  Written here so that no command imports the json package.  The
+# escape pattern is compiled (and cached by re) when a string first needs it.
+_JSON_ESCAPE = r'[\\"]|[^ -~]'
 _JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -473,11 +474,15 @@ def _json_escape(m) -> str:
     return f"\\u{0xD800 | (code >> 10):04x}\\u{0xDC00 | (code & 0x3FF):04x}"
 
 
+def _plain(s: str) -> bool:
+    """Printable ASCII with no '"' and no '\\', which JSON writes as is."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
 def _json_str(s: str) -> str:
-    # printable ASCII with no '"' and no '\\' is written as is
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+    if _plain(s):
         return f'"{s}"'
-    return '"' + _JSON_ESCAPE.sub(_json_escape, s) + '"'
+    return '"' + re.sub(_JSON_ESCAPE, _json_escape, s) + '"'
 
 
 def _json(value, newline: str) -> str:
@@ -498,6 +503,14 @@ def _json(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value[0]) is str:
+            try:
+                plain = _plain("".join(value))
+            except TypeError:  # a later item is not a str
+                plain = False
+            if plain:
+                # strings written as is, such as a coefficient pair: one join
+                return "[" + inner + '"' + f'",{inner}"'.join(value) + '"' + newline + "]"
         return "[" + inner + sep.join([_json(v, inner) for v in value]) + newline + "]"
     if isinstance(value, dict):
         if not value:

@@ -45,7 +45,6 @@ a lifted basis do, costs the slices of the few that generate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .algebra import (
@@ -147,6 +146,8 @@ class ExtGroebnerBasis:
     @property
     def elements(self) -> tuple[ExtPolynomial, ...]:
         if self._elements is None:
+            from fractions import Fraction
+
             keys, from_bits = self.order.keys, ExtMonomial.from_bits
             self._elements = tuple(
                 ExtPolynomial._raw(

@@ -8,8 +8,6 @@ can serve as its verification oracle.
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
 from math import gcd
 
 from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
@@ -245,6 +243,8 @@ def _reduce(G: FreeGroebnerCandidate, terms: dict) -> tuple[dict[Word, int], int
     gcd(c, L), and (c/g) tail is subtracted.  Scaling by positive integers
     cancels the same words as over the rationals, so the remainder over
     the scale is the exact remainder."""
+    import heapq
+
     rules = G._rules
     scale = 1
     current = {entry[1]: c for entry, c in terms.items()}
@@ -376,6 +376,8 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
             continue
         remainder, scale = _reduce(G, ends)
         if remainder:
+            from fractions import Fraction
+
             scale *= multiple
             rem = FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
             failures.append(Obstruction(i, j, word, rem))
@@ -425,6 +427,8 @@ def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:
     counts = normal_word_counts(auto, 2 * auto.match.count(-1))
     if 0 in counts:
         return counts[: counts.index(0)], [1]
+    from fractions import Fraction
+
     # den: the shortest recurrence so far, of order length; prev: den before
     # the last change of length, whose discrepancy was prev_disc, shift
     # counts ago

@@ -37,7 +37,6 @@ coefficient, and where it proves nothing the caller eliminates over Q.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd, lcm
 
 Row = dict
@@ -115,6 +114,8 @@ def back_substitute(pivots: dict, lead) -> Row:
     off the echelon form ``pivots`` (as ``echelon`` returns it): its pivot
     row cleared of every other pivot column, largest first, then made
     monic, as a row of Fractions on the same keys."""
+    from fractions import Fraction
+
     row = dict(pivots[lead])
     for k in sorted(pivots, reverse=True):
         # clearing k brings in only keys below k

@@ -24,8 +24,6 @@ call.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import MAX_VARS, ExtMonomial, ExtPolynomial, FreePolynomial, Word
 
 KINDS = ("deglex", "degrevlex")
@@ -142,9 +140,14 @@ def leading_term_free(F: FreePolynomial, spec: FreeOrderSpec) -> tuple[Word, Fra
 
 
 def monic_free(F: FreePolynomial, spec: FreeOrderSpec) -> FreePolynomial:
-    """F over its lead coefficient; F itself when that is already 1."""
+    """F over its lead coefficient; F itself when that is already 1.  The
+    lead may be an int, so it is divided as a Fraction, never as a float."""
     _, c = leading_term_free(F, spec)
-    return F if c == 1 else F.scale(1 / c)
+    if c == 1:
+        return F
+    from fractions import Fraction
+
+    return F.scale(1 / Fraction(c))
 
 
 def sorted_terms_ext(f: ExtPolynomial, spec: ExtOrderSpec) -> list[tuple[ExtMonomial, Fraction]]:

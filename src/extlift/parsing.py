@@ -17,7 +17,8 @@ line, which the file must have.  A generator line is [sign] term
 p/q or a variable with an optional ^k (k >= 0), and the "*" between two
 factors may be left out only before a variable; "(" and ")" are refused.
 Exterior generators use x1..xn, free-algebra generators X1..Xn.  Every
-term parses to one coefficient and one word, and a generator is the sum of
+term parses to one coefficient, an int when it is integral and a Fraction
+otherwise, and one word, and a generator is the sum of
 its terms in the free algebra, or that sum's image under algebra.pi in the
 exterior one: each word sorted with its sign (x3*x2 parses to -x2x3), or
 zero if a letter repeats.
@@ -26,7 +27,6 @@ zero if a letter repeats.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, _add_into, pi
 from .orders import ExtOrderSpec, FreeOrderSpec, sorted_terms_ext, sorted_terms_free
@@ -140,7 +140,13 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
                 i += 1
             elif tag != "x" and tag != "X":
                 break
-        terms.append((tuple(word), Fraction(num, den)))
+        if num % den:
+            from fractions import Fraction
+
+            num = Fraction(num, den)
+        else:
+            num //= den  # den > 0: an integral coefficient stays an int
+        terms.append((tuple(word), num))
     F = FreePolynomial._raw(_add_into({}, terms))
     return pi(F) if exterior else F
 

@@ -540,7 +540,7 @@ def fraction_charpoly(M: list[list[int]]) -> list[Fraction]:
         N = [[sum((v * N[j][col] for j, v in nonzero[i]), Fraction(0)) for col in range(k)] for i in range(k)]
         for i in range(k):
             N[i][i] += c[k - m + 1]
-        c[k - m] = -sum(v * N[j][i] for i in range(k) for j, v in nonzero[i]) / m
+        c[k - m] = -sum((v * N[j][i] for i in range(k) for j, v in nonzero[i]), Fraction(0)) / m
     return c
 
 

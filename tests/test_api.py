@@ -130,3 +130,33 @@ def test_every_module_parses_as_python_3_10():
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+# The functions of src/extlift that may use true division, with how many
+# "/" each holds.  Parsed and transformed integral coefficients are ints,
+# and an int divided by an int is a float, so every other quotient is
+# integer (//) or a Fraction made explicitly.
+TRUE_DIVISIONS = {
+    "orders.monic_free": 1,  # 1 / Fraction(c): an int lead must not give a float
+    "freealg.hilbert_rational": 1,  # Berlekamp-Massey on Fractions
+    "lifting._multipliers": 2,  # monomial quotients, ExtMonomial.__truediv__
+}
+
+
+def _true_divisions(tree: ast.AST, scope: str):
+    """The qualified name of the innermost function or class around each
+    "/" and "/=" in tree, one per division."""
+    for node in ast.iter_child_nodes(tree):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        inner = f"{scope}.{node.name}" if named else scope
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield inner
+        yield from _true_divisions(node, inner)
+
+
+def test_true_division_only_where_allowed():
+    found: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope in _true_divisions(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            found[scope] = found.get(scope, 0) + 1
+    assert found == TRUE_DIVISIONS, "a new '/' can divide two ints into a float: use // or a Fraction"

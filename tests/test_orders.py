@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -17,8 +18,8 @@ from extlift.exterior import ExtIdeal, MonomialIdealExt
 from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree
 from extlift.gin import gin_free
 from extlift.lifting import anti_commutators
-from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free
-from extlift.parsing import ext_poly_str
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free, monic_free
+from extlift.parsing import ext_poly_str, parse_ideal
 
 from helpers import cmp_ext, cmp_lex, cmp_t, ext_monomials_of_degree, random_ext_polynomial
 from oracles import digit_ext_key, digit_word_key, tuple_ext_key, tuple_word_key
@@ -322,3 +323,12 @@ class TestSpecValidation:
         assert c.order.keys is not d.order.keys and c.order.base.keys is not d.order.base.keys
         for fn in (ExtIdeal, MonomialIdealExt, MonomialIdealFree, FreeGroebnerCandidate, gin_free, FreeOrderSpec):
             assert (fn.__init__ if isinstance(fn, type) else fn).__defaults__ == (None,), fn.__name__
+
+
+def test_monic_free_divides_an_int_lead_exactly():
+    # a parsed integral coefficient is an int: 1 / 3 would be a float
+    F = parse_ideal("vars: 2\nalgebra: free\ngenerators:\n3*X2*X1 + X1*X2\n").generators[0]
+    assert type(F.terms[(2, 1)]) is int
+    M = monic_free(F, T_DEGLEX)
+    assert M.terms == {(2, 1): 1, (1, 2): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in M.terms.values())

@@ -327,6 +327,11 @@ class TestSerialization:
         )
         assert parse_ideal(text).generators[0] == F
 
+    def test_integral_coefficients_parse_to_ints(self):
+        text = "vars: 3\nalgebra: free\ngenerators:\n6/3*X1*X2 - 4*X2*X3 + 3/2*X3*X1\n"
+        terms = parse_ideal(text).generators[0].terms
+        assert [(c, type(c)) for c in terms.values()] == [(2, int), (-4, int), (Fraction(3, 2), Fraction)]
+
 
 # every command on every data file, plain and --json; on the n=5 free files
 # the commands that take --maxdeg stop at degree 3, as the free gin at the
@@ -439,6 +444,20 @@ class TestCLI:
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_text()
         json.loads(out)  # well-formed
+
+    @pytest.mark.parametrize(
+        "golden,argv,expected",
+        [
+            ("verify_int_leads_n3.json", ["verify", "int_leads_n3.ideal", "--json", "--maxdeg", "3"], EXIT_MATH),
+            ("gin_int_leads_n3.json", ["gin", "int_leads_n3.ideal", "--json", "--maxdeg", "3"], EXIT_OK),
+        ],
+    )
+    def test_non_unit_integer_leads_golden(self, capsys, golden, argv, expected):
+        # integral coefficients parse to ints; the goldens were recorded when
+        # every parsed coefficient was a Fraction
+        code, out = run_cli(capsys, argv[0], str(DATA / argv[1]), *argv[2:])
+        assert code == expected
+        assert out == (GOLDEN / golden).read_text()
 
     @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
     def test_failing_verify_golden(self, capsys, json_flag):
@@ -861,12 +880,25 @@ def in_process(capsys, argv) -> tuple[bytes, str, int]:
 
 
 JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "encodings.utf_8_sig"}
+# what "import fractions" loads; a command that makes no non-integer loads none
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
+def loaded_modules(argv, absent) -> str:
+    """The exit code of ``main(argv)`` in a fresh process, then those of the
+    modules ``absent`` that it loaded, on one line."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); from extlift.cli import main; "
+        f"code = main({argv!r}); "
+        f"print(code, *sorted({absent!r} & set(sys.modules)), file=sys.stderr)"
+    )
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stderr.strip()
 
 
 class TestProcess:
     def test_import_loads_no_code_generators_or_argparse(self):
         # -S keeps site .pth files from loading any of these before extlift does
-        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "argparse", "gettext", "json"}
+        banned = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "argparse", "gettext", "json", *FRACTION_MODULES}
         code = (
             f"import sys; sys.path.insert(0, {str(SRC)!r}); import extlift.cli; "
             f"print(*sorted({banned!r} & set(sys.modules)))"
@@ -883,16 +915,23 @@ class TestProcess:
             # package or the utf-8-sig codec
             (["gb", "quadric_n3.ideal", "--json"], {"extlift.freealg", "extlift.lifting", *JSON_MODULES}),
             (["verify", "anticomm_n2.ideal", "--json"], {"extlift.lifting", "extlift.gin", *JSON_MODULES}),
+            # the readers that make no non-integer load no fractions, and
+            # the exterior gin no heapq either
+            (["hilbert", "quadric_n3.ideal"], FRACTION_MODULES),
+            (["gin", "quadric_n3.ideal"], {*FRACTION_MODULES, "heapq"}),
+            (["predicates", "gap_n4.ideal"], FRACTION_MODULES),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, absent):
-        code = (
-            f"import sys; sys.path.insert(0, {str(SRC)!r}); from extlift.cli import main; "
-            f"code = main({[argv[0], str(DATA / argv[1]), *argv[2:]]!r}); "
-            f"print(code, *sorted({absent!r} & set(sys.modules)), file=sys.stderr)"
-        )
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-        assert proc.stderr.strip() == str(EXIT_OK)
+        assert loaded_modules([argv[0], str(DATA / argv[1]), *argv[2:]], absent) == str(EXIT_OK)
+
+    def test_finite_free_hilbert_loads_no_fractions_or_heapq(self, tmp_path):
+        # every X_j X_i with j >= i in n=3: a finite series, read off its
+        # counts with no Berlekamp-Massey
+        path = tmp_path / "finite.ideal"
+        words = [f"X{j}*X{i}" for i in range(1, 4) for j in range(i, 4)]
+        path.write_text("vars: 3\nalgebra: free\ngenerators:\n" + "\n".join(words) + "\n")
+        assert loaded_modules(["hilbert", str(path)], {*FRACTION_MODULES, "heapq"}) == str(EXIT_OK)
 
     @pytest.mark.parametrize(
         "argv,unbuffered",
@@ -1186,6 +1225,6 @@ class TestAgainstArithmeticParser:
     def test_data_files_parse_without_polynomial_arithmetic(self, monkeypatch):
         refuse_polynomial_arithmetic(monkeypatch)
         paths = sorted(DATA.glob("*.ideal"))
-        assert len(paths) == 8
+        assert len(paths) == 9
         for path in paths:
             assert parse_ideal(path.read_text(encoding="utf-8")).generators
