@@ -3,10 +3,11 @@ associative algebra K<X1,...,Xn>, together with the projection pi, its
 section delta, and the GL(V) action on both algebras.
 
 Conventions:
-  - scalars are exact: parsed and transformed integral ones may be
-    ``int``, and every basis element, lifted element and remainder holds
-    ``fractions.Fraction``s (always reduced), as the public constructors
-    and ``scale`` make; ``fractions`` is imported only where one is made;
+  - scalars are exact: parsed and transformed integral ones, and those
+    of the anti-commutators, may be ``int``; every basis element, lifted
+    element and remainder holds ``fractions.Fraction``s (always reduced),
+    as the public constructors and ``scale`` make; ``fractions`` is
+    imported only where one is made;
   - a free-monoid word is a tuple of variable indices in 1..n, () is 1;
   - an exterior monomial is a square-free product x_I, stored as the index
     set I (a bitmask); signs are never stored in monomials, they are folded
@@ -282,12 +283,15 @@ def anti_commutators(ctx: AlgebraContext) -> list[FreePolynomial]:
     """
     out = []
     for i in range(1, ctx.n + 1):
-        out.append(FreePolynomial.monomial((i, i)))
+        out.append(FreePolynomial._raw({(i, i): 1}))
         for j in range(i + 1, ctx.n + 1):
-            out.append(
-                FreePolynomial([((i, j), 1), ((j, i), 1)])
-            )
+            out.append(FreePolynomial._raw({(i, j): 1, (j, i): 1}))
     return out
+
+
+def anti_commutator_leading_words(ctx: AlgebraContext) -> list[Word]:
+    """The leading words X_j X_i (j >= i) of ``anti_commutators``."""
+    return [(j, i) for i in range(1, ctx.n + 1) for j in range(i, ctx.n + 1)]
 
 
 def pi(F: FreePolynomial) -> ExtPolynomial:

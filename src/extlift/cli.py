@@ -13,10 +13,9 @@ from __future__ import annotations
 import os
 import re
 import sys
-from math import comb
 from types import SimpleNamespace
 
-from .orders import ExtOrderSpec, leading_term_ext
+from .orders import ExtOrderSpec, leading_term_ext, leading_term_free, monic_free
 from .parsing import (
     IdealFile,
     ParseError,
@@ -159,44 +158,8 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _ideal_slices(ideal: IdealFile, candidate, maxdeg: int) -> dict:
-    """dim J_d for d up to ``maxdeg``, J the ideal of the candidate's elements.
-
-    When J holds every anti-commutator (the elements are monic, so a
-    scaled one counts), it holds their ideal A, and J/A is pi(J), the ideal
-    of E(V) = K<X>/A that the images of the elements generate.  Then
-    dim J_d = (n^d - C(n, d)) + dim pi(J)_d, read off exterior slices of
-    C(n, d) columns (``groebner_ext`` to ``maxdeg``, whose elements are
-    never read), and n^d above n.  Otherwise the free slices, of n^d
-    columns, give dim J_d.
-
-    An element is an anti-commutator iff it equals the one among whose
-    words its leading word is; pi of an anti-commutator is 0, so pi is
-    taken only of the other elements."""
-    from .algebra import anti_commutators, pi
-
-    n = ideal.ctx.n
-    relations = anti_commutators(ideal.ctx)
-    by_word = {w: A.terms for A in relations for w in A.terms}
-    found, others = set(), []
-    for w, F in zip(candidate.leading_words, candidate.elements):
-        if len(w) == 2 and F.terms == by_word.get(w):
-            found.add(w)
-        else:
-            others.append(F)
-    if len(found) == len(relations):
-        from .exterior import ExtIdeal, groebner_ext
-
-        images = ExtIdeal(ideal.ctx, [pi(F) for F in others], ideal.order)
-        dims = groebner_ext(images, maxdeg).slice_dims
-        return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(maxdeg + 1)}
-    from .freealg import free_initial_ideal
-
-    return free_initial_ideal(list(ideal.generators), ideal.ctx, candidate.order, maxdeg).slice_dims
-
-
 def cmd_verify(args) -> int:
-    from .freealg import FreeGroebnerCandidate, MonomialIdealFree, normal_word_counts, obstructions_resolve
+    from .freealg import FreeGroebnerCandidate, MonomialIdealFree, ideal_slice_dims, normal_word_counts, obstructions_resolve
 
     ideal = _load(args)
     _require(ideal, "free", "verify")
@@ -207,7 +170,7 @@ def cmd_verify(args) -> int:
     # the candidate's automaton counts the normal words; the cone only
     # names the minimal leading words
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
-    slice_dims = _ideal_slices(ideal, candidate, maxdeg)
+    slice_dims = ideal_slice_dims(candidate.elements, candidate.leading_words, ideal.ctx, order, maxdeg)
     counts = normal_word_counts(candidate.automaton, maxdeg)
     dims = []
     dims_ok = True
@@ -255,7 +218,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gin(args) -> int:
     from .exterior import ExtIdeal, groebner_ext
-    from .freealg import free_initial_ideal
+    from .freealg import ideal_slice_dims
     from .gin import (
         GinRequest,
         _check_lifted_gin,
@@ -305,7 +268,9 @@ def cmd_gin(args) -> int:
         )
     else:
         order = ideal.free_order
-        dims = free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
+        gens = [monic_free(g, order) for g in ideal.generators]
+        leads = [leading_term_free(F, order)[0] for F in gens]
+        dims = ideal_slice_dims(gens, leads, ideal.ctx, order, maxdeg)
         res = gin_free(list(ideal.generators), ideal.ctx, req, order)
         cone = res.gin
         hilbert_ok = hilbert_compare(dims, ideal.ctx, cone, maxdeg)

@@ -1,6 +1,7 @@
 """Non-commutative Groebner machinery over K<X1,...,Xn>: subword
 divisibility, normal forms, overlap obstructions, normal-word counting and
-rational Hilbert series, plus degree-wise slice elimination.
+rational Hilbert series, plus degree-wise slice elimination, and dim J_d
+of an ideal J, taken through E(V) when J holds the anti-commutators.
 
 This module is deliberately independent of the lifting construction so it
 can serve as its verification oracle.
@@ -8,9 +9,9 @@ can serve as its verification oracle.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
-from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, words_of_degree
+from .algebra import AlgebraContext, FreePolynomial, Word, _add_into, anti_commutators, pi, words_of_degree
 from .linalg import Row, echelon, primitive
 from .orders import FreeOrderSpec, leading_term_free, monic_free
 
@@ -510,3 +511,35 @@ def free_initial_ideal(
         dims[d] = len(leads)
         mingens += [w for w in leads if w[1:] not in below and w[:-1] not in below]
     return FreeInitialData(MonomialIdealFree(mingens, ctx.n, order), dims)
+
+
+def ideal_slice_dims(
+    elements: list[FreePolynomial],
+    leading_words: list[Word],
+    ctx: AlgebraContext,
+    order: FreeOrderSpec,
+    max_degree: int,
+) -> dict[int, int]:
+    """dim J_d, J the ideal of the monic homogeneous ``elements``, for d
+    from their lowest degree to ``max_degree`` (the keys of
+    ``free_initial_ideal``'s ``slice_dims``): off the exterior slices of
+    pi(J) when J holds every anti-commutator (README, "Command-line
+    usage"), otherwise off the free slices.  An element is an
+    anti-commutator iff it equals the one among whose words its leading
+    word is; pi of one is 0, so pi is taken only of the other elements."""
+    relations = anti_commutators(ctx)
+    by_word = {w: A.terms for A in relations for w in A.terms}
+    found, others = set(), []
+    for w, F in zip(leading_words, elements):
+        if len(w) == 2 and F.terms == by_word.get(w):
+            found.add(w)
+        else:
+            others.append(F)
+    if len(found) < len(relations):
+        return free_initial_ideal(elements, ctx, order, max_degree).slice_dims
+    from .exterior import ExtIdeal, groebner_ext
+
+    n = ctx.n
+    dims = groebner_ext(ExtIdeal(ctx, [pi(F) for F in others], order.base), max_degree).slice_dims
+    low = min(len(w) for w in leading_words)
+    return {d: n**d - comb(n, d) + (dims[d] if d <= n else 0) for d in range(low, max_degree + 1)}

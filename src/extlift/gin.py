@@ -24,12 +24,13 @@ from .algebra import (
     ExtPolynomial,
     FreePolynomial,
     GLMatrix,
+    anti_commutator_leading_words,
     apply_gl,
     apply_gl_ext,
 )
 from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext
 from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
-from .lifting import anti_commutator_leading_words, check_natural_ranking
+from .lifting import check_natural_ranking
 from .linalg import primitive
 from .orders import FreeOrderSpec
 

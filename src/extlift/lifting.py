@@ -20,15 +20,12 @@ from .algebra import (
     ExtPolynomial,
     FreePolynomial,
     Word,
+    anti_commutator_leading_words,
     anti_commutators,
     delta,
 )
 from .exterior import ExtGroebnerBasis, MonomialIdealExt
 from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, monic_free
-
-
-def anti_commutator_leading_words(ctx: AlgebraContext) -> list[Word]:
-    return [(j, i) for i in range(1, ctx.n + 1) for j in range(i, ctx.n + 1)]
 
 
 def _multipliers(L: MonomialIdealExt, m: ExtMonomial, degrees) -> list[ExtMonomial]:

@@ -54,6 +54,15 @@ class TestAntiCommutators:
         leads = {leading_term_free(F, spec)[0] for F in acs}
         assert leads == {(1, 1), (2, 2), (2, 1)}
         assert set(anti_commutator_leading_words(ctx)) == leads
+        # for n = 1, 2, 3 and 5, under both base orders with the natural
+        # ranking, the i-th word is the lead of the i-th relation
+        for n in (1, 2, 3, 5):
+            ctx = AlgebraContext(n)
+            words = anti_commutator_leading_words(ctx)
+            assert sorted(words) == sorted((j, i) for i in range(1, n + 1) for j in range(i, n + 1))
+            for kind in ("deglex", "degrevlex"):
+                spec = FreeOrderSpec(ExtOrderSpec(kind))
+                assert [leading_term_free(F, spec)[0] for F in anti_commutators(ctx)] == words
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_count(self, n):

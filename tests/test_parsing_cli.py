@@ -436,6 +436,8 @@ class TestCLI:
             ("gin_quadric_n3.json", ["gin", "quadric_n3.ideal", "--json", "--seed", "3"]),
             # the identity ranking passes the predicates' natural-ranking check
             ("predicates_gap_n4.json", ["predicates", "gap_n4.ideal", "--json", "--varorder", "1,2,3,4"]),
+            # a free gin whose generators hold every anti-commutator
+            ("gin_anticomm_n5.json", ["gin", "anticomm_n5.ideal", "--json", "--maxdeg", "3"]),
         ],
     )
     def test_golden_json(self, capsys, golden, argv):
@@ -920,6 +922,10 @@ class TestProcess:
             (["hilbert", "quadric_n3.ideal"], FRACTION_MODULES),
             (["gin", "quadric_n3.ideal"], {*FRACTION_MODULES, "heapq"}),
             (["predicates", "gap_n4.ideal"], FRACTION_MODULES),
+            # the anti-commutators are built from ints, so a candidate of
+            # integral coefficients makes no Fraction on the E(V) route
+            (["verify", "anticomm_n2.ideal"], FRACTION_MODULES),
+            (["verify", "anticomm_n5.ideal", "--maxdeg", "3"], FRACTION_MODULES),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, absent):

@@ -1,9 +1,11 @@
-"""verify's dimension check.  A candidate that holds every anti-commutator
-X_iX_j + X_jX_i (i < j) and X_i^2, however scaled, generates an ideal J
-that contains their ideal A, so dim J_d = (n^d - C(n, d)) + dim pi(J)_d is
-read off exterior slices; any other candidate has its free slices
-eliminated.  Both routes must give the dimensions of the free slices
-(``freealg.free_initial_ideal``), the differential oracle here."""
+"""The dimension check of verify and the untransformed slices of the free
+gin, ``freealg.ideal_slice_dims``.  A candidate that holds every
+anti-commutator X_iX_j + X_jX_i (i < j) and X_i^2, however scaled,
+generates an ideal J that contains their ideal A, so dim J_d = (n^d -
+C(n, d)) + dim pi(J)_d is read off exterior slices; any other candidate
+has its free slices eliminated.  Both routes must give the dimensions of
+the free slices (``freealg.free_initial_ideal``), the differential oracle
+here, over the same degrees."""
 
 import importlib.util
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from extlift import exterior, freealg
+from extlift import exterior, freealg, gin
 from extlift.algebra import AlgebraContext, anti_commutators
 from extlift.cli import EXIT_OK, main
 from extlift.orders import FreeOrderSpec
@@ -31,10 +33,11 @@ CAPS = {4: 6, 5: 5, 6: 4, 7: 3}
 
 @pytest.fixture
 def routes(monkeypatch) -> list:
-    """The log of the dimension check's passes: 'exterior' per exterior
-    slice pass, 'free' per free one."""
+    """The log of the slice passes: 'exterior' per exterior slice pass,
+    'free' per free one, a free gin trial's included."""
     log = []
-    for module, name, tag in ((exterior, "groebner_ext", "exterior"), (freealg, "free_initial_ideal", "free")):
+    patches = (exterior, "groebner_ext", "exterior"), (freealg, "free_initial_ideal", "free"), (gin, "free_initial_ideal", "free")
+    for module, name, tag in patches:
         def logged(*args, _fn=getattr(module, name), _tag=tag, **kwargs):
             log.append(_tag)
             return _fn(*args, **kwargs)
@@ -64,6 +67,23 @@ def free_dims(path: Path, maxdeg: int) -> list[int]:
     return [dims.get(d, 0) for d in range(maxdeg + 1)]
 
 
+def assert_same_slices(path: Path, maxdeg: int) -> None:
+    """The library's dict equals the oracle's, keys included."""
+    ideal = parse_ideal(path.read_text())
+    order = ideal.free_order
+    candidate = freealg.FreeGroebnerCandidate(ideal.ctx, list(ideal.generators), order)
+    dims = freealg.ideal_slice_dims(candidate.elements, candidate.leading_words, ideal.ctx, order, maxdeg)
+    assert dims == freealg.free_initial_ideal(list(ideal.generators), ideal.ctx, order, maxdeg).slice_dims
+
+
+def gin_routes(capsys, path: Path, routes: list) -> list:
+    """The slice passes of the free ``gin --maxdeg 3`` on ``path``."""
+    routes.clear()
+    main(["gin", str(path), "--json", "--maxdeg", "3"])
+    capsys.readouterr()
+    return list(routes)
+
+
 def lifted_basis(capsys, tmp_path, family: str, n: int, seed: int) -> dict:
     """``lift --json`` on the benchmark's seeded input of the family in n
     variables."""
@@ -84,6 +104,7 @@ def test_scaled_anti_commutators_take_the_exterior_route(capsys, tmp_path, route
     path = free_file(tmp_path, 3, [*scaled, "X1*X2 - 4*X2*X3 + X3*X1"])
     assert verify_dims(capsys, path, 4) == free_dims(path, 4) == [0, 0, 7, 27, 81]
     assert routes == ["exterior", "free"]  # the oracle's own pass comes second
+    assert_same_slices(path, 4)
 
 
 @pytest.mark.parametrize(
@@ -99,6 +120,9 @@ def test_candidates_without_every_anti_commutator_take_the_free_route(capsys, tm
     path = free_file(tmp_path, 2, gens)
     verify_dims(capsys, path, 3)
     assert routes == ["free"]
+    assert_same_slices(path, 3)
+    # the free gin's untransformed pass, then its two trials
+    assert gin_routes(capsys, path, routes) == ["free", "free", "free"]
 
 
 def test_lifted_basis_without_one_anti_commutator_takes_the_free_route(capsys, tmp_path, routes):
@@ -108,6 +132,7 @@ def test_lifted_basis_without_one_anti_commutator_takes_the_free_route(capsys, t
     routes.clear()
     assert verify_dims(capsys, path, 4) == free_dims(path, 4)
     assert routes == ["free", "free"]
+    assert_same_slices(path, 4)
 
 
 @pytest.mark.parametrize("extra", [["X2"], ["X1 - 3*X3"], ["X1 + X2", "X2*X3 + X1*X2"]])
@@ -115,6 +140,7 @@ def test_degree_one_generators(capsys, tmp_path, routes, extra):
     path = free_file(tmp_path, 3, relations(3) + extra)
     assert verify_dims(capsys, path, 5) == free_dims(path, 5)
     assert routes[0] == "exterior"
+    assert_same_slices(path, 5)
 
 
 @pytest.mark.parametrize("maxdeg", [0, 1, 6])
@@ -127,12 +153,16 @@ def test_degree_caps(capsys, tmp_path, routes, maxdeg):
     assert len(dims) == maxdeg + 1 and routes[0] == "exterior"
     if maxdeg == 6:
         assert dims[5:] == [4**5, 4**6]
+    assert_same_slices(path, maxdeg)
 
 
 def test_anticommutators_n5_through_the_exterior(capsys, routes):
     dims = verify_dims(capsys, DATA / "anticomm_n5.ideal", 6)
     assert dims == [0, 0, 15, 115, 620, 3124, 15625]
     assert routes == ["exterior"]
+    assert_same_slices(DATA / "anticomm_n5.ideal", 6)
+    # the free gin's untransformed pass, then one free pass per trial
+    assert gin_routes(capsys, DATA / "anticomm_n5.ideal", routes) == ["exterior", "free", "free"]
 
 
 @pytest.mark.parametrize("n", sorted(CAPS))
@@ -150,3 +180,4 @@ def test_lifted_corpus_matches_the_free_slices(capsys, tmp_path, routes, family,
             routes.clear()
             assert verify_dims(capsys, path, CAPS[n]) == free_dims(path, CAPS[n]), (seed, name)
             assert routes == ["exterior", "free"]
+            assert_same_slices(path, CAPS[n])
