@@ -159,7 +159,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .freealg import FreeGroebnerCandidate, MonomialIdealFree, ideal_slice_dims, normal_word_counts, obstructions_resolve
+    from .freealg import FreeGroebnerCandidate, MonomialIdealFree, dimension_check, ideal_slice_dims, obstructions_resolve
 
     ideal = _load(args)
     _require(ideal, "free", "verify")
@@ -171,15 +171,9 @@ def cmd_verify(args) -> int:
     # names the minimal leading words
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
     slice_dims = ideal_slice_dims(candidate.elements, candidate.leading_words, ideal.ctx, order, maxdeg)
-    counts = normal_word_counts(candidate.automaton, maxdeg)
-    dims = []
-    dims_ok = True
-    for d in range(maxdeg + 1):
-        slice_dim = slice_dims.get(d, 0)
-        cone_dim = ideal.ctx.n**d - counts[d]
-        dims.append({"degree": d, "ideal_slice": slice_dim, "initial_cone": cone_dim})
-        if slice_dim != cone_dim:
-            dims_ok = False
+    rows = dimension_check(slice_dims, candidate.automaton, ideal.ctx.n, maxdeg)
+    dims = [{"degree": d, "ideal_slice": s, "initial_cone": c} for d, s, c in rows]
+    dims_ok = all(s == c for _, s, c in rows)
     result = {
         "command": "verify",
         "vars": ideal.ctx.n,
@@ -218,14 +212,13 @@ def cmd_verify(args) -> int:
 
 def cmd_gin(args) -> int:
     from .exterior import ExtIdeal, groebner_ext
-    from .freealg import ideal_slice_dims
+    from .freealg import dimension_check, ideal_slice_dims
     from .gin import (
         GinRequest,
         _check_lifted_gin,
         gin_ext,
         gin_free,
         gin_lifted,
-        hilbert_compare,
         hilbert_compare_ext,
         is_borel_fixed,
     )
@@ -273,7 +266,8 @@ def cmd_gin(args) -> int:
         dims = ideal_slice_dims(gens, leads, ideal.ctx, order, maxdeg)
         res = gin_free(list(ideal.generators), ideal.ctx, req, order)
         cone = res.gin
-        hilbert_ok = hilbert_compare(dims, ideal.ctx, cone, maxdeg)
+        # dim (g J)_d = dim J_d for g in GL, so the gin's cone counts J's slices
+        hilbert_ok = all(s == c for _, s, c in dimension_check(dims, cone.automaton(), ideal.ctx.n, maxdeg))
         result["gin"] = [word_str(w) for w in cone]
     borel_ok, borel_witness = is_borel_fixed(cone, ideal.ctx)
     agreement = res.agreement

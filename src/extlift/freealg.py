@@ -302,10 +302,10 @@ class Obstruction:
         return isinstance(other, Obstruction) and mine == (other.i, other.j, other.word, other.remainder)
 
 
-def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
-    """All overlap and inclusion ambiguities (i, j, W, left1, right1, left2,
-    right2), W = left1 w_i right1 = left2 w_j right2, sorted by W; ties
-    in the order of (i, j), overlaps before inclusions, then by position.
+def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word]]:
+    """All overlap and inclusion ambiguities (i, j, right1, left2, right2),
+    W = w_i right1 = left2 w_j right2, in the order found: by i, then the
+    overlaps by suffix length, then the inclusions by position.
 
     An overlap is a proper suffix of w_i of length k that is a proper
     prefix of w_j: W = w_i w_j[k:].  An inclusion is w_j as a factor of
@@ -325,30 +325,27 @@ def enumerate_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Wor
         n1 = len(w1)
         for k in range(1, n1):
             for j in prefixes.get(w1[n1 - k:], ()):
-                right = words[j][k:]
-                found.append((i, j, 0, k, w1 + right, (), right, w1[: n1 - k], ()))
+                found.append((i, j, words[j][k:], w1[: n1 - k], ()))
         for p in range(n1):
             for q in range(p + 1, n1 + 1):
                 for j in whole.get(w1[p:q], ()):
                     if q - p < n1 or j != i:
-                        found.append((i, j, 1, p, w1, (), (), w1[:p], w1[q:]))
-    key = G.order.word_key
-    found.sort(key=lambda t: (key(t[4]), t[:4]))
-    return [(i, j, *rest) for i, j, _, _, *rest in found]
+                        found.append((i, j, (), w1[:p], w1[q:]))
+    return found
 
 
-def _s_polynomial_ends(G: FreeGroebnerCandidate, i: int, j: int, left1: Word, right1: Word,
-                       left2: Word, right2: Word) -> tuple[dict, int]:
-    """The S-polynomial of the ambiguity left1 w_i right1 = left2 w_j
-    right2 on integers, (L_j/g) left1 tail_i right1 - (L_i/g) left2 tail_j
-    right2 with g = gcd(L_i, L_j), which is L_i L_j / g times the monic
-    one: each of its words summed straight onto the end of its chain, as
-    ``_reduce`` takes them, and the multiple L_i L_j / g."""
+def _s_polynomial_ends(G: FreeGroebnerCandidate, i: int, j: int, right1: Word, left2: Word,
+                       right2: Word) -> tuple[dict, int]:
+    """The S-polynomial of the ambiguity w_i right1 = left2 w_j right2 on
+    integers, (L_j/g) tail_i right1 - (L_i/g) left2 tail_j right2 with g =
+    gcd(L_i, L_j), which is L_i L_j / g times the monic one: each of its
+    words summed straight onto the end of its chain, as ``_reduce`` takes
+    them, and the multiple L_i L_j / g."""
     leads, chain_end = G.leads, G._chain_end
     g = gcd(leads[i], leads[j])
     a, b = leads[j] // g, leads[i] // g
     ends: dict = {}
-    for factor, left, tail, right in ((a, left1, G.tails[i], right1), (-b, left2, G.tails[j], right2)):
+    for factor, left, tail, right in ((a, (), G.tails[i], right1), (-b, left2, G.tails[j], right2)):
         for t, c in tail:
             w = left + t + right
             entry, f = chain_end(w)
@@ -363,26 +360,32 @@ def _s_polynomial_ends(G: FreeGroebnerCandidate, i: int, j: int, left1: Word, ri
 
 def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """Reduce every S-polynomial; (True, []) iff all vanish, otherwise the
-    failing ambiguities are returned as certificates.
+    failing ambiguities are returned as certificates, sorted by their word
+    W, then by (i, j), then by the position of w_j in W.
 
-    Each S-polynomial is summed onto chain ends as integers
-    (``_s_polynomial_ends``), so no polynomial is built for it, and one
-    whose sum cancels there reduces to 0.  The rest go through
-    ``_reduce``.  Only a failing remainder is turned into ``Fraction``s,
-    divided by its scale and by the S-polynomial's multiple."""
-    failures = []
-    for i, j, word, *sides in enumerate_obstructions(G):
-        ends, multiple = _s_polynomial_ends(G, i, j, *sides)
+    The yes/no does not depend on the order of the reductions, so the
+    ambiguities are taken as found, and only a failure's W is built and
+    keyed.  Each S-polynomial is summed onto chain ends as integers
+    (``_s_polynomial_ends``); one whose sum cancels there reduces to 0,
+    and the rest go through ``_reduce``.  Only a failing remainder is
+    turned into ``Fraction``s, over its scale times the multiple."""
+    failed = []
+    for i, j, right1, left2, right2 in enumerate_obstructions(G):
+        ends, multiple = _s_polynomial_ends(G, i, j, right1, left2, right2)
         if not ends:
             continue
         remainder, scale = _reduce(G, ends)
         if remainder:
-            from fractions import Fraction
+            failed.append((G.leading_words[i] + right1, i, j, len(left2), remainder, scale * multiple))
+    if not failed:
+        return True, []
+    from fractions import Fraction
 
-            scale *= multiple
-            rem = FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()})
-            failures.append(Obstruction(i, j, word, rem))
-    return not failures, failures
+    failed.sort(key=lambda f: (G.order.word_key(f[0]), *f[1:4]))
+    return False, [
+        Obstruction(i, j, word, FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()}))
+        for word, i, j, _, remainder, scale in failed
+    ]
 
 
 def normal_word_counts(auto: PatternAutomaton, d: int) -> list[int]:
@@ -404,6 +407,12 @@ def normal_word_counts(auto: PatternAutomaton, d: int) -> list[int]:
         state_counts = nxt
         counts.append(sum(state_counts.values()))
     return counts
+
+
+def dimension_check(dims: dict[int, int], auto: PatternAutomaton, n: int, max_degree: int) -> list[tuple[int, int, int]]:
+    """(d, dim J_d, n^d minus the words of degree d that avoid ``auto``'s
+    patterns) for d = 0..max_degree, ``dims`` giving dim J_d (0 if absent)."""
+    return [(d, dims.get(d, 0), n**d - c) for d, c in enumerate(normal_word_counts(auto, max_degree))]
 
 
 def hilbert_rational(B: MonomialIdealFree) -> tuple[list[int], list[int]]:

@@ -29,7 +29,7 @@ from .algebra import (
     apply_gl_ext,
 )
 from .exterior import ExtIdeal, MonomialIdealExt, groebner_ext
-from .freealg import MonomialIdealFree, free_initial_ideal, normal_word_counts
+from .freealg import MonomialIdealFree, free_initial_ideal
 from .lifting import check_natural_ranking
 from .linalg import primitive
 from .orders import FreeOrderSpec
@@ -159,14 +159,6 @@ def is_borel_fixed(
                     if not B.member(word):
                         return False, (w, (i, j), word)
     return True, None
-
-
-def hilbert_compare(dims: dict[int, int], ctx: AlgebraContext, gin: MonomialIdealFree, max_degree: int) -> bool:
-    """``dims``, dim J_d (0 where absent) read off the slices of the
-    untransformed generators, vs the word counts of the gin cone up to
-    ``max_degree``: dim (g J)_d = dim J_d for g in GL, so they agree."""
-    counts = normal_word_counts(gin.automaton(), max_degree)
-    return all(dims.get(d, 0) == ctx.n**d - c for d, c in enumerate(counts))
 
 
 def hilbert_compare_ext(dims: dict[int, int], ctx: AlgebraContext, gin: MonomialIdealExt) -> bool:

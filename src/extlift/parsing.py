@@ -55,6 +55,8 @@ class IdealFile:
 # [0-9], not \d, which also matches non-ASCII digits such as '٣'
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([xX])([0-9]+)|([-+*/^()])|(\S))")
 _END = ("$", None, None)  # the end of the line: a tag no token has, and no column
+# the most letters a free term may have, across its factors: X1^k asks for k
+MAX_FREE_TERM_LETTERS = 2**16
 
 
 def _tokenize(text: str, line: int) -> list:
@@ -121,6 +123,8 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
                     if tag != "n":
                         raise ParseError("expected an integer exponent", line, col)
                     i += 2
+                if not exterior and len(word) + power > MAX_FREE_TERM_LETTERS:
+                    raise ParseError(f"a free term may have at most {MAX_FREE_TERM_LETTERS} letters", line, col)
                 # a repeated letter already makes an exterior term zero
                 word += [value] * (min(power, 2) if exterior else power)
             elif tag == "x" or tag == "X":

@@ -21,7 +21,7 @@ from extlift.algebra import (
     delta,
 )
 from extlift.exterior import ExtGroebnerBasis, ExtIdeal, MonomialIdealExt, _Bitmasks, _slice_rows
-from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, obstructions_resolve
+from extlift.freealg import FreeGroebnerCandidate, MonomialIdealFree, dimension_check, obstructions_resolve
 from extlift.gin import random_gl
 from extlift.lifting import (
     _check_liftable,
@@ -307,3 +307,10 @@ def keyed_rows(rows, key):
     column; with the map from key back to column."""
     keyed = [{key(c): v for c, v in primitive(row).items()} for row in rows]
     return keyed, {key(c): c for row in rows for c in row}
+
+
+def cone_counts_slices(dims: dict[int, int], ctx: AlgebraContext, cone: MonomialIdealFree, max_degree: int) -> bool:
+    """The free ``gin``'s Hilbert-series check: ``dims``, dim J_d (0 where
+    absent), equals n^d minus the cone's normal words of degree d for
+    every d up to ``max_degree``."""
+    return all(s == c for _, s, c in dimension_check(dims, cone.automaton(), ctx.n, max_degree))

@@ -30,7 +30,6 @@ from extlift.freealg import (
     MonomialIdealFree,
     Obstruction,
     _reduce,
-    enumerate_obstructions,
     normal_word_counts,
 )
 from extlift.lifting import compute_U
@@ -392,19 +391,20 @@ def normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePolynomial:
 def normal_form_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstruction]]:
     """``freealg.obstructions_resolve`` as it was before it summed each
     S-polynomial onto chain ends: the integer S-polynomial of each
-    ambiguity built as a ``FreePolynomial`` and reduced by ``normal_form``,
-    a failing remainder then divided by L_i L_j / g."""
+    ambiguity of ``pairwise_obstructions``, in its order, built as a
+    ``FreePolynomial`` and reduced by ``normal_form``, a failing remainder
+    then divided by L_i L_j / g."""
     failures = []
-    for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G):
+    for i, j, right1, left2, right2 in pairwise_obstructions(G):
         g = gcd(G.leads[i], G.leads[j])
         a, b = G.leads[j] // g, G.leads[i] // g
-        s = {left1 + t + right1: a * c for t, c in G.tails[i]}
+        s = {t + right1: a * c for t, c in G.tails[i]}
         _add_into(s, ((left2 + t + right2, -b * c) for t, c in G.tails[j]))
         rem = normal_form(FreePolynomial._raw(s), G)
         if rem:
             if a * b * g != 1:
                 rem = rem.scale(Fraction(1, a * b * g))
-            failures.append(Obstruction(i, j, word, rem))
+            failures.append(Obstruction(i, j, G.leading_words[i] + right1, rem))
     return not failures, failures
 
 
@@ -461,17 +461,18 @@ def fraction_normal_form(F: FreePolynomial, G: FreeGroebnerCandidate) -> FreePol
 
 
 def fraction_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, FreePolynomial]]:
-    """The ambiguities of ``enumerate_obstructions`` with their
-    S-polynomials, as ``FreePolynomial`` products of the monic elements."""
+    """The ambiguities of ``pairwise_obstructions``, in its order, with
+    their words and S-polynomials, as ``FreePolynomial`` products of the
+    monic elements."""
     return [
         (
             i,
             j,
-            word,
-            FreePolynomial.monomial(left1) * G.elements[i] * FreePolynomial.monomial(right1)
+            G.leading_words[i] + right1,
+            G.elements[i] * FreePolynomial.monomial(right1)
             - FreePolynomial.monomial(left2) * G.elements[j] * FreePolynomial.monomial(right2),
         )
-        for i, j, word, left1, right1, left2, right2 in enumerate_obstructions(G)
+        for i, j, right1, left2, right2 in pairwise_obstructions(G)
     ]
 
 
@@ -869,21 +870,22 @@ def letterwise_apply_gl_ext(g: GLMatrix, f: ExtPolynomial) -> ExtPolynomial:
     return ExtPolynomial._raw({ExtMonomial.from_bits(b): v for b, v in acc.items()})
 
 
-def pairwise_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word, Word, Word]]:
-    """``enumerate_obstructions`` by testing every pair of leading words
-    for every overlap and inclusion, then a stable sort by the ambiguity
-    word."""
+def pairwise_obstructions(G: FreeGroebnerCandidate) -> list[tuple[int, int, Word, Word, Word]]:
+    """The records of ``enumerate_obstructions``, (i, j, right1, left2,
+    right2), by testing every pair of leading words for every overlap and
+    inclusion, then a stable sort by the ambiguity word w_i right1: the
+    order in which ``obstructions_resolve`` lists its failures."""
     found = []
     for i, w1 in enumerate(G.leading_words):
         for j, w2 in enumerate(G.leading_words):
             l1, l2 = len(w1), len(w2)
             for k in range(1, min(l1, l2)):
                 if w1[l1 - k:] == w2[:k]:
-                    found.append((i, j, w1 + w2[k:], (), w2[k:], w1[: l1 - k], ()))
+                    found.append((i, j, w2[k:], w1[: l1 - k], ()))
             if l2 < l1 or (l2 == l1 and i != j):
                 for p in range(l1 - l2 + 1):
                     if w1[p:p + l2] == w2:
-                        found.append((i, j, w1, (), (), w1[:p], w1[p + l2:]))
-    found.sort(key=lambda t: G.order.word_key(t[2]))
+                        found.append((i, j, (), w1[:p], w1[p + l2:]))
+    found.sort(key=lambda t: G.order.word_key(G.leading_words[t[0]] + t[2]))
     return found
 

@@ -28,9 +28,10 @@ from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
 from extlift.linalg import primitive
-from helpers import dense_rank, initial_ideal_free, keyed_rows, random_ext_ideal_gens, random_free_polynomial
+from helpers import dense_rank, gap_binomials, initial_ideal_free, keyed_rows, random_ext_ideal_gens, random_free_polynomial
 from oracles import (
     automaton_free_initial,
+    fraction_normal_form,
     fraction_obstructions,
     fraction_slice_rows,
     naive_first_match,
@@ -229,16 +230,55 @@ class TestObstructions:
             words = [tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(1, 8))]
             words += rng.sample(words, rng.randint(0, len(words)))
             G = FreeGroebnerCandidate(ctx, [FreePolynomial.monomial(w) for w in words], order)
-            assert enumerate_obstructions(G) == pairwise_obstructions(G), words
+            assert sorted(enumerate_obstructions(G)) == sorted(pairwise_obstructions(G)), words
         ctx = AlgebraContext(rng.randint(3, 5))
         lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, random_ext_ideal_gens(rng, ctx), order.base)))
         G = FreeGroebnerCandidate(ctx, lifted.elements(), order)
-        assert enumerate_obstructions(G) == pairwise_obstructions(G)
+        assert sorted(enumerate_obstructions(G)) == sorted(pairwise_obstructions(G))
+
+    @pytest.mark.parametrize("kind", ["deglex", "degrevlex"])
+    def test_failures_in_the_order_of_the_sorted_oracle(self, kind):
+        """The failures, in order, are the entries of the pairwise scan's
+        list, sorted by word, whose S-polynomial the Fraction reducer
+        leaves nonzero.  The candidates are lifted bases with one lifted
+        element dropped or one coefficient changed, and random binomials
+        of degrees 2, 2 and 4 in two letters, whose failures often share
+        their word."""
+        order = FreeOrderSpec(ExtOrderSpec(kind))
+        rng = random.Random(f"failure-order/{kind}")
+        candidates = []
+        for n in (4, 5):
+            for family in ("quadrics", "gaps"):
+                ctx = AlgebraContext(n)
+                gens = random_ext_ideal_gens(rng, ctx, max_deg=2) if family == "quadrics" else gap_binomials(rng, ctx)
+                lifted = lift_groebner(groebner_ext(ExtIdeal(ctx, gens, order.base)))
+                elements, k = lifted.elements(), len(lifted.anti_commutators)
+                for _ in range(3):
+                    drop = rng.randrange(k, len(elements))
+                    changed = list(elements)
+                    idx = rng.randrange(len(elements))
+                    terms = dict(elements[idx].terms)
+                    terms[rng.choice(sorted(terms))] *= rng.choice([-3, 2, 5])
+                    changed[idx] = FreePolynomial(terms)
+                    candidates += [(ctx, elements[:drop] + elements[drop + 1:]), (ctx, changed)]
+        for _ in range(40):
+            ctx = AlgebraContext(2)
+            gens = [random_free_polynomial(rng, ctx, d, nterms=2) for d in (2, 2, 4)]
+            candidates.append((ctx, gens))
+        failing = tied = 0
+        for ctx, E in candidates:
+            G = FreeGroebnerCandidate(ctx, E, order)
+            found = [(f.i, f.j, f.word) for f in obstructions_resolve(G)[1]]
+            assert found == [(i, j, w) for i, j, w, s in fraction_obstructions(G) if fraction_normal_form(s, G)]
+            failing += len(found)
+            tied += sum(1 for a, b in zip(found, found[1:]) if a[2] == b[2])
+        # enough failures, some sharing their word, for the order to show
+        assert failing >= 100 and tied >= 20, (failing, tied)
 
     def test_obstruction_words_contain_both_leads(self):
         G = anticomm_candidate(3)
-        for i, j, w, left1, right1, left2, right2 in enumerate_obstructions(G):
-            assert left1 + G.leading_words[i] + right1 == w == left2 + G.leading_words[j] + right2
+        for i, j, right1, left2, right2 in enumerate_obstructions(G):
+            assert G.leading_words[i] + right1 == left2 + G.leading_words[j] + right2
         for i, j, w, s in fraction_obstructions(G):
             assert subword_divides(G.leading_words[i], w)
             assert subword_divides(G.leading_words[j], w)

@@ -13,13 +13,12 @@ from extlift.algebra import (
     delta,
 )
 from extlift.exterior import ExtIdeal, MonomialIdealExt, groebner_ext
-from extlift.freealg import MonomialIdealFree, free_initial_ideal
+from extlift.freealg import MonomialIdealFree, dimension_check, free_initial_ideal
 from extlift.gin import (
     GinRequest,
     gin_ext,
     gin_free,
     gin_lifted,
-    hilbert_compare,
     hilbert_compare_ext,
     is_borel_fixed,
     random_gl,
@@ -27,7 +26,7 @@ from extlift.gin import (
 from extlift.lifting import anti_commutators
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
 
-from helpers import dense_rank, ext_monomials_of_degree, gap_binomials, is_strongly_stable, random_ext_ideal_gens
+from helpers import cone_counts_slices, dense_rank, ext_monomials_of_degree, gap_binomials, is_strongly_stable, random_ext_ideal_gens
 from oracles import matrix_is_borel_fixed
 
 ORDER = FreeOrderSpec(ExtOrderSpec("deglex"))
@@ -121,7 +120,7 @@ class TestGinFree:
         assert res.agreement
         # the transformed slice has the same dimensions as the original
         dims = free_initial_ideal(gens, ctx, ORDER, 4).slice_dims
-        assert hilbert_compare(dims, ctx, res.gin, max_degree=4)
+        assert cone_counts_slices(dims, ctx, res.gin, max_degree=4)
 
     def test_rejects_nonhomogeneous(self):
         ctx = AlgebraContext(2)
@@ -311,6 +310,8 @@ class TestHilbertCompare:
         req = GinRequest(max_degree=3, seed=7)
         res = gin_free([comm], ctx, req, ORDER)
         dims = free_initial_ideal([comm], ctx, ORDER, 3).slice_dims
-        assert hilbert_compare(dims, ctx, res.gin, max_degree=3)
+        assert cone_counts_slices(dims, ctx, res.gin, max_degree=3)
         wrong = MonomialIdealFree([(1, 1)], 2, ORDER)
-        assert not hilbert_compare(dims, ctx, wrong, max_degree=3)
+        assert not cone_counts_slices(dims, ctx, wrong, max_degree=3)
+        # 3 of the 4 words of degree 2 avoid X1X1, and 5 of the 8 of degree 3
+        assert dimension_check(dims, wrong.automaton(), 2, 3) == [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 4, 3)]

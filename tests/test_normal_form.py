@@ -22,8 +22,10 @@ from extlift.freealg import (
 )
 from extlift.lifting import anti_commutators, lift_groebner
 from extlift.orders import ExtOrderSpec, FreeOrderSpec
+from extlift.parsing import parse_ideal
 
 from helpers import gap_binomials, keyed_rows, naive_lift, random_ext_ideal_gens, random_ext_polynomial, random_free_polynomial
+from replay import load_inputs
 from oracles import (
     fraction_normal_form,
     normal_form,
@@ -233,7 +235,7 @@ def test_chain_end_corpus_cancels_reduces_and_fails():
         ctx, bases = chain_end_corpus(n, kind, family)
         for E in bases:
             G = FreeGroebnerCandidate(ctx, E, FreeOrderSpec(ExtOrderSpec(kind)))
-            for i, j, _, *sides in enumerate_obstructions(G):
+            for i, j, *sides in enumerate_obstructions(G):
                 ends, _ = freealg._s_polynomial_ends(G, i, j, *sides)
                 if not ends:
                     cancelled += 1
@@ -428,6 +430,18 @@ def test_each_word_keyed_once_and_matched_once_per_candidate(monkeypatch):
     ok, _ = freealg.obstructions_resolve(G)
 
     assert ok
-    assert summed == [(i, j, *sides) for i, j, _, *sides in enumerate_obstructions(G)]
+    assert summed == enumerate_obstructions(G)
     assert keyed and max(keyed.values()) == 1
     assert matched and max(matched.values()) == 1
+
+
+def test_enumeration_keys_no_ambiguity_word():
+    # the 8,732 ambiguities of the lifted gap12/0 are listed without
+    # building or keying their words: the order's memo does not grow
+    inputs = load_inputs()
+    ideal = parse_ideal(inputs.gap_binomials(random.Random("gap12/0"), 12))
+    lifted = lift_groebner(groebner_ext(ExtIdeal(ideal.ctx, list(ideal.generators), ideal.order)))
+    G = FreeGroebnerCandidate(ideal.ctx, lifted.elements(), ideal.free_order)
+    before = len(G.order.keys)
+    assert len(enumerate_obstructions(G)) == 8732
+    assert len(G.order.keys) == before

@@ -27,6 +27,7 @@ from extlift.parsing import (
 
 from helpers import random_ext_polynomial
 from oracles import arithmetic_parse_generator
+from replay import N5_FREE
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +66,7 @@ EXIT_TWO_CASES = {
     "constant-generator": ("gb", "vars: 2\ngenerators:\n1\n", []),
     "non-monomial-predicates": ("predicates", "quadric_n3.ideal", []),
     "non-monomial-free-hilbert": ("hilbert", "commutator_n2.ideal", []),
+    "free-term-over-the-letter-cap": ("verify", "vars: 1\nalgebra: free\ngenerators:\nX1^65537\n", []),
     "degree-1-lift": ("lift", "linear_n2.ideal", []),
     "degree-1-predicates": ("predicates", "linear_n2.ideal", []),
     "degree-1-exterior-gin": ("gin", "linear_n2.ideal", []),
@@ -222,6 +224,29 @@ class TestParsing:
         F = parse_one("X1^40000", header="vars: 1\nalgebra: free\n")
         assert F == FreePolynomial.monomial((1,) * 40000)
 
+    def test_free_term_at_the_letter_cap(self):
+        cap = parsing.MAX_FREE_TERM_LETTERS
+        F = parse_one(f"X1^{cap - 1}*X2", header="vars: 2\nalgebra: free\n")
+        assert F == FreePolynomial.monomial((1,) * (cap - 1) + (2,))
+
+    @pytest.mark.parametrize(
+        "body,col",
+        [(f"X1^{parsing.MAX_FREE_TERM_LETTERS + 1}", 4), ("X1^40000*X1^40000", 13), ("X2 + X1*X1^65536", 12)],
+        ids=["one-power", "two-powers", "letter-then-power"],
+    )
+    def test_free_term_over_the_letter_cap_is_refused_in_small_memory(self, body, col):
+        # the letters are counted across the term's factors, and the
+        # refusal comes before the word grows past the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_one(body, header="vars: 2\nalgebra: free\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"line 4, column {col}: a free term may have at most {parsing.MAX_FREE_TERM_LETTERS} letters"
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "algebra,body,message",
         [
@@ -336,7 +361,6 @@ class TestSerialization:
 # every command on every data file, plain and --json; on the n=5 free files
 # the commands that take --maxdeg stop at degree 3, as the free gin at the
 # default n+1 is out of reach
-N5_FREE = ("anticomm_n5.ideal", "lifted_drop_n5.ideal")
 PARITY_RUNS = [
     [command, str(path), *(["--maxdeg", "3"] if path.name in N5_FREE and "--maxdeg" in own else [])]
     for command, (_, own) in cli.COMMANDS.items()
@@ -459,6 +483,17 @@ class TestCLI:
         # every parsed coefficient was a Fraction
         code, out = run_cli(capsys, argv[0], str(DATA / argv[1]), *argv[2:])
         assert code == expected
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
+    def test_failing_inclusions_of_one_pair_golden(self, capsys, json_flag):
+        # X2X2 lies at three positions in X2X2X2X2, and each inclusion
+        # fails: the failures print by ambiguity word, then by pair, then
+        # by position, as recorded when the ambiguities were sorted before
+        # they were reduced
+        flags, golden = (["--json"], "verify_inclusion_ties_n2.json") if json_flag else ([], "verify_inclusion_ties_n2.txt")
+        code, out = run_cli(capsys, "verify", str(DATA / "inclusion_ties_n2.ideal"), *flags)
+        assert code == EXIT_MATH
         assert out == (GOLDEN / golden).read_text()
 
     @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
@@ -1231,6 +1266,6 @@ class TestAgainstArithmeticParser:
     def test_data_files_parse_without_polynomial_arithmetic(self, monkeypatch):
         refuse_polynomial_arithmetic(monkeypatch)
         paths = sorted(DATA.glob("*.ideal"))
-        assert len(paths) == 9
+        assert len(paths) == 10
         for path in paths:
             assert parse_ideal(path.read_text(encoding="utf-8")).generators
