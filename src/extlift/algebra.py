@@ -3,11 +3,17 @@ associative algebra K<X1,...,Xn>, together with the projection pi, its
 section delta, and the GL(V) action on both algebras.
 
 Conventions:
-  - scalars are exact: parsed and transformed integral ones, and those
-    of the anti-commutators, may be ``int``; every basis element, lifted
-    element and remainder holds ``fractions.Fraction``s (always reduced),
-    as the public constructors and ``scale`` make; ``fractions`` is
-    imported only where one is made;
+  - scalars are exact: parsed and transformed integral ones, those of the
+    anti-commutators and an int given to ``monomial`` may be ``int``;
+    the public views of every basis element, lifted element and remainder
+    hold ``fractions.Fraction``s (always reduced), as the public
+    constructors and ``scale`` do;
+  - behind those views each is one integer view: int numerators over one
+    nonzero int denominator (``IdealFile.multiples``,
+    ``ExtGroebnerBasis.multiples``, ``LiftedBasis.multiples``,
+    ``Obstruction.scaled``), which the commands read and print through
+    ``parsing.ratio_str``, and a view makes its Fractions on first read;
+    ``fractions`` is imported only where one is made;
   - a free-monoid word is a tuple of variable indices in 1..n, () is 1;
   - an exterior monomial is a square-free product x_I, stored as the index
     set I (a bitmask); signs are never stored in monomials, they are folded
@@ -250,7 +256,8 @@ class ExtPolynomial(_TermPolynomial):
 
     @classmethod
     def monomial(cls, m: ExtMonomial, c=1) -> "ExtPolynomial":
-        return cls([(m, c)])
+        """c * m; an int c stays an int, any other is made a Fraction."""
+        return cls._raw({m: c} if c else {}) if type(c) is int else cls([(m, c)])
 
     def __repr__(self) -> str:
         return f"ExtPolynomial({self.terms!r})"
@@ -269,7 +276,8 @@ class FreePolynomial(_TermPolynomial):
 
     @classmethod
     def monomial(cls, w: Word, c=1) -> "FreePolynomial":
-        return cls([(tuple(w), c)])
+        """c * w; an int c stays an int, any other is made a Fraction."""
+        return cls._raw({tuple(w): c} if c else {}) if type(c) is int else cls([(tuple(w), c)])
 
     def __repr__(self) -> str:
         return f"FreePolynomial({self.terms!r})"
@@ -283,7 +291,7 @@ def anti_commutators(ctx: AlgebraContext) -> list[FreePolynomial]:
     """
     out = []
     for i in range(1, ctx.n + 1):
-        out.append(FreePolynomial._raw({(i, i): 1}))
+        out.append(FreePolynomial.monomial((i, i)))
         for j in range(i + 1, ctx.n + 1):
             out.append(FreePolynomial._raw({(i, j): 1, (j, i): 1}))
     return out

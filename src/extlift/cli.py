@@ -15,7 +15,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .orders import ExtOrderSpec, leading_term_ext, leading_term_free, monic_free
+from .orders import ExtOrderSpec, leading_term_ext, leading_term_free
 from .parsing import (
     IdealFile,
     ParseError,
@@ -59,8 +59,7 @@ def _load(args) -> IdealFile:
                 ranking = parse_ranking(args.varorder, ideal.ctx.n)
             except ValueError as exc:
                 raise InputError(f"--varorder {exc}") from None
-        order = ExtOrderSpec(args.order or ideal.order.kind, ranking)
-        ideal = IdealFile(ideal.ctx, ideal.algebra, order, ideal.generators)
+        ideal.order = ExtOrderSpec(args.order or ideal.order.kind, ranking)
     return ideal
 
 
@@ -71,9 +70,9 @@ def _require(ideal: IdealFile, algebra: str, command: str) -> None:
 
 def _monomials(ideal: IdealFile, refusal: str) -> list:
     """The monomial or word of each generator; refuses any other generator."""
-    if any(len(g) != 1 for g in ideal.generators):
+    if any(len(g) != 1 for g in ideal.multiples):
         raise InputError(refusal)
-    return [next(iter(g.terms)) for g in ideal.generators]
+    return [next(iter(g.terms)) for g in ideal.multiples]
 
 
 def cmd_gb(args) -> int:
@@ -81,22 +80,24 @@ def cmd_gb(args) -> int:
 
     ideal = _load(args)
     _require(ideal, "exterior", "gb")
-    I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
+    I = ExtIdeal(ideal.ctx, ideal.multiples, ideal.order)
     gb = groebner_ext(I)
+    # each element is N over its lead coefficient
+    basis = [(N, leading_term_ext(N, ideal.order)[1]) for N in gb.multiples]
     result = {
         "command": "gb",
         "vars": ideal.ctx.n,
         "order": ideal.order.kind,
-        "groebner_basis": [ext_poly_pairs(f, ideal.order) for f in gb.elements],
+        "groebner_basis": [ext_poly_pairs(N, ideal.order, d) for N, d in basis],
         "initial_ideal": [str(m) for m in gb.initial],
         "quotient_dimensions": hilbert_ext(gb),
     }
     if args.json:
         _emit_json(result)
     else:
-        print(f"reduced minimal Groebner basis ({len(gb.elements)} elements):")
-        for f in gb.elements:
-            print(f"  {ext_poly_str(f, ideal.order)}")
+        print(f"reduced minimal Groebner basis ({len(basis)} elements):")
+        for N, d in basis:
+            print(f"  {ext_poly_str(N, ideal.order, d)}")
         print("initial ideal minimal generators:")
         print("  " + (", ".join(result["initial_ideal"]) or "(zero ideal)"))
         print(f"quotient dimensions by degree: {result['quotient_dimensions']}")
@@ -109,7 +110,7 @@ def cmd_lift(args) -> int:
 
     ideal = _load(args)
     _require(ideal, "exterior", "lift")
-    I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
+    I = ExtIdeal(ideal.ctx, ideal.multiples, ideal.order)
     gb = groebner_ext(I)
     try:
         lifted = lift_groebner(gb)
@@ -123,12 +124,8 @@ def cmd_lift(args) -> int:
         "order": ideal.order.kind,
         "anti_commutators": [free_poly_pairs(F, order) for F in lifted.anti_commutators],
         "lifted_elements": [
-            {
-                "source_leading_monomial": str(leading_term_ext(f, ideal.order)[0]),
-                "multiplier": str(u),
-                "element": free_poly_pairs(F, order),
-            }
-            for f, u, F in lifted.lifted
+            {"source_leading_monomial": str(m), "multiplier": str(u), "element": free_poly_pairs(N, order, d)}
+            for m, u, N, d in lifted.multiples
         ],
         "initial_ideal_of_preimage": [word_str(w) for w in sorted(lifted.initial_mingens, key=order.word_key)],
         "squeezed": squeezed,
@@ -143,9 +140,9 @@ def cmd_lift(args) -> int:
         _emit_json(result)
     else:
         print(f"anti-commutators: {len(lifted.anti_commutators)}")
-        print(f"lifted elements ({len(lifted.lifted)}):")
-        for f, u, F in lifted.lifted:
-            print(f"  multiplier {u}: {free_poly_str(F, order)}")
+        print(f"lifted elements ({len(lifted.multiples)}):")
+        for _, u, N, d in lifted.multiples:
+            print(f"  multiplier {u}: {free_poly_str(N, order, d)}")
         print("minimal generators of the preimage initial ideal:")
         print("  " + ", ".join(result["initial_ideal_of_preimage"]))
         verdict = "minimal" if squeezed else "NOT minimal"
@@ -164,13 +161,15 @@ def cmd_verify(args) -> int:
     ideal = _load(args)
     _require(ideal, "free", "verify")
     order = ideal.free_order
-    candidate = FreeGroebnerCandidate(ideal.ctx, list(ideal.generators), order)
+    # the candidate and the slice check read the generators' integer multiples
+    gens = list(ideal.multiples)
+    candidate = FreeGroebnerCandidate(ideal.ctx, gens, order)
     ok, failures = obstructions_resolve(candidate)
     maxdeg = args.maxdeg if args.maxdeg is not None else ideal.ctx.n + 1
     # the candidate's automaton counts the normal words; the cone only
     # names the minimal leading words
     cone = MonomialIdealFree(candidate.leading_words, ideal.ctx.n, order)
-    slice_dims = ideal_slice_dims(candidate.elements, candidate.leading_words, ideal.ctx, order, maxdeg)
+    slice_dims = ideal_slice_dims(gens, candidate.leading_words, ideal.ctx, order, maxdeg)
     rows = dimension_check(slice_dims, candidate.automaton, ideal.ctx.n, maxdeg)
     dims = [{"degree": d, "ideal_slice": s, "initial_cone": c} for d, s, c in rows]
     dims_ok = all(s == c for _, s, c in rows)
@@ -183,7 +182,7 @@ def cmd_verify(args) -> int:
             {
                 "pair": [word_str(candidate.leading_words[f.i]), word_str(candidate.leading_words[f.j])],
                 "ambiguity": word_str(f.word),
-                "remainder": free_poly_pairs(f.remainder, order),
+                "remainder": free_poly_pairs(f.scaled, order, f.scale),
             }
             for f in failures
         ],
@@ -199,7 +198,7 @@ def cmd_verify(args) -> int:
             print(
                 f"  FAIL {word_str(candidate.leading_words[f.i])} / "
                 f"{word_str(candidate.leading_words[f.j])} at {word_str(f.word)}: "
-                f"remainder {free_poly_str(f.remainder, order)}"
+                f"remainder {free_poly_str(f.scaled, order, f.scale)}"
             )
         print("initial ideal: " + ", ".join(result["initial_ideal"]))
         print(f"per-degree dimension cross-check (agree: {dims_ok}):")
@@ -238,7 +237,7 @@ def cmd_gin(args) -> int:
         "seed": args.seed,
     }
     if ideal.algebra == "exterior":
-        I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
+        I = ExtIdeal(ideal.ctx, ideal.multiples, ideal.order)
         try:
             _check_lifted_gin(I)
         except ValueError as exc:
@@ -261,10 +260,10 @@ def cmd_gin(args) -> int:
         )
     else:
         order = ideal.free_order
-        gens = [monic_free(g, order) for g in ideal.generators]
+        gens = list(ideal.multiples)
         leads = [leading_term_free(F, order)[0] for F in gens]
         dims = ideal_slice_dims(gens, leads, ideal.ctx, order, maxdeg)
-        res = gin_free(list(ideal.generators), ideal.ctx, req, order)
+        res = gin_free(gens, ideal.ctx, req, order)
         cone = res.gin
         # dim (g J)_d = dim J_d for g in GL, so the gin's cone counts J's slices
         hilbert_ok = all(s == c for _, s, c in dimension_check(dims, cone.automaton(), ideal.ctx.n, maxdeg))
@@ -315,7 +314,7 @@ def cmd_hilbert(args) -> int:
     if ideal.algebra == "exterior":
         from .exterior import ExtIdeal, groebner_ext, hilbert_ext
 
-        I = ExtIdeal(ideal.ctx, ideal.generators, ideal.order)
+        I = ExtIdeal(ideal.ctx, ideal.multiples, ideal.order)
         vector = hilbert_ext(groebner_ext(I))
         result = {
             "command": "hilbert",

@@ -22,9 +22,10 @@ initial ideal of the minimal elements' leads and the slice dimensions
 are read off there.  The basis keeps the echelon form of each slice with
 a new minimal lead and back-substitutes only the rows of those leads
 (``linalg.back_substitute``), the first time its elements are read:
-``gb`` and ``lift`` read them, while the exterior ``hilbert``, the gin
-trials, the gin's Hilbert check and ``verify``'s dimension check read
-leads and dimensions alone and never pay for the rows.
+``gb`` and ``lift`` read them, as integer rows over their leads, while
+the exterior ``hilbert``, the gin trials, the gin's Hilbert check and
+``verify``'s dimension check read leads and dimensions alone and never
+pay for the rows.
 
 The loop builds each slice once, as the integer rows ``linalg`` takes:
 every generator is scaled once to its primitive integer multiple, each
@@ -35,7 +36,8 @@ x_u * x_m is one popcount of u against a mask fixed per term m
 stops early builds none past its stop.  The loop stays on bitmasks: the
 monomials of a degree, built from those one degree lower, its leads,
 the pivots one degree below and the minimal-lead test over set bits.
-Monomials and Fractions appear only in the basis it returns.
+Monomials appear only in the basis it returns, and Fractions only in
+its public ``elements``.
 
 A generator that adds no pivot to the slice of its own degree, spanned by
 the generators kept below it, lies in their ideal: every reader drops it
@@ -54,7 +56,7 @@ from .algebra import (
     _odd_below,
 )
 from .linalg import back_substitute, echelon, full_rank, primitive
-from .orders import ExtOrderSpec
+from .orders import ExtOrderSpec, leading_term_ext
 
 
 class ExtIdeal:
@@ -131,33 +133,46 @@ class ExtGroebnerBasis:
     the echelon form of its slice, or the lead itself in a slice proved
     full; the slices past the first full one are C(n, d) and not reduced.
 
-    The elements are made the first time ``elements`` is read: until
-    then the basis keeps each new minimal lead (a bitmask) with the
-    echelon form of its slice (None for a slice proved full), so a reader
-    of ``initial`` or ``slice_dims`` alone never pays for the rows."""
+    The basis keeps one integer view of its elements, ``multiples``: for
+    each element N, the back-substituted integer row as an ExtPolynomial of
+    ints, whose coefficient at its lead is the denominator d (nonzero, of
+    either sign), so that the element is N / d.  ``gb`` and ``lift`` read
+    only this view; ``elements``, the monic elements of ``Fraction``s, is
+    made from it on first read.  Until ``multiples`` is read the basis
+    keeps each new minimal lead (a bitmask) with the echelon form of its
+    slice (None for a slice proved full), so a reader of ``initial`` or
+    ``slice_dims`` alone never pays for the rows."""
 
-    __slots__ = ("ctx", "order", "initial", "slice_dims", "_pending", "_elements")
+    __slots__ = ("ctx", "order", "initial", "slice_dims", "_pending", "_multiples", "_elements")
 
     def __init__(self, ctx, order: ExtOrderSpec, slice_dims: tuple, pending: list):
         self.ctx, self.order, self.slice_dims = ctx, order, slice_dims
         self.initial = MonomialIdealExt([ExtMonomial.from_bits(b) for b, _ in pending], order)
-        self._pending, self._elements = pending, None
+        self._pending, self._multiples, self._elements = pending, None, None
+
+    @property
+    def multiples(self) -> tuple[ExtPolynomial, ...]:
+        if self._multiples is None:
+            keys, from_bits = self.order.keys, ExtMonomial.from_bits
+            self._multiples = tuple(
+                ExtPolynomial.monomial(from_bits(b))
+                if rows is None
+                else ExtPolynomial._raw({from_bits(keys.column[k]): v for k, v in back_substitute(rows, keys[b]).items()})
+                for b, rows in self._pending
+            )
+            self._pending = None
+        return self._multiples
 
     @property
     def elements(self) -> tuple[ExtPolynomial, ...]:
         if self._elements is None:
             from fractions import Fraction
 
-            keys, from_bits = self.order.keys, ExtMonomial.from_bits
-            self._elements = tuple(
-                ExtPolynomial._raw(
-                    {from_bits(b): Fraction(1)}
-                    if rows is None
-                    else {from_bits(keys.column[k]): c for k, c in back_substitute(rows, keys[b]).items()}
-                )
-                for b, rows in self._pending
-            )
-            self._pending = None
+            elements = []
+            for N in self.multiples:
+                d = leading_term_ext(N, self.order)[1]
+                elements.append(ExtPolynomial._raw({m: Fraction(v, d) for m, v in N.terms.items()}))
+            self._elements = tuple(elements)
         return self._elements
 
 

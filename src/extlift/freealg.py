@@ -118,15 +118,24 @@ class MonomialIdealFree:
         return f"MonomialIdealFree({[''.join(f'X{i}' for i in w) for w in self.gens]})"
 
 
+def _positive_primitive(F: FreePolynomial, lead: Word) -> dict:
+    """The primitive integer multiple of F whose coefficient at ``lead``
+    is positive: the same for every nonzero rational multiple of F."""
+    ints = primitive(F.terms)
+    return {w: -c for w, c in ints.items()} if ints[lead] < 0 else ints
+
+
 class FreeGroebnerCandidate:
-    """Monic homogeneous polynomials proposed as a Groebner basis.
+    """Homogeneous polynomials proposed as a Groebner basis, each given as
+    any nonzero rational multiple of itself; ``elements``, the monic ones,
+    is made on first read.
 
     Besides the leading words and their automaton, the candidate keeps what
     every reduction modulo it reuses: each element as a primitive integer
-    polynomial, split into its positive lead ``leads[i]`` and the terms
-    without its leading word, ``tails[i]``; and ``_rules``, a memo of each
-    word's rewrite that every ``_reduce`` modulo the candidate reads and
-    extends.
+    polynomial with a positive lead, split into that lead ``leads[i]`` and
+    the terms without its leading word, ``tails[i]``; and ``_rules``, a memo
+    of each word's rewrite that every ``_reduce`` modulo the candidate reads
+    and extends.  These are the same for every multiple of an element.
 
     Write N for the normal form.  ``_rules[w]`` is None when no leading
     word divides w, w's first automaton match ``(idx, end)`` until its rule
@@ -141,28 +150,31 @@ class FreeGroebnerCandidate:
     step to the end.
     """
 
-    __slots__ = ("ctx", "elements", "order", "leading_words", "automaton", "leads", "tails", "_rules")
+    __slots__ = ("ctx", "order", "leading_words", "automaton", "leads", "tails", "_given", "_elements", "_rules")
 
     def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec | None = None):
         if order is None:
             order = FreeOrderSpec()
-        normalized = []
         for F in elements:
             if not F:
                 raise ValueError("zero element in candidate basis")
             if not F.is_homogeneous():
                 raise ValueError("candidate elements must be homogeneous")
-            normalized.append(monic_free(F, order))
-        self.ctx, self.elements, self.order = ctx, normalized, order
-        self.leading_words = [leading_term_free(F, self.order)[0] for F in self.elements]
-        self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
+        self.ctx, self.order, self._given, self._elements = ctx, order, list(elements), None
+        self.leading_words = [leading_term_free(F, order)[0] for F in self._given]
+        self.automaton = PatternAutomaton(self.leading_words, ctx.n)
         self.leads, self.tails = [], []
-        for F, lead in zip(self.elements, self.leading_words):
-            # a monic element's lead is 1, so its primitive integer lead is > 0
-            ints = primitive(F.terms)
+        for F, lead in zip(self._given, self.leading_words):
+            ints = _positive_primitive(F, lead)
             self.leads.append(ints.pop(lead))
             self.tails.append(list(ints.items()))
         self._rules: dict = {}
+
+    @property
+    def elements(self) -> list[FreePolynomial]:
+        if self._elements is None:
+            self._elements = [monic_free(F, self.order) for F in self._given]
+        return self._elements
 
     def _chain_end(self, w: Word):
         """(entry, f) with N(w) = f N(u) and entry = (-word_key(u), u), u
@@ -290,12 +302,26 @@ def _reduce(G: FreeGroebnerCandidate, terms: dict) -> tuple[dict[Word, int], int
 
 
 class Obstruction:
-    """An overlap or inclusion ambiguity between two leading words."""
+    """An overlap or inclusion ambiguity between two leading words, whose
+    S-polynomial leaves the remainder ``scaled / scale``: ``scaled`` a
+    FreePolynomial, of ints as ``obstructions_resolve`` makes it, and
+    ``scale`` a positive int.  ``remainder``, of ``Fraction``s, is made on
+    first read."""
 
-    __slots__ = ("i", "j", "word", "remainder")
+    __slots__ = ("i", "j", "word", "scaled", "scale", "_remainder")
 
-    def __init__(self, i: int, j: int, word: Word, remainder: FreePolynomial):
-        self.i, self.j, self.word, self.remainder = i, j, word, remainder
+    def __init__(self, i: int, j: int, word: Word, scaled: FreePolynomial, scale: int):
+        self.i, self.j, self.word, self.scaled, self.scale = i, j, word, scaled, scale
+        self._remainder = None
+
+    @property
+    def remainder(self) -> FreePolynomial:
+        if self._remainder is None:
+            from fractions import Fraction
+
+            scale = self.scale
+            self._remainder = FreePolynomial._raw({w: Fraction(c, scale) for w, c in self.scaled.terms.items()})
+        return self._remainder
 
     def __eq__(self, other) -> bool:
         mine = (self.i, self.j, self.word, self.remainder)
@@ -367,8 +393,8 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
     ambiguities are taken as found, and only a failure's W is built and
     keyed.  Each S-polynomial is summed onto chain ends as integers
     (``_s_polynomial_ends``); one whose sum cancels there reduces to 0,
-    and the rest go through ``_reduce``.  Only a failing remainder is
-    turned into ``Fraction``s, over its scale times the multiple."""
+    and the rest go through ``_reduce``.  A failing remainder stays on
+    integers, over its scale times the multiple (``Obstruction``)."""
     failed = []
     for i, j, right1, left2, right2 in enumerate_obstructions(G):
         ends, multiple = _s_polynomial_ends(G, i, j, right1, left2, right2)
@@ -379,12 +405,9 @@ def obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Obstructi
             failed.append((G.leading_words[i] + right1, i, j, len(left2), remainder, scale * multiple))
     if not failed:
         return True, []
-    from fractions import Fraction
-
     failed.sort(key=lambda f: (G.order.word_key(f[0]), *f[1:4]))
     return False, [
-        Obstruction(i, j, word, FreePolynomial._raw({w: Fraction(c, scale) for w, c in remainder.items()}))
-        for word, i, j, _, remainder, scale in failed
+        Obstruction(i, j, word, FreePolynomial._raw(remainder), scale) for word, i, j, _, remainder, scale in failed
     ]
 
 
@@ -529,18 +552,20 @@ def ideal_slice_dims(
     order: FreeOrderSpec,
     max_degree: int,
 ) -> dict[int, int]:
-    """dim J_d, J the ideal of the monic homogeneous ``elements``, for d
-    from their lowest degree to ``max_degree`` (the keys of
-    ``free_initial_ideal``'s ``slice_dims``): off the exterior slices of
-    pi(J) when J holds every anti-commutator (README, "Command-line
-    usage"), otherwise off the free slices.  An element is an
-    anti-commutator iff it equals the one among whose words its leading
-    word is; pi of one is 0, so pi is taken only of the other elements."""
+    """dim J_d, J the ideal of the homogeneous ``elements``, each any
+    nonzero multiple of itself, for d from their lowest degree to
+    ``max_degree`` (the keys of ``free_initial_ideal``'s ``slice_dims``):
+    off the exterior slices of pi(J) when J holds every anti-commutator
+    (README, "Command-line usage"), otherwise off the free slices.  An
+    element is an anti-commutator iff its primitive form with a positive
+    lead equals the one among whose words its leading word is; pi of one
+    is 0, so pi is taken only of the other elements, and pi of a multiple
+    spans the same slices."""
     relations = anti_commutators(ctx)
     by_word = {w: A.terms for A in relations for w in A.terms}
     found, others = set(), []
     for w, F in zip(leading_words, elements):
-        if len(w) == 2 and F.terms == by_word.get(w):
+        if len(w) == 2 and w in by_word and _positive_primitive(F, w) == by_word[w]:
             found.add(w)
         else:
             others.append(F)

@@ -8,6 +8,10 @@ the anti-commutators plus delta(u * f) for each basis element f and each
 square-free multiplier u drawn from the gap of the leading monomial of f;
 the multiplier set collapses to {1} exactly when the initial ideal is
 squeezed, in which case the naive lift delta(G) already works.
+
+The lift runs on the basis's integer rows (``ExtGroebnerBasis.multiples``)
+and writes each lifted element as signed entries of its source row over
+that row's denominator: it makes no ``Fraction`` until ``lifted`` is read.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .algebra import (
     ExtPolynomial,
     FreePolynomial,
     Word,
+    _odd_below,
     anti_commutator_leading_words,
     anti_commutators,
     delta,
 )
 from .exterior import ExtGroebnerBasis, MonomialIdealExt
-from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, monic_free
+from .orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
 
 
 def _multipliers(L: MonomialIdealExt, m: ExtMonomial, degrees) -> list[ExtMonomial]:
@@ -123,13 +128,36 @@ def strongly_stable_witness(
 
 class LiftedBasis:
     """Minimal Groebner basis of the preimage ideal J: the anti-commutators,
-    the lifts as (g, multiplier u, lifted element), and in(J)'s minimal generators."""
+    the lifts of the exterior basis, and in(J)'s minimal generators.
 
-    __slots__ = ("ctx", "anti_commutators", "lifted", "order", "initial_mingens")
+    The lifts are kept as one integer view, ``multiples``: for each lifted
+    element, (m, u, N, d) with m the lead of the exterior element f it
+    lifts, u its multiplier, and N a FreePolynomial of ints over the
+    denominator d of f's integer row, so that the lifted element is N / d.
+    ``lift`` reads only this view; ``lifted``, the triples (f, multiplier
+    u, lifted element) of ``Fraction`` polynomials, is made from it on
+    first read."""
 
-    def __init__(self, ctx: AlgebraContext, anti_commutators, lifted, order: FreeOrderSpec, initial_mingens):
-        self.ctx, self.anti_commutators, self.lifted = ctx, anti_commutators, lifted
+    __slots__ = ("ctx", "anti_commutators", "multiples", "order", "initial_mingens", "_basis", "_lifted")
+
+    def __init__(self, ctx: AlgebraContext, anti_commutators, basis: ExtGroebnerBasis, multiples,
+                 order: FreeOrderSpec, initial_mingens):
+        self.ctx, self.anti_commutators, self.multiples = ctx, anti_commutators, multiples
         self.order, self.initial_mingens = order, initial_mingens
+        self._basis, self._lifted = basis, None
+
+    @property
+    def lifted(self) -> tuple[tuple[ExtPolynomial, ExtMonomial, FreePolynomial], ...]:
+        if self._lifted is None:
+            from fractions import Fraction
+
+            G = self._basis
+            source = {leading_term_ext(f, G.order)[0]: f for f in G.elements}
+            self._lifted = tuple(
+                (source[m], u, FreePolynomial._raw({w: Fraction(v, d) for w, v in N.terms.items()}))
+                for m, u, N, d in self.multiples
+            )
+        return self._lifted
 
     def elements(self) -> list[FreePolynomial]:
         return list(self.anti_commutators) + [F for _, _, F in self.lifted]
@@ -149,33 +177,51 @@ def check_natural_ranking(order: ExtOrderSpec, n: int, caller: str = "the lift")
 
 def _check_liftable(G: ExtGroebnerBasis) -> None:
     check_natural_ranking(G.order, G.ctx.n)
-    for f in G.elements:
-        if f.degree < 2:
-            raise ValueError(
-                "cannot lift a basis with a degree-1 element: with a linear "
-                "generator the lifted set is not minimal (for I = (x1) in two "
-                "variables the preimage is already generated by X1 and X2^2, "
-                "making two anti-commutators redundant)"
-            )
+    # the leads are the initial ideal's minimal generators
+    if any(m.degree < 2 for m in G.initial.gens):
+        raise ValueError(
+            "cannot lift a basis with a degree-1 element: with a linear "
+            "generator the lifted set is not minimal (for I = (x1) in two "
+            "variables the preimage is already generated by X1 and X2^2, "
+            "making two anti-commutators redundant)"
+        )
 
 
 def lift_groebner(G: ExtGroebnerBasis) -> LiftedBasis:
     """Lift of a reduced minimal exterior Groebner basis, monic elements
-    all of degree >= 2, as ``groebner_ext`` returns it."""
+    all of degree >= 2, as ``groebner_ext`` returns it.
+
+    Each lift, delta(u * f) made monic, is written off f's integer row N
+    over its denominator d = N[m], m the lead, with no division: x_u * x_b
+    is (-1)^popcount(u & _odd_below(b)) x_{u|b}, or 0 when u meets b, and
+    x_u * f has lead x_{u|m} with the sign s of x_u * x_m, as f is monic.
+    So the lift is delta of the sum of s (-1)^popcount(u & _odd_below(b))
+    N[b] x_{u|b}, over d."""
     _check_liftable(G)
     order = FreeOrderSpec(G.order)
-    lifted = []
+    multiples = []
     init: list[Word] = list(anti_commutator_leading_words(G.ctx))
-    for f in G.elements:
-        m, _ = leading_term_ext(f, G.order)
+    for N in G.multiples:
+        m, d = leading_term_ext(N, G.order)
+        terms = [(b.bits, _odd_below(b.bits), c) for b, c in N.terms.items()]
         for u in sorted(compute_U(G.initial, m), key=G.order.ext_key):
-            prod = ExtPolynomial.monomial(u) * f if u.bits else f
-            lifted.append((f, u, monic_free(delta(prod), order)))
+            ub = u.bits
+            if ub:
+                s = (ub & _odd_below(m.bits)).bit_count()
+                prod = ExtPolynomial._raw({
+                    ExtMonomial.from_bits(ub | b): -c if ((ub & odd).bit_count() + s) & 1 else c
+                    for b, odd, c in terms
+                    if not ub & b
+                })
+            else:
+                prod = N
+            multiples.append((m, u, delta(prod), d))
             init.append((u * m).support)
     return LiftedBasis(
         ctx=G.ctx,
         anti_commutators=tuple(anti_commutators(G.ctx)),
-        lifted=tuple(lifted),
+        basis=G,
+        multiples=tuple(multiples),
         order=order,
         initial_mingens=tuple(init),
     )

@@ -24,8 +24,10 @@ p = pivot[c] and g = gcd(r, p).  The one content rule: the row's content
 is divided out after a step that multiplied the row (p/g != 1), the only
 kind of step that scales every entry, which saves most gcds on slices of
 small coefficients.  ``echelon`` copies each incoming row once;
-``back_substitute`` copies its pivot row, clears the other pivot columns
-from it, largest first, and divides it once by its lead into Fractions.
+``back_substitute`` copies its pivot row and clears the other pivot
+columns from it, largest first.  It returns that integer row and divides
+nothing: the row over its lead entry is the monic row, and the caller
+makes a ``Fraction`` of an entry only where a public view asks for one.
 Neither changes the rows it is given.
 
 ``full_rank`` only certifies full rank, modulo the one prime ``PRIME``:
@@ -110,19 +112,18 @@ def echelon(rows: Iterable[Row], dependent: list | None = None, stop: int | None
 
 
 def back_substitute(pivots: dict, lead) -> Row:
-    """The row with pivot ``lead`` of the reduced row echelon form, read
-    off the echelon form ``pivots`` (as ``echelon`` returns it): its pivot
-    row cleared of every other pivot column, largest first, then made
-    monic, as a row of Fractions on the same keys."""
-    from fractions import Fraction
-
+    """An integer multiple of the row with pivot ``lead`` of the reduced
+    row echelon form, read off the echelon form ``pivots`` (as ``echelon``
+    returns it): its pivot row cleared of every other pivot column,
+    largest first, on the same keys.  Its entry at ``lead`` is nonzero, of
+    either sign, and is the denominator: the reduced row is the row over
+    that entry."""
     row = dict(pivots[lead])
     for k in sorted(pivots, reverse=True):
         # clearing k brings in only keys below k
         if k < lead and k in row:
             _eliminate(row, k, pivots[k])
-    lc = row[lead]
-    return {k: Fraction(v, lc) for k, v in row.items()}
+    return row
 
 
 def full_rank(rows: list[Row], ncols: int) -> bool:

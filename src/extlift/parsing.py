@@ -17,18 +17,25 @@ line, which the file must have.  A generator line is [sign] term
 p/q or a variable with an optional ^k (k >= 0), and the "*" between two
 factors may be left out only before a variable; "(" and ")" are refused.
 Exterior generators use x1..xn, free-algebra generators X1..Xn.  Every
-term parses to one coefficient, an int when it is integral and a Fraction
-otherwise, and one word, and a generator is the sum of
-its terms in the free algebra, or that sum's image under algebra.pi in the
-exterior one: each word sorted with its sign (x3*x2 parses to -x2x3), or
-zero if a letter repeats.
+term parses to one coefficient, in lowest terms, and one word, and a
+generator is the sum of its terms in the free algebra, or that sum's image
+under algebra.pi in the exterior one: each word sorted with its sign
+(x3*x2 parses to -x2x3), or zero if a letter repeats.  The sum is taken
+on integers: the numerators over the terms' common denominator, which is
+positive.  Only ``IdealFile.generators`` divides, on first read, with a
+coefficient an int when every term summed into it since its sum was last
+zero is integral, and a Fraction otherwise, as summing ints and Fractions
+would give.  The free terms of a file may have at most its length plus
+``MAX_FREE_TERM_LETTERS`` letters in all, which no file without an
+exponent reaches.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 
-from .algebra import AlgebraContext, ExtPolynomial, FreePolynomial, _add_into, pi
+from .algebra import AlgebraContext, ExtMonomial, ExtPolynomial, FreePolynomial, word_sort_sign
 from .orders import ExtOrderSpec, FreeOrderSpec, sorted_terms_ext, sorted_terms_free
 
 
@@ -41,15 +48,39 @@ class ParseError(ValueError):
 
 
 class IdealFile:
-    __slots__ = ("ctx", "algebra", "order", "generators")
+    """A parsed file: ``algebra`` is "exterior" or "free", and each
+    generator is kept as ``multiples[i]``, the Ext- or FreePolynomial of its
+    integer numerators over one positive denominator, which spans the same
+    ideal and is what the commands read.  ``generators``, the generators
+    themselves, is made from them on first read."""
 
-    def __init__(self, ctx: AlgebraContext, algebra: str, order: ExtOrderSpec, generators: tuple):
-        # algebra is "exterior" or "free"; generators are Ext- or FreePolynomials
-        self.ctx, self.algebra, self.order, self.generators = ctx, algebra, order, generators
+    __slots__ = ("ctx", "algebra", "order", "multiples", "_denominators", "_fractional", "_generators")
+
+    def __init__(self, ctx: AlgebraContext, algebra: str, order: ExtOrderSpec, multiples: tuple,
+                 denominators: tuple, fractional: tuple):
+        self.ctx, self.algebra, self.order, self.multiples = ctx, algebra, order, multiples
+        self._denominators, self._fractional, self._generators = denominators, fractional, None
 
     @property
     def free_order(self) -> FreeOrderSpec:
         return FreeOrderSpec(self.order)
+
+    @property
+    def generators(self) -> tuple:
+        """Each multiple over its denominator: a coefficient in its
+        ``fractional`` set is a Fraction, any other an int."""
+        if self._generators is None:
+            gens = []
+            for N, den, fractional in zip(self.multiples, self._denominators, self._fractional):
+                if fractional:
+                    from fractions import Fraction
+
+                    N = type(N)._raw({k: Fraction(v, den) if k in fractional else v // den for k, v in N.terms.items()})
+                elif den != 1:  # the fractional terms cancelled
+                    N = type(N)._raw({k: v // den for k, v in N.terms.items()})
+                gens.append(N)
+            self._generators = tuple(gens)
+        return self._generators
 
 
 # [0-9], not \d, which also matches non-ASCII digits such as '٣'
@@ -79,10 +110,39 @@ def _tokenize(text: str, line: int) -> list:
     return out
 
 
-def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
+def _sum_terms(terms) -> tuple[dict, set]:
+    """The sum of ``terms``, triples (key, int value, fractional): the map
+    key -> nonzero sum, in the order the keys first reach it, and the keys
+    whose coefficient is a Fraction in the public view.  Those are the
+    keys with a fractional term summed into them since their sum was last
+    zero: an int plus a Fraction is a Fraction, and a zero sum is dropped,
+    as in ``algebra._add_into``."""
+    sums: dict = {}
+    fractional = set()
+    for k, v, frac in terms:
+        s = sums.get(k)
+        if s is not None:
+            v += s
+            if not v:
+                del sums[k]
+                fractional.discard(k)
+                continue
+        elif not v:
+            continue
+        sums[k] = v
+        if frac:
+            fractional.add(k)
+    return sums, fractional
+
+
+def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str, letters: int, budget: int):
     """One generator line, in one pass over its tokens.  Each term reads to
     an integer numerator and denominator and a word (a variable and each
-    ``^k`` append letters); the generator is built once from the terms."""
+    ``^k`` append letters); the generator is built once from the terms:
+    (the polynomial of its numerators, their positive common denominator,
+    the keys whose coefficient is a Fraction, ``letters`` plus the letters
+    of its free terms).  ``letters`` counts those of the file's earlier
+    free terms, and a free term may not take the count past ``budget``."""
     tokens = _tokenize(text, line)
     exterior = algebra == "exterior"
     letter = "x" if exterior else "X"
@@ -123,8 +183,16 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
                     if tag != "n":
                         raise ParseError("expected an integer exponent", line, col)
                     i += 2
-                if not exterior and len(word) + power > MAX_FREE_TERM_LETTERS:
-                    raise ParseError(f"a free term may have at most {MAX_FREE_TERM_LETTERS} letters", line, col)
+                if not exterior:
+                    if len(word) + power > MAX_FREE_TERM_LETTERS:
+                        raise ParseError(f"a free term may have at most {MAX_FREE_TERM_LETTERS} letters", line, col)
+                    if letters + len(word) + power > budget:
+                        raise ParseError(
+                            f"the free terms of this file may have at most {budget} letters in all "
+                            f"(its length plus {MAX_FREE_TERM_LETTERS})",
+                            line,
+                            col,
+                        )
                 # a repeated letter already makes an exterior term zero
                 word += [value] * (min(power, 2) if exterior else power)
             elif tag == "x" or tag == "X":
@@ -144,15 +212,22 @@ def _parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
                 i += 1
             elif tag != "x" and tag != "X":
                 break
-        if num % den:
-            from fractions import Fraction
-
-            num = Fraction(num, den)
-        else:
-            num //= den  # den > 0: an integral coefficient stays an int
-        terms.append((tuple(word), num))
-    F = FreePolynomial._raw(_add_into({}, terms))
-    return pi(F) if exterior else F
+        g = gcd(num, den)  # den > 0, so the term's lowest terms keep it positive
+        terms.append((tuple(word), num // g, den // g))
+        if not exterior:
+            letters += len(word)
+    den = lcm(*(d for _, _, d in terms))
+    sums, fractional = _sum_terms((w, c * (den // d), d != 1) for w, c, d in terms)
+    if not exterior:
+        return FreePolynomial._raw(sums), den, fractional, letters
+    # pi: each word sorted with its sign, or dropped when a letter repeats
+    signed = []
+    for w, c in sums.items():
+        sign, sorted_word = word_sort_sign(w)
+        if sign:
+            signed.append((ExtMonomial(sorted_word), c if sign > 0 else -c, w in fractional))
+    sums, fractional = _sum_terms(signed)
+    return ExtPolynomial._raw(sums), den, fractional, letters
 
 
 def parse_int(text: str) -> int:
@@ -235,38 +310,53 @@ def parse_ideal(text: str) -> IdealFile:
         key = sorted(unknown)[0]
         raise ParseError(f"unknown header key {key!r}", header[key][1])
 
-    generators = []
+    multiples, denominators, fractional = [], [], []
+    letters, budget = 0, len(text) + MAX_FREE_TERM_LETTERS
     for lineno, expr in gen_lines:
-        poly = _parse_generator(expr, lineno, ctx, algebra)
+        poly, den, frac, letters = _parse_generator(expr, lineno, ctx, algebra, letters, budget)
         if not poly:
             raise ParseError("generator is zero", lineno)
         if not poly.is_homogeneous():
             raise ParseError("generator is not homogeneous", lineno)
         if poly.degree == 0:
             raise ParseError("generator is constant", lineno)
-        generators.append(poly)
-    return IdealFile(ctx=ctx, algebra=algebra, order=order, generators=tuple(generators))
+        multiples.append(poly)
+        denominators.append(den)
+        fractional.append(frac)
+    return IdealFile(ctx, algebra, order, tuple(multiples), tuple(denominators), tuple(fractional))
 
 
 def word_str(w) -> str:
     return "".join(f"X{i}" for i in w) or "1"
 
 
-def ext_poly_pairs(f: ExtPolynomial, order: ExtOrderSpec) -> list[tuple[str, str]]:
-    """Terms as (coefficient "p/q", monomial) pairs, order-descending."""
-    return [(str(c), str(m)) for m, c in sorted_terms_ext(f, order)]
+def ratio_str(num: int, den: int) -> str:
+    """What ``str(Fraction(num, den))`` writes, den != 0: the quotient in
+    lowest terms, its sign on the numerator, and no "/1"."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def free_poly_pairs(F: FreePolynomial, order: FreeOrderSpec) -> list[tuple[str, str]]:
-    return [(str(c), word_str(w)) for w, c in sorted_terms_free(F, order)]
+def ext_poly_pairs(f: ExtPolynomial, order: ExtOrderSpec, den: int = 1) -> list[tuple[str, str]]:
+    """The terms of f / den as (coefficient "p/q", monomial) pairs,
+    order-descending.  f's coefficients are ints or Fractions; an integer
+    view passes its numerators with their denominator."""
+    return [(ratio_str(c.numerator, c.denominator * den), str(m)) for m, c in sorted_terms_ext(f, order)]
 
 
-def ext_poly_str(f: ExtPolynomial, order: ExtOrderSpec) -> str:
-    return _pairs_to_str(ext_poly_pairs(f, order))
+def free_poly_pairs(F: FreePolynomial, order: FreeOrderSpec, den: int = 1) -> list[tuple[str, str]]:
+    return [(ratio_str(c.numerator, c.denominator * den), word_str(w)) for w, c in sorted_terms_free(F, order)]
 
 
-def free_poly_str(F: FreePolynomial, order: FreeOrderSpec) -> str:
-    return _pairs_to_str(free_poly_pairs(F, order))
+def ext_poly_str(f: ExtPolynomial, order: ExtOrderSpec, den: int = 1) -> str:
+    return _pairs_to_str(ext_poly_pairs(f, order, den))
+
+
+def free_poly_str(F: FreePolynomial, order: FreeOrderSpec, den: int = 1) -> str:
+    return _pairs_to_str(free_poly_pairs(F, order, den))
 
 
 def _pairs_to_str(pairs: list[tuple[str, str]]) -> str:

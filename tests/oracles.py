@@ -19,7 +19,9 @@ from extlift.algebra import (
     Word,
     _add_into,
     _columns,
+    anti_commutator_leading_words,
     apply_gl,
+    delta,
     pi,
     words_of_degree,
 )
@@ -29,13 +31,15 @@ from extlift.freealg import (
     FreeInitialData,
     MonomialIdealFree,
     Obstruction,
+    PatternAutomaton,
     _reduce,
     normal_word_counts,
 )
 from extlift.lifting import compute_U
-from extlift.linalg import _eliminate
-from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext
-from extlift.parsing import ParseError
+from extlift.linalg import _eliminate, primitive
+from extlift.orders import ExtOrderSpec, FreeOrderSpec, leading_term_ext, leading_term_free, monic_free
+from extlift.parsing import MAX_FREE_TERM_LETTERS, ParseError
+from extlift.parsing import _tokenize as parse_tokens
 
 from helpers import elementary, ext_monomials_of_degree, keyed_rows
 
@@ -404,7 +408,7 @@ def normal_form_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, li
         if rem:
             if a * b * g != 1:
                 rem = rem.scale(Fraction(1, a * b * g))
-            failures.append(Obstruction(i, j, G.leading_words[i] + right1, rem))
+            failures.append(Obstruction(i, j, G.leading_words[i] + right1, rem, 1))
     return not failures, failures
 
 
@@ -483,7 +487,7 @@ def fraction_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[
     for i, j, word, s in fraction_obstructions(G):
         rem = fraction_normal_form(s, G)
         if rem:
-            failures.append(Obstruction(i, j, word, rem))
+            failures.append(Obstruction(i, j, word, rem, 1))
     return not failures, failures
 
 
@@ -495,7 +499,7 @@ def rescan_obstructions_resolve(G: FreeGroebnerCandidate) -> tuple[bool, list[Ob
     for i, j, word, s in found:
         rem = rescan_normal_form(s, G)
         if rem:
-            failures.append(Obstruction(i, j, word, rem))
+            failures.append(Obstruction(i, j, word, rem, 1))
     return not failures, failures
 
 
@@ -638,10 +642,20 @@ def _tokenize(text: str, line: int):
     return out
 
 
-def arithmetic_parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
+def as_parse_result(poly, letters: int) -> tuple:
+    """A generator as ``parsing._parse_generator`` returns it: its
+    numerators over their common denominator, the keys whose coefficient
+    is not an int, and ``letters``."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    multiple = type(poly)._raw({k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()})
+    return multiple, den, {k for k, c in poly.terms.items() if type(c) is not int}, letters
+
+
+def arithmetic_parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str, letters: int, budget: int):
     """Reference for ``parsing._parse_generator``, with the same interface:
-    the tokenizer it replaced, then ``ArithmeticExprParser``."""
-    return ArithmeticExprParser(_tokenize(text, line), line, ctx, algebra).parse()
+    the tokenizer it replaced, then ``ArithmeticExprParser``.  It counts
+    no letters against ``budget``."""
+    return as_parse_result(ArithmeticExprParser(_tokenize(text, line), line, ctx, algebra).parse(), letters)
 
 
 class ArithmeticExprParser:
@@ -762,6 +776,162 @@ class ArithmeticExprParser:
                 acc = acc * base
             return acc
         self.error(f"unexpected token {value!r}")
+
+
+# ---- the Fraction paths behind the public views ----------------------------
+
+
+def fraction_back_substitute(pivots: dict, lead) -> dict:
+    """``linalg.back_substitute`` as it was: the row with pivot ``lead`` of the reduced row echelon form, read
+    off the echelon form ``pivots`` (as ``echelon`` returns it): its pivot
+    row cleared of every other pivot column, largest first, then made
+    monic, as a row of Fractions on the same keys."""
+    from fractions import Fraction
+
+    row = dict(pivots[lead])
+    for k in sorted(pivots, reverse=True):
+        # clearing k brings in only keys below k
+        if k < lead and k in row:
+            _eliminate(row, k, pivots[k])
+    lc = row[lead]
+    return {k: Fraction(v, lc) for k, v in row.items()}
+
+
+def fraction_basis_elements(G) -> tuple[ExtPolynomial, ...]:
+    """``ExtGroebnerBasis.elements`` as it was: each new minimal lead's row
+    back-substituted by ``fraction_back_substitute``, or the lead itself
+    in a slice proved full.  It reads the pending rows of a basis whose
+    ``multiples`` were not read yet."""
+    keys, from_bits = G.order.keys, ExtMonomial.from_bits
+    return tuple(
+        ExtPolynomial._raw(
+            {from_bits(b): Fraction(1)}
+            if rows is None
+            else {from_bits(keys.column[k]): c for k, c in fraction_back_substitute(rows, keys[b]).items()}
+        )
+        for b, rows in G._pending
+    )
+
+
+def fraction_lift_groebner(G) -> tuple[tuple, tuple]:
+    """``lifting.lift_groebner`` as it was, on the public ``G.elements``:
+    (the triples (f, u, lifted element), the initial ideal's minimal
+    generators), each lift delta(u * f) made monic in Fractions.  It does
+    not refuse a basis that cannot be lifted."""
+    order = FreeOrderSpec(G.order)
+    lifted = []
+    init: list[Word] = list(anti_commutator_leading_words(G.ctx))
+    for f in G.elements:
+        m, _ = leading_term_ext(f, G.order)
+        for u in sorted(compute_U(G.initial, m), key=G.order.ext_key):
+            prod = ExtPolynomial.monomial(u) * f if u.bits else f
+            lifted.append((f, u, monic_free(delta(prod), order)))
+            init.append((u * m).support)
+    return tuple(lifted), tuple(init)
+
+
+class MonicCandidate:
+    """``FreeGroebnerCandidate``'s construction as it was: each element made
+    monic in Fractions first, and its primitive integer lead and tail
+    read off the monic element."""
+
+    def __init__(self, ctx, elements: list[FreePolynomial], order: FreeOrderSpec | None = None):
+        if order is None:
+            order = FreeOrderSpec()
+        normalized = []
+        for F in elements:
+            if not F:
+                raise ValueError("zero element in candidate basis")
+            if not F.is_homogeneous():
+                raise ValueError("candidate elements must be homogeneous")
+            normalized.append(monic_free(F, order))
+        self.ctx, self.elements, self.order = ctx, normalized, order
+        self.leading_words = [leading_term_free(F, self.order)[0] for F in self.elements]
+        self.automaton = PatternAutomaton(self.leading_words, self.ctx.n)
+        self.leads, self.tails = [], []
+        for F, lead in zip(self.elements, self.leading_words):
+            # a monic element's lead is 1, so its primitive integer lead is > 0
+            ints = primitive(F.terms)
+            self.leads.append(ints.pop(lead))
+            self.tails.append(list(ints.items()))
+
+
+def fraction_parse_generator(text: str, line: int, ctx: AlgebraContext, algebra: str):
+    """``parsing._parse_generator`` as it was, with each term's coefficient
+    an int or a ``Fraction`` and the terms summed in those: one generator
+    line, in one pass over its tokens (of ``parsing._tokenize``).  Each term reads to
+    an integer numerator and denominator and a word (a variable and each
+    ``^k`` append letters); the generator is built once from the terms."""
+    tokens = parse_tokens(text, line)
+    exterior = algebra == "exterior"
+    letter = "x" if exterior else "X"
+    terms = []
+    i = 0
+    tag, value, col = tokens[0]
+    while True:
+        # (tag, value, col) is tokens[i], the line's first token or the one after a term
+        num, den, word = 1, 1, []
+        if tag == "+" or tag == "-":
+            num = -1 if tag == "-" else 1
+            i += 1
+        elif terms:
+            if tag != "$":
+                raise ParseError("trailing input after expression", line, col)
+            break
+        while True:
+            tag, value, col = tokens[i]
+            i += 1
+            if tag == "n":
+                num *= value
+                if tokens[i][0] == "/":
+                    tag, value, col = tokens[i + 1]
+                    if tag != "n":
+                        raise ParseError("malformed rational: expected a denominator", line, col)
+                    if value == 0:
+                        raise ParseError("malformed rational: zero denominator", line, col)
+                    den *= value
+                    i += 2
+            elif tag == letter:
+                try:
+                    ctx.check_index(value)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line, col) from None
+                power = 1
+                if tokens[i][0] == "^":
+                    tag, power, col = tokens[i + 1]
+                    if tag != "n":
+                        raise ParseError("expected an integer exponent", line, col)
+                    i += 2
+                if not exterior and len(word) + power > MAX_FREE_TERM_LETTERS:
+                    raise ParseError(f"a free term may have at most {MAX_FREE_TERM_LETTERS} letters", line, col)
+                # a repeated letter already makes an exterior term zero
+                word += [value] * (min(power, 2) if exterior else power)
+            elif tag == "x" or tag == "X":
+                raise ParseError(
+                    f"variable {tag}{value} does not belong to the "
+                    f"{algebra} algebra (use {letter}1..{letter}{ctx.n})",
+                    line,
+                    col,
+                )
+            elif tag == "$":
+                raise ParseError("expected a coefficient or a variable", line)
+            else:
+                raise ParseError(f"unexpected token {tag!r}", line, col)
+            # "*" joins two factors, and may be left out before a variable
+            tag, value, col = tokens[i]
+            if tag == "*":
+                i += 1
+            elif tag != "x" and tag != "X":
+                break
+        if num % den:
+            from fractions import Fraction
+
+            num = Fraction(num, den)
+        else:
+            num //= den  # den > 0: an integral coefficient stays an int
+        terms.append((tuple(word), num))
+    F = FreePolynomial._raw(_add_into({}, terms))
+    return pi(F) if exterior else F
 
 
 def matrix_is_borel_fixed(

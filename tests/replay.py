@@ -15,7 +15,12 @@ The matrix:
   ``gap7``; ``verify`` of the lifted basis, plain and ``--json``, at the
   default cap and at ``--maxdeg 3``, also with the first lifted element
   dropped; and the free ``hilbert``, plain and ``--json``, of the
-  preimage's initial ideal.
+  preimage's initial ideal;
+* ``gb --json`` and ``lift --json`` of instance 0 of ``ext`` and ``gap``
+  at n=5-8, under the file's deglex, ``--order degrevlex`` and the
+  reversed ``--varorder``, and ``verify --maxdeg 3``, plain and
+  ``--json``, of each lift under the same flags; the lift refuses the reversed ranking, so that
+  ``verify`` reads the deglex lift, which fails there.
 
 Every run is in one process, through ``cli.main``.  A change meant to
 alter output records anew, and names each run whose digest changed.
@@ -39,6 +44,13 @@ RECORD = ROOT / "tests" / "golden" / "replay.json"
 # the n=5 free data files, run at --maxdeg 3 here and in test_parsing_cli
 N5_FREE = ("anticomm_n5.ideal", "lifted_drop_n5.ideal")
 PIPELINE = [(family, i) for family in ("ext", "gap") for i in range(4)]
+ORDER_SIZES = range(5, 9)
+
+
+def order_flags(n: int) -> dict[str, list[str]]:
+    """The order flags of the order matrix, by label."""
+    reverse = ",".join(str(v) for v in range(n, 0, -1))
+    return {"deglex": [], "degrevlex": ["--order", "degrevlex"], "reversed": ["--varorder", reverse]}
 
 
 def load_inputs():
@@ -99,6 +111,23 @@ def runs():
             preimage.write_text(inputs.preimage_initial_file(lift))
             for flags in ([], ["--json"]):
                 yield (" ".join(["hilbert", f"preimage:{name}", *flags]), *run(["hilbert", str(preimage), *flags]))
+        for family in families:
+            for n in ORDER_SIZES:
+                name = f"{family}{n}/0"
+                source = Path(tmp) / "source.ideal"
+                source.write_text(families[family](random.Random(name), n))
+                lifts = {}
+                for tag, flags in order_flags(n).items():
+                    yield (" ".join(["gb", name, *flags, "--json"]), *run(["gb", str(source), *flags, "--json"]))
+                    code, out, err = run(["lift", str(source), *flags, "--json"])
+                    yield (" ".join(["lift", name, *flags, "--json"]), code, out, err)
+                    if code == 0:
+                        lifts[tag] = inputs.lift_to_free_file(json.loads(out))
+                    candidate = Path(tmp) / "candidate.ideal"
+                    candidate.write_text(lifts.get(tag, lifts["deglex"]))
+                    for out_flags in ([], ["--json"]):
+                        argv = ["--maxdeg", "3", *flags, *out_flags]
+                        yield (" ".join(["verify", f"lifted:{name}", *argv]), *run(["verify", str(candidate), *argv]))
 
 
 def record() -> dict[str, str]:

@@ -160,3 +160,45 @@ def test_true_division_only_where_allowed():
         for scope in _true_divisions(ast.parse(path.read_text(encoding="utf-8")), path.stem):
             found[scope] = found.get(scope, 0) + 1
     assert found == TRUE_DIVISIONS, "a new '/' can divide two ints into a float: use // or a Fraction"
+
+
+# The functions of src/extlift that may import ``fractions``, with how many
+# imports each holds.  The commands stay on integer rows over a denominator,
+# so a Fraction is made only by a public constructor or view, on first
+# read, or on the branch that needs one: no module loads ``fractions`` (and
+# with it ``decimal`` and ``numbers``) at import.
+FRACTION_IMPORTS = {
+    # the public constructors and arithmetic
+    "algebra._TermPolynomial.__init__": 1,
+    "algebra._TermPolynomial.scale": 1,
+    "algebra._integral": 1,  # a GLMatrix entry that is not an int
+    "orders.monic_free": 1,  # FreeGroebnerCandidate.elements and the free gin
+    # the public views of the integer ones
+    "parsing.IdealFile.generators": 1,
+    "exterior.ExtGroebnerBasis.elements": 1,
+    "lifting.LiftedBasis.lifted": 1,
+    # the failure branch of verify, and Berlekamp-Massey for an infinite series
+    "freealg.Obstruction.remainder": 1,
+    "freealg.hilbert_rational": 1,
+}
+
+
+def _fraction_imports(tree: ast.AST, scope: str):
+    """The qualified name of the innermost function or class around each
+    import of ``fractions`` in tree, one per import."""
+    for node in ast.iter_child_nodes(tree):
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        inner = f"{scope}.{node.name}" if named else scope
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            yield inner
+        elif isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names):
+            yield inner
+        yield from _fraction_imports(node, inner)
+
+
+def test_fractions_imported_only_where_allowed():
+    found: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope in _fraction_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            found[scope] = found.get(scope, 0) + 1
+    assert found == FRACTION_IMPORTS, "a Fraction is made only by a public constructor or view, or a failure branch"

@@ -104,9 +104,15 @@ def test_rref_against_dense_elimination(system):
 
 def back_substituted(rows: list, column: dict) -> list[dict]:
     """Every row of the reduced row echelon form, each back-substituted on
-    its own from one echelon form, largest pivot first."""
+    its own from one echelon form, largest pivot first: the integer row
+    ``back_substitute`` returns, over its entry at the pivot, in
+    Fractions."""
     pivot_rows = echelon(rows)
-    return [{column[c]: v for c, v in back_substitute(pivot_rows, k).items()} for k in sorted(pivot_rows, reverse=True)]
+    reduced = []
+    for k in sorted(pivot_rows, reverse=True):
+        row = back_substitute(pivot_rows, k)
+        reduced.append({column[c]: Fraction(v, row[k]) for c, v in row.items()})
+    return reduced
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

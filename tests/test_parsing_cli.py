@@ -26,7 +26,8 @@ from extlift.parsing import (
 )
 
 from helpers import random_ext_polynomial
-from oracles import arithmetic_parse_generator
+from oracles import arithmetic_parse_generator, as_parse_result, fraction_parse_generator
+import replay
 from replay import N5_FREE
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +68,7 @@ EXIT_TWO_CASES = {
     "non-monomial-predicates": ("predicates", "quadric_n3.ideal", []),
     "non-monomial-free-hilbert": ("hilbert", "commutator_n2.ideal", []),
     "free-term-over-the-letter-cap": ("verify", "vars: 1\nalgebra: free\ngenerators:\nX1^65537\n", []),
+    "free-terms-over-the-file-letter-budget": ("verify", "vars: 2\nalgebra: free\ngenerators:\nX1^40000 + X2^40000\n", []),
     "degree-1-lift": ("lift", "linear_n2.ideal", []),
     "degree-1-predicates": ("predicates", "linear_n2.ideal", []),
     "degree-1-exterior-gin": ("gin", "linear_n2.ideal", []),
@@ -246,6 +248,41 @@ class TestParsing:
             tracemalloc.stop()
         assert str(exc.value) == f"line 4, column {col}: a free term may have at most {parsing.MAX_FREE_TERM_LETTERS} letters"
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "body,line,col",
+        [
+            ("X1^30000 + X1^30000 + X1^30000", 4, 26),
+            ("X1^20000*X2^20000 + X2^20000*X1^20000", 4, 33),
+            # the letters are counted across the file's generator lines
+            ("X1^40000\nX2^40000", 5, 4),
+        ],
+        ids=["three-terms", "second-term-factor", "two-lines"],
+    )
+    def test_free_terms_over_the_file_letter_budget_are_refused_in_small_memory(self, body, line, col):
+        # each term is under the letter cap, and the terms together pass
+        # the file's length plus the cap, which no file without an exponent
+        # reaches: refused before the words grow
+        text = "vars: 2\nalgebra: free\ngenerators:\n" + body + "\n"
+        budget = len(text) + parsing.MAX_FREE_TERM_LETTERS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_ideal(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"line {line}, column {col}: the free terms of this file may have at most {budget} letters "
+            f"in all (its length plus {parsing.MAX_FREE_TERM_LETTERS})"
+        )
+        assert peak < 2**20
+
+    def test_free_terms_within_the_file_letter_budget(self):
+        # 65,536 letters in all, the cap of one term, over two terms
+        cap = parsing.MAX_FREE_TERM_LETTERS
+        ideal = parse_ideal(f"vars: 2\nalgebra: free\ngenerators:\nX1^{cap // 2} + X2^{cap // 2}\n")
+        assert ideal.generators[0] == FreePolynomial([((1,) * (cap // 2), 1), ((2,) * (cap // 2), 1)])
 
     @pytest.mark.parametrize(
         "algebra,body,message",
@@ -961,10 +998,32 @@ class TestProcess:
             # integral coefficients makes no Fraction on the E(V) route
             (["verify", "anticomm_n2.ideal"], FRACTION_MODULES),
             (["verify", "anticomm_n5.ideal", "--maxdeg", "3"], FRACTION_MODULES),
+            # the basis and its lift stay integer rows over their leads,
+            # printed with no Fraction made
+            (["gb", "quadric_n3.ideal"], FRACTION_MODULES),
+            (["gb", "gap_n4.ideal", "--json"], FRACTION_MODULES),
+            (["lift", "quadric_n3.ideal", "--json"], FRACTION_MODULES),
+            (["lift", "gap_n4.ideal"], FRACTION_MODULES),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, absent):
         assert loaded_modules([argv[0], str(DATA / argv[1]), *argv[2:]], absent) == str(EXIT_OK)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_passing_verify_of_a_rational_lift_loads_no_fractions(self, tmp_path, flags):
+        # the lift of quadric_n3 has the coefficients 2/5 and 1/5: parsed
+        # as integers over their denominator, and the candidate built from
+        # that multiple
+        code, out, _ = replay.run(["lift", str(DATA / "quadric_n3.ideal"), "--json"])
+        path = tmp_path / "lifted.ideal"
+        path.write_text(replay.load_inputs().lift_to_free_file(json.loads(out)))
+        assert code == EXIT_OK and "/5*X" in path.read_text()
+        assert loaded_modules(["verify", str(path), *flags], FRACTION_MODULES) == str(EXIT_OK)
+
+    def test_failing_verify_prints_rational_remainders_without_fractions(self):
+        # the remainders stay integers over their scales, printed by ratio_str
+        argv = ["verify", str(DATA / "lifted_drop_n5.ideal"), "--maxdeg", "3", "--json"]
+        assert loaded_modules(argv, FRACTION_MODULES) == str(EXIT_MATH)
 
     def test_finite_free_hilbert_loads_no_fractions_or_heapq(self, tmp_path):
         # every X_j X_i with j >= i in n=3: a finite series, read off its
@@ -1269,3 +1328,37 @@ class TestAgainstArithmeticParser:
         assert len(paths) == 10
         for path in paths:
             assert parse_ideal(path.read_text(encoding="utf-8")).generators
+
+
+def fraction_generator(text: str, line: int, ctx, algebra: str, letters: int, budget: int):
+    """``oracles.fraction_parse_generator``, the generator parser as it was,
+    given and returning what ``parsing._parse_generator`` does."""
+    return as_parse_result(fraction_parse_generator(text, line, ctx, algebra), letters)
+
+
+def typed_outcome(text: str):
+    """``parse_outcome`` with each generator's terms in order, each
+    coefficient with its type."""
+    outcome = parse_outcome(text)
+    if outcome[0] == "error":
+        return outcome
+    return "ok", [[(k, v, type(v)) for k, v in g.terms.items()] for g in outcome[1]]
+
+
+class TestAgainstFractionParser:
+    """parse_ideal against the same function with the generator parser as
+    it was, which summed the terms in ints and Fractions: the same
+    generators term by term, each coefficient of the same type, or the
+    same error type and message."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corpus(self, monkeypatch, seed):
+        fractions = 0
+        for text in corpus_files(seed, 1000):
+            with monkeypatch.context() as m:
+                m.setattr(parsing, "_parse_generator", fraction_generator)
+                expected = typed_outcome(text)
+            assert typed_outcome(text) == expected, text
+            if expected[0] == "ok":
+                fractions += any(t is Fraction for g in expected[1] for _, _, t in g)
+        assert fractions > 50
